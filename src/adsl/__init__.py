@@ -9,6 +9,7 @@ from .controller import (
     ActionRegistry,
     Controller,
     ControllerOptions,
+    InvalidProgramError,
     RunResult,
     default_registry,
     evaluate_query,
@@ -24,7 +25,6 @@ from .reverse import (
     StopReason,
     classify,
     recover_by_reversal,
-    reverse_counterpart,
     reverse_execute,
 )
 from .workcell import (
@@ -39,6 +39,7 @@ __all__ = [
     "ActionRegistry",
     "Controller",
     "ControllerOptions",
+    "InvalidProgramError",
     "ParseError",
     "PolicyMode",
     "Pose",
@@ -57,7 +58,6 @@ __all__ = [
     "pretty_print",
     "recover_by_reversal",
     "resolve",
-    "reverse_counterpart",
     "reverse_execute",
     "run_program",
     "validate_program",

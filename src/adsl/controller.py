@@ -1,6 +1,7 @@
 """Program execution against a workcell.
 
-The controller interprets a validated program: it runs the entry sequence
+The controller validates the program on construction (an invalid program
+raises `InvalidProgramError`) and interprets it: it runs the entry sequence
 instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors.
@@ -23,7 +24,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import reverse as reverse_engine
 from .model import (
@@ -49,6 +50,7 @@ from .model import (
     SpeedLevel,
     ThrowError,
     Wait,
+    validate_program,
 )
 from .printer import format_instruction
 from .reverse import RecoveryImpossible, ResumePolicy
@@ -65,28 +67,7 @@ logger = logging.getLogger("adsl")
 
 
 # ---------------------------------------------------------------------------
-# Outcomes and results
-
-
-@dataclass(frozen=True)
-class Success:
-    pass
-
-
-@dataclass(frozen=True)
-class Fail:
-    failed_queries: tuple[str, ...]
-
-    def __post_init__(self):
-        assert self.failed_queries, "a failed attempt must name what failed"
-
-
-@dataclass(frozen=True)
-class StoppedByGuard:
-    covered: float
-
-
-AttemptOutcome = Union[Success, Fail, StoppedByGuard]
+# Results
 
 
 @dataclass(frozen=True)
@@ -200,6 +181,14 @@ class _ErrorUnwind(Exception):
         self.record = record
 
 
+class InvalidProgramError(ValueError):
+    """The program failed validation; `diagnostics` lists every finding."""
+
+    def __init__(self, diagnostics):
+        super().__init__("; ".join(str(d) for d in diagnostics))
+        self.diagnostics = diagnostics
+
+
 class MotionBlocked(RuntimeError):
     """An unguarded move ran into a solid and cannot advance."""
 
@@ -212,7 +201,7 @@ class _PendingError:
     bound_frame: object
 
 
-class Frame:
+class CallFrame:
     __slots__ = ("seq", "index", "entry_joints", "entry_bits")
 
     def __init__(self, seq: str, index: int = 0, entry_joints=(), entry_bits=()):
@@ -222,7 +211,7 @@ class Frame:
         self.entry_bits = entry_bits
 
     def __repr__(self):
-        return f"Frame({self.seq!r}, {self.index})"
+        return f"CallFrame({self.seq!r}, {self.index})"
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +237,7 @@ class ExecutionContext:
         self.saturation_markers: dict[str, tuple] = {}
         self.active_speed: SpeedLevel = DEFAULT_SPEED
         self.in_recovery: bool = False
-        self.frame_chain: list[list[Frame]] = []
+        self.frame_chain: list[list[CallFrame]] = []
         self.controller = None
 
     # -- snapshots ----------------------------------------------------------
@@ -357,10 +346,10 @@ class ExecutionContext:
                 self.advance_clock(prim.seconds)
 
     def run_basic_instruction(self, instr: Instruction) -> None:
-        """Execute a primitive instruction outside the normal sequence flow.
+        """Execute a primitive instruction: io, wait, move, or call.
 
-        Used for reverse_with payloads and reverse counterparts; structured
-        instructions are not accepted here.
+        The one leaf dispatcher: forward runs and reverse_with payloads both
+        execute through it. Structured instructions are not accepted here.
         """
         if isinstance(instr, Io):
             self.apply_primitives(self.program.io_ops[instr.op].primitives)
@@ -400,8 +389,9 @@ class Controller:
         registry: Optional[ActionRegistry] = None,
         model=None,
     ):
-        if program.entry is None or program.entry not in program.sequences:
-            raise ValueError("program has no runnable entry sequence")
+        diagnostics = validate_program(program, config.dof)
+        if diagnostics:
+            raise InvalidProgramError(diagnostics)
         self.program = program
         self.options = options if options is not None else ControllerOptions()
         self.registry = registry if registry is not None else default_registry()
@@ -411,7 +401,7 @@ class Controller:
             program, workcell, rng, ExecutionTrace(trace_sink), self.options, self.registry
         )
         self.ctx.controller = self
-        self.main_frames: list[Frame] = []
+        self.main_frames: list[CallFrame] = []
         self.ctx.frame_chain.append(self.main_frames)
         self.pending: list[_PendingError] = []
         self._failure_counts: dict[tuple, int] = {}
@@ -446,14 +436,14 @@ class Controller:
 
     # -- frame machine --------------------------------------------------------
 
-    def _frame(self, seq_name: str, index: int = 0) -> Frame:
+    def _frame(self, seq_name: str, index: int = 0) -> CallFrame:
         state = self.ctx.workcell.state
-        return Frame(seq_name, index, state.joints, state.bits())
+        return CallFrame(seq_name, index, state.joints, state.bits())
 
     def _frame_count(self) -> int:
         return sum(len(frames) for frames in self.ctx.frame_chain)
 
-    def _loop(self, frames: list[Frame], handle_errors: bool) -> None:
+    def _loop(self, frames: list[CallFrame], handle_errors: bool) -> None:
         ctx = self.ctx
         program = self.program
         while frames:
@@ -524,32 +514,20 @@ class Controller:
         pre_b = state.bits()
         text = format_instruction(instr)
         ctx.emit(EventKind.INSTR_BEGIN, data={"text": text}, instruction=instr)
-        outcome = None
+        success = None
         finished = False
         try:
-            if isinstance(instr, Io):
-                ctx.apply_primitives(self.program.io_ops[instr.op].primitives)
-            elif isinstance(instr, Wait):
-                ctx.advance_clock(instr.seconds)
-            elif isinstance(instr, MoveJoint):
-                for wp in instr.waypoints:
-                    ctx.move_joints_to(self.program.joint_confs[wp].joints)
-            elif isinstance(instr, Call):
-                entry = self.registry.lookup(instr.action)
-                if entry is None:
-                    raise _AbortRun(f"unregistered action '{instr.action}'")
-                entry.run(ctx, instr.items)
-            elif isinstance(instr, AdvMoveRef):
-                outcome = self._execute_adv_move(self.program.adv_moves[instr.name])
+            if isinstance(instr, AdvMoveRef):
+                success = self._execute_adv_move(self.program.adv_moves[instr.name])
             else:
-                raise AssertionError(f"unexpected instruction {instr!r}")
+                ctx.run_basic_instruction(instr)
             finished = True
         finally:
             data = {"text": text}
             if not finished:
                 data["aborted"] = True
-            if outcome is not None:
-                data["outcome"] = "success" if isinstance(outcome, Success) else "fail"
+            if success is not None:
+                data["outcome"] = "success" if success else "fail"
             ctx.emit(
                 EventKind.INSTR_END,
                 data=data,
@@ -561,8 +539,8 @@ class Controller:
 
     # -- guarded moves ----------------------------------------------------
 
-    def _execute_adv_move(self, spec: AdvMoveSpec) -> AttemptOutcome:
-        """Run a guarded move to its final outcome.
+    def _execute_adv_move(self, spec: AdvMoveSpec) -> bool:
+        """Run a guarded move to its final outcome; True on success.
 
         Each attempt moves along the configured direction, sampling the
         force filter every control cycle and stopping early on the guard.
@@ -601,9 +579,9 @@ class Controller:
             workcell.state.force_history.clear()
 
             covered = 0.0
-            guard_stop = None
+            guard_stopped = False
             if condition_ok:
-                covered, guard_stop = self._attempt_motion(spec, start_pose, direction, speed)
+                covered, guard_stopped = self._attempt_motion(spec, start_pose, direction, speed)
                 filtered = workcell.filtered_force()
                 failed = tuple(
                     _describe_query(q)
@@ -620,7 +598,7 @@ class Controller:
                     "move": spec.name,
                     "attempt": attempts,
                     "covered": covered,
-                    "guard_stopped": guard_stop is not None,
+                    "guard_stopped": guard_stopped,
                     "outcome": "success" if success else "fail",
                     "failed": list(failed),
                 },
@@ -654,12 +632,12 @@ class Controller:
                     break
             if restart:
                 continue
-            return Success() if success else Fail(failed)
+            return success
 
     def _attempt_motion(self, spec, start_pose, direction, speed):
         """Move up to spec.distance along `direction`.
 
-        Returns (covered meters, StoppedByGuard marker or None). Motion also
+        Returns (covered meters, whether the guard stopped it). Motion also
         ends when the full distance is covered or when a solid blocks any
         further advance without the guard tripping.
         """
@@ -697,12 +675,12 @@ class Controller:
             if spec.stop_if is not None and evaluate_query(
                 spec.stop_if, covered, reading.filtered
             ):
-                return covered, StoppedByGuard(covered)
+                return covered, True
             if advanced <= 1e-15:
                 # Blocked by a solid, or already at the target with the
                 # covered sum a rounding error short of the full distance.
                 break
-        return covered, None
+        return covered, False
 
     # -- error signaling and resolution -----------------------------------
 
@@ -726,15 +704,10 @@ class Controller:
             raise _ErrorUnwind(record)
         self.pending.append(record)
 
-    def _rebuild(self, snapshot) -> list[Frame]:
-        frames = [Frame(seq, index) for seq, index in snapshot]
-        state = self.ctx.workcell.state
-        for frame in frames:
-            frame.entry_joints = state.joints
-            frame.entry_bits = state.bits()
-        return frames
+    def _rebuild(self, snapshot) -> list[CallFrame]:
+        return [self._frame(seq, index) for seq, index in snapshot]
 
-    def _resolve_error(self, record: _PendingError, frames: list[Frame]) -> None:
+    def _resolve_error(self, record: _PendingError, frames: list[CallFrame]) -> None:
         key = (record.site, record.name)
         count = self._failure_counts.get(key, 0) + 1
         self._failure_counts[key] = count
@@ -755,17 +728,16 @@ class Controller:
                 EventKind.RECOVERY_END,
                 data={"error": record.name, "sequence": spec.recovery_sequence},
             )
-            if spec.return_to is ReturnTo.ACTION:
-                frames[:] = self._rebuild(record.site)
-            elif spec.return_to is ReturnTo.SEQUENCE:
-                frames[:] = self._rebuild(record.site)
-                if self.options.return_to_sequence == "restart":
-                    frames[-1].index = 0
-                else:
-                    frames[-1].index += 1
-            else:  # RESTART_PROGRAM
+            if spec.return_to is ReturnTo.RESTART_PROGRAM:
                 frames[:] = [self._frame(self.program.entry)]
                 self.pending.clear()
+            else:
+                frames[:] = self._rebuild(record.site)
+                if spec.return_to is ReturnTo.SEQUENCE:
+                    if self.options.return_to_sequence == "restart":
+                        frames[-1].index = 0
+                    else:
+                        frames[-1].index += 1
         else:
             try:
                 decision = reverse_engine.recover_by_reversal(

@@ -12,6 +12,12 @@ reversal continues past it instead of undoing it twice. Before undoing an
 entry, lasting settings (the active speed) are restored to the value the
 trace recorded at that point.
 
+Each undo is performed directly on the execution context: a `@reverse_with`
+payload runs through the same leaf dispatcher as forward execution
+(`ExecutionContext.run_basic_instruction`), I/O runs its inverted primitive
+list, a wait advances the clock again, a move restores the recorded
+pre-step joints, and a call runs its registered reverse callback.
+
 When an error without a recovery sequence recurs, `recover_by_reversal`
 backs up further each time, by a linear or exponential schedule, and resumes
 forward execution at the earliest instruction it undid.
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .model import (
     AdvMoveRef,
@@ -32,7 +38,6 @@ from .model import (
     Io,
     MoveJoint,
     NonReversible,
-    Program,
     ReverseWith,
     SeqCall,
     SetHigh,
@@ -55,10 +60,6 @@ class StopReason(Enum):
     BARRIER = "barrier"
     TRACE_START = "trace_start"
     NEVER_REVERSIBLE_HIT = "never_reversible_hit"
-
-
-class NotReversible(RuntimeError):
-    """No reverse counterpart exists for the requested entry."""
 
 
 class RecoveryImpossible(RuntimeError):
@@ -90,43 +91,6 @@ def classify(instr: Instruction, registry=None) -> ReversibilityClass:
 # Counterparts
 
 
-@dataclass(frozen=True)
-class NoOpStep:
-    pass
-
-
-@dataclass(frozen=True)
-class WaitStep:
-    seconds: float
-
-
-@dataclass(frozen=True)
-class JointRestore:
-    joints: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class IoInversion:
-    primitives: tuple
-
-
-@dataclass(frozen=True)
-class RunInstruction:
-    instruction: Instruction
-
-
-@dataclass(frozen=True)
-class ReverseAction:
-    action: str
-    items: tuple[str, ...]
-    fn: object = field(compare=False, repr=False)
-
-
-ReverseStep = Union[
-    NoOpStep, WaitStep, JointRestore, IoInversion, RunInstruction, ReverseAction
-]
-
-
 def invert_primitives(primitives) -> tuple:
     """Undo list for an I/O primitive sequence.
 
@@ -155,8 +119,8 @@ def invert_primitives(primitives) -> tuple:
     return tuple(out)
 
 
-def reverse_counterpart(entry: TraceEvent, program: Program, registry=None) -> ReverseStep:
-    """Build the undo step for a recorded instruction entry.
+def _undo(entry: TraceEvent, ctx, registry) -> None:
+    """Perform the counterpart of a recorded entry that `classify` admits.
 
     Moves restore the recorded pre-step joints and never re-apply guarded
     forces; I/O runs its inverted primitive list; waits wait again (the
@@ -164,42 +128,18 @@ def reverse_counterpart(entry: TraceEvent, program: Program, registry=None) -> R
     """
     instr = entry.instruction
     ann = instr.annotation
-    if isinstance(ann, NonReversible):
-        raise NotReversible(f"{type(instr).__name__} marked nonreversible")
     if isinstance(ann, SkipOnReverse):
-        return NoOpStep()
-    if isinstance(ann, ReverseWith):
-        return RunInstruction(ann.instruction)
-    if isinstance(instr, Io):
-        op = program.io_ops[instr.op]
-        return IoInversion(invert_primitives(op.primitives))
-    if isinstance(instr, Wait):
-        return WaitStep(instr.seconds)
-    if isinstance(instr, (MoveJoint, AdvMoveRef)):
-        return JointRestore(tuple(entry.pre_joints))
-    if isinstance(instr, Call):
-        if registry is not None:
-            found = registry.lookup(instr.action)
-            if found is not None and found.reverse is not None:
-                return ReverseAction(instr.action, instr.items, found.reverse)
-        raise NotReversible(f"call '{instr.action}' has no registered reverse")
-    raise NotReversible(f"no counterpart for {type(instr).__name__}")
-
-
-def _execute_step(step: ReverseStep, ctx) -> None:
-    if isinstance(step, NoOpStep):
         return
-    if isinstance(step, WaitStep):
-        ctx.advance_clock(step.seconds)
-    elif isinstance(step, JointRestore):
-        ctx.move_joints_to(step.joints)
-    elif isinstance(step, IoInversion):
-        ctx.apply_primitives(step.primitives)
-    elif isinstance(step, RunInstruction):
-        ctx.run_basic_instruction(step.instruction)
+    if isinstance(ann, ReverseWith):
+        ctx.run_basic_instruction(ann.instruction)
+    elif isinstance(instr, Io):
+        ctx.apply_primitives(invert_primitives(ctx.program.io_ops[instr.op].primitives))
+    elif isinstance(instr, Wait):
+        ctx.advance_clock(instr.seconds)
+    elif isinstance(instr, (MoveJoint, AdvMoveRef)):
+        ctx.move_joints_to(entry.pre_joints)
     else:
-        assert isinstance(step, ReverseAction)
-        step.fn(ctx, step.items)
+        registry.lookup(instr.action).reverse(ctx, instr.items)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +149,6 @@ def _execute_step(step: ReverseStep, ctx) -> None:
 @dataclass(frozen=True)
 class PlanStep:
     trace_index: int
-    step: ReverseStep
     restore_speed: SpeedLevel
 
 
@@ -285,10 +224,9 @@ def reverse_execute(
             stop_index = entry.index
             break
         ctx.set_active_speed(entry.speed, "reverse restore")
-        step = reverse_counterpart(entry, ctx.program, registry)
-        _execute_step(step, ctx)
+        _undo(entry, ctx, registry)
         entry.consumed = True
-        steps.append(PlanStep(entry.index, step, entry.speed))
+        steps.append(PlanStep(entry.index, entry.speed))
         cursor = entry.index - 1
 
     ctx.emit(

@@ -318,14 +318,6 @@ class TranslationEulerModel:
         return pose.position + pose.orientation
 
 
-def fk(joints) -> Pose:
-    return TranslationEulerModel().fk(joints)
-
-
-def ik(pose: Pose) -> tuple[float, ...]:
-    return TranslationEulerModel().ik(pose)
-
-
 # ---------------------------------------------------------------------------
 # State and sensing
 
@@ -334,7 +326,6 @@ def ik(pose: Pose) -> tuple[float, ...]:
 class SensorReading:
     raw: float
     filtered: float
-    at: float
 
 
 class WorkcellState:
@@ -447,7 +438,7 @@ class Workcell:
         raw += rng.gauss(0.0, self.config.noise_sigma)
         state.force_history.append(raw)
         filtered = sum(state.force_history) / len(state.force_history)
-        return SensorReading(raw, filtered, state.clock)
+        return SensorReading(raw, filtered)
 
     def filtered_force(self) -> float:
         history = self.state.force_history

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from adsl.controller import (
     Controller,
     ControllerOptions,
-    Fail,
-    StoppedByGuard,
-    Success,
+    InvalidProgramError,
     default_registry,
     evaluate_query,
     run_program,
 )
 from adsl.model import Comparison, DistanceCovered, ForcesExceed
+from adsl.parser import parse_program
 from adsl.trace import EventKind
 from adsl.workcell import WorkcellConfig
 
@@ -109,6 +108,20 @@ class TestBasicInstructions:
         result = run_program(program, quiet_config(), seed=0)
         assert not result.completed
         assert "depth" in result.reason
+
+    @pytest.mark.parametrize(
+        "body, message, name",
+        [
+            ("move to nowhere;", "unresolved joint configuration", "nowhere"),
+            ('io "nothere";', "unresolved io operation", "nothere"),
+        ],
+    )
+    def test_unvalidated_program_rejected_with_diagnostics(self, body, message, name):
+        program = parse_program(f'sequence "s" {{ {body} }}')
+        with pytest.raises(InvalidProgramError) as info:
+            Controller(program, quiet_config(), seed=0)
+        assert isinstance(info.value, ValueError)
+        assert [(d.message, d.name) for d in info.value.diagnostics] == [(message, name)]
 
 
 ADV_MOVE_TEMPLATE = """
@@ -228,13 +241,6 @@ class TestAdvancedMove:
         assert len(ends) == 1
         assert ends[0].data["covered"] == 0.0
         assert ends[0].data["failed"] == ["condition"]
-
-    def test_outcome_types(self):
-        assert Success() == Success()
-        assert Fail(("x",)).failed_queries == ("x",)
-        assert StoppedByGuard(0.15).covered == 0.15
-        with pytest.raises(AssertionError):
-            Fail(())
 
 
 def _failing_call_registry(fail_times, error_name="flaky"):

@@ -13,9 +13,8 @@ from adsl.workcell import (
     Pose,
     Workcell,
     WorkcellConfig,
+    TranslationEulerModel,
     WorkcellConfigError,
-    fk,
-    ik,
     workcell_config_from_dict,
 )
 
@@ -35,24 +34,26 @@ WALL_WITH_HOLE = Obstacle(
 
 
 class TestKinematics:
+    model = TranslationEulerModel()
+
     def test_fk_identity(self):
-        pose = fk((0.0,) * 6)
+        pose = self.model.fk((0.0,) * 6)
         assert pose.position == (0.0, 0.0, 0.0)
         assert pose.orientation == (0.0, 0.0, 0.0)
 
     def test_fk_coordinate_mapping(self):
-        pose = fk((0.1, 0.2, 0.3, 0.0, 0.0, 0.0))
+        pose = self.model.fk((0.1, 0.2, 0.3, 0.0, 0.0, 0.0))
         assert pose.position == (0.1, 0.2, 0.3)
 
     def test_ik_inverts_fk_exactly(self):
         rng = random.Random(7)
         for _ in range(1000):
             joints = tuple(rng.uniform(-3, 3) for _ in range(6))
-            assert ik(fk(joints)) == joints
+            assert self.model.ik(self.model.fk(joints)) == joints
 
     def test_fk_of_ik(self):
         pose = Pose((1.0, -2.0, 0.5), (0.1, 0.2, 0.3))
-        assert fk(ik(pose)) == pose
+        assert self.model.fk(self.model.ik(pose)) == pose
 
 
 class TestStepMotion:
