@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .controller import Controller, ControllerOptions
+from .controller import Controller, ControllerOptions, MotionBlocked, UnregisteredAction
 from .model import validate_program
 from .parser import ParseError, parse_program
 from .reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
-from .workcell import WorkcellConfigError, load_workcell_config
+from .workcell import BitOutOfRange, WorkcellConfigError, load_workcell_config
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -49,22 +49,40 @@ def _load_config(path):
         return None
 
 
-def _validated(path):
-    """Parse and validate; returns (program, exit_code or None)."""
-    program = _load_program(path)
-    if program is None:
-        return None, EXIT_INPUT_ERROR
-    diagnostics = validate_program(program)
-    if diagnostics:
-        for diag in diagnostics:
-            print(str(diag))
-        return None, EXIT_INVALID
-    return program, None
+def _report(diagnostics) -> int:
+    for diag in diagnostics:
+        print(str(diag))
+    return EXIT_INVALID if diagnostics else EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    _, code = _validated(args.program)
-    return EXIT_OK if code is None else code
+    program = _load_program(args.program)
+    if program is None:
+        return EXIT_INPUT_ERROR
+    return _report(validate_program(program))
+
+
+def _inputs(args):
+    """Parse the program, load the config and validate the program against
+    the config's dof; returns (program, config, exit code)."""
+    program = _load_program(args.program)
+    if program is None:
+        return None, None, EXIT_INPUT_ERROR
+    config = _load_config(args.workcell)
+    if config is None:
+        return None, None, EXIT_INPUT_ERROR
+    return program, config, _report(validate_program(program, config.dof))
+
+
+def _controller(args, program, config, sink=None):
+    """The controller for a run, or None when the workcell cannot host it."""
+    try:
+        return Controller(
+            program, config, seed=args.seed, trace_sink=sink, options=_options_from_args(args)
+        )
+    except WorkcellConfigError as exc:
+        print(f"error: {args.workcell}: {exc}", file=sys.stderr)
+        return None
 
 
 def _options_from_args(args) -> ControllerOptions:
@@ -93,24 +111,17 @@ def _print_run_summary(args, result) -> None:
 
 
 def cmd_run(args) -> int:
-    program, code = _validated(args.program)
-    if program is None:
+    program, config, code = _inputs(args)
+    if code != EXIT_OK:
         return code
-    config = _load_config(args.workcell)
-    if config is None:
-        return EXIT_INPUT_ERROR
 
     sink = None
     try:
         if args.trace:
             sink = open(args.trace, "w", encoding="utf-8")
-        controller = Controller(
-            program,
-            config,
-            seed=args.seed,
-            trace_sink=sink,
-            options=_options_from_args(args),
-        )
+        controller = _controller(args, program, config, sink)
+        if controller is None:
+            return EXIT_INPUT_ERROR
         result = controller.run()
     finally:
         if sink is not None:
@@ -121,16 +132,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_reverse(args) -> int:
-    program, code = _validated(args.program)
-    if program is None:
+    program, config, code = _inputs(args)
+    if code != EXIT_OK:
         return code
-    config = _load_config(args.workcell)
-    if config is None:
+    controller = _controller(args, program, config)
+    if controller is None:
         return EXIT_INPUT_ERROR
 
-    controller = Controller(
-        program, config, seed=args.seed, options=_options_from_args(args)
-    )
     initial_joints = controller.ctx.workcell.state.joints
     initial_bits = controller.ctx.workcell.state.bits()
     result = controller.run()
@@ -139,7 +147,7 @@ def cmd_reverse(args) -> int:
         plan = reverse_execute(
             controller.trace, args.depth, controller.ctx, registry=controller.registry
         )
-    except Exception as exc:
+    except (UnregisteredAction, MotionBlocked, BitOutOfRange) as exc:
         print(f"error: reversal failed: {exc}", file=sys.stderr)
         return EXIT_ABORTED
 

@@ -173,6 +173,10 @@ class _AbortRun(Exception):
     """Unrecoverable condition; unwinds to run() and yields Aborted."""
 
 
+class UnregisteredAction(_AbortRun):
+    """A `call` named an action the registry does not hold."""
+
+
 class _ErrorUnwind(Exception):
     """Carries an error record out of an instruction for immediate response."""
 
@@ -223,7 +227,8 @@ class ExecutionContext:
 
     The reverse engine drives the same context through the motion and I/O
     helpers below, so forward and backward execution share one code path for
-    state changes.
+    state changes. The context holds no reference to its controller, so a
+    finished run's trace is freed by reference counting alone.
     """
 
     def __init__(self, program, workcell, rng, trace, options, registry):
@@ -237,15 +242,25 @@ class ExecutionContext:
         self.saturation_markers: dict[str, tuple] = {}
         self.active_speed: SpeedLevel = DEFAULT_SPEED
         self.in_recovery: bool = False
-        self.frame_chain: list[list[CallFrame]] = []
-        self.controller = None
+        self.main_frames: list[CallFrame] = []
+        self.frame_chain: list[list[CallFrame]] = [self.main_frames]
+        self.pending: list[_PendingError] = []
+        self._stack: Optional[tuple[tuple[str, int], ...]] = None
 
     # -- snapshots ----------------------------------------------------------
 
     def call_stack(self) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (f.seq, f.index) for frames in self.frame_chain for f in frames
-        )
+        """(sequence, index) of every frame, outermost first; cached, so every
+        frame push or pop, index change or `frame_chain` change calls
+        `stack_changed`."""
+        if self._stack is None:
+            self._stack = tuple(
+                (f.seq, f.index) for frames in self.frame_chain for f in frames
+            )
+        return self._stack
+
+    def stack_changed(self) -> None:
+        self._stack = None
 
     def emit(
         self,
@@ -259,9 +274,9 @@ class ExecutionContext:
     ) -> TraceEvent:
         state = self.workcell.state
         joints = state.joints
-        bits = state.bits()
+        bits = state.io_bits
         event = TraceEvent(
-            index=self.trace.next_index(),
+            index=len(self.trace),
             kind=kind,
             clock=state.clock,
             stack=self.call_stack(),
@@ -295,12 +310,13 @@ class ExecutionContext:
         if speed is None:
             speed = self.speed_value()
         record = self.options.record_motion_samples
+        state = workcell.state
         while True:
             pose = workcell.tcp_pose()
             if pose.position == target.position and pose.orientation == target.orientation:
                 return
-            pre_j = workcell.state.joints
-            pre_b = workcell.state.bits()
+            pre_j = state.joints
+            pre_b = state.io_bits
             contact, advanced = workcell.step_motion(target, speed)
             if record:
                 self.emit(
@@ -361,14 +377,30 @@ class ExecutionContext:
         elif isinstance(instr, Call):
             entry = self.registry.lookup(instr.action)
             if entry is None:
-                raise _AbortRun(f"unregistered action '{instr.action}'")
+                raise UnregisteredAction(f"unregistered action '{instr.action}'")
             entry.run(self, instr.items)
         else:
             raise _AbortRun(f"cannot execute {type(instr).__name__} as a basic instruction")
 
     def signal_error(self, name: str) -> None:
-        """Raise a declared error from a registered action."""
-        self.controller._signal(name)
+        """Record a declared error, then raise it for an immediate response or
+        queue it until its `respond_after` point."""
+        self.emit(EventKind.ERROR_SIGNALED, data={"error": name})
+        self.error_counts[name] = self.error_counts.get(name, 0) + 1
+        if self.in_recovery:
+            raise _AbortRun(f"error '{name}' during recovery")
+        spec = self.program.errors.get(name)
+        if spec is None:
+            raise _AbortRun(f"undeclared error '{name}'")
+        record = _PendingError(
+            name=name,
+            site=self.call_stack(),
+            respond=spec.respond_after,
+            bound_frame=self.main_frames[-1] if self.main_frames else None,
+        )
+        if spec.respond_after is RespondAfter.IMMEDIATELY:
+            raise _ErrorUnwind(record)
+        self.pending.append(record)
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +432,18 @@ class Controller:
         self.ctx = ExecutionContext(
             program, workcell, rng, ExecutionTrace(trace_sink), self.options, self.registry
         )
-        self.ctx.controller = self
-        self.main_frames: list[CallFrame] = []
-        self.ctx.frame_chain.append(self.main_frames)
-        self.pending: list[_PendingError] = []
         self._failure_counts: dict[tuple, int] = {}
         self.stats_instructions = 0
-        self.stats_errors = 0
         self.stats_recoveries = 0
 
     # -- public API ---------------------------------------------------------
 
     def run(self) -> RunResult:
-        self.main_frames.append(self._frame(self.program.entry))
+        ctx = self.ctx
+        ctx.main_frames.append(self._frame(self.program.entry))
+        ctx.stack_changed()
         try:
-            self._loop(self.main_frames, handle_errors=True)
+            self._loop(ctx.main_frames, handle_errors=True)
             completed, reason = True, None
         except _AbortRun as exc:
             completed, reason = False, str(exc)
@@ -424,9 +453,9 @@ class Controller:
             completed, reason = False, f"io bit out of range: {exc}"
         stats = RunStats(
             instructions=self.stats_instructions,
-            errors=self.stats_errors,
+            errors=sum(ctx.error_counts.values()),
             recoveries=self.stats_recoveries,
-            simulated_time=self.ctx.workcell.state.clock,
+            simulated_time=ctx.workcell.state.clock,
         )
         return RunResult(completed, reason, stats)
 
@@ -439,9 +468,6 @@ class Controller:
     def _frame(self, seq_name: str, index: int = 0) -> CallFrame:
         state = self.ctx.workcell.state
         return CallFrame(seq_name, index, state.joints, state.bits())
-
-    def _frame_count(self) -> int:
-        return sum(len(frames) for frames in self.ctx.frame_chain)
 
     def _loop(self, frames: list[CallFrame], handle_errors: bool) -> None:
         ctx = self.ctx
@@ -461,6 +487,7 @@ class Controller:
                         self._resolve_error(record, frames)
                         continue
                 frames.pop()
+                ctx.stack_changed()
                 if frames:
                     parent = frames[-1]
                     call_instr = program.sequences[parent.seq].instructions[parent.index]
@@ -473,10 +500,11 @@ class Controller:
                     )
                     self.stats_instructions += 1
                     parent.index += 1
+                    ctx.stack_changed()
                 continue
             instr = sequence.instructions[frame.index]
             if isinstance(instr, SeqCall):
-                if self._frame_count() + 1 > self.options.max_call_depth:
+                if len(ctx.call_stack()) + 1 > self.options.max_call_depth:
                     raise _AbortRun(
                         f"sequence call depth exceeds {self.options.max_call_depth}"
                     )
@@ -486,6 +514,7 @@ class Controller:
                     instruction=instr,
                 )
                 frames.append(self._frame(instr.name))
+                ctx.stack_changed()
                 continue
             try:
                 self._execute_leaf(instr)
@@ -495,14 +524,16 @@ class Controller:
                 self._resolve_error(unwind.record, frames)
                 continue
             frame.index += 1
+            ctx.stack_changed()
 
     def _take_pending(self, respond: RespondAfter, frame) -> Optional[_PendingError]:
-        for i, record in enumerate(self.pending):
+        pending = self.ctx.pending
+        for i, record in enumerate(pending):
             if record.respond is not respond:
                 continue
             if respond is RespondAfter.CURRENT_SEQUENCE and record.bound_frame is not frame:
                 continue
-            return self.pending.pop(i)
+            return pending.pop(i)
         return None
 
     # -- instruction execution ------------------------------------------------
@@ -511,7 +542,7 @@ class Controller:
         ctx = self.ctx
         state = ctx.workcell.state
         pre_j = state.joints
-        pre_b = state.bits()
+        pre_b = state.io_bits
         text = format_instruction(instr)
         ctx.emit(EventKind.INSTR_BEGIN, data={"text": text}, instruction=instr)
         success = None
@@ -628,7 +659,7 @@ class Controller:
                     # Retry budget exhausted: fall through to the next behavior.
                 else:
                     assert isinstance(behavior, ThrowError)
-                    self._signal(behavior.error)
+                    ctx.signal_error(behavior.error)
                     break
             if restart:
                 continue
@@ -653,9 +684,10 @@ class Controller:
             start_pose.orientation,
         )
         covered = 0.0
+        state = workcell.state
         while covered < spec.distance - 1e-12:
-            pre_j = workcell.state.joints
-            pre_b = workcell.state.bits()
+            pre_j = state.joints
+            pre_b = state.io_bits
             contact, advanced = workcell.step_motion(target, speed)
             covered += advanced
             reading = workcell.read_force(ctx.rng)
@@ -684,26 +716,6 @@ class Controller:
 
     # -- error signaling and resolution -----------------------------------
 
-    def _signal(self, name: str) -> None:
-        ctx = self.ctx
-        ctx.emit(EventKind.ERROR_SIGNALED, data={"error": name})
-        ctx.error_counts[name] = ctx.error_counts.get(name, 0) + 1
-        self.stats_errors += 1
-        if ctx.in_recovery:
-            raise _AbortRun(f"error '{name}' during recovery")
-        spec = self.program.errors.get(name)
-        if spec is None:
-            raise _AbortRun(f"undeclared error '{name}'")
-        record = _PendingError(
-            name=name,
-            site=ctx.call_stack(),
-            respond=spec.respond_after,
-            bound_frame=self.main_frames[-1] if self.main_frames else None,
-        )
-        if spec.respond_after is RespondAfter.IMMEDIATELY:
-            raise _ErrorUnwind(record)
-        self.pending.append(record)
-
     def _rebuild(self, snapshot) -> list[CallFrame]:
         return [self._frame(seq, index) for seq, index in snapshot]
 
@@ -730,7 +742,7 @@ class Controller:
             )
             if spec.return_to is ReturnTo.RESTART_PROGRAM:
                 frames[:] = [self._frame(self.program.entry)]
-                self.pending.clear()
+                ctx.pending.clear()
             else:
                 frames[:] = self._rebuild(record.site)
                 if spec.return_to is ReturnTo.SEQUENCE:
@@ -747,16 +759,19 @@ class Controller:
                 raise _AbortRun(str(exc)) from None
             snapshot = decision.resume_stack
             frames[:] = self._rebuild(snapshot if snapshot is not None else record.site)
+        ctx.stack_changed()
 
     def _run_recovery(self, seq_name: str) -> None:
-        recovery_frames = [self._frame(seq_name)]
-        self.ctx.frame_chain.append(recovery_frames)
-        self.ctx.in_recovery = True
+        ctx = self.ctx
+        ctx.frame_chain.append([self._frame(seq_name)])
+        ctx.stack_changed()
+        ctx.in_recovery = True
         try:
-            self._loop(recovery_frames, handle_errors=False)
+            self._loop(ctx.frame_chain[-1], handle_errors=False)
         finally:
-            self.ctx.in_recovery = False
-            self.ctx.frame_chain.pop()
+            ctx.in_recovery = False
+            ctx.frame_chain.pop()
+            ctx.stack_changed()
 
 
 # ---------------------------------------------------------------------------

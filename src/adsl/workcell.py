@@ -43,10 +43,6 @@ class Pose:
     position: tuple[float, float, float]
     orientation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(c) for c in self.position))
-        object.__setattr__(self, "orientation", tuple(float(c) for c in self.orientation))
-
 
 IDENTITY_POSE = Pose((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -81,10 +77,6 @@ class Hole:
     center: tuple[float, float]
     half_extents: tuple[float, float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "half_extents", tuple(float(c) for c in self.half_extents))
-
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -93,10 +85,6 @@ class Obstacle:
     box_min: tuple[float, float, float]
     box_max: tuple[float, float, float]
     hole: Optional[Hole] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "box_min", tuple(float(c) for c in self.box_min))
-        object.__setattr__(self, "box_max", tuple(float(c) for c in self.box_max))
 
     def validate(self) -> None:
         for lo, hi in zip(self.box_min, self.box_max):
@@ -217,6 +205,10 @@ _CONFIG_KEYS = {
 }
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
 def _pose_from_dict(raw) -> Pose:
     if not isinstance(raw, dict):
         raise WorkcellConfigError("pose must be an object with position/orientation")
@@ -224,8 +216,8 @@ def _pose_from_dict(raw) -> Pose:
     if unknown:
         raise WorkcellConfigError(f"unknown pose keys: {sorted(unknown)}")
     return Pose(
-        tuple(raw.get("position", (0.0, 0.0, 0.0))),
-        tuple(raw.get("orientation", (0.0, 0.0, 0.0))),
+        _floats(raw.get("position", (0.0, 0.0, 0.0))),
+        _floats(raw.get("orientation", (0.0, 0.0, 0.0))),
     )
 
 
@@ -249,8 +241,8 @@ def _obstacle_from_dict(raw) -> Obstacle:
             axis = HoleAxis(h["axis"])
         except ValueError:
             raise WorkcellConfigError(f"unknown hole axis: {h['axis']!r}") from None
-        hole = Hole(axis, tuple(h["center"]), tuple(h["half_extents"]))
-    return Obstacle(tuple(box["min"]), tuple(box["max"]), hole)
+        hole = Hole(axis, _floats(h["center"]), _floats(h["half_extents"]))
+    return Obstacle(_floats(box["min"]), _floats(box["max"]), hole)
 
 
 def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
@@ -312,7 +304,8 @@ class TranslationEulerModel:
     dof = 6
 
     def fk(self, joints) -> Pose:
-        return Pose(tuple(joints[0:3]), tuple(joints[3:6]))
+        j = _floats(joints)
+        return Pose(j[0:3], j[3:6])
 
     def ik(self, pose: Pose) -> tuple[float, ...]:
         return pose.position + pose.orientation
@@ -335,13 +328,14 @@ class WorkcellState:
 
     def __init__(self, joints, bit_count: int, filter_window: int):
         self.joints: tuple[float, ...] = tuple(joints)
-        self.io_bits: list[bool] = [False] * bit_count
+        #: Immutable; a write replaces it, so a snapshot is a reference.
+        self.io_bits: tuple[bool, ...] = (False,) * bit_count
         self.clock: float = 0.0
         self.force_history: deque[float] = deque(maxlen=filter_window)
         self.in_contact: bool = False
 
     def bits(self) -> tuple[bool, ...]:
-        return tuple(self.io_bits)
+        return self.io_bits
 
 
 class Workcell:
@@ -357,11 +351,16 @@ class Workcell:
                 f"kinematic model expects {model_dof} joints, config says {config.dof}"
             )
         self.state = WorkcellState(config.home_joints, config.bit_count, config.filter_window)
+        self._tcp = (None, IDENTITY_POSE)
 
     # -- poses ----------------------------------------------------------------
 
     def tcp_pose(self) -> Pose:
-        return self.model.fk(self.state.joints)
+        """Forward kinematics of the current joints, computed once per joint state."""
+        joints = self.state.joints
+        if self._tcp[0] is not joints:
+            self._tcp = (joints, self.model.fk(joints))
+        return self._tcp[1]
 
     def speed_value(self, level: SpeedLevel) -> float:
         return self.config.speed_map[level]
@@ -379,14 +378,14 @@ class Workcell:
         state = self.state
         if dt is None:
             dt = self.config.dt
-        pose = self.model.fk(state.joints)
+        pose = self.tcp_pose()
         px, py, pz = pose.position
         tx, ty, tz = target.position
         dx, dy, dz = tx - px, ty - py, tz - pz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
 
         if dist <= 1e-15:
-            state.joints = self.model.ik(Pose(target.position, target.orientation))
+            state.joints = self.model.ik(target)
             state.clock += dt
             state.in_contact = False
             return False, 0.0
@@ -402,7 +401,7 @@ class Workcell:
             contact = True
 
         if not contact and advanced >= dist - 1e-15:
-            new_pose = Pose(target.position, target.orientation)
+            new_pose = target
         else:
             frac = advanced / dist
             o0 = pose.orientation
@@ -453,7 +452,8 @@ class Workcell:
             raise BitOutOfRange(
                 f"bit {bit} outside 0..{self.config.bit_count - 1}"
             )
-        self.state.io_bits[bit] = bool(level)
+        bits = self.state.io_bits
+        self.state.io_bits = bits[:bit] + (bool(level),) + bits[bit + 1:]
 
     # -- frames ----------------------------------------------------------
 

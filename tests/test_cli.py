@@ -208,3 +208,32 @@ class TestReverse:
         assert summary["stop reason"] == "depth_reached"
         # Only the wait was undone; the io write is still in effect.
         assert summary["io bits restored"] == "false"
+
+
+class TestWorkcellDof:
+    """A config whose dof differs from the program's joint configurations or
+    from the kinematic model ends in a documented exit code, not a traceback."""
+
+    DOF7 = '{"dof": 7, "home_joints": [0, 0, 0.1, 0, 0, 0, 0]}'
+
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    def test_program_validated_against_config_dof(self, capsys, tmp_path, command):
+        cfg = tmp_path / "dof7.json"
+        cfg.write_text(self.DOF7)
+        code, out, err = run_cli(
+            capsys, command, example("reverse_demo.adsl"), "--workcell", str(cfg)
+        )
+        assert code == EXIT_INVALID
+        assert "exactly 7 values" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    def test_model_dof_mismatch_is_an_input_error(self, capsys, tmp_path, command):
+        cfg = tmp_path / "dof7.json"
+        cfg.write_text(self.DOF7)
+        prog = tmp_path / "wait.adsl"
+        prog.write_text('sequence "s" { wait 0.1; }\nentry "s";')
+        code, out, err = run_cli(capsys, command, str(prog), "--workcell", str(cfg))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {cfg}: kinematic model expects 6 joints")

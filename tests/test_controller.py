@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,6 +452,33 @@ class TestTraceInvariants:
             return controller.trace.serialize()
 
         assert run_once(1) != run_once(2)
+
+    @pytest.mark.parametrize("handling", [
+        'recovery_sequence "rec"; respond_after current_action; return_to action;',
+        "",  # no recovery sequence: progressive reversal
+    ])
+    def test_finished_run_is_freed_without_the_cycle_collector(self, handling):
+        # A context that referred back to its controller made every run's
+        # whole trace cyclic garbage, alive until a full collection.
+        program = build(
+            f'error "flaky" {{ {handling} }}\n'
+            'sequence "rec" { wait 0.01; }\n'
+            'sequence "main" { wait 0.01; call "flaky" (); wait 0.01; }\n'
+            'entry "main";'
+        )
+        registry, state = _failing_call_registry(2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            controller = Controller(program, quiet_config(), seed=0, registry=registry)
+            result = controller.run()
+            trace = weakref.ref(controller.trace)
+            del controller
+            assert trace() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert result.completed and result.stats.errors == 2
 
 
 # Execution fuzz: any structurally valid program built from resolvable names
