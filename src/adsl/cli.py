@@ -115,10 +115,12 @@ def cmd_run(args) -> int:
     if code != EXIT_OK:
         return code
 
-    sink = None
     try:
-        if args.trace:
-            sink = open(args.trace, "w", encoding="utf-8")
+        sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    except OSError as exc:
+        print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    try:
         controller = _controller(args, program, config, sink)
         if controller is None:
             return EXIT_INPUT_ERROR

@@ -516,27 +516,32 @@ def _check_instruction(program, owner, instr, err, allow_annotation) -> None:
 
 
 def _check_sequence_cycles(program: Program, err) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in program.sequences}
+    """Report each call that closes a cycle, in depth-first order. The walk
+    keeps its own stack, so a call chain of any depth validates."""
+    GRAY, BLACK = 1, 2
+    color: dict[str, int] = {}
     reported = set()
-
-    def visit(name):
-        color[name] = GRAY
-        for instr in program.sequences[name].instructions:
-            if not isinstance(instr, SeqCall) or instr.name not in program.sequences:
-                continue
-            target = instr.name
-            if color[target] == GRAY:
-                if (name, target) not in reported:
+    for root in program.sequences:
+        if root in color:
+            continue
+        color[root] = GRAY
+        stack = [(root, iter(program.sequences[root].instructions))]
+        while stack:
+            name, rest = stack[-1]
+            for instr in rest:
+                if not isinstance(instr, SeqCall) or instr.name not in program.sequences:
+                    continue
+                target = instr.name
+                if target not in color:
+                    color[target] = GRAY
+                    stack.append((target, iter(program.sequences[target].instructions)))
+                    break
+                if color[target] == GRAY and (name, target) not in reported:
                     reported.add((name, target))
                     err("recursive sequence call", target, instr.location)
-            elif color[target] == WHITE:
-                visit(target)
-        color[name] = BLACK
-
-    for name in program.sequences:
-        if color[name] == WHITE:
-            visit(name)
+            else:
+                color[name] = BLACK
+                stack.pop()
 
 
 def _reachable_adv_moves(program: Program, seq_name: str) -> set[str]:

@@ -6,12 +6,20 @@ are bare identifiers; everything else is named by a double-quoted string.
 Comments run from `#` to end of line. The grammar is documented in
 docs/grammar.ebnf and `printer.pretty_print` emits its canonical form.
 
+The lexer is one compiled regular expression that skips whitespace and
+comments and matches one token per match; where no token matches, a short
+check of the failing text names the error. A token records only its offset
+and builds its `SourceLocation` (line, column) when `location` is read,
+since the parser reads locations for few tokens.
+
 Parsing is a pure function of the input text: it either returns a complete
 `Program` or raises `ParseError` at the first failure point.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from typing import Optional
 
 from .model import (
@@ -81,19 +89,52 @@ _PUNCT = {
     "@": "AT",
 }
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+#: A string literal up to, not including, its closing quote.
+_STRING_PREFIX = r'"(?:[^"\\\n]|\\["\\])*'
+
+#: One match per token: whitespace and comments, then exactly one token.
+#: Every position matches some alternative (at worst ERROR or the end of
+#: input), so `finditer` never skips text and never backtracks into the
+#: skipped run. The classes are ASCII on purpose: `\d` and `\w` also match
+#: non-ASCII digits and letters, which the grammar excludes.
+_TOKEN_RE = re.compile(
+    rf"""
+    [ \t\r\n]* (?: \# [^\n]* [ \t\r\n]* )*
+    (?: (?P<IDENT> [A-Za-z_][A-Za-z0-9_]* )
+      | (?P<PUNCT> [{{}}(),;=@] )
+      | (?P<STRING> {_STRING_PREFIX}" )
+      | (?P<FLOAT> [+-]?[0-9]+\.[0-9]+ )
+      | (?P<INT> [+-]?[0-9]+ )
+      | (?P<ERROR> {_STRING_PREFIX} | . )
+      | \Z
+    )
+    """,
+    re.VERBOSE,
+)
+_NEWLINE = re.compile("\n")
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _location(line_starts: list[int], offset: int) -> SourceLocation:
+    line = bisect_right(line_starts, offset)
+    return SourceLocation(line, offset - line_starts[line - 1] + 1, offset)
 
 
 class Token:
-    __slots__ = ("kind", "text", "value", "location")
+    """One token; its `location` is built from `offset` when read."""
 
-    def __init__(self, kind, text, value, location):
+    __slots__ = ("kind", "text", "value", "offset", "_line_starts")
+
+    def __init__(self, kind, text, value, offset, line_starts):
         self.kind = kind
         self.text = text
         self.value = value
-        self.location = location
+        self.offset = offset
+        self._line_starts = line_starts
+
+    @property
+    def location(self) -> SourceLocation:
+        return _location(self._line_starts, self.offset)
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r})"
@@ -101,90 +142,52 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Split `text` into tokens; total over all inputs (errors, not crashes)."""
+    line_starts = [0]
+    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def loc():
-        return SourceLocation(line, col, i)
-
-    def bump(count=1):
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump()
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                bump()
-            continue
-        start = loc()
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, ch, start))
-            bump()
-            continue
-        if ch == '"':
-            bump()
-            chars = []
-            while True:
-                if i >= n:
-                    raise ParseError(loc(), ("closing '\"'",), "end of input")
-                c = text[i]
-                if c == "\n":
-                    raise ParseError(loc(), ("closing '\"'",), "newline")
-                if c == "\\":
-                    bump()
-                    if i >= n:
-                        raise ParseError(loc(), ("escape character",), "end of input")
-                    esc = text[i]
-                    if esc not in ('"', "\\"):
-                        raise ParseError(loc(), ('escape \\" or \\\\',), esc)
-                    chars.append(esc)
-                    bump()
-                    continue
-                if c == '"':
-                    bump()
-                    break
-                chars.append(c)
-                bump()
-            tokens.append(Token("STRING", text[start.offset : i], "".join(chars), start))
-            continue
-        if ch in _DIGITS or (ch in "+-" and i + 1 < n and text[i + 1] in _DIGITS):
-            if ch in "+-":
-                bump()
-            while i < n and text[i] in _DIGITS:
-                bump()
-            is_float = False
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
-                is_float = True
-                bump()
-                while i < n and text[i] in _DIGITS:
-                    bump()
-            raw = text[start.offset : i]
-            value = float(raw) if is_float else int(raw)
-            tokens.append(Token("NUMBER", raw, value, start))
-            continue
-        if ch in _IDENT_START:
-            while i < n and text[i] in _IDENT_CONT:
-                bump()
-            raw = text[start.offset : i]
-            tokens.append(Token("IDENT", raw, raw, start))
-            continue
-        raise ParseError(start, ("declaration", "statement", "token"), ch)
-
-    tokens.append(Token("EOF", "", None, loc()))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "IDENT":
+            value = raw = m["IDENT"]
+        elif kind == "PUNCT":
+            value = raw = m["PUNCT"]
+            kind = _PUNCT[raw]
+        elif kind == "INT":
+            raw = m["INT"]
+            kind, value = "NUMBER", int(raw)
+        elif kind == "FLOAT":
+            raw = m["FLOAT"]
+            kind, value = "NUMBER", float(raw)
+        elif kind == "STRING":
+            raw = m["STRING"]
+            value = raw[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "ERROR":
+            raise _lex_error(text, m.start("ERROR"), m.end(), line_starts)
+        else:  # end of input
+            break
+        # The token ends the match; whitespace and comments precede it.
+        append(Token(kind, raw, value, m.end() - len(raw), line_starts))
+    append(Token("EOF", "", None, len(text), line_starts))
     return tokens
+
+
+def _lex_error(text: str, start: int, end: int, line_starts: list[int]) -> ParseError:
+    """The error for `text[start:end]`, where no token matches: a stray
+    character, or a string prefix that ends before a closing quote."""
+    if text[start] != '"':
+        where, expected, found = start, ("declaration", "statement", "token"), text[start]
+    elif end == len(text):
+        where, expected, found = end, ("closing '\"'",), "end of input"
+    elif text[end] == "\n":
+        where, expected, found = end, ("closing '\"'",), "newline"
+    elif end + 1 == len(text):  # text[end] is a backslash
+        where, expected, found = end + 1, ("escape character",), "end of input"
+    else:
+        where, expected, found = end + 1, ('escape \\" or \\\\',), text[end + 1]
+    return ParseError(_location(line_starts, where), expected, found)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +230,26 @@ class _Parser:
         return tok
 
     def fail(self, *expected: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         found = tok.text if tok.kind != "EOF" else "end of input"
         raise ParseError(tok.location, expected, found)
 
     def expect(self, kind: str, description: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             self.fail(description)
-        return self.advance()
+        if kind != "EOF":
+            self.pos += 1
+        return tok
 
     def expect_word(self, word: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "IDENT" or tok.value != word:
             self.fail(f"'{word}'")
         return self.advance()
 
     def at_word(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "IDENT" and tok.value in words
 
     def string(self, description: str) -> str:
@@ -257,19 +262,31 @@ class _Parser:
         return float(self.expect("NUMBER", description).value)
 
     def integer(self, description: str) -> int:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "NUMBER" or not isinstance(tok.value, int):
             self.fail(description)
         return self.advance().value
 
     def keyword_from(self, table: dict, description: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "IDENT" or tok.value not in table:
             self.fail(description)
         return table[self.advance().value]
 
     def semi(self):
         self.expect("SEMI", "';'")
+
+    def braced(self, element, empty: Optional[str] = None) -> tuple:
+        """`{ element... }` as a tuple; with `empty`, a block without
+        elements fails expecting `empty`."""
+        self.expect("LBRACE", "'{'")
+        elements = []
+        while self.peek().kind != "RBRACE":
+            elements.append(element())
+        if empty is not None and not elements:
+            self.fail(empty)
+        self.expect("RBRACE", "'}'")
+        return tuple(elements)
 
     # -- program ------------------------------------------------------------
 
@@ -326,14 +343,7 @@ class _Parser:
     def item_decl(self) -> Item:
         loc = self.expect_word("item").location
         name = self.string("item name")
-        self.expect("LBRACE", "'{'")
-        keyframes = []
-        while not self.peek().kind == "RBRACE":
-            keyframes.append(self.keyframe())
-        if not keyframes:
-            self.fail("keyframe")
-        self.expect("RBRACE", "'}'")
-        return Item(name, tuple(keyframes), location=loc)
+        return Item(name, self.braced(self.keyframe, "keyframe"), location=loc)
 
     def keyframe(self) -> Keyframe:
         self.expect_word("keyframe")
@@ -358,12 +368,7 @@ class _Parser:
     def io_decl(self) -> IOOperation:
         loc = self.expect_word("io_operation").location
         name = self.string("io operation name")
-        self.expect("LBRACE", "'{'")
-        primitives = []
-        while self.peek().kind != "RBRACE":
-            primitives.append(self.primitive())
-        self.expect("RBRACE", "'}'")
-        return IOOperation(name, tuple(primitives), location=loc)
+        return IOOperation(name, self.braced(self.primitive), location=loc)
 
     def primitive(self):
         tok = self.peek()
@@ -406,14 +411,7 @@ class _Parser:
     def sequence_decl(self) -> Sequence:
         loc = self.expect_word("sequence").location
         name = self.string("sequence name")
-        self.expect("LBRACE", "'{'")
-        instructions = []
-        while self.peek().kind != "RBRACE":
-            instructions.append(self.instruction())
-        if not instructions:
-            self.fail("instruction")
-        self.expect("RBRACE", "'}'")
-        return Sequence(name, tuple(instructions), location=loc)
+        return Sequence(name, self.braced(self.instruction, "instruction"), location=loc)
 
     def instruction(self) -> Instruction:
         annotation = None
@@ -535,6 +533,11 @@ class _Parser:
             return DistanceCovered(cmp, value)
         self.fail("'forces_exceed'", "'distance_covered'")
 
+    def query_statement(self) -> Query:
+        query = self.query()
+        self.semi()
+        return query
+
     def behavior(self):
         tok = self.peek()
         if tok.kind != "IDENT":
@@ -565,12 +568,7 @@ class _Parser:
 
     def behavior_block(self, word: str) -> tuple:
         self.expect_word(word)
-        self.expect("LBRACE", "'{'")
-        behaviors = []
-        while self.peek().kind != "RBRACE":
-            behaviors.append(self.behavior())
-        self.expect("RBRACE", "'}'")
-        return tuple(behaviors)
+        return self.braced(self.behavior)
 
     def adv_move_decl(self) -> AdvMoveSpec:
         loc = self.expect_word("advanced_move").location
@@ -580,8 +578,7 @@ class _Parser:
         condition = None
         if self.at_word("condition"):
             self.advance()
-            condition = self.query()
-            self.semi()
+            condition = self.query_statement()
 
         self.expect_word("specification")
         self.expect("LBRACE", "'{'")
@@ -595,8 +592,7 @@ class _Parser:
         stop_if = None
         if self.at_word("stop_if"):
             self.advance()
-            stop_if = self.query()
-            self.semi()
+            stop_if = self.query_statement()
         speed = None
         if self.at_word("speed"):
             self.advance()
@@ -605,14 +601,7 @@ class _Parser:
         self.expect("RBRACE", "'}'")
 
         self.expect_word("evaluation")
-        self.expect("LBRACE", "'{'")
-        eval_queries = []
-        while self.peek().kind != "RBRACE":
-            eval_queries.append(self.query())
-            self.semi()
-        if not eval_queries:
-            self.fail("query")
-        self.expect("RBRACE", "'}'")
+        eval_queries = self.braced(self.query_statement, "query")
 
         on_success = ()
         if self.at_word("on_success"):
@@ -631,7 +620,7 @@ class _Parser:
             distance=distance,
             direction=direction,
             frame=frame,
-            eval_queries=tuple(eval_queries),
+            eval_queries=eval_queries,
             on_fail=on_fail,
             condition=condition,
             stop_if=stop_if,

@@ -13,6 +13,12 @@ def build(text):
     return program
 
 
+def call_chain(depth):
+    """A valid program whose sequences call each other `depth` deep."""
+    text = "".join(f'sequence "s{k}" {{ seq "s{k + 1}"; }}\n' for k in range(depth))
+    return text + f'sequence "s{depth}" {{ wait 0.1; }}\nentry "s0";\n'
+
+
 def quiet_config(**overrides):
     raw = {"noise_sigma": 0.0, "home_joints": [0.0, 0.0, 0.1, 0.0, 0.0, 0.0]}
     raw.update(overrides)

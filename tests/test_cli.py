@@ -11,6 +11,8 @@ from adsl.cli import (
     main,
 )
 
+from _helpers import call_chain
+
 EXAMPLES = importlib.resources.files("adsl") / "examples"
 
 
@@ -58,6 +60,11 @@ class TestValidate:
         assert code == EXIT_INPUT_ERROR
         assert "expected" in err
 
+    def test_call_chain_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        chain = tmp_path / "chain.adsl"
+        chain.write_text(call_chain(1200))
+        assert run_cli(capsys, "validate", str(chain)) == (EXIT_OK, "", "")
+
 
 class TestRun:
     def test_aligned_completes_clean(self, capsys, corpus_path):
@@ -97,6 +104,16 @@ class TestRun:
             assert code == EXIT_OK
         assert t1.read_bytes() == t2.read_bytes()
         assert t1.stat().st_size > 0
+
+    def test_unwritable_trace_path(self, capsys, corpus_path):
+        path = "/nonexistent/dir/t.ndjson"
+        code, out, err = run_cli(
+            capsys, "run", corpus_path, "--workcell", example("aligned.json"), "--trace", path
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
 
     def test_workcell_required(self, capsys, corpus_path):
         with pytest.raises(SystemExit):

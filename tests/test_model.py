@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from adsl.model import (
@@ -29,6 +31,20 @@ from adsl.model import (
     resolve,
     validate_program,
 )
+from adsl.parser import parse_program
+
+from _helpers import call_chain
+
+
+#: Three overlapping cycles, self-calls, a repeated call and a dangling one.
+MULTI_CYCLE = """
+sequence "a" { seq "b"; seq "b"; seq "c"; }
+sequence "b" { seq "b"; seq "c"; seq "a"; }
+sequence "c" { seq "a"; seq "e"; seq "nowhere"; }
+sequence "d" { seq "e"; wait 1; }
+sequence "e" { seq "d"; seq "c"; seq "e"; }
+entry "d";
+"""
 
 
 def conf(name, *values):
@@ -76,6 +92,31 @@ class TestValidation:
             sequences={"a": Sequence("a", (SeqCall("a"),))}, entry="a"
         )
         assert any("recursive" in d.message for d in validate_program(program))
+
+    def test_multi_cycle_diagnostics_and_order(self):
+        diags = validate_program(parse_program(MULTI_CYCLE))
+        assert [(d.message, d.name, d.location.line, d.location.column) for d in diags] == [
+            ("unresolved sequence call", "nowhere", 4, 34),
+            ("recursive sequence call", "b", 3, 16),
+            ("recursive sequence call", "a", 4, 16),
+            ("recursive sequence call", "e", 5, 16),
+            ("recursive sequence call", "c", 6, 25),
+            ("recursive sequence call", "e", 6, 34),
+            ("recursive sequence call", "a", 3, 34),
+        ]
+
+    def test_call_chain_deeper_than_the_recursion_limit(self):
+        assert validate_program(parse_program(call_chain(1200))) == []
+
+    def test_validation_leaves_no_cyclic_garbage(self):
+        program = parse_program(MULTI_CYCLE)
+        gc.collect()
+        gc.disable()
+        try:
+            assert validate_program(program)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_corpus_is_clean(self, corpus_program):
         assert validate_program(corpus_program) == []

@@ -1,3 +1,7 @@
+import importlib.resources
+import importlib.util
+import os
+import random
 import string
 
 import pytest
@@ -34,6 +38,7 @@ from adsl.model import (
     SetLow,
     SkipOnReverse,
     Sleep,
+    SourceLocation,
     SpeedLevel,
     ThrowError,
     Wait,
@@ -41,6 +46,9 @@ from adsl.model import (
 )
 from adsl.parser import ParseError, parse_program, tokenize
 from adsl.printer import format_number, pretty_print
+
+EXAMPLES = importlib.resources.files("adsl") / "examples"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestParseBasics:
@@ -187,6 +195,182 @@ class TestLexerTotality:
             parse_program(text)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Lexer oracle
+
+
+_REF_PUNCT = {
+    "{": "LBRACE",
+    "}": "RBRACE",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    ",": "COMMA",
+    ";": "SEMI",
+    "=": "EQUALS",
+    "@": "AT",
+}
+_REF_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_IDENT_CONT = _REF_IDENT_START | set("0123456789")
+_REF_DIGITS = set("0123456789")
+
+
+def reference_tokenize(text: str) -> list[tuple]:
+    """The character-by-character lexer that `tokenize` replaced, unchanged
+    but for returning (kind, text, value, location) tuples."""
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def loc():
+        return SourceLocation(line, col, i)
+
+    def bump(count=1):
+        nonlocal i, line, col
+        for _ in range(count):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            bump()
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                bump()
+            continue
+        start = loc()
+        if ch in _REF_PUNCT:
+            tokens.append((_REF_PUNCT[ch], ch, ch, start))
+            bump()
+            continue
+        if ch == '"':
+            bump()
+            chars = []
+            while True:
+                if i >= n:
+                    raise ParseError(loc(), ("closing '\"'",), "end of input")
+                c = text[i]
+                if c == "\n":
+                    raise ParseError(loc(), ("closing '\"'",), "newline")
+                if c == "\\":
+                    bump()
+                    if i >= n:
+                        raise ParseError(loc(), ("escape character",), "end of input")
+                    esc = text[i]
+                    if esc not in ('"', "\\"):
+                        raise ParseError(loc(), ('escape \\" or \\\\',), esc)
+                    chars.append(esc)
+                    bump()
+                    continue
+                if c == '"':
+                    bump()
+                    break
+                chars.append(c)
+                bump()
+            tokens.append(("STRING", text[start.offset : i], "".join(chars), start))
+            continue
+        if ch in _REF_DIGITS or (ch in "+-" and i + 1 < n and text[i + 1] in _REF_DIGITS):
+            if ch in "+-":
+                bump()
+            while i < n and text[i] in _REF_DIGITS:
+                bump()
+            is_float = False
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _REF_DIGITS:
+                is_float = True
+                bump()
+                while i < n and text[i] in _REF_DIGITS:
+                    bump()
+            raw = text[start.offset : i]
+            value = float(raw) if is_float else int(raw)
+            tokens.append(("NUMBER", raw, value, start))
+            continue
+        if ch in _REF_IDENT_START:
+            while i < n and text[i] in _REF_IDENT_CONT:
+                bump()
+            raw = text[start.offset : i]
+            tokens.append(("IDENT", raw, raw, start))
+            continue
+        raise ParseError(start, ("declaration", "statement", "token"), ch)
+
+    tokens.append(("EOF", "", None, loc()))
+    return tokens
+
+
+def _lexed(lex, text):
+    """Tokens as (kind, text, value, type(value), location), or the error."""
+    try:
+        tokens = lex(text)
+    except ParseError as err:
+        return "error", err.location, err.expected, err.found
+    if lex is reference_tokenize:
+        return [(kind, raw, value, type(value), loc) for kind, raw, value, loc in tokens]
+    return [(t.kind, t.text, t.value, type(t.value), t.location) for t in tokens]
+
+
+def assert_lexes_like_reference(text):
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+#: Every character class the lexer distinguishes, plus a non-ASCII letter
+#: and a non-ASCII digit, which `\w` and `\d` would accept.
+LEXER_ALPHABET = "0123456789+-.\"\\#{}(),;=@aZ_ \t\r\né٣"
+
+
+class TestLexerOracle:
+    @given(st.text(alphabet=LEXER_ALPHABET, max_size=80))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference_on_lexer_alphabet(self, text):
+        assert_lexes_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "x",
+            '"a',
+            '"a\\',
+            '"a\\\\"',
+            '"a\\x"',
+            '"a\\\n"',
+            '"a\nb"',
+            '"\\""',
+            "+",
+            "-.5",
+            "1.",
+            "1.2.3",
+            "007 +0 -0.0",
+            "a# c\n\r\t# d",
+            "٣",
+            "a٣",
+            "\x0b",
+        ],
+    )
+    def test_matches_reference_on_edge_cases(self, text):
+        assert_lexes_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in EXAMPLES.iterdir() if p.name.endswith(".adsl"))
+    )
+    def test_matches_reference_on_shipped_examples(self, name):
+        assert_lexes_like_reference((EXAMPLES / name).read_text(encoding="utf-8"))
+
+    def test_matches_reference_on_generated_corpus_program(self):
+        spec = importlib.util.spec_from_file_location(
+            "generate", os.path.join(ROOT, "bench", "generate.py")
+        )
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        text, _ = generate.corpus_program(random.Random(7), 300)
+        assert_lexes_like_reference(text)
 
 
 # ---------------------------------------------------------------------------
