@@ -65,6 +65,9 @@ from .workcell import (
 
 logger = logging.getLogger("adsl")
 
+#: Looked up once: reading an enum member off its class costs ~0.1 us a cycle.
+_MOTION_SAMPLE = EventKind.MOTION_SAMPLE
+
 
 # ---------------------------------------------------------------------------
 # Results
@@ -275,20 +278,17 @@ class ExecutionContext:
         state = self.workcell.state
         joints = state.joints
         bits = state.io_bits
+        trace = self.trace
         event = TraceEvent(
-            index=len(self.trace),
-            kind=kind,
-            clock=state.clock,
-            stack=self.call_stack(),
-            speed=self.active_speed,
-            pre_joints=pre_joints if pre_joints is not None else joints,
-            post_joints=post_joints if post_joints is not None else joints,
-            pre_bits=pre_bits if pre_bits is not None else bits,
-            post_bits=post_bits if post_bits is not None else bits,
-            data=data if data is not None else {},
-            instruction=instruction,
+            len(trace.events), kind, state.clock, self.call_stack(), self.active_speed,
+            joints if pre_joints is None else pre_joints,
+            joints if post_joints is None else post_joints,
+            bits if pre_bits is None else pre_bits,
+            bits if post_bits is None else post_bits,
+            {} if data is None else data,
+            instruction,
         )
-        self.trace.append(event)
+        trace.append(event)
         return event
 
     # -- state-change helpers -------------------------------------------------
@@ -311,20 +311,20 @@ class ExecutionContext:
             speed = self.speed_value()
         record = self.options.record_motion_samples
         state = workcell.state
+        tcp_pose = workcell.tcp_pose
+        step_motion = workcell.step_motion
+        emit = self.emit
+        position, orientation = target.position, target.orientation
         while True:
-            pose = workcell.tcp_pose()
-            if pose.position == target.position and pose.orientation == target.orientation:
+            pose = tcp_pose()
+            if pose.position == position and pose.orientation == orientation:
                 return
             pre_j = state.joints
             pre_b = state.io_bits
-            contact, advanced = workcell.step_motion(target, speed)
+            contact, advanced = step_motion(target, speed)
             if record:
-                self.emit(
-                    EventKind.MOTION_SAMPLE,
-                    data={"advanced": advanced, "contact": contact},
-                    pre_joints=pre_j,
-                    pre_bits=pre_b,
-                )
+                data = {"advanced": advanced, "contact": contact}
+                emit(_MOTION_SAMPLE, data, None, pre_j, None, pre_b)
             if contact and advanced <= 1e-15:
                 raise MotionBlocked(
                     f"blocked at {workcell.tcp_pose().position} moving to {target.position}"
@@ -685,28 +685,28 @@ class Controller:
         )
         covered = 0.0
         state = workcell.state
-        while covered < spec.distance - 1e-12:
+        step_motion = workcell.step_motion
+        read_force = workcell.read_force
+        rng = ctx.rng
+        emit = ctx.emit
+        stop_if = spec.stop_if
+        until = spec.distance - 1e-12
+        while covered < until:
             pre_j = state.joints
             pre_b = state.io_bits
-            contact, advanced = workcell.step_motion(target, speed)
+            contact, advanced = step_motion(target, speed)
             covered += advanced
-            reading = workcell.read_force(ctx.rng)
+            reading = read_force(rng)
             if record:
-                ctx.emit(
-                    EventKind.MOTION_SAMPLE,
-                    data={
-                        "advanced": advanced,
-                        "covered": covered,
-                        "contact": contact,
-                        "raw": reading.raw,
-                        "filtered": reading.filtered,
-                    },
-                    pre_joints=pre_j,
-                    pre_bits=pre_b,
-                )
-            if spec.stop_if is not None and evaluate_query(
-                spec.stop_if, covered, reading.filtered
-            ):
+                data = {
+                    "advanced": advanced,
+                    "covered": covered,
+                    "contact": contact,
+                    "raw": reading.raw,
+                    "filtered": reading.filtered,
+                }
+                emit(_MOTION_SAMPLE, data, None, pre_j, None, pre_b)
+            if stop_if is not None and evaluate_query(stop_if, covered, reading.filtered):
                 return covered, True
             if advanced <= 1e-15:
                 # Blocked by a solid, or already at the target with the

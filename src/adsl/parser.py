@@ -155,7 +155,12 @@ def tokenize(text: str) -> list[Token]:
             kind = _PUNCT[raw]
         elif kind == "INT":
             raw = m["INT"]
-            kind, value = "NUMBER", int(raw)
+            try:
+                kind, value = "NUMBER", int(raw)
+            except ValueError:  # more digits than `int` converts from text
+                where = _location(line_starts, m.end() - len(raw))
+                found = f"{len(raw.lstrip('+-'))}-digit integer"
+                raise ParseError(where, ("a shorter integer",), found) from None
         elif kind == "FLOAT":
             raw = m["FLOAT"]
             kind, value = "NUMBER", float(raw)
@@ -259,7 +264,8 @@ class _Parser:
         return self.expect("IDENT", description).value
 
     def number(self, description: str = "number") -> float:
-        return float(self.expect("NUMBER", description).value)
+        # From the text, so an integer beyond float range is inf, as a real is.
+        return float(self.expect("NUMBER", description).text)
 
     def integer(self, description: str) -> int:
         tok = self.tokens[self.pos]

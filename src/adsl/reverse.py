@@ -161,10 +161,11 @@ class ReversePlan:
 
 def _prev_instruction_entry(trace: ExecutionTrace, cursor: int) -> Optional[TraceEvent]:
     events = trace.events
+    instr_end = EventKind.INSTR_END
     while cursor >= 0:
         ev = events[cursor]
         if (
-            ev.kind is EventKind.INSTR_END
+            ev.kind is instr_end
             and not ev.consumed
             and ev.instruction is not None
         ):

@@ -42,7 +42,7 @@ class EventKind(Enum):
     REVERSE_END = "reverse_end"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     index: int
     kind: EventKind

@@ -10,6 +10,13 @@ single-threaded, so identical call sequences produce bit-identical states.
 The joint-to-pose mapping is pluggable. The default model maps joints 1-3 to
 the TCP position and joints 4-6 to ZYX Euler orientation, which is trivially
 invertible and keeps motion in joint space and Cartesian space identical.
+
+One control cycle (`Workcell.step_motion`) moves the TCP from the pose of
+the current joints straight toward the target by at most speed*dt, less
+when an obstacle surface comes first (tested only when the cell has
+obstacles). The orientation interpolates by the same fraction, or snaps to
+the target on arrival or for a pure rotation; the inverse kinematics of the
+new pose become the joints, and the clock advances by dt.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ class Obstacle:
         for axis, c, h in zip((u, v), self.hole.center, self.hole.half_extents):
             if not (math.isfinite(h) and h > 0):
                 raise WorkcellConfigError("hole half-extents must be positive")
-            if c - h < self.box_min[axis] or c + h > self.box_max[axis]:
+            if not (self.box_min[axis] <= c - h and c + h <= self.box_max[axis]):
                 raise WorkcellConfigError("hole must lie within the obstacle face")
 
     def contains_solid(self, point) -> bool:
@@ -161,6 +168,11 @@ class WorkcellConfig:
             raise WorkcellConfigError("dof must be positive")
         if len(self.home_joints) != self.dof:
             raise WorkcellConfigError("home_joints length must equal dof")
+        if not all(map(math.isfinite, self.home_joints)):
+            raise WorkcellConfigError("home_joints must be finite")
+        tool = self.tool_transform
+        if not all(map(math.isfinite, tool.position + tool.orientation)):
+            raise WorkcellConfigError("tool_transform must be finite")
         if self.bit_count < 1:
             raise WorkcellConfigError("bit_count must be positive")
         if not (math.isfinite(self.contact_force) and self.contact_force > 0):
@@ -205,8 +217,21 @@ _CONFIG_KEYS = {
 }
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(map(float, values))
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings and the like are rejected."""
+    if type(value) not in (int, float):
+        raise WorkcellConfigError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise WorkcellConfigError(f"{what} is out of range") from None
+
+
+def _floats(values, length: Optional[int], what: str) -> tuple[float, ...]:
+    """A JSON list of `length` (any, for None) numbers as floats."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise WorkcellConfigError(f"{what} must be a list of {length or 'dof'} numbers")
+    return tuple(_number(v, f"{what} entry") for v in values)
 
 
 def _pose_from_dict(raw) -> Pose:
@@ -216,8 +241,8 @@ def _pose_from_dict(raw) -> Pose:
     if unknown:
         raise WorkcellConfigError(f"unknown pose keys: {sorted(unknown)}")
     return Pose(
-        _floats(raw.get("position", (0.0, 0.0, 0.0))),
-        _floats(raw.get("orientation", (0.0, 0.0, 0.0))),
+        _floats(raw.get("position", [0.0, 0.0, 0.0]), 3, "pose position"),
+        _floats(raw.get("orientation", [0.0, 0.0, 0.0]), 3, "pose orientation"),
     )
 
 
@@ -241,8 +266,9 @@ def _obstacle_from_dict(raw) -> Obstacle:
             axis = HoleAxis(h["axis"])
         except ValueError:
             raise WorkcellConfigError(f"unknown hole axis: {h['axis']!r}") from None
-        hole = Hole(axis, _floats(h["center"]), _floats(h["half_extents"]))
-    return Obstacle(_floats(box["min"]), _floats(box["max"]), hole)
+        hole = Hole(axis, _floats(h["center"], 2, "hole center"),
+                    _floats(h["half_extents"], 2, "hole half_extents"))
+    return Obstacle(_floats(box["min"], 3, "box min"), _floats(box["max"], 3, "box max"), hole)
 
 
 def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
@@ -253,28 +279,34 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
     if unknown:
         raise WorkcellConfigError(f"unknown workcell config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("dof", "bit_count", "contact_force", "noise_sigma",
-                "filter_window", "dt", "perturbation_radius", "rng_seed"):
+    for key in ("dof", "bit_count", "filter_window", "rng_seed"):
         if key in raw:
+            if type(raw[key]) is not int:
+                raise WorkcellConfigError(f"{key} must be an integer")
             kwargs[key] = raw[key]
+    for key in ("contact_force", "noise_sigma", "dt", "perturbation_radius"):
+        if key in raw:
+            kwargs[key] = _number(raw[key], key)
     if "home_joints" in raw:
-        kwargs["home_joints"] = tuple(raw["home_joints"])
+        kwargs["home_joints"] = _floats(raw["home_joints"], None, "home_joints")
     if "obstacles" in raw:
+        if not isinstance(raw["obstacles"], list):
+            raise WorkcellConfigError("obstacles must be a list")
         kwargs["obstacles"] = tuple(_obstacle_from_dict(o) for o in raw["obstacles"])
     if "speed_map" in raw:
+        if not isinstance(raw["speed_map"], dict):
+            raise WorkcellConfigError("speed_map must be an object")
         sm = {}
         for key, value in raw["speed_map"].items():
             try:
-                sm[SpeedLevel(key)] = float(value)
+                level = SpeedLevel(key)
             except ValueError:
                 raise WorkcellConfigError(f"unknown speed level: {key!r}") from None
+            sm[level] = _number(value, f"speed_map {key}")
         kwargs["speed_map"] = sm
     if "tool_transform" in raw:
         kwargs["tool_transform"] = _pose_from_dict(raw["tool_transform"])
-    try:
-        config = WorkcellConfig(**kwargs)
-    except TypeError as exc:
-        raise WorkcellConfigError(str(exc)) from None
+    config = WorkcellConfig(**kwargs)
     config.validate()
     return config
 
@@ -283,7 +315,7 @@ def load_workcell_config(path) -> WorkcellConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an over-long integer
             raise WorkcellConfigError(f"invalid JSON in {path}: {exc}") from None
     return workcell_config_from_dict(raw)
 
@@ -299,16 +331,28 @@ class KinematicModel(Protocol):
 
 
 class TranslationEulerModel:
-    """Trivially invertible joint map: joints 1-3 position, joints 4-6 Euler."""
+    """Trivially invertible joint map: joints 1-3 position, joints 4-6 Euler.
+
+    `fk(ik(p))` is `p` bit for bit when `p` holds floats, so `fk` of the
+    tuple `ik` last returned returns that pose instead of rebuilding it.
+    """
 
     dof = 6
 
+    def __init__(self):
+        self.ik(IDENTITY_POSE)  # so the memo only ever holds a tuple `ik` made
+
     def fk(self, joints) -> Pose:
-        j = _floats(joints)
+        if joints is self._ik_joints:
+            return self._ik_pose
+        j = tuple(map(float, joints))
         return Pose(j[0:3], j[3:6])
 
     def ik(self, pose: Pose) -> tuple[float, ...]:
-        return pose.position + pose.orientation
+        joints = pose.position + pose.orientation
+        self._ik_joints = joints
+        self._ik_pose = pose
+        return joints
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +427,32 @@ class Workcell:
         tx, ty, tz = target.position
         dx, dy, dz = tx - px, ty - py, tz - pz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-
+        contact = False
         if dist <= 1e-15:
-            state.joints = self.model.ik(target)
-            state.clock += dt
-            state.in_contact = False
-            return False, 0.0
-
-        step = min(speed * dt, dist)
-        ux, uy, uz = dx / dist, dy / dist, dz / dist
-        hit = self._first_hit((px, py, pz), (ux, uy, uz), step)
-        if hit is None:
-            advanced = step
-            contact = False
+            advanced = 0.0
+            joints = self.model.ik(target)
         else:
-            advanced = max(0.0, hit)
-            contact = True
-
-        if not contact and advanced >= dist - 1e-15:
-            new_pose = target
-        else:
-            frac = advanced / dist
-            o0 = pose.orientation
-            o1 = target.orientation
-            new_pose = Pose(
-                (px + ux * advanced, py + uy * advanced, pz + uz * advanced),
-                (
-                    o0[0] + (o1[0] - o0[0]) * frac,
-                    o0[1] + (o1[1] - o0[1]) * frac,
-                    o0[2] + (o1[2] - o0[2]) * frac,
-                ),
-            )
-        state.joints = self.model.ik(new_pose)
+            advanced = speed * dt
+            if dist < advanced:
+                advanced = dist
+            ux, uy, uz = dx / dist, dy / dist, dz / dist
+            if self.config.obstacles:
+                hit = self._first_hit((px, py, pz), (ux, uy, uz), advanced)
+                if hit is not None:
+                    advanced = hit if hit > 0.0 else 0.0
+                    contact = True
+            if not contact and advanced >= dist - 1e-15:
+                joints = self.model.ik(target)
+            else:
+                # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
+                frac = advanced / dist
+                o0x, o0y, o0z = pose.orientation
+                o1x, o1y, o1z = target.orientation
+                joints = self.model.ik(Pose(
+                    (px + ux * advanced, py + uy * advanced, pz + uz * advanced),
+                    (o0x + (o1x - o0x) * frac, o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac),
+                ))
+        state.joints = joints
         state.clock += dt
         state.in_contact = contact
         return contact, advanced
@@ -435,9 +473,9 @@ class Workcell:
         state = self.state
         raw = self.config.contact_force if state.in_contact else 0.0
         raw += rng.gauss(0.0, self.config.noise_sigma)
-        state.force_history.append(raw)
-        filtered = sum(state.force_history) / len(state.force_history)
-        return SensorReading(raw, filtered)
+        history = state.force_history
+        history.append(raw)
+        return SensorReading(raw, sum(history) / len(history))
 
     def filtered_force(self) -> float:
         history = self.state.force_history

@@ -65,6 +65,28 @@ class TestValidate:
         chain.write_text(call_chain(1200))
         assert run_cli(capsys, "validate", str(chain)) == (EXIT_OK, "", "")
 
+    @pytest.mark.parametrize("command", ["validate", "run", "reverse"])
+    def test_integer_literal_over_the_conversion_limit(self, capsys, tmp_path, command):
+        prog = tmp_path / "long.adsl"
+        prog.write_text("joint_configuration a = {" + "1" * 5000 + ", 0, 0, 0, 0, 0};")
+        argv = [command, str(prog)]
+        if command != "validate":
+            argv += ["--workcell", example("free_space.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == (
+            f"error: {prog}:1:26: expected a shorter integer, found '5000-digit integer'\n"
+        )
+
+    def test_integer_literal_beyond_float_range_is_a_diagnostic(self, capsys, tmp_path):
+        prog = tmp_path / "huge.adsl"
+        prog.write_text("joint_configuration a = {" + "1" * 400 + ", 0, 0, 0, 0, 0};")
+        code, out, err = run_cli(capsys, "validate", str(prog))
+        assert code == EXIT_INVALID
+        assert "'a' non-finite joint value" in out
+        assert err == ""
+
 
 class TestRun:
     def test_aligned_completes_clean(self, capsys, corpus_path):
@@ -144,6 +166,22 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", corpus_path, "--workcell", str(cfg))
         assert code == EXIT_INPUT_ERROR
         assert "unknown workcell config keys" in err
+
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    @pytest.mark.parametrize("config, message", [
+        ('{"home_joints": 5}', "home_joints must be a list of dof numbers"),
+        ('{"dof": "6"}', "dof must be an integer"),
+        ('{"home_joints": [NaN, 0, 0.1, 0, 0, 0]}', "home_joints must be finite"),
+    ])
+    def test_mistyped_workcell_config(self, capsys, tmp_path, command, config, message):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(config)
+        code, out, err = run_cli(
+            capsys, command, example("reverse_demo.adsl"), "--workcell", str(cfg)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == f"error: {cfg}: {message}\n"
 
 
 class TestReverse:

@@ -1,10 +1,15 @@
-"""Golden traces for leaf execution in every role it plays.
+"""Golden traces for leaf execution in every role it plays, and for motion.
 
 One program runs each leaf kind forward, carries each primitive kind as a
 `@reverse_with` payload, and recovers by progressive reversal from an error
 signaled by a registered action. The sha256 of the serialized trace pins the
 bytes: forward runs, payloads, and undo steps must keep executing exactly as
 these digests record.
+
+The motion cases pin the control cycle's edge cases the same way: signed
+zeros in orientations, rotation-only moves, a last step that lands exactly
+on the target, contact at distance 0, a blocked unguarded move, and a
+custom kinematic model whose `fk(ik(p))` is not exactly `p`.
 """
 
 import hashlib
@@ -16,6 +21,7 @@ from adsl.cli import EXIT_ABORTED, main
 from adsl.controller import Controller, ControllerOptions, default_registry
 from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
 from adsl.trace import EventKind
+from adsl.workcell import Pose, Workcell
 
 from _helpers import build, quiet_config
 
@@ -99,3 +105,165 @@ def test_unregistered_reverse_with_payload_aborts_reversal(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == EXIT_ABORTED
     assert "reversal failed: unregistered action 'nope'" in err
+
+
+# ---------------------------------------------------------------------------
+# Motion: the control cycle's edge cases
+
+NEG_ZERO = """
+joint_configuration a = { 0.01, 0.0, 0.1, -0.0, 0.0, -0.0 };
+joint_configuration b = { 0.01, -0.01, 0.1, 0.0, -0.0, 0.0 };
+sequence "main" { move to a; move to b; move to a; }
+entry "main";
+"""
+
+ROTATION_ONLY = """
+joint_configuration turned = { 0.0, 0.0, 0.1, 0.0, 0.0, 0.5 };
+joint_configuration tilted = { 0.0, 0.0, 0.1, 0.1, -0.2, 0.5 };
+joint_configuration away = { 0.003, 0.0, 0.1, 0.1, -0.2, 0.5 };
+sequence "main" { move to turned; move to tilted; move to away; move to tilted; }
+entry "main";
+"""
+
+# Steps of 2**-10 m (speed 0.125 m/s, dt 2**-7 s) from z = 0.125: `up` is
+# exactly four steps away, so the last step covers exactly the remaining
+# distance; `side` is a diagonal whose steps round.
+EXACT_LANDING = """
+joint_configuration up = { 0.0, 0.0, 0.12890625, 0.0, 0.0, 0.0 };
+joint_configuration side = { 0.0025, 0.001, 0.12890625, 0.0, 0.0, 0.25 };
+sequence "main" { move to up; move to side; move to up; }
+entry "main";
+"""
+
+# The TCP starts on the back face of one wall and pushes back into it, then
+# moves to the front face of another and pushes forward: each guarded move
+# touches at distance 0 (the first at -0.0 along the ray) and the force
+# guard stops it.
+CONTACT_AT_ZERO = """
+joint_configuration on_front = { 0.05, 0.0, 0.1, 0.0, 0.0, 0.0 };
+advanced_move "back" {
+  specification {
+    distance 0.01 direction backwards frame base;
+    stop_if forces_exceed(10);
+    speed slow;
+  }
+  evaluation { forces_exceed(10); }
+  on_success { return_to_initial_position; }
+  on_fail { return_to_initial_position; }
+}
+advanced_move "push" {
+  specification {
+    distance 0.01 direction forward frame base;
+    stop_if forces_exceed(10);
+    speed slow;
+  }
+  evaluation { forces_exceed(10); }
+  on_success { return_to_initial_position; }
+  on_fail { return_to_initial_position; }
+}
+sequence "main" { adv_move "back"; move to on_front; adv_move "push"; }
+entry "main";
+"""
+
+BLOCKED = """
+joint_configuration through = { 0.1, 0.0, 0.1, 0.0, 0.0, 0.2 };
+sequence "main" { wait 0.01; move to through; }
+entry "main";
+"""
+
+WALL = {"box": {"min": [0.05, -0.5, -0.5], "max": [0.08, 0.5, 0.5]}}
+BACK_WALL = {"box": {"min": [-0.03, -0.5, -0.5], "max": [0.0, 0.5, 0.5]}}
+
+
+class ScaledModel:
+    """A 6-dof model whose position joints are positions in decimetres."""
+
+    dof = 6
+
+    def fk(self, joints):
+        j = tuple(map(float, joints))
+        return Pose((j[0] * 0.1, j[1] * 0.1, j[2] * 0.1), j[3:6])
+
+    def ik(self, pose):
+        x, y, z = pose.position
+        return (x / 0.1, y / 0.1, z / 0.1) + pose.orientation
+
+
+SCALED = """
+joint_configuration a = { 0.3, -0.2, 1.1, 0.0, 0.1, 0.0 };
+joint_configuration b = { 0.7, 0.1, 1.3, 0.2, 0.1, -0.3 };
+sequence "main" { move to a; move to b; }
+entry "main";
+"""
+
+#: name -> (program, config overrides, model, run completes, sha256 of the
+#: trace of the forward run followed, when it completes, by a full reversal).
+MOTION_CASES = {
+    "negative_zero": (
+        NEG_ZERO, {"home_joints": [0.0, 0.0, 0.1, -0.0, 0.0, -0.0]}, None, True,
+        "e291097c83097742c7790cfd84f4c3f62d37ae6977dd2cfcb2c15d481658eb2e",
+    ),
+    "rotation_only": (
+        ROTATION_ONLY, {}, None, True,
+        "10b09889ced94a2a07253dd9efde3aff18e958c55f8c34ea4dba3ae2d1ea8042",
+    ),
+    "exact_landing": (
+        EXACT_LANDING,
+        {
+            "home_joints": [0.0, 0.0, 0.125, 0.0, 0.0, 0.0],
+            "dt": 0.0078125,
+            "speed_map": {"very_fast": 0.5, "fast": 0.25, "normal": 0.125,
+                          "slow": 0.05, "very_slow": 0.01},
+        },
+        None, True,
+        "71d95f48577e8909a179a71863115947d740e04cb322f1fa12007c42a5a22374",
+    ),
+    "contact_at_zero": (
+        CONTACT_AT_ZERO,
+        {"obstacles": [WALL, BACK_WALL]},
+        None, True,
+        "02cdecffe5e75f4ae9f428a01c824df20eb9c9b147e9d70709478b02d8d97408",
+    ),
+    "blocked": (
+        BLOCKED, {"obstacles": [WALL]}, None, False,
+        "dd8723aa19dce320ec645ce91662cb42551734805a3a5f9279df40888774a438",
+    ),
+    "scaled_model": (
+        SCALED, {"home_joints": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}, ScaledModel(), True,
+        "641a45a405ecf945b6d57ba10bc49f7eb14834166c86a3a959584cc5c01a5b32",
+    ),
+}
+
+
+def motion_run(name):
+    text, overrides, model, _, _ = MOTION_CASES[name]
+    controller = Controller(build(text), quiet_config(**overrides), seed=0, model=model)
+    result = controller.run()
+    if result.completed:
+        reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+    return controller, result
+
+
+@pytest.mark.parametrize("name", list(MOTION_CASES))
+def test_motion_golden_trace_digest(name):
+    controller, result = motion_run(name)
+    assert result.completed is MOTION_CASES[name][3], result.reason
+    if not result.completed:
+        assert result.reason.startswith("collision during move: blocked at")
+    digest = hashlib.sha256(controller.trace.serialize().encode("utf-8")).hexdigest()
+    assert digest == MOTION_CASES[name][4]
+
+
+@pytest.mark.parametrize("name", list(MOTION_CASES))
+def test_one_step_motion_call_per_motion_sample(name, monkeypatch):
+    original = Workcell.step_motion
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Workcell, "step_motion", counting)
+    controller, _ = motion_run(name)
+    samples = controller.trace.of_kind(EventKind.MOTION_SAMPLE)
+    assert samples and len(calls) == len(samples)

@@ -15,6 +15,7 @@ from adsl.workcell import (
     WorkcellConfig,
     TranslationEulerModel,
     WorkcellConfigError,
+    load_workcell_config,
     workcell_config_from_dict,
 )
 
@@ -336,6 +337,54 @@ class TestConfigLoading:
         assert cfg.filter_window == 5
         assert cfg.speed_map[SpeedLevel.SLOW] == 0.05
         assert cfg.perturbation_radius == 0.01
+
+    BOX = {"min": [0, 0, 0], "max": [1, 1, 1]}
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"dt": "abc"}, "dt must be a number"),
+        ({"dt": True}, "dt must be a number"),
+        ({"dt": 10 ** 400}, "dt is out of range"),
+        ({"home_joints": ["x", 0, 0, 0, 0, 0]}, "home_joints entry must be a number"),
+        ({"home_joints": 5}, "home_joints must be a list of dof numbers"),
+        ({"home_joints": [math.nan, 0, 0, 0, 0, 0]}, "home_joints must be finite"),
+        ({"dof": "6"}, "dof must be an integer"),
+        ({"bit_count": 2.5}, "bit_count must be an integer"),
+        ({"filter_window": 2.5}, "filter_window must be an integer"),
+        ({"rng_seed": 1.5}, "rng_seed must be an integer"),
+        ({"speed_map": []}, "speed_map must be an object"),
+        ({"speed_map": {"fast": "1"}}, "speed_map fast must be a number"),
+        ({"obstacles": 3}, "obstacles must be a list"),
+        ({"obstacles": [{"box": {"min": [0, 0], "max": [1, 1, 1]}}]},
+         "box min must be a list of 3 numbers"),
+        ({"obstacles": [{"box": BOX, "hole": {"axis": "x", "center": [0.5],
+                                               "half_extents": [0.1, 0.1]}}]},
+         "hole center must be a list of 2 numbers"),
+        ({"tool_transform": {"position": [1, 2]}}, "pose position must be a list of 3 numbers"),
+        ({"tool_transform": {"orientation": [0, math.inf, 0]}}, "tool_transform must be finite"),
+        ({"obstacles": [{"box": BOX, "hole": {"axis": "z", "center": [math.nan, 0.5],
+                                               "half_extents": [0.1, 0.1]}}]},
+         "hole must lie within the obstacle face"),
+    ])
+    def test_mistyped_fields_rejected(self, raw, message):
+        with pytest.raises(WorkcellConfigError) as info:
+            workcell_config_from_dict(raw)
+        assert str(info.value) == message
+
+    def test_non_finite_home_joints_rejected_when_constructed_directly(self):
+        with pytest.raises(WorkcellConfigError, match="home_joints must be finite"):
+            make_cell(home_joints=(math.nan, 0.0, 0.1, 0.0, 0.0, 0.0))
+
+    def test_integers_accepted_for_reals(self):
+        cfg = workcell_config_from_dict({"contact_force": 50, "home_joints": [0, 0, 1, 0, 0, 0]})
+        assert type(cfg.contact_force) is float
+        assert cfg.home_joints == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        assert all(type(j) is float for j in cfg.home_joints)
+
+    def test_integer_over_the_conversion_limit_is_a_config_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"bit_count": ' + "1" * 5000 + "}")
+        with pytest.raises(WorkcellConfigError, match="invalid JSON"):
+            load_workcell_config(str(path))
 
     def test_loaded_examples_validate(self, aligned_config, blocked_config, free_config):
         for cfg in (aligned_config, blocked_config, free_config):
