@@ -15,7 +15,7 @@ from .controller import (
     evaluate_query,
     run_program,
 )
-from .model import Program, resolve, validate_program
+from .model import Program, validate_program
 from .parser import ParseError, parse_program
 from .printer import pretty_print
 from .reverse import (
@@ -57,7 +57,6 @@ __all__ = [
     "parse_program",
     "pretty_print",
     "recover_by_reversal",
-    "resolve",
     "reverse_execute",
     "run_program",
     "validate_program",

@@ -31,6 +31,9 @@ def _load_program(path):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
+        return None
     try:
         return parse_program(text)
     except ParseError as exc:
@@ -89,13 +92,10 @@ def _options_from_args(args) -> ControllerOptions:
     options = ControllerOptions()
     if getattr(args, "return_to_sequence", None):
         options.return_to_sequence = args.return_to_sequence
-    policy = getattr(args, "policy", None)
-    if policy:
+    if hasattr(args, "base_depth"):  # `reverse` only
         options.resume_policy = ResumePolicy(
-            mode=PolicyMode(policy), base_depth=args.base_depth
+            mode=PolicyMode(args.policy or "linear"), base_depth=args.base_depth
         )
-    elif getattr(args, "base_depth", None):
-        options.resume_policy = ResumePolicy(base_depth=args.base_depth)
     return options
 
 
@@ -172,6 +172,18 @@ def cmd_reverse(args) -> int:
     return EXIT_OK
 
 
+def _count(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adsl",
@@ -201,7 +213,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_rev.add_argument("--workcell", required=True, help="workcell config (JSON)")
     p_rev.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p_rev.add_argument(
-        "--depth", type=int, default=None, help="instructions to undo (default: all)"
+        "--depth", type=_count(0), default=None, help="instructions to undo (default: all)"
     )
     p_rev.add_argument(
         "--policy",
@@ -210,7 +222,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="resume policy used for reversal-based recovery during the forward run",
     )
     p_rev.add_argument(
-        "--base-depth", type=int, default=1, help="resume policy base depth"
+        "--base-depth", type=_count(1), default=1, help="resume policy base depth"
     )
     p_rev.set_defaults(fn=cmd_reverse)
 

@@ -12,7 +12,7 @@ current instruction, or after the innermost sequence finishes), the optional
 recovery sequence then runs with nested errors treated as fatal, and
 `return_to` picks where forward execution resumes. Errors declared without a
 recovery sequence are delegated to the reverse-execution engine, which
-unwinds the recorded trace and resumes.
+undoes recorded instructions from the context's undo log and resumes.
 
 Every state change is recorded in an `ExecutionTrace`; runs with the same
 program, workcell config, and seed produce byte-identical traces.
@@ -248,6 +248,9 @@ class ExecutionContext:
         self.main_frames: list[CallFrame] = []
         self.frame_chain: list[list[CallFrame]] = [self.main_frames]
         self.pending: list[_PendingError] = []
+        #: The `INSTR_END` events reverse execution may still undo, oldest
+        #: first; reversal pops them as it undoes them.
+        self.undo_log: list[TraceEvent] = []
         self._stack: Optional[tuple[tuple[str, int], ...]] = None
 
     # -- snapshots ----------------------------------------------------------
@@ -269,7 +272,6 @@ class ExecutionContext:
         self,
         kind: EventKind,
         data: Optional[dict] = None,
-        instruction=None,
         pre_joints=None,
         post_joints=None,
         pre_bits=None,
@@ -286,7 +288,6 @@ class ExecutionContext:
             bits if pre_bits is None else pre_bits,
             bits if post_bits is None else post_bits,
             {} if data is None else data,
-            instruction,
         )
         trace.append(event)
         return event
@@ -324,7 +325,7 @@ class ExecutionContext:
             contact, advanced = step_motion(target, speed)
             if record:
                 data = {"advanced": advanced, "contact": contact}
-                emit(_MOTION_SAMPLE, data, None, pre_j, None, pre_b)
+                emit(_MOTION_SAMPLE, data, pre_j, None, pre_b)
             if contact and advanced <= 1e-15:
                 raise MotionBlocked(
                     f"blocked at {workcell.tcp_pose().position} moving to {target.position}"
@@ -491,13 +492,15 @@ class Controller:
                 if frames:
                     parent = frames[-1]
                     call_instr = program.sequences[parent.seq].instructions[parent.index]
-                    ctx.emit(
+                    if call_instr.annotation is not None:
+                        # An annotated call is undone (or not) as a whole.
+                        _drop_children(ctx.undo_log, ctx.call_stack())
+                    ctx.undo_log.append(ctx.emit(
                         EventKind.INSTR_END,
                         data={"text": format_instruction(call_instr)},
-                        instruction=call_instr,
                         pre_joints=frame.entry_joints,
                         pre_bits=frame.entry_bits,
-                    )
+                    ))
                     self.stats_instructions += 1
                     parent.index += 1
                     ctx.stack_changed()
@@ -508,11 +511,7 @@ class Controller:
                     raise _AbortRun(
                         f"sequence call depth exceeds {self.options.max_call_depth}"
                     )
-                ctx.emit(
-                    EventKind.INSTR_BEGIN,
-                    data={"text": format_instruction(instr)},
-                    instruction=instr,
-                )
+                ctx.emit(EventKind.INSTR_BEGIN, data={"text": format_instruction(instr)})
                 frames.append(self._frame(instr.name))
                 ctx.stack_changed()
                 continue
@@ -544,7 +543,7 @@ class Controller:
         pre_j = state.joints
         pre_b = state.io_bits
         text = format_instruction(instr)
-        ctx.emit(EventKind.INSTR_BEGIN, data={"text": text}, instruction=instr)
+        ctx.emit(EventKind.INSTR_BEGIN, data={"text": text})
         success = None
         finished = False
         try:
@@ -559,13 +558,9 @@ class Controller:
                 data["aborted"] = True
             if success is not None:
                 data["outcome"] = "success" if success else "fail"
-            ctx.emit(
-                EventKind.INSTR_END,
-                data=data,
-                instruction=instr,
-                pre_joints=pre_j,
-                pre_bits=pre_b,
-            )
+            ctx.undo_log.append(ctx.emit(
+                EventKind.INSTR_END, data=data, pre_joints=pre_j, pre_bits=pre_b
+            ))
             self.stats_instructions += 1
 
     # -- guarded moves ----------------------------------------------------
@@ -705,7 +700,7 @@ class Controller:
                     "raw": reading.raw,
                     "filtered": reading.filtered,
                 }
-                emit(_MOTION_SAMPLE, data, None, pre_j, None, pre_b)
+                emit(_MOTION_SAMPLE, data, pre_j, None, pre_b)
             if stop_if is not None and evaluate_query(stop_if, covered, reading.filtered):
                 return covered, True
             if advanced <= 1e-15:
@@ -752,12 +747,11 @@ class Controller:
                         frames[-1].index += 1
         else:
             try:
-                decision = reverse_engine.recover_by_reversal(
+                snapshot = reverse_engine.recover_by_reversal(
                     record.name, ctx, self.options.resume_policy, registry=self.registry
                 )
             except RecoveryImpossible as exc:
                 raise _AbortRun(str(exc)) from None
-            snapshot = decision.resume_stack
             frames[:] = self._rebuild(snapshot if snapshot is not None else record.site)
         ctx.stack_changed()
 
@@ -776,6 +770,17 @@ class Controller:
 
 # ---------------------------------------------------------------------------
 # Helpers
+
+
+def _drop_children(undo_log: list[TraceEvent], call_site: tuple) -> None:
+    """Pop the entries recorded inside the call at `call_site`: those on top of
+    the log whose stack extends the call's own."""
+    depth = len(call_site)
+    while undo_log:
+        stack = undo_log[-1].stack
+        if len(stack) <= depth or stack[:depth] != call_site:
+            return
+        undo_log.pop()
 
 
 def _disc_offset(rng: random.Random, radius: float, direction):

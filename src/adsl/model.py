@@ -33,7 +33,6 @@ class SourceLocation:
 
 class Severity(Enum):
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -337,48 +336,6 @@ class Program:
     errors: dict[str, ErrorSpec] = field(default_factory=dict)
     adv_moves: dict[str, AdvMoveSpec] = field(default_factory=dict)
     entry: Optional[str] = None
-
-
-# ---------------------------------------------------------------------------
-# Declaration lookup
-
-
-class DeclKind(Enum):
-    ITEM = "item"
-    IO_OPERATION = "io_operation"
-    JOINT_CONFIGURATION = "joint_configuration"
-    SEQUENCE = "sequence"
-    ERROR = "error"
-    ADV_MOVE = "advanced_move"
-
-
-class NotFoundError(LookupError):
-    """A declaration lookup after validation came up empty."""
-
-
-_KIND_FIELDS = {
-    DeclKind.ITEM: "items",
-    DeclKind.IO_OPERATION: "io_ops",
-    DeclKind.JOINT_CONFIGURATION: "joint_confs",
-    DeclKind.SEQUENCE: "sequences",
-    DeclKind.ERROR: "errors",
-    DeclKind.ADV_MOVE: "adv_moves",
-}
-
-
-def resolve(program: Program, kind: DeclKind | str, name: str):
-    """Return the unique declaration of `kind` named `name`.
-
-    Raises NotFoundError when absent; callers are expected to run this only
-    on programs that already validated cleanly.
-    """
-    if isinstance(kind, str):
-        kind = DeclKind(kind)
-    table = getattr(program, _KIND_FIELDS[kind])
-    try:
-        return table[name]
-    except KeyError:
-        raise NotFoundError(f"no {kind.value} named '{name}'") from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ Instructions fall into three reversibility categories: always reversible
 restore the recorded pre-step joints), and never reversible. Annotations
 override the defaults, and `@barrier` marks a point reversal may not cross.
 
-Reversal walks the recorded trace backwards, not the static program text:
-dynamic detours such as recoveries and retried attempts are undone exactly
-as they happened. Each reversed entry is consumed so that a later, deeper
-reversal continues past it instead of undoing it twice. Before undoing an
-entry, lasting settings (the active speed) are restored to the value the
-trace recorded at that point.
+Reversal pops the run's undo log (`ExecutionContext.undo_log`), the
+`INSTR_END` events of the instructions executed so far, not the static
+program text: dynamic detours such as recoveries and retried attempts are
+undone exactly as they happened. Each entry's instruction is the one at the
+top of its recorded call stack. An undone entry leaves the log, so a later,
+deeper reversal continues past it instead of undoing it twice. Before
+undoing an entry, lasting settings (the active speed) are restored to the
+value recorded with it.
 
 Each undo is performed directly on the execution context: a `@reverse_with`
 payload runs through the same leaf dispatcher as forward execution
@@ -43,7 +45,6 @@ from .model import (
     SetHigh,
     SetLow,
     SkipOnReverse,
-    SpeedLevel,
     Wait,
 )
 from .trace import EventKind, ExecutionTrace, TraceEvent
@@ -119,14 +120,19 @@ def invert_primitives(primitives) -> tuple:
     return tuple(out)
 
 
-def _undo(entry: TraceEvent, ctx, registry) -> None:
+def _instruction(program, entry: TraceEvent) -> Instruction:
+    """The instruction an `INSTR_END` entry closes: the top of its stack."""
+    seq, index = entry.stack[-1]
+    return program.sequences[seq].instructions[index]
+
+
+def _undo(entry: TraceEvent, instr: Instruction, ctx, registry) -> None:
     """Perform the counterpart of a recorded entry that `classify` admits.
 
     Moves restore the recorded pre-step joints and never re-apply guarded
     forces; I/O runs its inverted primitive list; waits wait again (the
     clock only moves forward).
     """
-    instr = entry.instruction
     ann = instr.annotation
     if isinstance(ann, SkipOnReverse):
         return
@@ -143,34 +149,22 @@ def _undo(entry: TraceEvent, ctx, registry) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Trace walking
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    trace_index: int
-    restore_speed: SpeedLevel
+# Undo-log walking
 
 
 @dataclass(frozen=True)
 class ReversePlan:
-    steps: tuple[PlanStep, ...]
+    #: The undone `INSTR_END` events, newest first.
+    steps: tuple[TraceEvent, ...]
     stop_reason: StopReason
     stop_index: Optional[int] = None
 
 
-def _prev_instruction_entry(trace: ExecutionTrace, cursor: int) -> Optional[TraceEvent]:
-    events = trace.events
-    instr_end = EventKind.INSTR_END
-    while cursor >= 0:
-        ev = events[cursor]
-        if (
-            ev.kind is instr_end
-            and not ev.consumed
-            and ev.instruction is not None
-        ):
-            return ev
-        cursor -= 1
+def _prev_instruction_entry(log: list[TraceEvent], cursor: int) -> Optional[TraceEvent]:
+    """The newest undo-log entry at or before trace index `cursor`, or None."""
+    for entry in reversed(log):
+        if entry.index <= cursor:
+            return entry
     return None
 
 
@@ -183,58 +177,54 @@ def reverse_execute(
 ) -> ReversePlan:
     """Undo up to `depth` recorded instructions, newest first.
 
-    `depth=None` reverses as far as the trace allows. The walk halts early
-    at a barrier annotation, a never-reversible entry, or the start of the
-    unconsumed trace, and the stop reason is recorded in the plan and in the
-    closing trace event. Sequence-call brackets are not counted; their
-    children are undone individually unless the call itself is annotated.
+    `trace` is the run's trace, `ctx.trace`, which records the reversal too.
+    `depth=None` reverses as far as the undo log allows. The walk halts early
+    at a barrier annotation, a never-reversible entry, or an empty undo log,
+    and the stop reason is recorded in the plan and in the closing trace
+    event. Plain sequence-call brackets are not counted; their children are
+    undone individually. An annotated call is one entry: the controller
+    drops its children from the log when the call completes.
     """
     limit = math.inf if depth is None else depth
-    cursor = len(trace.events) - 1
+    log = ctx.undo_log
+    cursor = len(trace) - 1
     data = {"depth": "full" if depth is None else depth}
     if info:
         data.update(info)
     ctx.emit(EventKind.REVERSE_BEGIN, data=data)
 
-    steps: list[PlanStep] = []
-    stop = StopReason.TRACE_START
+    steps: list[TraceEvent] = []
     stop_index: Optional[int] = None
     while True:
         if len(steps) >= limit:
             stop = StopReason.DEPTH_REACHED
             break
-        entry = _prev_instruction_entry(trace, cursor)
+        entry = _prev_instruction_entry(log, cursor)
         if entry is None:
             stop = StopReason.TRACE_START
             break
-        instr = entry.instruction
+        instr = _instruction(ctx.program, entry)
         if isinstance(instr.annotation, Barrier):
             stop = StopReason.BARRIER
             stop_index = entry.index
             break
-        if isinstance(instr, SeqCall):
-            if classify(instr, registry) is ReversibilityClass.NEVER_REVERSIBLE:
-                stop = StopReason.NEVER_REVERSIBLE_HIT
-                stop_index = entry.index
-                break
-            # Plain bracket: descend into the recorded children.
-            cursor = entry.index - 1
-            continue
         if classify(instr, registry) is ReversibilityClass.NEVER_REVERSIBLE:
             stop = StopReason.NEVER_REVERSIBLE_HIT
             stop_index = entry.index
             break
-        ctx.set_active_speed(entry.speed, "reverse restore")
-        _undo(entry, ctx, registry)
-        entry.consumed = True
-        steps.append(PlanStep(entry.index, entry.speed))
+        log.pop()
         cursor = entry.index - 1
+        if isinstance(instr, SeqCall) and instr.annotation is None:
+            continue  # plain bracket: descend into the recorded children
+        ctx.set_active_speed(entry.speed, "reverse restore")
+        _undo(entry, instr, ctx, registry)
+        steps.append(entry)
 
     ctx.emit(
         EventKind.REVERSE_END,
         data={
             "stop_reason": stop.value,
-            "indices": [s.trace_index for s in steps],
+            "indices": [s.index for s in steps],
             "count": len(steps),
         },
     )
@@ -268,16 +258,10 @@ class ResumePolicy:
         return self.base_depth * (2 ** (occurrence - 1))
 
 
-@dataclass(frozen=True)
-class ResumeDecision:
-    #: Call-stack snapshot of the earliest undone instruction, or None when
-    #: nothing was undone (re-execute from the signaling site).
-    resume_stack: Optional[tuple]
-    plan: ReversePlan
-
-
-def recover_by_reversal(name: str, ctx, policy: ResumePolicy, registry=None) -> ResumeDecision:
-    """Reverse per the policy's depth for this occurrence, then resume.
+def recover_by_reversal(name: str, ctx, policy: ResumePolicy, registry=None) -> Optional[tuple]:
+    """Reverse per the policy's depth for this occurrence; return the stack
+    to resume at, that of the earliest undone instruction, or None when
+    nothing was undone (re-execute from the signaling site).
 
     Raises RecoveryImpossible when the reversal saturates against the same
     barrier or never-reversible boundary twice in a row, or when the error
@@ -305,9 +289,4 @@ def recover_by_reversal(name: str, ctx, policy: ResumePolicy, registry=None) -> 
         ctx.saturation_markers[name] = marker
     else:
         ctx.saturation_markers.pop(name, None)
-
-    if plan.steps:
-        resume_stack = ctx.trace.events[plan.steps[-1].trace_index].stack
-    else:
-        resume_stack = None
-    return ResumeDecision(resume_stack, plan)
+    return plan.steps[-1].stack if plan.steps else None

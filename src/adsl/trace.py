@@ -1,9 +1,10 @@
 """Execution trace: an append-only event log of every state change.
 
 Each event snapshots the clock, call stack, active speed, and the joint and
-I/O state before and after the step it describes. The log doubles as the
-undo substrate for reverse execution: instruction-end events carry the
-executed instruction and are consumed as they are reversed.
+I/O state before and after the step it describes. An event holds exactly
+the fields it serializes: the log records what happened and nothing else.
+Reverse execution keeps its own undo log of instruction-end events (see
+`ExecutionContext.undo_log`) and never edits or scans this one.
 
 The on-disk form is newline-delimited JSON with a fixed field order:
 i, kind, clock, stack, speed, pre_joints, post_joints, pre_bits, post_bits,
@@ -20,7 +21,7 @@ afresh: the bytes never depend on the reuse.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) does
 
@@ -54,8 +55,6 @@ class TraceEvent:
     pre_bits: tuple[bool, ...]
     post_bits: tuple[bool, ...]
     data: dict
-    instruction: object = field(default=None, compare=False, repr=False)
-    consumed: bool = field(default=False, compare=False)
 
 
 def _num(x) -> str:

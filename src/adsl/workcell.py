@@ -106,19 +106,6 @@ class Obstacle:
             if not (self.box_min[axis] <= c - h and c + h <= self.box_max[axis]):
                 raise WorkcellConfigError("hole must lie within the obstacle face")
 
-    def contains_solid(self, point) -> bool:
-        """True when the point is inside the box but outside the hole prism."""
-        for lo, hi, p in zip(self.box_min, self.box_max, point):
-            if p < lo or p > hi:
-                return False
-        if self.hole is not None:
-            u, v = _CROSS_AXES[self.hole.axis]
-            cu, cv = self.hole.center
-            hu, hv = self.hole.half_extents
-            if abs(point[u] - cu) <= hu and abs(point[v] - cv) <= hv:
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -315,8 +302,10 @@ def load_workcell_config(path) -> WorkcellConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an over-long integer
+        except ValueError as exc:  # a JSONDecodeError, an over-long integer, or not UTF-8
             raise WorkcellConfigError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise WorkcellConfigError(f"invalid JSON in {path}: nested too deeply") from None
     return workcell_config_from_dict(raw)
 
 

@@ -264,6 +264,57 @@ class TestReverse:
         # Only the wait was undone; the io write is still in effect.
         assert summary["io bits restored"] == "false"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--depth", "-3"),
+        ("--depth", "two"),
+        ("--base-depth", "0"),
+        ("--base-depth", "-1"),
+    ])
+    def test_nonsense_counts_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "reverse", example("reverse_demo.adsl"),
+                "--workcell", example("free_space.json"), flag, value,
+            ])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+
+    def test_depth_zero_undoes_nothing(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "reverse", example("reverse_demo.adsl"),
+            "--workcell", example("free_space.json"), "--depth", "0",
+        )
+        assert code == EXIT_OK
+        assert summary_dict(out)["steps reversed"] == "0"
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", ["validate", "run", "reverse"])
+    def test_program_that_is_not_utf8(self, capsys, tmp_path, command):
+        prog = tmp_path / "latin1.adsl"
+        prog.write_bytes('sequence "s" { wait 0.1; } # caf\xe9\n'.encode("latin-1"))
+        argv = [command, str(prog)]
+        if command != "validate":
+            argv += ["--workcell", example("free_space.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {prog}: not UTF-8 text:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    def test_workcell_json_nested_too_deep(self, capsys, tmp_path, command):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(
+            capsys, command, example("reverse_demo.adsl"), "--workcell", str(cfg)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == f"error: {cfg}: invalid JSON in {cfg}: nested too deeply\n"
+
 
 class TestWorkcellDof:
     """A config whose dof differs from the program's joint configurations or

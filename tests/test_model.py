@@ -15,7 +15,6 @@ from adsl.model import (
     IOOperation,
     JointConfiguration,
     MoveJoint,
-    NotFoundError,
     Program,
     RepeatWithPerturbation,
     ReturnToInitialPosition,
@@ -28,7 +27,6 @@ from adsl.model import (
     Sleep,
     ThrowError,
     Wait,
-    resolve,
     validate_program,
 )
 from adsl.parser import parse_program
@@ -280,24 +278,3 @@ class TestValidation:
             sequences={"main": Sequence("main", (Wait(1.0, annotation=nested),))}
         )
         assert any("unresolved io operation" in d.message for d in validate_program(program))
-
-
-class TestResolve:
-    def test_resolve_error_decl(self, corpus_program):
-        spec = resolve(corpus_program, "error", "peg_not_inserted")
-        assert spec.recovery_sequence == "peg_in_hole_recovery"
-
-    def test_resolve_missing(self, corpus_program):
-        with pytest.raises(NotFoundError):
-            resolve(corpus_program, "sequence", "missing")
-
-    def test_resolve_joint_conf(self, corpus_program):
-        c = resolve(corpus_program, "joint_configuration", "startPosition")
-        assert c.joints[0] == 3.425
-        assert c.joints[1] == -1.0
-        assert len(c.joints) == 6
-
-    def test_resolve_is_deterministic(self, corpus_program):
-        a = resolve(corpus_program, "advanced_move", "insert_peg")
-        b = resolve(corpus_program, "advanced_move", "insert_peg")
-        assert a is b

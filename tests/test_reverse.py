@@ -1,4 +1,8 @@
+import importlib.util
+import os
 import random
+
+import pytest
 
 from adsl.controller import Controller, ControllerOptions, default_registry
 from adsl.model import (
@@ -26,9 +30,12 @@ from adsl.reverse import (
     reverse_execute,
 )
 from adsl.trace import EventKind
+from adsl.workcell import load_workcell_config
 
 
 from _helpers import build, quiet_config, random_reversible_program
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestClassify:
@@ -185,6 +192,56 @@ class TestReverseExecute:
         assert len(plan.steps) == 3
         assert controller.ctx.workcell.state.bits() == bits0
 
+    @pytest.mark.parametrize("annotation, clock", [
+        ("@skip_on_reverse", 0.1),
+        ("@reverse_with(wait 0.5)", 0.6),
+    ])
+    def test_annotated_seq_call_is_undone_as_one_step(self, annotation, clock):
+        text = (
+            'io_operation "on" { set_high; bit 0; }\n'
+            'sequence "sub" { io "on"; wait 0.1; }\n'
+            f'sequence "main" {{ {annotation} seq "sub"; }}\n'
+            'entry "main";'
+        )
+        controller, plan, _, _ = run_and_reverse(text)
+        assert plan.stop_reason is StopReason.TRACE_START
+        assert [s.data["text"] for s in plan.steps] == [f'{annotation} seq "sub";']
+        state = controller.ctx.workcell.state
+        # The children were not undone one by one: bit 0 stays high.
+        assert state.io_bits[0] is True
+        assert state.clock == pytest.approx(clock)
+
+    def test_annotated_seq_call_subsumes_children_before_a_recovered_error(self):
+        # The error inside the call resumes after its recovery on rebuilt
+        # frames; the completed call is still one entry, recovery included.
+        registry = default_registry()
+        runs = {"n": 0}
+
+        def flaky(ctx, items):
+            runs["n"] += 1
+            if runs["n"] == 1:
+                ctx.signal_error("glitch")
+
+        registry.register("flaky", flaky)
+        text = (
+            'io_operation "on" { set_high; bit 0; }\n'
+            'sequence "fix" { wait 0.2; }\n'
+            'error "glitch" { recovery_sequence "fix"; return_to action; }\n'
+            'sequence "sub" { io "on"; call "flaky" (); wait 0.1; }\n'
+            'sequence "main" { wait 0.01; @skip_on_reverse seq "sub"; }\n'
+            'entry "main";'
+        )
+        controller = Controller(build(text), quiet_config(), seed=0, registry=registry)
+        assert controller.run().completed
+        assert [e.data["text"] for e in controller.ctx.undo_log] == [
+            "wait 0.01;", '@skip_on_reverse seq "sub";'
+        ]
+        plan = reverse_execute(
+            controller.trace, None, controller.ctx, registry=controller.registry
+        )
+        assert len(plan.steps) == 2
+        assert controller.ctx.workcell.state.io_bits[0] is True
+
     def test_nonreversible_seq_call_shadows_children(self):
         text = (
             'io_operation "on" { set_high; bit 1; }\n'
@@ -199,7 +256,7 @@ class TestReverseExecute:
 
     def test_reversal_indices_strictly_decrease(self):
         controller, plan, _, _ = run_and_reverse(REVERSIBLE_DEMO)
-        indices = [s.trace_index for s in plan.steps]
+        indices = [s.index for s in plan.steps]
         assert indices == sorted(indices, reverse=True)
 
     def test_settings_restored_per_entry(self):
@@ -219,7 +276,7 @@ class TestReverseExecute:
         )
         controller, plan, _, _ = run_and_reverse(text)
         assert plan.stop_reason is StopReason.TRACE_START
-        speeds = [s.restore_speed.value for s in plan.steps]
+        speeds = [s.speed.value for s in plan.steps]
         # Newest first: the guarded move ran at slow, the plain move at normal.
         assert speeds[0] == "slow"
         assert speeds[-1] == "normal"
@@ -411,3 +468,41 @@ def test_barrier_on_seq_call_shadows_children():
     assert len(plan.steps) == 1
     stopped = controller.trace.events[plan.stop_index]
     assert stopped.data["text"] == '@barrier seq "inner";'
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location(
+        "generate", os.path.join(ROOT, "bench", "generate.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_partial_then_full_reversal_undoes_what_one_full_reversal_does():
+    generate = _generator()
+    config = load_workcell_config(os.path.join(ROOT, "src", "adsl", "examples", "free_space.json"))
+    rng = random.Random(11)
+    for _ in range(20):
+        text, leaves, _ = generate.reversible_program(rng, 40)
+        program = build(text)
+        depth = rng.randint(1, leaves - 1)
+        runs = []
+        for depths in ((None,), (depth, None)):
+            controller = Controller(program, config, seed=5)
+            state = controller.ctx.workcell.state
+            joints, bits = state.joints, state.bits()
+            assert controller.run().completed
+            undone = []
+            for d in depths:
+                plan = reverse_execute(
+                    controller.trace, d, controller.ctx, registry=controller.registry
+                )
+                undone += [s.index for s in plan.steps]
+            assert plan.stop_reason is StopReason.TRACE_START
+            assert controller.ctx.undo_log == []
+            assert all(abs(a - b) <= 1e-9 for a, b in zip(state.joints, joints))
+            assert state.bits() == bits
+            runs.append(undone)
+        assert len(runs[0]) == leaves
+        assert runs[1] == runs[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -9,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from adsl.controller import Controller
 from adsl.model import SpeedLevel
-from adsl.reverse import reverse_execute
+from adsl.printer import format_instruction
+from adsl.reverse import PolicyMode, reverse_execute
 from adsl.trace import EventKind, ExecutionTrace, TraceEvent, read_trace_file, serialize_event
 from adsl.workcell import load_workcell_config
 
 from _helpers import build, quiet_config
+from test_golden_trace import MOTION_CASES, golden_run, motion_run
 
 
 def test_serialized_events_are_valid_json_with_fixed_field_order():
@@ -223,3 +226,48 @@ def test_sink_bytes_equal_serialize_for_shipped_examples(program, config):
     assert sink.getvalue() == "".join(
         reference_serialize_event(ev) + "\n" for ev in controller.trace.events
     )
+
+
+def test_an_event_holds_exactly_the_fields_it_serializes():
+    event = TraceEvent(0, EventKind.INSTR_BEGIN, 0.0, (), SpeedLevel.NORMAL, (), (), (), (), {})
+    keys = list(json.loads(serialize_event(event)))
+    names = [f.name for f in dataclasses.fields(TraceEvent)]
+    assert ["i" if n == "index" else n for n in names] == keys
+
+
+SHIPPED_RUNS = [
+    ("peg_in_hole.adsl", "aligned.json"),
+    ("peg_in_hole.adsl", "blocked.json"),
+    ("reverse_demo.adsl", "free_space.json"),
+    ("barrier_demo.adsl", "free_space.json"),
+    ("stats_insert.adsl", "stats.json"),
+]
+
+
+def assert_instr_ends_close_their_stack_tops(controller):
+    """Reversal reads an entry's instruction off the top of its stack."""
+    sequences = controller.program.sequences
+    ends = controller.trace.of_kind(EventKind.INSTR_END)
+    assert ends
+    for event in ends:
+        seq, index = event.stack[-1]
+        assert event.data["text"] == format_instruction(sequences[seq].instructions[index])
+
+
+@pytest.mark.parametrize("program, config", SHIPPED_RUNS)
+def test_instr_end_closes_the_instruction_at_its_stack_top(program, config):
+    examples = importlib.resources.files("adsl") / "examples"
+    controller = Controller(
+        build((examples / program).read_text(encoding="utf-8")),
+        load_workcell_config(str(examples / config)),
+        seed=0,
+    )
+    controller.run()
+    assert_instr_ends_close_their_stack_tops(controller)
+
+
+def test_instr_end_closes_the_instruction_at_its_stack_top_in_golden_runs():
+    for mode in PolicyMode:
+        assert_instr_ends_close_their_stack_tops(golden_run(mode)[0])
+    for name in MOTION_CASES:
+        assert_instr_ends_close_their_stack_tops(motion_run(name)[0])

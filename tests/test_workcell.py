@@ -124,7 +124,10 @@ class TestStepMotion:
         pos = cell.tcp_pose().position
         assert pos[0] == pytest.approx(0.20, abs=1e-9)
         assert pos[1] == pytest.approx(0.02, abs=1e-9)
-        assert not WALL_WITH_HOLE.contains_solid(pos)
+        # It stops inside the hole prism (y and z within the hole's
+        # half-extents), not in the solid.
+        hole = WALL_WITH_HOLE.hole
+        assert all(abs(p - c) <= h for p, c, h in zip(pos[1:], hole.center, hole.half_extents))
 
     def test_non_penetration_invariant(self):
         rng = random.Random(99)
