@@ -205,7 +205,7 @@ class _PendingError:
     name: str
     site: tuple[tuple[str, int], ...]
     respond: RespondAfter
-    bound_frame: object
+    frames: tuple  # the main frames at the signal; the error is bound to the last
 
 
 class CallFrame:
@@ -397,7 +397,7 @@ class ExecutionContext:
             name=name,
             site=self.call_stack(),
             respond=spec.respond_after,
-            bound_frame=self.main_frames[-1] if self.main_frames else None,
+            frames=tuple(self.main_frames),
         )
         if spec.respond_after is RespondAfter.IMMEDIATELY:
             raise _ErrorUnwind(record)
@@ -530,7 +530,7 @@ class Controller:
         for i, record in enumerate(pending):
             if record.respond is not respond:
                 continue
-            if respond is RespondAfter.CURRENT_SEQUENCE and record.bound_frame is not frame:
+            if respond is RespondAfter.CURRENT_SEQUENCE and frame not in record.frames[-1:]:
                 continue
             return pending.pop(i)
         return None
@@ -711,8 +711,15 @@ class Controller:
 
     # -- error signaling and resolution -----------------------------------
 
-    def _rebuild(self, snapshot) -> list[CallFrame]:
-        return [self._frame(seq, index) for seq, index in snapshot]
+    def _rebuild(self, snapshot, record: _PendingError) -> list[CallFrame]:
+        """Frames for `snapshot`; calls open since `record` keep their entry state."""
+        frames = [self._frame(seq, index) for seq, index in snapshot]
+        for frame, (seq, index), old in zip(frames, record.site, record.frames):
+            if frame.seq == seq:
+                frame.entry_joints, frame.entry_bits = old.entry_joints, old.entry_bits
+            if (frame.seq, frame.index) != (seq, index):
+                break
+        return frames
 
     def _resolve_error(self, record: _PendingError, frames: list[CallFrame]) -> None:
         key = (record.site, record.name)
@@ -739,7 +746,7 @@ class Controller:
                 frames[:] = [self._frame(self.program.entry)]
                 ctx.pending.clear()
             else:
-                frames[:] = self._rebuild(record.site)
+                frames[:] = self._rebuild(record.site, record)
                 if spec.return_to is ReturnTo.SEQUENCE:
                     if self.options.return_to_sequence == "restart":
                         frames[-1].index = 0
@@ -752,7 +759,7 @@ class Controller:
                 )
             except RecoveryImpossible as exc:
                 raise _AbortRun(str(exc)) from None
-            frames[:] = self._rebuild(snapshot if snapshot is not None else record.site)
+            frames[:] = self._rebuild(snapshot if snapshot is not None else record.site, record)
         ctx.stack_changed()
 
     def _run_recovery(self, seq_name: str) -> None:

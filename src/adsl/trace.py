@@ -11,11 +11,12 @@ i, kind, clock, stack, speed, pre_joints, post_joints, pre_bits, post_bits,
 data. Bits serialize as 0/1 strings; reals use 17 significant digits so the
 file round-trips bit-exactly and identical runs produce identical bytes.
 
-Consecutive events mostly hold the very same stack, bits and joints
-objects (immutable snapshots; a motion sample's pre_joints is the previous
-post_joints), so each trace keeps the text last formatted for each and
-reuses it for an identical object. Equal but distinct objects are formatted
-afresh: the bytes never depend on the reuse.
+Each line is one `%` format over field texts. A trace keeps the texts last
+built from its events' stack, speed, bits and joints objects (immutable
+snapshots that consecutive events mostly share), reused only for those very
+objects, and per `data` key tuple the sorted, quoted keys and each key's last
+exact-float text, reused for an equal nonzero float. The reference formatter
+in tests/test_trace.py defines the bytes.
 """
 
 from __future__ import annotations
@@ -58,13 +59,9 @@ class TraceEvent:
 
 
 def _num(x) -> str:
-    if type(x) is float:
-        return "%.17g" % x
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".17g")
+    return str(x) if isinstance(x, int) else format(x, ".17g")
 
 
 def _json_value(value) -> str:
@@ -105,44 +102,60 @@ def _bits(bits) -> str:
     return '"' + "".join(["1" if b else "0" for b in bits]) + '"'
 
 
-def _stack(stack) -> str:
-    return "[" + ",".join([f'["{s}",{i}]' for s, i in stack]) + "]"
-
-
 def _joints(joints) -> str:
+    if len(joints) < len(_JOINTS) and _FLOAT_ONLY.issuperset(map(type, joints)):
+        return _JOINTS[len(joints)] % tuple(joints)
     return "[" + ",".join([_num(j) for j in joints]) + "]"
 
 
-_NEVER = (object(), "")
+def _float_text(slot: list, v: float) -> str:
+    if v != slot[2] or not v:  # 0.0 == -0.0 but they print apart; nan equals nothing
+        slot[2:] = v, slot[0] + "%.17g" % v
+    return slot[3]
 
 
-def _reuse(memo: dict, slot: str, value, fmt) -> str:
-    """`fmt(value)`, reused while the memo's slot holds this very object."""
-    held, text = memo.get(slot, _NEVER)
-    if held is not value:
-        text = fmt(value)
-        memo[slot] = (value, text)
-    return text
+_NEVER = object()
+_FLOAT_ONLY = frozenset([float])
+_JOINTS = ["[" + ",".join(["%.17g"] * n) + "]" for n in range(32)]  # by length
+_LINE = '{"i":%s,"kind":"%s","clock":%.17g%s%s,"post_joints":%s%s%s}'
+_LINE_NUM = _LINE.replace("%.17g", "%s")  # for a clock that is not exactly a float
+
+
+class _Memo:
+    """A trace's texts, each kept with the objects it was last built from;
+    `orders` maps a data key tuple to [quoted key, key, last float, "key":text]s."""
+
+    def __init__(self):
+        self.stack = self.speed = self.joints = self.pre_bits = self.post_bits = _NEVER
+        self.orders: dict[tuple, list] = {}
 
 
 def serialize_event(ev: TraceEvent, memo=None) -> str:
-    """One NDJSON line, without its newline; `memo` is a dict kept per trace."""
-    if memo is None:
-        memo = {}
-    return (
-        "{"
-        f'"i":{ev.index},'
-        f'"kind":"{ev.kind.value}",'
-        f'"clock":{_num(ev.clock)},'
-        f'"stack":{_reuse(memo, "stack", ev.stack, _stack)},'
-        f'"speed":"{ev.speed.value}",'
-        f'"pre_joints":{_reuse(memo, "joints", ev.pre_joints, _joints)},'
-        f'"post_joints":{_reuse(memo, "joints", ev.post_joints, _joints)},'
-        f'"pre_bits":{_reuse(memo, "bits", ev.pre_bits, _bits)},'
-        f'"post_bits":{_reuse(memo, "bits", ev.post_bits, _bits)},'
-        f'"data":{_json_value(ev.data)}'
-        "}"
-    )
+    """One NDJSON line, without its newline; `memo` is a `_Memo` kept per trace."""
+    memo = _Memo() if memo is None else memo
+    stack, speed = ev.stack, ev.speed
+    if stack is not memo.stack or speed is not memo.speed:
+        memo.stack, memo.speed = stack, speed
+        frames = ",".join([f'["{s}",{i}]' for s, i in stack])
+        memo.head = f',"stack":[{frames}],"speed":"{speed.value}","pre_joints":'
+    pre_joints, post_joints = ev.pre_joints, ev.post_joints
+    pre = memo.joints_text if pre_joints is memo.joints else _joints(pre_joints)
+    post = pre if post_joints is pre_joints else _joints(post_joints)
+    memo.joints, memo.joints_text = post_joints, post
+    pre_bits, post_bits = ev.pre_bits, ev.post_bits
+    if pre_bits is not memo.pre_bits or post_bits is not memo.post_bits:
+        memo.pre_bits, memo.post_bits = pre_bits, post_bits
+        memo.bits_text = f',"pre_bits":{_bits(pre_bits)},"post_bits":{_bits(post_bits)},"data":'
+    values = ev.data
+    keys = tuple(values)
+    order = memo.orders.get(keys)
+    if order is None and all(type(k) is str for k in keys):
+        order = memo.orders[keys] = [[_quote(k) + ":", k, None, ""] for k in sorted(keys)]
+    data = _json_dict(values) if order is None else "{" + ",".join([
+        _float_text(slot, v) if type(v) is float else slot[0] + _json_value(v)
+        for slot in order for v in (values[slot[1]],)]) + "}"
+    line, clock = (_LINE, ev.clock) if type(ev.clock) is float else (_LINE_NUM, _num(ev.clock))
+    return line % (ev.index, ev.kind._value_, clock, memo.head, pre, post, memo.bits_text, data)
 
 
 class ExecutionTrace:
@@ -151,7 +164,7 @@ class ExecutionTrace:
     def __init__(self, sink=None):
         self.events: list[TraceEvent] = []
         self.sink = sink
-        self._memo: dict = {}
+        self._memo = _Memo()
 
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
@@ -168,7 +181,7 @@ class ExecutionTrace:
         return [ev for ev in self.events if ev.kind is kind]
 
     def serialize(self) -> str:
-        memo: dict = {}
+        memo = _Memo()
         return "".join([serialize_event(ev, memo) + "\n" for ev in self.events])
 
 

@@ -1,4 +1,7 @@
 import importlib.resources
+import json
+import runpy
+import sys
 
 import pytest
 
@@ -10,8 +13,11 @@ from adsl.cli import (
     EXIT_REVERSAL_BLOCKED,
     main,
 )
+from adsl.controller import Controller
+from adsl.workcell import load_workcell_config
 
-from _helpers import call_chain
+from _helpers import build, call_chain
+from test_golden_trace import BLOCKED, WALL
 
 EXAMPLES = importlib.resources.files("adsl") / "examples"
 
@@ -151,6 +157,23 @@ class TestRun:
         summary = summary_dict(out)
         assert summary["result"] == "aborted"
         assert "unregistered" in summary["reason"]
+
+    def test_trace_of_a_collision_abort_is_complete(self, capsys, tmp_path):
+        prog, cell, trace = tmp_path / "p.adsl", tmp_path / "cell.json", tmp_path / "t.ndjson"
+        prog.write_text(BLOCKED)
+        cell.write_text(json.dumps({
+            "noise_sigma": 0.0, "home_joints": [0.0, 0.0, 0.1, 0.0, 0.0, 0.0], "obstacles": [WALL],
+        }))
+        code, out, _ = run_cli(
+            capsys, "run", str(prog), "--workcell", str(cell), "--seed", "3", "--trace", str(trace)
+        )
+        assert code == EXIT_ABORTED
+        assert summary_dict(out)["reason"].startswith("collision during move")
+        controller = Controller(build(BLOCKED), load_workcell_config(str(cell)), seed=3)
+        assert not controller.run().completed
+        expected = controller.trace.serialize()
+        assert trace.read_text(encoding="utf-8") == expected
+        assert '"aborted":true' in expected.splitlines()[-1]
 
     def test_validation_failure_exits_1(self, capsys, tmp_path):
         prog = tmp_path / "bad.adsl"
@@ -343,3 +366,16 @@ class TestWorkcellDof:
         assert code == EXIT_INPUT_ERROR
         assert out == ""
         assert err.startswith(f"error: {cfg}: kinematic model expects 6 joints")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", example("peg_in_hole.adsl")], EXIT_OK),
+    (["run", example("barrier_demo.adsl"), "--workcell", example("free_space.json")], EXIT_OK),
+    (["reverse", example("barrier_demo.adsl"), "--workcell", example("free_space.json")],
+     EXIT_REVERSAL_BLOCKED),
+])
+def test_python_dash_m_adsl_returns_the_exit_code(capsys, monkeypatch, argv, expected):
+    monkeypatch.setattr(sys, "argv", ["adsl", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("adsl", run_name="__main__")
+    assert exit_.value.code == expected

@@ -245,8 +245,9 @@ class TestAdvancedMove:
         assert ends[0].data["failed"] == ["condition"]
 
 
-def _failing_call_registry(fail_times, error_name="flaky"):
-    """Stub action that signals `error_name` on its first `fail_times` runs."""
+def _failing_call_registry(fail_times, error_name="flaky", reverse=None):
+    """Stub action that signals `error_name` on its first `fail_times` runs;
+    `reverse` makes it undoable."""
     registry = default_registry()
     state = {"runs": 0}
 
@@ -255,7 +256,7 @@ def _failing_call_registry(fail_times, error_name="flaky"):
         if state["runs"] <= fail_times:
             ctx.signal_error(error_name)
 
-    registry.register("flaky", flaky)
+    registry.register("flaky", flaky, reverse)
     return registry, state
 
 
@@ -364,6 +365,29 @@ class TestErrorHandling:
         ]
         assert len(aborted) == 1
         assert state["runs"] == 2
+
+    @pytest.mark.parametrize("handler", [
+        'error "flaky" { recovery_sequence "rec"; return_to action; }\n',
+        'error "flaky" { return_to action; }\n',  # one step of reversal
+    ], ids=["recovery_sequence", "reversal"])
+    def test_seq_call_end_keeps_entry_state_after_error_inside(self, handler):
+        # The error inside the call rebuilds its frames; the call's end event
+        # still reports the state at the call's entry, with bit 0 low.
+        program = build(
+            'io_operation "on" { set_high; bit 0; }\n'
+            + handler
+            + 'sequence "rec" { wait 0.01; }\n'
+            'sequence "sub" { io "on"; call "flaky" (); wait 0.1; }\n'
+            'sequence "main" { seq "sub"; }\n'
+            'entry "main";'
+        )
+        registry, state = _failing_call_registry(1, reverse=lambda ctx, items: None)
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        assert controller.run().completed
+        assert state["runs"] == 2
+        begin, end = [e for e in controller.trace.events if e.data.get("text") == 'seq "sub";']
+        assert (end.kind, end.pre_bits[0], end.post_bits[0]) == (EventKind.INSTR_END, False, True)
+        assert end.pre_joints == begin.post_joints
 
     def test_error_during_recovery_aborts(self):
         program = build(

@@ -6,7 +6,7 @@ import math
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adsl.controller import Controller
 from adsl.model import SpeedLevel
@@ -113,11 +113,20 @@ def reference_serialize_event(ev) -> str:
     )
 
 
+class _Real(float):
+    """A float subclass with its own format, which only the reference's
+    `format(x, ".17g")` honours: a fast path for exact floats must not take it."""
+
+    def __format__(self, spec):
+        return float.__format__(self, spec.replace("17", "6"))
+
+
 NUMBERS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e17]),
     st.integers(),
     st.booleans(),
+    st.floats().map(_Real),
 )
 STRINGS = st.one_of(
     st.text(max_size=6),
@@ -134,6 +143,14 @@ VALUES = st.recursive(
 )
 STACKS = st.lists(st.tuples(st.text(max_size=4), st.integers(0, 99)), max_size=3).map(tuple)
 JOINTS = st.lists(NUMBERS, max_size=7).map(tuple)
+#: Sortable keys that are not all strings; json.dumps gives 1 and true apart.
+OTHER_KEYS = st.one_of(st.integers(-2, 2), st.booleans(), st.sampled_from([0.0, -0.0, 1.5]))
+#: A value of any type for a key kept from the previous event.
+RETYPED = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 1.0, 1, True, _Real(0.1), math.nan]),
+    NUMBERS,
+    st.dictionaries(STRINGS, NUMBERS, max_size=2),
+)
 BITS = st.lists(st.booleans(), max_size=9).map(tuple)
 
 
@@ -151,10 +168,25 @@ def _copy(value):
     return tuple([_twin(x) for x in value])
 
 
+def _data(draw, prev):
+    """A fresh `data` dict; or the previous event's keys, in the same order,
+    holding values of any type; or keys that are not all strings."""
+    how = draw(st.sampled_from(("fresh", "same keys", "other keys")))
+    if how == "same keys" and prev is not None:
+        return {
+            k: draw(st.one_of(st.just(old), st.just(_twin(old)), RETYPED))
+            for k, old in zip(_copy(tuple(prev.data)), prev.data.values())
+        }
+    if how == "other keys":
+        return draw(st.dictionaries(OTHER_KEYS, VALUES, max_size=3))
+    return draw(st.dictionaries(STRINGS, VALUES, max_size=3))
+
+
 @st.composite
 def event_sequences(draw):
     """Events whose fields are, by turns, the very objects of the previous
-    event (as in a recorded run), equal copies of them, or fresh values."""
+    event (as in a recorded run), equal copies of them, fresh values, or
+    (joints) fresh values of the same length."""
     events = []
     for index in range(draw(st.integers(1, 6))):
         prev = events[-1] if events else None
@@ -163,9 +195,11 @@ def event_sequences(draw):
             if prev is None:
                 return draw(fresh)
             old = getattr(prev, prev_name or name)
-            how = draw(st.sampled_from(("same", "copy", "fresh")))
+            how = draw(st.sampled_from(("same", "copy", "fresh", "same length")))
             if how == "same":
                 return old
+            if how == "same length" and fresh is JOINTS:
+                return tuple(draw(st.lists(NUMBERS, min_size=len(old), max_size=len(old))))
             return _copy(old) if how == "copy" else draw(fresh)
 
         pre_joints = field("pre_joints", JOINTS, "post_joints")
@@ -182,11 +216,38 @@ def event_sequences(draw):
             post_joints=draw(JOINTS) if post_joints is None else post_joints,
             pre_bits=pre_bits,
             post_bits=draw(BITS) if post_bits is None else post_bits,
-            data=draw(st.dictionaries(STRINGS, VALUES, max_size=3)),
+            data=_data(draw, prev),
         ))
     return events
 
 
+def _trail(datas=None, joints=None):
+    """Events alike but for their `data` or post_joints (each pre_joints is
+    the previous post_joints, as in a recorded run)."""
+    datas = datas or [{}] * len(joints)
+    joints = joints or [(0.5, -1.0)] * len(datas)
+    events = []
+    for index, (data, post) in enumerate(zip(datas, joints)):
+        pre = events[-1].post_joints if events else post
+        events.append(TraceEvent(index, EventKind.MOTION_SAMPLE, 0.25 * index, (("s", 0),),
+                                 SpeedLevel.NORMAL, pre, post, (False,), (False,), data))
+    return events
+
+
+#: Data values that change type or sign under a kept key order; same-length
+#: joints that mix in ints, bools, -0.0 and a float subclass; keys that are
+#: not all strings (1 and True are equal keys that print apart).
+CACHE_ATTACKS = (
+    _trail(datas=[{"a": v, "b": 0.5} for v in (
+        0.0, -0.0, 0.0, 0.1, _Real(0.1), 0.1, 1.0, 1, True, 1.0,
+        {"c": 0.1}, {"c": True}, math.nan, math.nan, -0.0, -0.0, 2.5, 2.5,
+    )]),
+    _trail(joints=[(0.1, 0.0), (1, 0.0), (True, -0.0), (_Real(0.1), 0.0), (0.1, -0.0)])
+    + _trail(datas=[{1: 0.1}, {True: 0.1}, {1.5: 0, 0.0: 1}, {-0.0: 2.0}, {"a": 0.1}]),
+)
+
+
+@example(first=CACHE_ATTACKS[0], second=CACHE_ATTACKS[1])
 @settings(max_examples=60, deadline=None)
 @given(first=event_sequences(), second=event_sequences())
 def test_serializer_matches_reference_on_two_interleaved_traces(first, second):
