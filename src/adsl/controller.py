@@ -9,10 +9,15 @@ failure behaviors, and manages signaled errors.
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
 current instruction, or after the innermost sequence finishes), the optional
-recovery sequence then runs with nested errors treated as fatal, and
+recovery sequence then runs on top of the run's one frame stack, and
 `return_to` picks where forward execution resumes. Errors declared without a
 recovery sequence are delegated to the reverse-execution engine, which
-undoes recorded instructions from the context's undo log and resumes.
+undoes recorded instructions from the context's undo log and resumes. An
+error signaled while another is being resolved aborts the run. Resuming
+moves the existing frames, so open calls keep their entry state and their
+pending `respond_after current_sequence` errors. The limits are module
+constants; the `ResumePolicy` in `ControllerOptions` is immutable, and the
+reversal occurrence counts it is applied to belong to the run.
 
 Every state change is recorded in an `ExecutionTrace`; runs with the same
 program, workcell config, and seed produce byte-identical traces.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reverse as reverse_engine
@@ -68,6 +73,9 @@ logger = logging.getLogger("adsl")
 #: Looked up once: reading an enum member off its class costs ~0.1 us a cycle.
 _MOTION_SAMPLE = EventKind.MOTION_SAMPLE
 
+MAX_CALL_DEPTH = 32  # open sequence calls, recovery sequences included
+MAX_RESUME_RETRIES = 5  # resolutions of one error at one site before an abort
+
 
 # ---------------------------------------------------------------------------
 # Results
@@ -90,13 +98,10 @@ class RunResult:
 
 @dataclass
 class ControllerOptions:
-    max_call_depth: int = 32
-    max_resume_retries: int = 5
     #: How return_to=sequence resumes: "resume" continues after the failed
     #: instruction, "restart" re-runs the enclosing sequence from the top.
     return_to_sequence: str = "resume"
-    resume_policy: ResumePolicy = field(default_factory=ResumePolicy)
-    max_reversal_occurrences: int = 5
+    resume_policy: ResumePolicy = ResumePolicy()
     record_motion_samples: bool = True
 
 
@@ -205,7 +210,7 @@ class _PendingError:
     name: str
     site: tuple[tuple[str, int], ...]
     respond: RespondAfter
-    frames: tuple  # the main frames at the signal; the error is bound to the last
+    frame: Optional[CallFrame]  # the innermost frame at the signal
 
 
 class CallFrame:
@@ -242,11 +247,12 @@ class ExecutionContext:
         self.options: ControllerOptions = options
         self.registry: ActionRegistry = registry
         self.error_counts: dict[str, int] = {}
+        self.reversal_occurrences: dict[str, int] = {}  # per error name
         self.saturation_markers: dict[str, tuple] = {}
         self.active_speed: SpeedLevel = DEFAULT_SPEED
-        self.in_recovery: bool = False
-        self.main_frames: list[CallFrame] = []
-        self.frame_chain: list[list[CallFrame]] = [self.main_frames]
+        self.in_recovery: bool = False  # resolving an error; another aborts
+        #: The one call-frame stack, outermost first; recoveries run on top.
+        self.frames: list[CallFrame] = []
         self.pending: list[_PendingError] = []
         #: The `INSTR_END` events reverse execution may still undo, oldest
         #: first; reversal pops them as it undoes them.
@@ -257,12 +263,9 @@ class ExecutionContext:
 
     def call_stack(self) -> tuple[tuple[str, int], ...]:
         """(sequence, index) of every frame, outermost first; cached, so every
-        frame push or pop, index change or `frame_chain` change calls
-        `stack_changed`."""
+        frame push or pop and every index change calls `stack_changed`."""
         if self._stack is None:
-            self._stack = tuple(
-                (f.seq, f.index) for frames in self.frame_chain for f in frames
-            )
+            self._stack = tuple((f.seq, f.index) for f in self.frames)
         return self._stack
 
     def stack_changed(self) -> None:
@@ -393,12 +396,8 @@ class ExecutionContext:
         spec = self.program.errors.get(name)
         if spec is None:
             raise _AbortRun(f"undeclared error '{name}'")
-        record = _PendingError(
-            name=name,
-            site=self.call_stack(),
-            respond=spec.respond_after,
-            frames=tuple(self.main_frames),
-        )
+        frame = self.frames[-1] if self.frames else None  # None: reversal after the run
+        record = _PendingError(name, self.call_stack(), spec.respond_after, frame)
         if spec.respond_after is RespondAfter.IMMEDIATELY:
             raise _ErrorUnwind(record)
         self.pending.append(record)
@@ -441,10 +440,10 @@ class Controller:
 
     def run(self) -> RunResult:
         ctx = self.ctx
-        ctx.main_frames.append(self._frame(self.program.entry))
+        ctx.frames.append(self._frame(self.program.entry))
         ctx.stack_changed()
         try:
-            self._loop(ctx.main_frames, handle_errors=True)
+            self._loop(0)
             completed, reason = True, None
         except _AbortRun as exc:
             completed, reason = False, str(exc)
@@ -470,26 +469,28 @@ class Controller:
         state = self.ctx.workcell.state
         return CallFrame(seq_name, index, state.joints, state.bits())
 
-    def _loop(self, frames: list[CallFrame], handle_errors: bool) -> None:
+    def _loop(self, base: int) -> None:
+        """Run the top frame until the stack is back down to `base` frames."""
         ctx = self.ctx
+        frames = ctx.frames
         program = self.program
-        while frames:
-            if handle_errors:
+        while len(frames) > base:
+            if ctx.pending and not ctx.in_recovery:
                 record = self._take_pending(RespondAfter.CURRENT_ACTION, None)
                 if record is not None:
-                    self._resolve_error(record, frames)
+                    self._resolve_error(record)
                     continue
             frame = frames[-1]
             sequence = program.sequences[frame.seq]
             if frame.index >= len(sequence.instructions):
-                if handle_errors:
+                if ctx.pending and not ctx.in_recovery:
                     record = self._take_pending(RespondAfter.CURRENT_SEQUENCE, frame)
                     if record is not None:
-                        self._resolve_error(record, frames)
+                        self._resolve_error(record)
                         continue
                 frames.pop()
                 ctx.stack_changed()
-                if frames:
+                if len(frames) > base:
                     parent = frames[-1]
                     call_instr = program.sequences[parent.seq].instructions[parent.index]
                     if call_instr.annotation is not None:
@@ -507,10 +508,8 @@ class Controller:
                 continue
             instr = sequence.instructions[frame.index]
             if isinstance(instr, SeqCall):
-                if len(ctx.call_stack()) + 1 > self.options.max_call_depth:
-                    raise _AbortRun(
-                        f"sequence call depth exceeds {self.options.max_call_depth}"
-                    )
+                if len(frames) >= MAX_CALL_DEPTH:
+                    raise _AbortRun(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
                 ctx.emit(EventKind.INSTR_BEGIN, data={"text": format_instruction(instr)})
                 frames.append(self._frame(instr.name))
                 ctx.stack_changed()
@@ -518,9 +517,7 @@ class Controller:
             try:
                 self._execute_leaf(instr)
             except _ErrorUnwind as unwind:
-                if not handle_errors:
-                    raise _AbortRun("error during recovery") from None
-                self._resolve_error(unwind.record, frames)
+                self._resolve_error(unwind.record)
                 continue
             frame.index += 1
             ctx.stack_changed()
@@ -528,11 +525,8 @@ class Controller:
     def _take_pending(self, respond: RespondAfter, frame) -> Optional[_PendingError]:
         pending = self.ctx.pending
         for i, record in enumerate(pending):
-            if record.respond is not respond:
-                continue
-            if respond is RespondAfter.CURRENT_SEQUENCE and frame not in record.frames[-1:]:
-                continue
-            return pending.pop(i)
+            if record.respond is respond and (frame is None or record.frame is frame):
+                return pending.pop(i)
         return None
 
     # -- instruction execution ------------------------------------------------
@@ -711,68 +705,61 @@ class Controller:
 
     # -- error signaling and resolution -----------------------------------
 
-    def _rebuild(self, snapshot, record: _PendingError) -> list[CallFrame]:
-        """Frames for `snapshot`; calls open since `record` keep their entry state."""
-        frames = [self._frame(seq, index) for seq, index in snapshot]
-        for frame, (seq, index), old in zip(frames, record.site, record.frames):
-            if frame.seq == seq:
-                frame.entry_joints, frame.entry_bits = old.entry_joints, old.entry_bits
-            if (frame.seq, frame.index) != (seq, index):
-                break
-        return frames
-
-    def _resolve_error(self, record: _PendingError, frames: list[CallFrame]) -> None:
+    def _resolve_error(self, record: _PendingError) -> None:
+        """Recover as declared, `in_recovery`, then resume the frames in place."""
         key = (record.site, record.name)
         count = self._failure_counts.get(key, 0) + 1
         self._failure_counts[key] = count
-        if count > self.options.max_resume_retries:
-            raise _AbortRun(
-                f"resume loop guard: error '{record.name}' recurred {count} times"
-            )
+        if count > MAX_RESUME_RETRIES:
+            raise _AbortRun(f"resume loop guard: error '{record.name}' recurred {count} times")
         spec = self.program.errors[record.name]
         self.stats_recoveries += 1
         ctx = self.ctx
-        if spec.recovery_sequence is not None:
-            ctx.emit(
-                EventKind.RECOVERY_BEGIN,
-                data={"error": record.name, "sequence": spec.recovery_sequence},
-            )
-            self._run_recovery(spec.recovery_sequence)
-            ctx.emit(
-                EventKind.RECOVERY_END,
-                data={"error": record.name, "sequence": spec.recovery_sequence},
-            )
-            if spec.return_to is ReturnTo.RESTART_PROGRAM:
-                frames[:] = [self._frame(self.program.entry)]
-                ctx.pending.clear()
-            else:
-                frames[:] = self._rebuild(record.site, record)
-                if spec.return_to is ReturnTo.SEQUENCE:
-                    if self.options.return_to_sequence == "restart":
-                        frames[-1].index = 0
-                    else:
-                        frames[-1].index += 1
-        else:
-            try:
-                snapshot = reverse_engine.recover_by_reversal(
-                    record.name, ctx, self.options.resume_policy, registry=self.registry
-                )
-            except RecoveryImpossible as exc:
-                raise _AbortRun(str(exc)) from None
-            frames[:] = self._rebuild(snapshot if snapshot is not None else record.site, record)
-        ctx.stack_changed()
-
-    def _run_recovery(self, seq_name: str) -> None:
-        ctx = self.ctx
-        ctx.frame_chain.append([self._frame(seq_name)])
-        ctx.stack_changed()
+        frames = ctx.frames
+        base = len(frames)
+        resume_at = record.site
         ctx.in_recovery = True
         try:
-            self._loop(ctx.frame_chain[-1], handle_errors=False)
-        finally:
+            if spec.recovery_sequence is None:
+                resume_at = reverse_engine.recover_by_reversal(record.name, ctx) or resume_at
+            else:
+                data = {"error": record.name, "sequence": spec.recovery_sequence}
+                ctx.emit(EventKind.RECOVERY_BEGIN, data=data)
+                frames.append(self._frame(spec.recovery_sequence))
+                ctx.stack_changed()
+                self._loop(base)
+                ctx.emit(EventKind.RECOVERY_END, data=dict(data))
+                if spec.return_to is ReturnTo.RESTART_PROGRAM:
+                    resume_at = ((self.program.entry, 0),)
+                    ctx.pending.clear()
+                elif spec.return_to is ReturnTo.SEQUENCE:
+                    seq, index = resume_at[-1]
+                    index = 0 if self.options.return_to_sequence == "restart" else index + 1
+                    resume_at = resume_at[:-1] + ((seq, index),)
+        except RecoveryImpossible as exc:
+            raise _AbortRun(str(exc)) from None
+        finally:  # an abort inside the recovery sequence leaves its frames
             ctx.in_recovery = False
-            ctx.frame_chain.pop()
+            del frames[base:]
             ctx.stack_changed()
+        self._resume(resume_at)
+
+    def _resume(self, stack: tuple[tuple[str, int], ...]) -> None:
+        """Move the frames to `stack`: frames of calls still open stay, the
+        first whose index differs moves there, and deeper ones start fresh."""
+        frames = self.ctx.frames
+        keep = 0
+        for frame, (seq, index) in zip(frames, stack):
+            if frame.seq != seq:
+                break
+            keep += 1
+            if frame.index != index:
+                frame.index = index
+                break
+        del frames[keep:]
+        for seq, index in stack[keep:]:
+            frames.append(self._frame(seq, index))
+        self.ctx.stack_changed()
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,18 @@ payload runs through the same leaf dispatcher as forward execution
 list, a wait advances the clock again, a move restores the recorded
 pre-step joints, and a call runs its registered reverse callback.
 
-When an error without a recovery sequence recurs, `recover_by_reversal`
-backs up further each time, by a linear or exponential schedule, and resumes
-forward execution at the earliest instruction it undid.
+When an error without a recovery sequence recurs, `recover_by_reversal(name,
+ctx)` backs up further each time, by a linear or exponential schedule, and
+resumes forward execution at the earliest instruction it undid. It reads the
+schedule, an immutable `ResumePolicy`, from `ctx.options` and counts each
+error's occurrences on `ctx`, so the counts are per run. The run is
+`in_recovery` meanwhile: an error a reverse callback signals aborts it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -240,17 +243,15 @@ class PolicyMode(Enum):
     EXPONENTIAL = "exponential"
 
 
-@dataclass
+MAX_REVERSAL_OCCURRENCES = 5  # reversals of an error before a blocked one aborts
+
+
+@dataclass(frozen=True)
 class ResumePolicy:
     """How far to reverse when the same error keeps recurring."""
 
     mode: PolicyMode = PolicyMode.LINEAR
     base_depth: int = 1
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def next_occurrence(self, name: str) -> int:
-        self.counts[name] = self.counts.get(name, 0) + 1
-        return self.counts[name]
 
     def depth_for(self, occurrence: int) -> int:
         if self.mode is PolicyMode.LINEAR:
@@ -258,26 +259,28 @@ class ResumePolicy:
         return self.base_depth * (2 ** (occurrence - 1))
 
 
-def recover_by_reversal(name: str, ctx, policy: ResumePolicy, registry=None) -> Optional[tuple]:
-    """Reverse per the policy's depth for this occurrence; return the stack
-    to resume at, that of the earliest undone instruction, or None when
-    nothing was undone (re-execute from the signaling site).
+def recover_by_reversal(name: str, ctx) -> Optional[tuple]:
+    """Reverse by the depth `ctx.options.resume_policy` gives this run's next
+    occurrence of `name`; return the stack to resume at, that of the earliest
+    undone instruction, or None when nothing was undone (re-execute from the
+    signaling site).
 
     Raises RecoveryImpossible when the reversal saturates against the same
     barrier or never-reversible boundary twice in a row, or when the error
-    keeps recurring against a boundary past the occurrence cap.
+    recurs against a boundary more than `MAX_REVERSAL_OCCURRENCES` times.
     """
-    occurrence = policy.next_occurrence(name)
-    depth = policy.depth_for(occurrence)
+    policy = ctx.options.resume_policy
+    occurrence = ctx.reversal_occurrences.get(name, 0) + 1
+    ctx.reversal_occurrences[name] = occurrence
     plan = reverse_execute(
         ctx.trace,
-        depth,
+        policy.depth_for(occurrence),
         ctx,
-        registry=registry,
+        registry=ctx.registry,
         info={"error": name, "occurrence": occurrence, "policy": policy.mode.value},
     )
     if plan.stop_reason in (StopReason.BARRIER, StopReason.NEVER_REVERSIBLE_HIT):
-        if occurrence > ctx.options.max_reversal_occurrences:
+        if occurrence > MAX_REVERSAL_OCCURRENCES:
             raise RecoveryImpossible(
                 f"error '{name}' recurred {occurrence} times against an irreversible boundary"
             )

@@ -73,7 +73,6 @@ class HoleAxis(Enum):
     Z = "z"
 
 
-_AXIS_INDEX = {HoleAxis.X: 0, HoleAxis.Y: 1, HoleAxis.Z: 2}
 # Cross-section axes for a hole along each axis, in (u, v) order.
 _CROSS_AXES = {HoleAxis.X: (1, 2), HoleAxis.Y: (0, 2), HoleAxis.Z: (0, 1)}
 
@@ -400,17 +399,16 @@ class Workcell:
 
     # -- motion -----------------------------------------------------------
 
-    def step_motion(self, target: Pose, speed: float, dt: Optional[float] = None):
+    def step_motion(self, target: Pose, speed: float):
         """Advance one control cycle toward `target`.
 
         Moves the TCP along the straight position segment by at most
-        speed*dt, halting at the first solid surface on the way. The
+        speed * config.dt, halting at the first solid surface on the way. The
         orientation interpolates in lockstep with position progress and
         snaps for pure rotations. Returns (contact, meters advanced).
         """
         state = self.state
-        if dt is None:
-            dt = self.config.dt
+        dt = self.config.dt
         pose = self.tcp_pose()
         px, py, pz = pose.position
         tx, ty, tz = target.position

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -15,6 +16,7 @@ from adsl.controller import (
 )
 from adsl.model import Comparison, DistanceCovered, ForcesExceed
 from adsl.parser import parse_program
+from adsl.reverse import PolicyMode, ResumePolicy
 from adsl.trace import EventKind
 from adsl.workcell import WorkcellConfig
 
@@ -400,6 +402,67 @@ class TestErrorHandling:
         result = run_program(program, quiet_config(), seed=0, registry=registry)
         assert not result.completed
         assert "during recovery" in result.reason
+
+    @pytest.mark.parametrize("respond", ["immediately", "current_action"])
+    def test_error_from_reverse_callback_during_reversal_aborts(self, respond):
+        # Reversal undoes the failed call itself, and its reverse callback
+        # signals again while the first error is being resolved.
+        program = build(
+            f'error "flaky" {{ respond_after {respond}; return_to action; }}\n'
+            'sequence "main" { wait 0.01; call "flaky" (); }\n'
+            'entry "main";'
+        )
+        registry, state = _failing_call_registry(
+            1, reverse=lambda ctx, items: ctx.signal_error("flaky")
+        )
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        result = controller.run()
+        assert not result.completed
+        assert result.reason == "error 'flaky' during recovery"
+        assert state["runs"] == 1
+
+    def test_deferred_error_survives_another_resolution(self):
+        # "late" waits for the end of "main"; "flaky" is resolved before
+        # that, and "main" keeps its frame, so "late" is still handled.
+        program = build(
+            'error "late" { recovery_sequence "rec"; respond_after current_sequence; }\n'
+            'error "flaky" { recovery_sequence "rec"; respond_after immediately; return_to action; }\n'
+            'sequence "rec" { wait 0.01; }\n'
+            'sequence "main" { call "late" (); call "flaky" (); wait 0.1; }\n'
+            'entry "main";'
+        )
+        registry, state = _failing_call_registry(1)
+        registry.register("late", lambda ctx, items: ctx.signal_error("late"))
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        result = controller.run()
+        assert result.completed
+        assert (result.stats.errors, result.stats.recoveries) == (2, 2)
+        begins = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
+        assert [e.data["error"] for e in begins] == ["flaky", "late"]
+        assert controller.ctx.pending == []
+
+    def test_shared_options_give_identical_traces(self):
+        # The resume policy's occurrence counts belong to the run, so a
+        # second run with the same options reverses exactly as the first.
+        program = build(
+            'error "flaky" { return_to action; }\n'
+            'sequence "main" { wait 0.01; wait 0.02; wait 0.03; call "flaky" (); }\n'
+            'entry "main";'
+        )
+        options = ControllerOptions(resume_policy=ResumePolicy(mode=PolicyMode.LINEAR))
+        traces = []
+        for _ in range(2):
+            registry, _ = _failing_call_registry(3, reverse=lambda ctx, items: None)
+            controller = Controller(
+                program, quiet_config(), seed=0, registry=registry, options=options
+            )
+            assert controller.run().completed
+            depths = [e.data["depth"] for e in controller.trace.of_kind(EventKind.REVERSE_BEGIN)]
+            assert depths == [1, 2, 3]
+            traces.append(controller.trace.serialize())
+        assert traces[0] == traces[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.resume_policy.base_depth = 2
 
     def test_undeclared_error_aborts(self):
         program = build('sequence "main" { call "boom" (); }')

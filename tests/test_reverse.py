@@ -291,11 +291,11 @@ class TestReverseExecute:
 class TestResumePolicy:
     def test_linear_depths(self):
         policy = ResumePolicy(mode=PolicyMode.LINEAR, base_depth=1)
-        assert [policy.depth_for(policy.next_occurrence("e")) for _ in range(3)] == [1, 2, 3]
+        assert [policy.depth_for(k) for k in range(1, 4)] == [1, 2, 3]
 
     def test_exponential_depths(self):
         policy = ResumePolicy(mode=PolicyMode.EXPONENTIAL, base_depth=1)
-        assert [policy.depth_for(policy.next_occurrence("e")) for _ in range(5)] == [1, 2, 4, 8, 16]
+        assert [policy.depth_for(k) for k in range(1, 6)] == [1, 2, 4, 8, 16]
 
     def test_monotone_increasing(self):
         for mode in PolicyMode:
@@ -305,10 +305,34 @@ class TestResumePolicy:
                 assert all(b > a for a, b in zip(depths, depths[1:]))
 
     def test_per_error_memory_is_independent(self):
-        policy = ResumePolicy()
-        assert policy.next_occurrence("a") == 1
-        assert policy.next_occurrence("b") == 1
-        assert policy.next_occurrence("a") == 2
+        # "a" fails twice, then "b" once: "b" starts at occurrence 1 although
+        # "a" already reached 2.
+        program = build(
+            'error "a" { }\n'
+            'error "b" { }\n'
+            'sequence "main" { wait 0.01; call "fail_a" (); call "fail_b" (); wait 0.01; }\n'
+            'entry "main";'
+        )
+        registry = default_registry()
+        runs = {"a": 0, "b": 0}
+
+        def failing(name, times):
+            def action(ctx, items):
+                runs[name] += 1
+                if runs[name] <= times:
+                    ctx.signal_error(name)
+            return action
+
+        undo = lambda ctx, items: None
+        registry.register("fail_a", failing("a", 2), reverse=undo)
+        registry.register("fail_b", failing("b", 1), reverse=undo)
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        assert controller.run().completed
+        begins = controller.trace.of_kind(EventKind.REVERSE_BEGIN)
+        assert [(e.data["error"], e.data["occurrence"], e.data["depth"]) for e in begins] == [
+            ("a", 1, 1), ("a", 2, 2), ("b", 1, 1),
+        ]
+        assert controller.ctx.reversal_occurrences == {"a": 2, "b": 1}
 
 
 FAILING_PROBE = """

@@ -61,7 +61,7 @@ class TestStepMotion:
     def test_free_space_step(self):
         cell = make_cell()
         target = Pose((0.30, 0.0, 0.0))
-        contact, advanced = cell.step_motion(target, speed=0.05, dt=0.008)
+        contact, advanced = cell.step_motion(target, speed=0.05)
         assert not contact
         assert advanced == pytest.approx(0.0004, abs=1e-15)
         assert cell.state.clock == pytest.approx(0.008)
