@@ -10,10 +10,10 @@ from .controller import (
     Controller,
     ControllerOptions,
     InvalidProgramError,
+    RunAborted,
     RunResult,
     default_registry,
     evaluate_query,
-    run_program,
 )
 from .model import Program, validate_program
 from .parser import ParseError, parse_program
@@ -46,6 +46,7 @@ __all__ = [
     "Program",
     "ResumePolicy",
     "ReversibilityClass",
+    "RunAborted",
     "RunResult",
     "StopReason",
     "Workcell",
@@ -58,7 +59,6 @@ __all__ = [
     "pretty_print",
     "recover_by_reversal",
     "reverse_execute",
-    "run_program",
     "validate_program",
     "workcell_config_from_dict",
 ]

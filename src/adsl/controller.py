@@ -177,11 +177,12 @@ def _describe_query(query: Query) -> str:
 # Internal control flow
 
 
-class _AbortRun(Exception):
-    """Unrecoverable condition; unwinds to run() and yields Aborted."""
+class RunAborted(Exception):
+    """Unrecoverable condition: `Controller.run` returns it as an aborted
+    result, and `reverse_execute` outside a run raises it."""
 
 
-class UnregisteredAction(_AbortRun):
+class UnregisteredAction(RunAborted):
     """A `call` named an action the registry does not hold."""
 
 
@@ -210,7 +211,7 @@ class _PendingError:
     name: str
     site: tuple[tuple[str, int], ...]
     respond: RespondAfter
-    frame: Optional[CallFrame]  # the innermost frame at the signal
+    frame: CallFrame  # the innermost frame at the signal
 
 
 class CallFrame:
@@ -250,6 +251,7 @@ class ExecutionContext:
         self.reversal_occurrences: dict[str, int] = {}  # per error name
         self.saturation_markers: dict[str, tuple] = {}
         self.active_speed: SpeedLevel = DEFAULT_SPEED
+        self.running: bool = False  # inside `Controller.run`
         self.in_recovery: bool = False  # resolving an error; another aborts
         #: The one call-frame stack, outermost first; recoveries run on top.
         self.frames: list[CallFrame] = []
@@ -257,6 +259,8 @@ class ExecutionContext:
         #: The `INSTR_END` events reverse execution may still undo, oldest
         #: first; reversal pops them as it undoes them.
         self.undo_log: list[TraceEvent] = []
+        #: Trace indices of the `INSTR_END`s recorded in recovery sequences.
+        self.recovery_ends: set[int] = set()
         self._stack: Optional[tuple[tuple[str, int], ...]] = None
 
     # -- snapshots ----------------------------------------------------------
@@ -272,24 +276,18 @@ class ExecutionContext:
         self._stack = None
 
     def emit(
-        self,
-        kind: EventKind,
-        data: Optional[dict] = None,
-        pre_joints=None,
-        post_joints=None,
-        pre_bits=None,
-        post_bits=None,
+        self, kind: EventKind, data: Optional[dict] = None, pre_joints=None, pre_bits=None
     ) -> TraceEvent:
+        """Record an event; its post state is the current one, and its pre
+        state too unless `pre_joints`/`pre_bits` are given."""
         state = self.workcell.state
         joints = state.joints
         bits = state.io_bits
         trace = self.trace
         event = TraceEvent(
             len(trace.events), kind, state.clock, self.call_stack(), self.active_speed,
-            joints if pre_joints is None else pre_joints,
-            joints if post_joints is None else post_joints,
-            bits if pre_bits is None else pre_bits,
-            bits if post_bits is None else post_bits,
+            joints if pre_joints is None else pre_joints, joints,
+            bits if pre_bits is None else pre_bits, bits,
             {} if data is None else data,
         )
         trace.append(event)
@@ -300,19 +298,17 @@ class ExecutionContext:
     def advance_clock(self, seconds: float) -> None:
         self.workcell.state.clock += seconds
 
-    def speed_value(self, level: Optional[SpeedLevel] = None) -> float:
-        return self.workcell.speed_value(level or self.active_speed)
+    def speed_value(self) -> float:
+        return self.workcell.config.speed_map[self.active_speed]
 
     def set_active_speed(self, level: SpeedLevel, why: str) -> None:
         if level is not self.active_speed:
             self.emit(EventKind.SETTING_CHANGE, data={"speed": level.value, "why": why})
             self.active_speed = level
 
-    def move_to_pose(self, target: Pose, speed: Optional[float] = None) -> None:
+    def move_to_pose(self, target: Pose, speed: float) -> None:
         """Drive the TCP to `target`; a blocking solid raises MotionBlocked."""
         workcell = self.workcell
-        if speed is None:
-            speed = self.speed_value()
         record = self.options.record_motion_samples
         state = workcell.state
         tcp_pose = workcell.tcp_pose
@@ -328,15 +324,14 @@ class ExecutionContext:
             contact, advanced = step_motion(target, speed)
             if record:
                 data = {"advanced": advanced, "contact": contact}
-                emit(_MOTION_SAMPLE, data, pre_j, None, pre_b)
+                emit(_MOTION_SAMPLE, data, pre_j, pre_b)
             if contact and advanced <= 1e-15:
                 raise MotionBlocked(
                     f"blocked at {workcell.tcp_pose().position} moving to {target.position}"
                 )
 
-    def move_joints_to(self, joints, speed_level: Optional[SpeedLevel] = None) -> None:
-        target = self.workcell.model.fk(tuple(joints))
-        self.move_to_pose(target, self.speed_value(speed_level or self.active_speed))
+    def move_joints_to(self, joints) -> None:
+        self.move_to_pose(self.workcell.model.fk(tuple(joints)), self.speed_value())
 
     def apply_primitives(self, primitives) -> None:
         """Run an I/O primitive list.
@@ -384,20 +379,22 @@ class ExecutionContext:
                 raise UnregisteredAction(f"unregistered action '{instr.action}'")
             entry.run(self, instr.items)
         else:
-            raise _AbortRun(f"cannot execute {type(instr).__name__} as a basic instruction")
+            raise RunAborted(f"cannot execute {type(instr).__name__} as a basic instruction")
 
     def signal_error(self, name: str) -> None:
         """Record a declared error, then raise it for an immediate response or
-        queue it until its `respond_after` point."""
+        queue it until its `respond_after` point. During recovery, or in a
+        reversal outside a run, it raises `RunAborted` instead."""
         self.emit(EventKind.ERROR_SIGNALED, data={"error": name})
         self.error_counts[name] = self.error_counts.get(name, 0) + 1
         if self.in_recovery:
-            raise _AbortRun(f"error '{name}' during recovery")
+            raise RunAborted(f"error '{name}' during recovery")
+        if not self.running:
+            raise RunAborted(f"error '{name}' during reversal")
         spec = self.program.errors.get(name)
         if spec is None:
-            raise _AbortRun(f"undeclared error '{name}'")
-        frame = self.frames[-1] if self.frames else None  # None: reversal after the run
-        record = _PendingError(name, self.call_stack(), spec.respond_after, frame)
+            raise RunAborted(f"undeclared error '{name}'")
+        record = _PendingError(name, self.call_stack(), spec.respond_after, self.frames[-1])
         if spec.respond_after is RespondAfter.IMMEDIATELY:
             raise _ErrorUnwind(record)
         self.pending.append(record)
@@ -442,15 +439,18 @@ class Controller:
         ctx = self.ctx
         ctx.frames.append(self._frame(self.program.entry))
         ctx.stack_changed()
+        ctx.running = True
         try:
             self._loop(0)
             completed, reason = True, None
-        except _AbortRun as exc:
+        except RunAborted as exc:
             completed, reason = False, str(exc)
         except MotionBlocked as exc:
             completed, reason = False, f"collision during move: {exc}"
         except BitOutOfRange as exc:
             completed, reason = False, f"io bit out of range: {exc}"
+        finally:
+            ctx.running = False
         stats = RunStats(
             instructions=self.stats_instructions,
             errors=sum(ctx.error_counts.values()),
@@ -496,20 +496,15 @@ class Controller:
                     if call_instr.annotation is not None:
                         # An annotated call is undone (or not) as a whole.
                         _drop_children(ctx.undo_log, ctx.call_stack())
-                    ctx.undo_log.append(ctx.emit(
-                        EventKind.INSTR_END,
-                        data={"text": format_instruction(call_instr)},
-                        pre_joints=frame.entry_joints,
-                        pre_bits=frame.entry_bits,
-                    ))
-                    self.stats_instructions += 1
+                    text = format_instruction(call_instr)
+                    self._end_instruction({"text": text}, frame.entry_joints, frame.entry_bits)
                     parent.index += 1
                     ctx.stack_changed()
                 continue
             instr = sequence.instructions[frame.index]
             if isinstance(instr, SeqCall):
                 if len(frames) >= MAX_CALL_DEPTH:
-                    raise _AbortRun(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
+                    raise RunAborted(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
                 ctx.emit(EventKind.INSTR_BEGIN, data={"text": format_instruction(instr)})
                 frames.append(self._frame(instr.name))
                 ctx.stack_changed()
@@ -552,10 +547,16 @@ class Controller:
                 data["aborted"] = True
             if success is not None:
                 data["outcome"] = "success" if success else "fail"
-            ctx.undo_log.append(ctx.emit(
-                EventKind.INSTR_END, data=data, pre_joints=pre_j, pre_bits=pre_b
-            ))
-            self.stats_instructions += 1
+            self._end_instruction(data, pre_j, pre_b)
+
+    def _end_instruction(self, data: dict, pre_joints, pre_bits) -> None:
+        """Record an `INSTR_END` and put it on the undo log."""
+        ctx = self.ctx
+        event = ctx.emit(EventKind.INSTR_END, data, pre_joints, pre_bits)
+        ctx.undo_log.append(event)
+        if ctx.in_recovery:
+            ctx.recovery_ends.add(event.index)
+        self.stats_instructions += 1
 
     # -- guarded moves ----------------------------------------------------
 
@@ -694,7 +695,7 @@ class Controller:
                     "raw": reading.raw,
                     "filtered": reading.filtered,
                 }
-                emit(_MOTION_SAMPLE, data, pre_j, None, pre_b)
+                emit(_MOTION_SAMPLE, data, pre_j, pre_b)
             if stop_if is not None and evaluate_query(stop_if, covered, reading.filtered):
                 return covered, True
             if advanced <= 1e-15:
@@ -711,7 +712,7 @@ class Controller:
         count = self._failure_counts.get(key, 0) + 1
         self._failure_counts[key] = count
         if count > MAX_RESUME_RETRIES:
-            raise _AbortRun(f"resume loop guard: error '{record.name}' recurred {count} times")
+            raise RunAborted(f"resume loop guard: error '{record.name}' recurred {count} times")
         spec = self.program.errors[record.name]
         self.stats_recoveries += 1
         ctx = self.ctx
@@ -737,7 +738,7 @@ class Controller:
                     index = 0 if self.options.return_to_sequence == "restart" else index + 1
                     resume_at = resume_at[:-1] + ((seq, index),)
         except RecoveryImpossible as exc:
-            raise _AbortRun(str(exc)) from None
+            raise RunAborted(str(exc)) from None
         finally:  # an abort inside the recovery sequence leaves its frames
             ctx.in_recovery = False
             del frames[base:]
@@ -804,25 +805,3 @@ def _perp_basis(direction):
     norm = math.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
     return (u[0] / norm, u[1] / norm, u[2] / norm)
 
-
-def run_program(
-    program: Program,
-    config: WorkcellConfig,
-    *,
-    seed: Optional[int] = None,
-    trace_sink=None,
-    options: Optional[ControllerOptions] = None,
-    registry: Optional[ActionRegistry] = None,
-    model=None,
-) -> RunResult:
-    """Execute the program's entry sequence; see Controller for the knobs."""
-    controller = Controller(
-        program,
-        config,
-        seed=seed,
-        trace_sink=trace_sink,
-        options=options,
-        registry=registry,
-        model=model,
-    )
-    return controller.run()

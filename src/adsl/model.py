@@ -3,8 +3,11 @@
 A program is a bundle of named declarations: items with keyframes, I/O
 operations, joint configurations, error handlers, guarded moves, and
 instruction sequences. All types here are immutable value objects.
-Construction never fails on semantic grounds; `validate_program` reports
-every structural problem as diagnostic data instead of raising.
+Constructors take their values as given: sequence fields are tuples and
+reals are floats, which `parse_program`, where program text enters, builds
+and direct callers pass. Construction never fails on semantic grounds;
+`validate_program` reports every structural problem as diagnostic data
+instead of raising.
 """
 
 from __future__ import annotations
@@ -197,9 +200,6 @@ class MoveJoint:
     annotation: Optional[Annotation] = None
     location: Optional[SourceLocation] = field(**_LOC)
 
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
-
 
 @dataclass(frozen=True)
 class Io:
@@ -221,9 +221,6 @@ class Call:
     items: tuple[str, ...] = ()
     annotation: Optional[Annotation] = None
     location: Optional[SourceLocation] = field(**_LOC)
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
 
 
 @dataclass(frozen=True)
@@ -252,20 +249,12 @@ class Keyframe:
     name: str
     coordinates: tuple[tuple[float, float, float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coordinates", tuple(tuple(c) for c in self.coordinates)
-        )
-
 
 @dataclass(frozen=True)
 class Item:
     name: str
     keyframes: tuple[Keyframe, ...]
     location: Optional[SourceLocation] = field(**_LOC)
-
-    def __post_init__(self):
-        object.__setattr__(self, "keyframes", tuple(self.keyframes))
 
 
 @dataclass(frozen=True)
@@ -274,9 +263,6 @@ class IOOperation:
     primitives: tuple[Primitive, ...]
     location: Optional[SourceLocation] = field(**_LOC)
 
-    def __post_init__(self):
-        object.__setattr__(self, "primitives", tuple(self.primitives))
-
 
 @dataclass(frozen=True)
 class JointConfiguration:
@@ -284,18 +270,12 @@ class JointConfiguration:
     joints: tuple[float, ...]
     location: Optional[SourceLocation] = field(**_LOC)
 
-    def __post_init__(self):
-        object.__setattr__(self, "joints", tuple(float(j) for j in self.joints))
-
 
 @dataclass(frozen=True)
 class Sequence:
     name: str
     instructions: tuple[Instruction, ...]
     location: Optional[SourceLocation] = field(**_LOC)
-
-    def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
 
 
 @dataclass(frozen=True)
@@ -320,11 +300,6 @@ class AdvMoveSpec:
     speed: Optional[SpeedLevel] = None
     on_success: tuple[Behavior, ...] = ()
     location: Optional[SourceLocation] = field(**_LOC)
-
-    def __post_init__(self):
-        object.__setattr__(self, "eval_queries", tuple(self.eval_queries))
-        object.__setattr__(self, "on_fail", tuple(self.on_fail))
-        object.__setattr__(self, "on_success", tuple(self.on_success))
 
 
 @dataclass(frozen=True)

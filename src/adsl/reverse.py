@@ -22,10 +22,12 @@ pre-step joints, and a call runs its registered reverse callback.
 
 When an error without a recovery sequence recurs, `recover_by_reversal(name,
 ctx)` backs up further each time, by a linear or exponential schedule, and
-resumes forward execution at the earliest instruction it undid. It reads the
+resumes forward execution at the earliest instruction it undid, skipping
+those of recovery sequences: a recovery is never resumed into. It reads the
 schedule, an immutable `ResumePolicy`, from `ctx.options` and counts each
 error's occurrences on `ctx`, so the counts are per run. The run is
-`in_recovery` meanwhile: an error a reverse callback signals aborts it.
+`in_recovery` meanwhile: an error a reverse callback signals aborts it. In a
+`reverse_execute` outside a run, such an error raises `RunAborted`.
 """
 
 from __future__ import annotations
@@ -262,8 +264,9 @@ class ResumePolicy:
 def recover_by_reversal(name: str, ctx) -> Optional[tuple]:
     """Reverse by the depth `ctx.options.resume_policy` gives this run's next
     occurrence of `name`; return the stack to resume at, that of the earliest
-    undone instruction, or None when nothing was undone (re-execute from the
-    signaling site).
+    undone instruction recorded outside a recovery sequence (whose frame is
+    not a call to resume in), or None when there is none (re-execute from
+    the signaling site).
 
     Raises RecoveryImpossible when the reversal saturates against the same
     barrier or never-reversible boundary twice in a row, or when the error
@@ -292,4 +295,5 @@ def recover_by_reversal(name: str, ctx) -> Optional[tuple]:
         ctx.saturation_markers[name] = marker
     else:
         ctx.saturation_markers.pop(name, None)
-    return plan.steps[-1].stack if plan.steps else None
+    outside = [s for s in plan.steps if s.index not in ctx.recovery_ends]
+    return outside[-1].stack if outside else None

@@ -174,9 +174,6 @@ class ExecutionTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
-
     def of_kind(self, kind: EventKind) -> list[TraceEvent]:
         return [ev for ev in self.events if ev.kind is kind]
 

@@ -7,9 +7,16 @@ sensor report a fixed contact force; readings pass through a running-average
 filter over the last `filter_window` samples. Everything is seeded and
 single-threaded, so identical call sequences produce bit-identical states.
 
+A `WorkcellConfig` checks its invariants when it is built, so no invalid
+config exists. `workcell_config_from_dict` is where JSON values are
+type-checked and made floats and tuples; direct constructors take them as
+given.
+
 The joint-to-pose mapping is pluggable. The default model maps joints 1-3 to
 the TCP position and joints 4-6 to ZYX Euler orientation, which is trivially
 invertible and keeps motion in joint space and Cartesian space identical.
+Its `fk` makes joints floats: it is where an action callback's
+`ctx.move_joints_to(...)` values enter.
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the pose of
 the current joints straight toward the target by at most speed*dt, less
@@ -119,14 +126,6 @@ DEFAULT_SPEED_MAP = {
 
 DEFAULT_SPEED = SpeedLevel.NORMAL
 
-_SPEED_ORDER = (
-    SpeedLevel.VERY_FAST,
-    SpeedLevel.FAST,
-    SpeedLevel.NORMAL,
-    SpeedLevel.SLOW,
-    SpeedLevel.VERY_SLOW,
-)
-
 
 @dataclass(frozen=True)
 class WorkcellConfig:
@@ -146,10 +145,7 @@ class WorkcellConfig:
     tool_transform: Pose = IDENTITY_POSE
 
     def __post_init__(self):
-        object.__setattr__(self, "home_joints", tuple(float(j) for j in self.home_joints))
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-
-    def validate(self) -> None:
+        """Check every invariant once, here: an invalid config is never built."""
         if self.dof < 1:
             raise WorkcellConfigError("dof must be positive")
         if len(self.home_joints) != self.dof:
@@ -173,10 +169,10 @@ class WorkcellConfig:
             raise WorkcellConfigError("perturbation_radius must be non-negative")
         if self.rng_seed < 0 or self.rng_seed > 0xFFFFFFFFFFFFFFFF:
             raise WorkcellConfigError("rng_seed must fit in 64 unsigned bits")
-        missing = [s.value for s in _SPEED_ORDER if s not in self.speed_map]
+        missing = [s.value for s in SpeedLevel if s not in self.speed_map]
         if missing:
             raise WorkcellConfigError(f"speed_map missing levels: {missing}")
-        values = [self.speed_map[s] for s in _SPEED_ORDER]
+        values = [self.speed_map[s] for s in SpeedLevel]  # declared fastest first
         if any(not (math.isfinite(v) and v > 0) for v in values):
             raise WorkcellConfigError("speed values must be positive")
         if any(slower >= faster for slower, faster in zip(values[1:], values)):
@@ -258,7 +254,8 @@ def _obstacle_from_dict(raw) -> Obstacle:
 
 
 def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
-    """Build and validate a config from parsed JSON; unknown keys are rejected."""
+    """Build a config from parsed JSON: the one place where config values are
+    type-checked and coerced to floats and tuples. Unknown keys are rejected."""
     if not isinstance(raw, dict):
         raise WorkcellConfigError("workcell config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -292,9 +289,7 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
         kwargs["speed_map"] = sm
     if "tool_transform" in raw:
         kwargs["tool_transform"] = _pose_from_dict(raw["tool_transform"])
-    config = WorkcellConfig(**kwargs)
-    config.validate()
-    return config
+    return WorkcellConfig(**kwargs)
 
 
 def load_workcell_config(path) -> WorkcellConfig:
@@ -374,7 +369,6 @@ class Workcell:
     """Config + kinematic model + mutable state, with the simulation verbs."""
 
     def __init__(self, config: WorkcellConfig, model: Optional[KinematicModel] = None):
-        config.validate()
         self.config = config
         self.model = model if model is not None else TranslationEulerModel()
         model_dof = getattr(self.model, "dof", config.dof)
@@ -393,9 +387,6 @@ class Workcell:
         if self._tcp[0] is not joints:
             self._tcp = (joints, self.model.fk(joints))
         return self._tcp[1]
-
-    def speed_value(self, level: SpeedLevel) -> float:
-        return self.config.speed_map[level]
 
     # -- motion -----------------------------------------------------------
 

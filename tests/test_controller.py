@@ -10,13 +10,13 @@ from adsl.controller import (
     Controller,
     ControllerOptions,
     InvalidProgramError,
+    RunAborted,
     default_registry,
     evaluate_query,
-    run_program,
 )
 from adsl.model import Comparison, DistanceCovered, ForcesExceed
 from adsl.parser import parse_program
-from adsl.reverse import PolicyMode, ResumePolicy
+from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
 from adsl.workcell import WorkcellConfig
 
@@ -85,13 +85,13 @@ class TestBasicInstructions:
 
     def test_unregistered_action_aborts(self):
         program = build('sequence "s" { call "glue" (); }')
-        result = run_program(program, quiet_config(), seed=0)
+        result = Controller(program, quiet_config(), seed=0).run()
         assert not result.completed
         assert "unregistered action" in result.reason
 
     def test_registered_stub_runs(self):
         program = build('sequence "s" { call "noop" (); call "log" (); }')
-        assert run_program(program, quiet_config(), seed=0).completed
+        assert Controller(program, quiet_config(), seed=0).run().completed
 
     def test_sequence_call_brackets(self):
         program = build(
@@ -109,7 +109,7 @@ class TestBasicInstructions:
             f'sequence "s{i}" {{ seq "s{i + 1}"; }}' for i in range(40)
         )
         program = build(chain + '\nsequence "s40" { wait 0.01; }\nentry "s0";')
-        result = run_program(program, quiet_config(), seed=0)
+        result = Controller(program, quiet_config(), seed=0).run()
         assert not result.completed
         assert "depth" in result.reason
 
@@ -247,6 +247,10 @@ class TestAdvancedMove:
         assert ends[0].data["failed"] == ["condition"]
 
 
+def _noop(ctx, items):
+    pass
+
+
 def _failing_call_registry(fail_times, error_name="flaky", reverse=None):
     """Stub action that signals `error_name` on its first `fail_times` runs;
     `reverse` makes it undoable."""
@@ -294,7 +298,7 @@ class TestErrorHandling:
             'entry "main";'
         )
         registry, state = _failing_call_registry(2)
-        result = run_program(program, quiet_config(), seed=0, registry=registry)
+        result = Controller(program, quiet_config(), seed=0, registry=registry).run()
         assert result.completed
         assert state["runs"] == 3  # two failures, then success
         assert result.stats.errors == 2
@@ -307,7 +311,7 @@ class TestErrorHandling:
             'entry "main";'
         )
         registry, state = _failing_call_registry(10**9)
-        result = run_program(program, quiet_config(), seed=0, registry=registry)
+        result = Controller(program, quiet_config(), seed=0, registry=registry).run()
         assert not result.completed
         assert "loop guard" in result.reason
         assert result.stats.errors == 6
@@ -399,7 +403,7 @@ class TestErrorHandling:
             'entry "main";'
         )
         registry, _ = _failing_call_registry(10**9)
-        result = run_program(program, quiet_config(), seed=0, registry=registry)
+        result = Controller(program, quiet_config(), seed=0, registry=registry).run()
         assert not result.completed
         assert "during recovery" in result.reason
 
@@ -420,6 +424,61 @@ class TestErrorHandling:
         assert not result.completed
         assert result.reason == "error 'flaky' during recovery"
         assert state["runs"] == 1
+
+    @pytest.mark.parametrize("respond,abort", [
+        ("immediately", False), ("current_action", False), ("current_action", True),
+    ])
+    def test_error_from_reverse_callback_after_the_run_aborts_the_reversal(self, respond, abort):
+        # No run is open to respond to the error, whether the run completed
+        # or aborted (here at an undeclared error, with its frame left open).
+        program = build(
+            f'error "oops" {{ recovery_sequence "rec"; respond_after {respond}; }}\n'
+            'sequence "rec" { wait 0.01; }\n'
+            'sequence "main" { call "undoable" (); call "stop" (); }\n'
+            'entry "main";'
+        )
+        def stop(ctx, items):
+            if abort:
+                ctx.signal_error("ghost")
+
+        registry = default_registry()
+        registry.register("undoable", _noop, lambda ctx, items: ctx.signal_error("oops"))
+        registry.register("stop", stop, _noop)
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        assert controller.run().completed is not abort
+        with pytest.raises(RunAborted, match="^error 'oops' during reversal$"):
+            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+        assert controller.ctx.pending == []
+
+    def test_reversal_into_a_recovery_sequence_resumes_outside_it(self):
+        # "flaky"'s second reversal also undoes the wait of "late"'s recovery
+        # sequence, which ran at the end of "main". Forward execution resumes
+        # at "flaky", not inside "rec", whose frame is not a call.
+        program = build(
+            'error "late" { recovery_sequence "rec"; respond_after current_sequence; }\n'
+            'error "flaky" { return_to action; }\n'
+            'sequence "rec" { wait 0.01; }\n'
+            'sequence "main" { call "late" (); call "flaky" (); }\n'
+            'entry "main";'
+        )
+        runs = []
+
+        def flaky(ctx, items):
+            runs.append(ctx.call_stack())
+            if len(runs) in (2, 3):
+                ctx.signal_error("flaky")
+
+        registry = default_registry()
+        registry.register("late", lambda ctx, items: ctx.signal_error("late"))
+        registry.register("flaky", flaky, _noop)
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        result = controller.run()
+        assert result.completed, result.reason
+        assert (result.stats.errors, result.stats.recoveries) == (3, 3)
+        assert runs == [(("main", 1),)] * 4
+        undone = [e.data["indices"] for e in controller.trace.of_kind(EventKind.REVERSE_END)]
+        assert [len(indices) for indices in undone] == [1, 2]
+        assert controller.trace.events[undone[1][1]].stack == (("main", 2), ("rec", 0))
 
     def test_deferred_error_survives_another_resolution(self):
         # "late" waits for the end of "main"; "flaky" is resolved before
@@ -468,7 +527,7 @@ class TestErrorHandling:
         program = build('sequence "main" { call "boom" (); }')
         registry = default_registry()
         registry.register("boom", lambda ctx, items: ctx.signal_error("ghost"))
-        result = run_program(program, quiet_config(), seed=0, registry=registry)
+        result = Controller(program, quiet_config(), seed=0, registry=registry).run()
         assert not result.completed
         assert "undeclared error" in result.reason
 
@@ -613,7 +672,7 @@ def runnable_programs(draw):
 @settings(max_examples=25, deadline=None)
 def test_valid_programs_execute_without_resolution_failures(text):
     program = build(text)
-    config = WorkcellConfig(noise_sigma=0.0, home_joints=(0, 0, 0.1, 0, 0, 0))
+    config = WorkcellConfig(noise_sigma=0.0, home_joints=(0.0, 0.0, 0.1, 0.0, 0.0, 0.0))
     options = ControllerOptions(record_motion_samples=False)
-    result = run_program(program, config, seed=0, options=options)
+    result = Controller(program, config, seed=0, options=options).run()
     assert result.completed, result.reason

@@ -1,8 +1,11 @@
+import collections
+import dataclasses
 import importlib.resources
 import importlib.util
 import os
 import random
 import string
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,13 +367,67 @@ class TestLexerOracle:
         assert_lexes_like_reference((EXAMPLES / name).read_text(encoding="utf-8"))
 
     def test_matches_reference_on_generated_corpus_program(self):
-        spec = importlib.util.spec_from_file_location(
-            "generate", os.path.join(ROOT, "bench", "generate.py")
-        )
-        generate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generate)
-        text, _ = generate.corpus_program(random.Random(7), 300)
+        text, _ = _bench_generator().corpus_program(random.Random(7), 300)
         assert_lexes_like_reference(text)
+
+
+def _bench_generator():
+    """`bench/generate.py`, which builds the benchmark's program corpus."""
+    spec = importlib.util.spec_from_file_location(
+        "generate", os.path.join(ROOT, "bench", "generate.py")
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
+
+
+# ---------------------------------------------------------------------------
+# The parser is the boundary where program text becomes values: model
+# constructors coerce nothing, so the parser must build exactly the types
+# the model declares.
+
+
+def _check_built_types(value, hint, counts) -> None:
+    """Assert `value` has exactly the type `hint` declares: a tuple for a
+    tuple field, a float for a real, an int for an integer, recursively."""
+    origin = typing.get_origin(hint)
+    if hint is float or hint is int:
+        assert type(value) is hint, (hint, value)
+        counts[hint.__name__] += 1
+    elif origin is tuple:
+        assert type(value) is tuple, (hint, value)
+        counts["tuple"] += 1
+        args = typing.get_args(hint)
+        element_hints = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        assert len(element_hints) == len(value), (hint, value)
+        for element, element_hint in zip(value, element_hints):
+            _check_built_types(element, element_hint, counts)
+    elif origin is dict:
+        for element in value.values():
+            _check_built_types(element, typing.get_args(hint)[1], counts)
+    elif origin is typing.Union:
+        if dataclasses.is_dataclass(value):
+            _check_built_types(value, type(value), counts)
+        elif value is not None and float in typing.get_args(hint):
+            _check_built_types(value, float, counts)
+    elif dataclasses.is_dataclass(hint):
+        assert type(value) is hint, (hint, value)
+        hints = typing.get_type_hints(hint)
+        for f in dataclasses.fields(value):
+            _check_built_types(getattr(value, f.name), hints[f.name], counts)
+
+
+@pytest.mark.parametrize(
+    "source", sorted(p.name for p in EXAMPLES.iterdir() if p.name.endswith(".adsl")) + [7, 11]
+)
+def test_parser_builds_tuples_and_exact_floats(source):
+    if isinstance(source, int):  # a seed of the benchmark's generated corpus
+        text, _ = _bench_generator().corpus_program(random.Random(source), 300)
+    else:
+        text = (EXAMPLES / source).read_text(encoding="utf-8")
+    counts = collections.Counter()
+    _check_built_types(parse_program(text), Program, counts)
+    assert counts["tuple"] > 0 and counts["float"] > 0, counts
 
 
 # ---------------------------------------------------------------------------

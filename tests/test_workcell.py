@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -391,7 +392,11 @@ class TestConfigLoading:
 
     def test_loaded_examples_validate(self, aligned_config, blocked_config, free_config):
         for cfg in (aligned_config, blocked_config, free_config):
-            cfg.validate()
+            assert dataclasses.replace(cfg) == cfg  # rebuilding runs the checks again
+
+    def test_config_checks_itself_when_built(self):
+        with pytest.raises(WorkcellConfigError, match="dt must be positive"):
+            WorkcellConfig(dt=0.0)
 
     def test_pluggable_model_dof_mismatch(self):
         class TwoAxis:
