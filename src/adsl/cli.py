@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .controller import Controller, ControllerOptions, MotionBlocked, RunAborted
+from .controller import Controller, ControllerOptions, RunAborted
 from .model import validate_program
 from .parser import ParseError, parse_program
 from .reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
@@ -149,7 +149,7 @@ def cmd_reverse(args) -> int:
         plan = reverse_execute(
             controller.trace, args.depth, controller.ctx, registry=controller.registry
         )
-    except (RunAborted, MotionBlocked, BitOutOfRange) as exc:
+    except (RunAborted, BitOutOfRange) as exc:
         print(f"error: reversal failed: {exc}", file=sys.stderr)
         return EXIT_ABORTED
 

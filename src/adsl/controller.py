@@ -13,11 +13,15 @@ recovery sequence then runs on top of the run's one frame stack, and
 `return_to` picks where forward execution resumes. Errors declared without a
 recovery sequence are delegated to the reverse-execution engine, which
 undoes recorded instructions from the context's undo log and resumes. An
-error signaled while another is being resolved aborts the run. Resuming
-moves the existing frames, so open calls keep their entry state and their
-pending `respond_after current_sequence` errors. The limits are module
-constants; the `ResumePolicy` in `ControllerOptions` is immutable, and the
-reversal occurrence counts it is applied to belong to the run.
+error signaled while another is being resolved aborts the run, as does an
+unguarded move into a solid: each abort is a `RunAborted`. The context owns
+the frame stack, and a `respond_after current_sequence` error waits on the
+frame it was signaled in. Resuming moves the existing frames, so open calls
+keep their entry state and waiting errors; a frame the resume drops takes
+its waiting errors with it, and `return_to restart_program` discards them
+all. The limits are module constants; the `ResumePolicy` in
+`ControllerOptions` is immutable, and the reversal occurrence counts it is
+applied to belong to the run.
 
 Every state change is recorded in an `ExecutionTrace`; runs with the same
 program, workcell config, and seed produce byte-identical traces.
@@ -187,11 +191,7 @@ class UnregisteredAction(RunAborted):
 
 
 class _ErrorUnwind(Exception):
-    """Carries an error record out of an instruction for immediate response."""
-
-    def __init__(self, record):
-        super().__init__(record.name)
-        self.record = record
+    """Carries an error's `(name, site)` out of an instruction for immediate response."""
 
 
 class InvalidProgramError(ValueError):
@@ -202,26 +202,18 @@ class InvalidProgramError(ValueError):
         self.diagnostics = diagnostics
 
 
-class MotionBlocked(RuntimeError):
-    """An unguarded move ran into a solid and cannot advance."""
-
-
-@dataclass
-class _PendingError:
-    name: str
-    site: tuple[tuple[str, int], ...]
-    respond: RespondAfter
-    frame: CallFrame  # the innermost frame at the signal
-
-
 class CallFrame:
-    __slots__ = ("seq", "index", "entry_joints", "entry_bits")
+    """An open sequence: its position, its entry state, and the `(name, site)`
+    of each `respond_after current_sequence` error waiting for its end."""
 
-    def __init__(self, seq: str, index: int = 0, entry_joints=(), entry_bits=()):
+    __slots__ = ("seq", "index", "entry_joints", "entry_bits", "deferred")
+
+    def __init__(self, seq: str, index: int, entry_joints, entry_bits):
         self.seq = seq
         self.index = index
         self.entry_joints = entry_joints
         self.entry_bits = entry_bits
+        self.deferred: list[tuple[str, tuple]] = []
 
     def __repr__(self):
         return f"CallFrame({self.seq!r}, {self.index})"
@@ -254,8 +246,10 @@ class ExecutionContext:
         self.running: bool = False  # inside `Controller.run`
         self.in_recovery: bool = False  # resolving an error; another aborts
         #: The one call-frame stack, outermost first; recoveries run on top.
+        #: Only the frame methods below write it or a frame's index.
         self.frames: list[CallFrame] = []
-        self.pending: list[_PendingError] = []
+        #: `(name, site)` of each `respond_after current_action` error queued.
+        self.pending: list[tuple[str, tuple]] = []
         #: The `INSTR_END` events reverse execution may still undo, oldest
         #: first; reversal pops them as it undoes them.
         self.undo_log: list[TraceEvent] = []
@@ -263,17 +257,48 @@ class ExecutionContext:
         self.recovery_ends: set[int] = set()
         self._stack: Optional[tuple[tuple[str, int], ...]] = None
 
-    # -- snapshots ----------------------------------------------------------
+    # -- frame stack ----------------------------------------------------------
 
     def call_stack(self) -> tuple[tuple[str, int], ...]:
-        """(sequence, index) of every frame, outermost first; cached, so every
-        frame push or pop and every index change calls `stack_changed`."""
+        """(sequence, index) of every frame, outermost first; cached until a
+        frame method below changes the stack."""
         if self._stack is None:
             self._stack = tuple((f.seq, f.index) for f in self.frames)
         return self._stack
 
-    def stack_changed(self) -> None:
+    def push(self, seq: str, index: int = 0) -> None:
+        """Open a frame on `seq` at `index`, entered in the current state."""
+        state = self.workcell.state
+        self.frames.append(CallFrame(seq, index, state.joints, state.bits()))
         self._stack = None
+
+    def truncate(self, depth: int) -> None:
+        """Drop the frames above `depth`, with the errors waiting on them."""
+        del self.frames[depth:]
+        self._stack = None
+
+    def advance(self) -> None:
+        """Move the top frame on to its next instruction."""
+        self.frames[-1].index += 1
+        self._stack = None
+
+    def resume(self, stack: tuple[tuple[str, int], ...]) -> None:
+        """Move the frames to `stack`: frames of calls still open stay, the
+        first whose index differs moves there, and deeper ones start fresh."""
+        frames = self.frames
+        keep = 0
+        for frame, (seq, index) in zip(frames, stack):
+            if frame.seq != seq:
+                break
+            keep += 1
+            if frame.index != index:
+                frame.index = index
+                break
+        self.truncate(keep)
+        for seq, index in stack[keep:]:
+            self.push(seq, index)
+
+    # -- snapshots ----------------------------------------------------------
 
     def emit(
         self, kind: EventKind, data: Optional[dict] = None, pre_joints=None, pre_bits=None
@@ -307,7 +332,7 @@ class ExecutionContext:
             self.active_speed = level
 
     def move_to_pose(self, target: Pose, speed: float) -> None:
-        """Drive the TCP to `target`; a blocking solid raises MotionBlocked."""
+        """Drive the TCP to `target`; a blocking solid raises RunAborted."""
         workcell = self.workcell
         record = self.options.record_motion_samples
         state = workcell.state
@@ -326,8 +351,9 @@ class ExecutionContext:
                 data = {"advanced": advanced, "contact": contact}
                 emit(_MOTION_SAMPLE, data, pre_j, pre_b)
             if contact and advanced <= 1e-15:
-                raise MotionBlocked(
-                    f"blocked at {workcell.tcp_pose().position} moving to {target.position}"
+                raise RunAborted(
+                    f"collision during move: blocked at {workcell.tcp_pose().position}"
+                    f" moving to {target.position}"
                 )
 
     def move_joints_to(self, joints) -> None:
@@ -383,8 +409,9 @@ class ExecutionContext:
 
     def signal_error(self, name: str) -> None:
         """Record a declared error, then raise it for an immediate response or
-        queue it until its `respond_after` point. During recovery, or in a
-        reversal outside a run, it raises `RunAborted` instead."""
+        queue it until its `respond_after` point: on the innermost frame for
+        `current_sequence`, in `pending` for `current_action`. During
+        recovery, or in a reversal outside a run, it raises `RunAborted`."""
         self.emit(EventKind.ERROR_SIGNALED, data={"error": name})
         self.error_counts[name] = self.error_counts.get(name, 0) + 1
         if self.in_recovery:
@@ -394,10 +421,13 @@ class ExecutionContext:
         spec = self.program.errors.get(name)
         if spec is None:
             raise RunAborted(f"undeclared error '{name}'")
-        record = _PendingError(name, self.call_stack(), spec.respond_after, self.frames[-1])
+        site = self.call_stack()
         if spec.respond_after is RespondAfter.IMMEDIATELY:
-            raise _ErrorUnwind(record)
-        self.pending.append(record)
+            raise _ErrorUnwind(name, site)
+        if spec.respond_after is RespondAfter.CURRENT_SEQUENCE:
+            self.frames[-1].deferred.append((name, site))
+        else:
+            self.pending.append((name, site))
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +467,13 @@ class Controller:
 
     def run(self) -> RunResult:
         ctx = self.ctx
-        ctx.frames.append(self._frame(self.program.entry))
-        ctx.stack_changed()
+        ctx.push(self.program.entry)
         ctx.running = True
         try:
             self._loop(0)
             completed, reason = True, None
         except RunAborted as exc:
             completed, reason = False, str(exc)
-        except MotionBlocked as exc:
-            completed, reason = False, f"collision during move: {exc}"
         except BitOutOfRange as exc:
             completed, reason = False, f"io bit out of range: {exc}"
         finally:
@@ -465,10 +492,6 @@ class Controller:
 
     # -- frame machine --------------------------------------------------------
 
-    def _frame(self, seq_name: str, index: int = 0) -> CallFrame:
-        state = self.ctx.workcell.state
-        return CallFrame(seq_name, index, state.joints, state.bits())
-
     def _loop(self, base: int) -> None:
         """Run the top frame until the stack is back down to `base` frames."""
         ctx = self.ctx
@@ -476,20 +499,17 @@ class Controller:
         program = self.program
         while len(frames) > base:
             if ctx.pending and not ctx.in_recovery:
-                record = self._take_pending(RespondAfter.CURRENT_ACTION, None)
-                if record is not None:
-                    self._resolve_error(record)
-                    continue
+                self._resolve_error(*ctx.pending.pop(0))
+                continue
             frame = frames[-1]
             sequence = program.sequences[frame.seq]
             if frame.index >= len(sequence.instructions):
-                if ctx.pending and not ctx.in_recovery:
-                    record = self._take_pending(RespondAfter.CURRENT_SEQUENCE, frame)
-                    if record is not None:
-                        self._resolve_error(record)
-                        continue
-                frames.pop()
-                ctx.stack_changed()
+                # Nothing waits on a frame that ends during recovery: an
+                # error signaled then aborts before it is queued.
+                if frame.deferred:
+                    self._resolve_error(*frame.deferred.pop(0))
+                    continue
+                ctx.truncate(len(frames) - 1)
                 if len(frames) > base:
                     parent = frames[-1]
                     call_instr = program.sequences[parent.seq].instructions[parent.index]
@@ -498,31 +518,21 @@ class Controller:
                         _drop_children(ctx.undo_log, ctx.call_stack())
                     text = format_instruction(call_instr)
                     self._end_instruction({"text": text}, frame.entry_joints, frame.entry_bits)
-                    parent.index += 1
-                    ctx.stack_changed()
+                    ctx.advance()
                 continue
             instr = sequence.instructions[frame.index]
             if isinstance(instr, SeqCall):
                 if len(frames) >= MAX_CALL_DEPTH:
                     raise RunAborted(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
                 ctx.emit(EventKind.INSTR_BEGIN, data={"text": format_instruction(instr)})
-                frames.append(self._frame(instr.name))
-                ctx.stack_changed()
+                ctx.push(instr.name)
                 continue
             try:
                 self._execute_leaf(instr)
             except _ErrorUnwind as unwind:
-                self._resolve_error(unwind.record)
+                self._resolve_error(*unwind.args)
                 continue
-            frame.index += 1
-            ctx.stack_changed()
-
-    def _take_pending(self, respond: RespondAfter, frame) -> Optional[_PendingError]:
-        pending = self.ctx.pending
-        for i, record in enumerate(pending):
-            if record.respond is respond and (frame is None or record.frame is frame):
-                return pending.pop(i)
-        return None
+            ctx.advance()
 
     # -- instruction execution ------------------------------------------------
 
@@ -706,33 +716,33 @@ class Controller:
 
     # -- error signaling and resolution -----------------------------------
 
-    def _resolve_error(self, record: _PendingError) -> None:
+    def _resolve_error(self, name: str, site: tuple[tuple[str, int], ...]) -> None:
         """Recover as declared, `in_recovery`, then resume the frames in place."""
-        key = (record.site, record.name)
+        key = (site, name)
         count = self._failure_counts.get(key, 0) + 1
         self._failure_counts[key] = count
         if count > MAX_RESUME_RETRIES:
-            raise RunAborted(f"resume loop guard: error '{record.name}' recurred {count} times")
-        spec = self.program.errors[record.name]
+            raise RunAborted(f"resume loop guard: error '{name}' recurred {count} times")
+        spec = self.program.errors[name]
         self.stats_recoveries += 1
         ctx = self.ctx
-        frames = ctx.frames
-        base = len(frames)
-        resume_at = record.site
+        base = len(ctx.frames)
+        resume_at = site
         ctx.in_recovery = True
         try:
             if spec.recovery_sequence is None:
-                resume_at = reverse_engine.recover_by_reversal(record.name, ctx) or resume_at
+                resume_at = reverse_engine.recover_by_reversal(name, ctx) or resume_at
             else:
-                data = {"error": record.name, "sequence": spec.recovery_sequence}
+                data = {"error": name, "sequence": spec.recovery_sequence}
                 ctx.emit(EventKind.RECOVERY_BEGIN, data=data)
-                frames.append(self._frame(spec.recovery_sequence))
-                ctx.stack_changed()
+                ctx.push(spec.recovery_sequence)
                 self._loop(base)
                 ctx.emit(EventKind.RECOVERY_END, data=dict(data))
                 if spec.return_to is ReturnTo.RESTART_PROGRAM:
+                    # Every waiting error is discarded with its frame.
                     resume_at = ((self.program.entry, 0),)
                     ctx.pending.clear()
+                    ctx.truncate(0)
                 elif spec.return_to is ReturnTo.SEQUENCE:
                     seq, index = resume_at[-1]
                     index = 0 if self.options.return_to_sequence == "restart" else index + 1
@@ -741,26 +751,8 @@ class Controller:
             raise RunAborted(str(exc)) from None
         finally:  # an abort inside the recovery sequence leaves its frames
             ctx.in_recovery = False
-            del frames[base:]
-            ctx.stack_changed()
-        self._resume(resume_at)
-
-    def _resume(self, stack: tuple[tuple[str, int], ...]) -> None:
-        """Move the frames to `stack`: frames of calls still open stay, the
-        first whose index differs moves there, and deeper ones start fresh."""
-        frames = self.ctx.frames
-        keep = 0
-        for frame, (seq, index) in zip(frames, stack):
-            if frame.seq != seq:
-                break
-            keep += 1
-            if frame.index != index:
-                frame.index = index
-                break
-        del frames[keep:]
-        for seq, index in stack[keep:]:
-            frames.append(self._frame(seq, index))
-        self.ctx.stack_changed()
+            ctx.truncate(base)
+        ctx.resume(resume_at)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ sensor report a fixed contact force; readings pass through a running-average
 filter over the last `filter_window` samples. Everything is seeded and
 single-threaded, so identical call sequences produce bit-identical states.
 
-A `WorkcellConfig` checks its invariants when it is built, so no invalid
-config exists. `workcell_config_from_dict` is where JSON values are
-type-checked and made floats and tuples; direct constructors take them as
-given.
+A `WorkcellConfig` checks its invariants when it is built, and each
+`Obstacle` its geometry, so no invalid config exists; `speed_map` is
+read-only, so none becomes invalid. `workcell_config_from_dict` is where JSON
+values are type-checked and made floats and tuples; direct constructors take
+them as given.
 
 The joint-to-pose mapping is pluggable. The default model maps joints 1-3 to
 the TCP position and joints 4-6 to ZYX Euler orientation, which is trivially
@@ -31,9 +32,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional, Protocol
+from types import MappingProxyType
+from typing import Mapping, Optional, Protocol
 
 from .model import Direction, Frame, SpeedLevel
 
@@ -93,13 +95,14 @@ class Hole:
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Axis-aligned box, solid except for an optional rectangular through-hole."""
+    """Axis-aligned box, solid except for an optional rectangular through-hole.
+    It checks its geometry when it is built."""
 
     box_min: tuple[float, float, float]
     box_max: tuple[float, float, float]
     hole: Optional[Hole] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for lo, hi in zip(self.box_min, self.box_max):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise WorkcellConfigError("obstacle box min must be strictly below max")
@@ -137,15 +140,15 @@ class WorkcellConfig:
     noise_sigma: float = 0.5
     filter_window: int = 5
     dt: float = 0.008
-    speed_map: dict[SpeedLevel, float] = field(
-        default_factory=lambda: dict(DEFAULT_SPEED_MAP)
-    )
+    #: Read-only: stored as a `MappingProxyType` over the config's own copy.
+    speed_map: Mapping[SpeedLevel, float] = field(default_factory=lambda: DEFAULT_SPEED_MAP)
     perturbation_radius: float = 0.01
     rng_seed: int = 0
     tool_transform: Pose = IDENTITY_POSE
 
     def __post_init__(self):
         """Check every invariant once, here: an invalid config is never built."""
+        object.__setattr__(self, "speed_map", MappingProxyType(dict(self.speed_map)))
         if self.dof < 1:
             raise WorkcellConfigError("dof must be positive")
         if len(self.home_joints) != self.dof:
@@ -179,24 +182,9 @@ class WorkcellConfig:
             raise WorkcellConfigError(
                 "speed_map must strictly decrease from very_fast to very_slow"
             )
-        for obs in self.obstacles:
-            obs.validate()
 
 
-_CONFIG_KEYS = {
-    "dof",
-    "home_joints",
-    "bit_count",
-    "obstacles",
-    "contact_force",
-    "noise_sigma",
-    "filter_window",
-    "dt",
-    "speed_map",
-    "perturbation_radius",
-    "rng_seed",
-    "tool_transform",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(WorkcellConfig))
 
 
 def _number(value, what: str) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import weakref
 
@@ -18,7 +19,7 @@ from adsl.model import Comparison, DistanceCovered, ForcesExceed
 from adsl.parser import parse_program
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import WorkcellConfig
+from adsl.workcell import Obstacle, WorkcellConfig
 
 
 from _helpers import build, max_overshoot_past_first_contact, quiet_config
@@ -450,6 +451,22 @@ class TestErrorHandling:
             reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
         assert controller.ctx.pending == []
 
+    def test_collision_in_a_reversal_after_the_run_aborts_it(self):
+        # The reverse callback drives through a wall; the blocked move is the
+        # same `RunAborted` that a run reports as its reason.
+        program = build('sequence "main" { call "undoable" (); }\nentry "main";')
+        registry = default_registry()
+        registry.register(
+            "undoable", _noop, lambda ctx, items: ctx.move_joints_to((0.3, 0, 0, 0, 0, 0))
+        )
+        config = WorkcellConfig(
+            noise_sigma=0.0, obstacles=(Obstacle((0.15, -0.5, -0.5), (0.25, 0.5, 0.5)),)
+        )
+        controller = Controller(program, config, seed=0, registry=registry)
+        assert controller.run().completed
+        with pytest.raises(RunAborted, match=r"^collision during move: blocked at \(0\.15, "):
+            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+
     def test_reversal_into_a_recovery_sequence_resumes_outside_it(self):
         # "flaky"'s second reversal also undoes the wait of "late"'s recovery
         # sequence, which ran at the end of "main". Forward execution resumes
@@ -499,6 +516,71 @@ class TestErrorHandling:
         begins = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
         assert [e.data["error"] for e in begins] == ["flaky", "late"]
         assert controller.ctx.pending == []
+
+    def test_waiting_error_goes_with_the_frame_a_resume_drops(self):
+        # The third "e" waits on "sub"'s frame; the second reversal undoes
+        # back into "main" and resumes there, dropping that frame. The bytes
+        # are those of a run that never handles the third "e", and nothing
+        # is left waiting.
+        program = build(
+            'error "e" { respond_after current_sequence; }\n'
+            'sequence "sub" { call "f" (); call "f" (); }\n'
+            'sequence "main" { wait 0.01; seq "sub"; }\n'
+            'entry "main";'
+        )
+        runs = []
+
+        def f(ctx, items):
+            runs.append(ctx.call_stack())
+            if len(runs) <= 3:
+                ctx.signal_error("e")
+
+        registry = default_registry()
+        registry.register("f", f, _noop)
+        options = ControllerOptions(resume_policy=ResumePolicy(PolicyMode.EXPONENTIAL, 2))
+        controller = Controller(
+            program, WorkcellConfig(noise_sigma=0.0), seed=0, registry=registry, options=options
+        )
+        result = controller.run()
+        assert result.completed
+        assert (result.stats.errors, result.stats.recoveries) == (3, 2)
+        assert len(controller.trace.events) == 26
+        digest = hashlib.sha256(controller.trace.serialize().encode()).hexdigest()
+        assert digest == "c2ba8e3708dc3dc13a027d8f62b843c6beb7fa183e506efca57df2de6480ee40"
+        assert controller.ctx.pending == []
+        assert controller.ctx.frames == []
+
+    def test_restart_program_discards_waiting_errors(self):
+        # "late" waits on "sub"'s frame and "later" on "main"'s; the restart
+        # after "boom" discards both, so only "boom" is ever handled.
+        program = build(
+            'error "late" { recovery_sequence "rec"; respond_after current_sequence; }\n'
+            'error "later" { recovery_sequence "rec"; respond_after current_sequence; }\n'
+            'error "boom" { recovery_sequence "rec"; return_to restart_program; }\n'
+            'sequence "rec" { wait 0.01; }\n'
+            'sequence "sub" { call "late" (); call "flaky" (); }\n'
+            'sequence "main" { call "later" (); seq "sub"; }\n'
+            'entry "main";'
+        )
+        registry, state = _failing_call_registry(1, error_name="boom")
+        signaled = []
+
+        def once(name):
+            def action(ctx, items):
+                if name not in signaled:
+                    signaled.append(name)
+                    ctx.signal_error(name)
+            return action
+
+        registry.register("late", once("late"))
+        registry.register("later", once("later"))
+        controller = Controller(program, quiet_config(), seed=0, registry=registry)
+        result = controller.run()
+        assert result.completed, result.reason
+        begins = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
+        assert [e.data["error"] for e in begins] == ["boom"]
+        assert state["runs"] == 2
+        assert (controller.ctx.pending, controller.ctx.frames) == ([], [])
 
     def test_shared_options_give_identical_traces(self):
         # The resume policy's occurrence counts belong to the run, so a

@@ -398,6 +398,24 @@ class TestConfigLoading:
         with pytest.raises(WorkcellConfigError, match="dt must be positive"):
             WorkcellConfig(dt=0.0)
 
+    def test_obstacle_checks_itself_when_built(self):
+        with pytest.raises(WorkcellConfigError, match="strictly below"):
+            Obstacle((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+        with pytest.raises(WorkcellConfigError, match="within the obstacle face"):
+            Obstacle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), Hole(HoleAxis.X, (0.5, 0.5), (0.6, 0.1)))
+
+    def test_speed_map_is_read_only(self):
+        c = WorkcellConfig(noise_sigma=0.0)
+        with pytest.raises(TypeError):
+            c.speed_map[SpeedLevel.NORMAL] = -0.1
+        bad = dict(c.speed_map)
+        bad[SpeedLevel.NORMAL] = -0.1
+        with pytest.raises(WorkcellConfigError, match="speed values must be positive"):
+            dataclasses.replace(c, speed_map=bad)
+        assert c.speed_map[SpeedLevel.NORMAL] == 0.1
+        assert c == WorkcellConfig(noise_sigma=0.0) == dataclasses.replace(c)
+        assert c == WorkcellConfig(noise_sigma=0.0, speed_map=dict(c.speed_map))
+
     def test_pluggable_model_dof_mismatch(self):
         class TwoAxis:
             dof = 2
