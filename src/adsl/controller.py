@@ -78,6 +78,7 @@ logger = logging.getLogger("adsl")
 _MOTION_SAMPLE = EventKind.MOTION_SAMPLE
 
 MAX_CALL_DEPTH = 32  # open sequence calls, recovery sequences included
+MAX_CONTROL_CYCLES = 600_000  # `step_motion` calls in one context, reversal included
 MAX_RESUME_RETRIES = 5  # resolutions of one error at one site before an abort
 
 
@@ -245,6 +246,7 @@ class ExecutionContext:
         self.active_speed: SpeedLevel = DEFAULT_SPEED
         self.running: bool = False  # inside `Controller.run`
         self.in_recovery: bool = False  # resolving an error; another aborts
+        self.cycles: int = 0  # control cycles so far, capped at MAX_CONTROL_CYCLES
         #: The one call-frame stack, outermost first; recoveries run on top.
         #: Only the frame methods below write it or a frame's index.
         self.frames: list[CallFrame] = []
@@ -340,21 +342,28 @@ class ExecutionContext:
         step_motion = workcell.step_motion
         emit = self.emit
         position, orientation = target.position, target.orientation
-        while True:
-            pose = tcp_pose()
-            if pose.position == position and pose.orientation == orientation:
-                return
-            pre_j = state.joints
-            pre_b = state.io_bits
-            contact, advanced = step_motion(target, speed)
-            if record:
-                data = {"advanced": advanced, "contact": contact}
-                emit(_MOTION_SAMPLE, data, pre_j, pre_b)
-            if contact and advanced <= 1e-15:
-                raise RunAborted(
-                    f"collision during move: blocked at {workcell.tcp_pose().position}"
-                    f" moving to {target.position}"
-                )
+        cycles = self.cycles
+        try:
+            while True:
+                pose = tcp_pose()
+                if pose.position == position and pose.orientation == orientation:
+                    return
+                if cycles >= MAX_CONTROL_CYCLES:
+                    raise _cycle_cap_exceeded()
+                cycles += 1
+                pre_j = state.joints
+                pre_b = state.io_bits
+                contact, advanced = step_motion(target, speed)
+                if record:
+                    data = {"advanced": advanced, "contact": contact}
+                    emit(_MOTION_SAMPLE, data, pre_j, pre_b)
+                if contact and advanced <= 1e-15:
+                    raise RunAborted(
+                        f"collision during move: blocked at {workcell.tcp_pose().position}"
+                        f" moving to {target.position}"
+                    )
+        finally:
+            self.cycles = cycles
 
     def move_joints_to(self, joints) -> None:
         self.move_to_pose(self.workcell.model.fk(tuple(joints)), self.speed_value())
@@ -691,27 +700,34 @@ class Controller:
         emit = ctx.emit
         stop_if = spec.stop_if
         until = spec.distance - 1e-12
-        while covered < until:
-            pre_j = state.joints
-            pre_b = state.io_bits
-            contact, advanced = step_motion(target, speed)
-            covered += advanced
-            reading = read_force(rng)
-            if record:
-                data = {
-                    "advanced": advanced,
-                    "covered": covered,
-                    "contact": contact,
-                    "raw": reading.raw,
-                    "filtered": reading.filtered,
-                }
-                emit(_MOTION_SAMPLE, data, pre_j, pre_b)
-            if stop_if is not None and evaluate_query(stop_if, covered, reading.filtered):
-                return covered, True
-            if advanced <= 1e-15:
-                # Blocked by a solid, or already at the target with the
-                # covered sum a rounding error short of the full distance.
-                break
+        cycles = ctx.cycles
+        try:
+            while covered < until:
+                if cycles >= MAX_CONTROL_CYCLES:
+                    raise _cycle_cap_exceeded()
+                cycles += 1
+                pre_j = state.joints
+                pre_b = state.io_bits
+                contact, advanced = step_motion(target, speed)
+                covered += advanced
+                reading = read_force(rng)
+                if record:
+                    data = {
+                        "advanced": advanced,
+                        "covered": covered,
+                        "contact": contact,
+                        "raw": reading.raw,
+                        "filtered": reading.filtered,
+                    }
+                    emit(_MOTION_SAMPLE, data, pre_j, pre_b)
+                if stop_if is not None and evaluate_query(stop_if, covered, reading.filtered):
+                    return covered, True
+                if advanced <= 1e-15:
+                    # Blocked by a solid, or already at the target with the
+                    # covered sum a rounding error short of the full distance.
+                    break
+        finally:
+            ctx.cycles = cycles
         return covered, False
 
     # -- error signaling and resolution -----------------------------------
@@ -757,6 +773,10 @@ class Controller:
 
 # ---------------------------------------------------------------------------
 # Helpers
+
+
+def _cycle_cap_exceeded() -> RunAborted:
+    return RunAborted(f"control cycles exceed MAX_CONTROL_CYCLES ({MAX_CONTROL_CYCLES})")
 
 
 def _drop_children(undo_log: list[TraceEvent], call_site: tuple) -> None:

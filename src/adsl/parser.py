@@ -6,11 +6,14 @@ are bare identifiers; everything else is named by a double-quoted string.
 Comments run from `#` to end of line. The grammar is documented in
 docs/grammar.ebnf and `printer.pretty_print` emits its canonical form.
 
-The lexer is one compiled regular expression that skips whitespace and
-comments and matches one token per match; where no token matches, a short
-check of the failing text names the error. A token records only its offset
-and builds its `SourceLocation` (line, column) when `location` is read,
-since the parser reads locations for few tokens.
+The lexer is one compiled regular expression that matches one token, and
+the whitespace and comments after it, per match; the named group that
+matched is the token's kind. `tokenize` keeps no object per token: it fills
+three columns, the kinds, raw texts and start offsets (about 85 bytes a
+token on the benchmark corpus), and the parser reads them by index. A
+token's value (an unescaped string, an int or float) and its
+`SourceLocation` (line, column) are built only where they are used. Where
+no token matches, a short check of the failing text names the error.
 
 Parsing is a pure function of the input text: it either returns a complete
 `Program` or raises `ParseError` at the first failure point.
@@ -19,7 +22,9 @@ Parsing is a pure function of the input text: it either returns a complete
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Optional
 
 from .model import (
@@ -78,39 +83,37 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ";": "SEMI",
-    "=": "EQUALS",
-    "@": "AT",
-}
-
 #: A string literal up to, not including, its closing quote.
 _STRING_PREFIX = r'"(?:[^"\\\n]|\\["\\])*'
 
-#: One match per token: whitespace and comments, then exactly one token.
-#: Every position matches some alternative (at worst ERROR or the end of
-#: input), so `finditer` never skips text and never backtracks into the
-#: skipped run. The classes are ASCII on purpose: `\d` and `\w` also match
-#: non-ASCII digits and letters, which the grammar excludes.
+#: Whitespace and comments, which separate tokens.
+_BLANKS = r"[ \t\r\n]* (?: \# [^\n]* [ \t\r\n]* )*"
+
+#: `int` converts an integer of at most this many digits from text under any
+#: limit the interpreter sets. A longer one lexes as ERROR, and
+#: `_check_errors` makes it a NUMBER if it converts under the current limit.
+_SAFE_DIGITS = sys.int_info.str_digits_check_threshold
+
+#: One match per token: exactly one token, then the blanks after it. The
+#: group that matched names the token's kind. Past the leading blanks every
+#: position matches some alternative (at worst ERROR or the end of input), so
+#: `finditer` never skips text. The classes are ASCII on purpose: `\d` and
+#: `\w` also match non-ASCII digits and letters, which the grammar excludes.
 _TOKEN_RE = re.compile(
     rf"""
-    [ \t\r\n]* (?: \# [^\n]* [ \t\r\n]* )*
     (?: (?P<IDENT> [A-Za-z_][A-Za-z0-9_]* )
-      | (?P<PUNCT> [{{}}(),;=@] )
+      | (?P<NUMBER> [+-]?[0-9]+\.[0-9]+ | [+-]?[0-9]{{1,{_SAFE_DIGITS}}}(?![0-9]) )
+      | (?P<SEMI> ; ) | (?P<COMMA> , ) | (?P<LBRACE> \{{ ) | (?P<RBRACE> \}} )
+      | (?P<LPAREN> \( ) | (?P<RPAREN> \) ) | (?P<EQUALS> = ) | (?P<AT> @ )
       | (?P<STRING> {_STRING_PREFIX}" )
-      | (?P<FLOAT> [+-]?[0-9]+\.[0-9]+ )
-      | (?P<INT> [+-]?[0-9]+ )
-      | (?P<ERROR> {_STRING_PREFIX} | . )
-      | \Z
-    )
+      | (?P<ERROR> {_STRING_PREFIX} | [+-]?[0-9]+ | . )
+      | (?P<EOF> \Z )
+    ) {_BLANKS}
     """,
     re.VERBOSE,
 )
+_LEADING_BLANKS = re.compile(_BLANKS, re.VERBOSE)
+_LONG_INTEGER = re.compile(r"[+-]?[0-9]+")
 _NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r'\\(["\\])')
 
@@ -120,63 +123,72 @@ def _location(line_starts: list[int], offset: int) -> SourceLocation:
     return SourceLocation(line, offset - line_starts[line - 1] + 1, offset)
 
 
-class Token:
-    """One token; its `location` is built from `offset` when read."""
+class Tokens:
+    """The tokens of one text, as columns: token `i` has kind `kinds[i]`,
+    raw text `texts[i]` and start offset `offsets[i]`. The last token is
+    EOF, with empty text at the end of the input. A token's value and
+    location are built only when asked for."""
 
-    __slots__ = ("kind", "text", "value", "offset", "_line_starts")
+    __slots__ = ("kinds", "texts", "offsets", "line_starts")
 
-    def __init__(self, kind, text, value, offset, line_starts):
-        self.kind = kind
-        self.text = text
-        self.value = value
-        self.offset = offset
-        self._line_starts = line_starts
+    def __init__(self, kinds, texts, offsets, line_starts):
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+        self.line_starts = line_starts
 
-    @property
-    def location(self) -> SourceLocation:
-        return _location(self._line_starts, self.offset)
+    def __len__(self) -> int:
+        return len(self.kinds)
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
+    def location(self, i: int) -> SourceLocation:
+        return _location(self.line_starts, self.offsets[i])
+
+    def value(self, i: int):
+        """The unescaped string, the int or float, the word or mark; None at EOF."""
+        kind, raw = self.kinds[i], self.texts[i]
+        if kind == "STRING":
+            raw = raw[1:-1]
+            return _ESCAPE.sub(itemgetter(1), raw) if "\\" in raw else raw
+        if kind == "NUMBER":
+            return float(raw) if "." in raw else int(raw)
+        return raw if kind != "EOF" else None
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Tokens:
     """Split `text` into tokens; total over all inputs (errors, not crashes)."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
+    for m in _TOKEN_RE.finditer(text, _LEADING_BLANKS.match(text).end()):
+        kind = m.lastgroup
+        add_kind(kind)
+        add_text(m[kind])
+        add_offset(m.start())
     line_starts = [0]
     line_starts += [m.end() for m in _NEWLINE.finditer(text)]
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "IDENT":
-            value = raw = m["IDENT"]
-        elif kind == "PUNCT":
-            value = raw = m["PUNCT"]
-            kind = _PUNCT[raw]
-        elif kind == "INT":
-            raw = m["INT"]
-            try:
-                kind, value = "NUMBER", int(raw)
-            except ValueError:  # more digits than `int` converts from text
-                where = _location(line_starts, m.end() - len(raw))
-                found = f"{len(raw.lstrip('+-'))}-digit integer"
-                raise ParseError(where, ("a shorter integer",), found) from None
-        elif kind == "FLOAT":
-            raw = m["FLOAT"]
-            kind, value = "NUMBER", float(raw)
-        elif kind == "STRING":
-            raw = m["STRING"]
-            value = raw[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-        elif kind == "ERROR":
-            raise _lex_error(text, m.start("ERROR"), m.end(), line_starts)
-        else:  # end of input
-            break
-        # The token ends the match; whitespace and comments precede it.
-        append(Token(kind, raw, value, m.end() - len(raw), line_starts))
-    append(Token("EOF", "", None, len(text), line_starts))
+    tokens = Tokens(kinds, texts, offsets, line_starts)
+    if "ERROR" in kinds:
+        _check_errors(text, tokens)
     return tokens
+
+
+def _check_errors(text: str, tokens: Tokens):
+    """Raise the error for the first ERROR token, in text order, that is not
+    an integer `int` converts; an integer that converts becomes a NUMBER."""
+    for i, kind in enumerate(tokens.kinds):
+        if kind != "ERROR":
+            continue
+        raw = tokens.texts[i]
+        if not _LONG_INTEGER.fullmatch(raw):
+            start = tokens.offsets[i]
+            raise _lex_error(text, start, start + len(raw), tokens.line_starts)
+        try:
+            int(raw)
+        except ValueError:  # more digits than `int` converts from text
+            found = f"{len(raw.lstrip('+-'))}-digit integer"
+            raise ParseError(tokens.location(i), ("a shorter integer",), found) from None
+        tokens.kinds[i] = "NUMBER"
 
 
 def _lex_error(text: str, start: int, end: int, line_starts: list[int]) -> ParseError:
@@ -219,65 +231,65 @@ _COMPARISONS = {c.value: c for c in Comparison}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Reads the token columns by index. A word is matched on its text
+    alone, since no token of another kind has an identifier's text."""
+
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def location(self) -> SourceLocation:
+        return self.tokens.location(self.pos)
 
     def fail(self, *expected: str):
-        tok = self.tokens[self.pos]
-        found = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(tok.location, expected, found)
+        pos = self.pos
+        found = self.texts[pos] if self.kinds[pos] != "EOF" else "end of input"
+        raise ParseError(self.tokens.location(pos), expected, found)
 
-    def expect(self, kind: str, description: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+    def expect(self, kind: str, description: str) -> str:
+        """The text of the current token, which must be of `kind`; moves past it."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
             self.fail(description)
-        if kind != "EOF":
-            self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def expect_word(self, word: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "IDENT" or tok.value != word:
+    def expect_word(self, word: str):
+        if self.texts[self.pos] != word:
             self.fail(f"'{word}'")
-        return self.advance()
+        self.pos += 1
 
-    def at_word(self, *words: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "IDENT" and tok.value in words
+    def at_word(self, word: str) -> bool:
+        return self.texts[self.pos] == word
 
     def string(self, description: str) -> str:
-        return self.expect("STRING", description).value
+        self.expect("STRING", description)
+        return self.tokens.value(self.pos - 1)
 
     def ident(self, description: str) -> str:
-        return self.expect("IDENT", description).value
+        return self.expect("IDENT", description)
 
     def number(self, description: str = "number") -> float:
         # From the text, so an integer beyond float range is inf, as a real is.
-        return float(self.expect("NUMBER", description).text)
+        return float(self.expect("NUMBER", description))
 
     def integer(self, description: str) -> int:
-        tok = self.tokens[self.pos]
-        if tok.kind != "NUMBER" or not isinstance(tok.value, int):
+        pos = self.pos
+        if self.kinds[pos] != "NUMBER" or "." in self.texts[pos]:
             self.fail(description)
-        return self.advance().value
+        self.pos = pos + 1
+        return self.tokens.value(pos)
 
     def keyword_from(self, table: dict, description: str):
-        tok = self.tokens[self.pos]
-        if tok.kind != "IDENT" or tok.value not in table:
+        word = self.texts[self.pos]
+        if word not in table:
             self.fail(description)
-        return table[self.advance().value]
+        self.pos += 1
+        return table[word]
 
     def semi(self):
         self.expect("SEMI", "';'")
@@ -287,11 +299,12 @@ class _Parser:
         elements fails expecting `empty`."""
         self.expect("LBRACE", "'{'")
         elements = []
-        while self.peek().kind != "RBRACE":
+        kinds = self.kinds
+        while kinds[self.pos] != "RBRACE":
             elements.append(element())
         if empty is not None and not elements:
             self.fail(empty)
-        self.expect("RBRACE", "'}'")
+        self.pos += 1
         return tuple(elements)
 
     # -- program ------------------------------------------------------------
@@ -311,28 +324,27 @@ class _Parser:
                 raise ParseError(location, (f"unique {what} name",), decl.name)
             table[decl.name] = decl
 
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.value not in _DECL_WORDS:
+        while self.kinds[self.pos] != "EOF":
+            word = self.texts[self.pos]
+            if word not in _DECL_WORDS:
                 self.fail(*(f"'{w}'" for w in _DECL_WORDS))
-            loc = tok.location
-            word = tok.value
+            loc = self.location()
+            self.pos += 1
             if word == "item":
-                declare(items, self.item_decl(), "item", loc)
+                declare(items, self.item_decl(loc), "item", loc)
             elif word == "io_operation":
-                declare(io_ops, self.io_decl(), "io operation", loc)
+                declare(io_ops, self.io_decl(loc), "io operation", loc)
             elif word == "joint_configuration":
-                declare(joint_confs, self.joint_decl(), "joint configuration", loc)
+                declare(joint_confs, self.joint_decl(loc), "joint configuration", loc)
             elif word == "sequence":
-                declare(sequences, self.sequence_decl(), "sequence", loc)
+                declare(sequences, self.sequence_decl(loc), "sequence", loc)
             elif word == "error":
-                declare(errors, self.error_decl(), "error", loc)
+                declare(errors, self.error_decl(loc), "error", loc)
             elif word == "advanced_move":
-                declare(adv_moves, self.adv_move_decl(), "advanced move", loc)
+                declare(adv_moves, self.adv_move_decl(loc), "advanced move", loc)
             else:
                 if entry_declared:
                     raise ParseError(loc, ("a single entry declaration",), "entry")
-                self.advance()
                 entry = self.string("entry sequence name")
                 self.semi()
                 entry_declared = True
@@ -345,9 +357,9 @@ class _Parser:
         return Program(items, io_ops, joint_confs, sequences, errors, adv_moves, entry)
 
     # -- declarations ---------------------------------------------------------
+    # Each starts past its declaration word, which is at `loc`.
 
-    def item_decl(self) -> Item:
-        loc = self.expect_word("item").location
+    def item_decl(self, loc: SourceLocation) -> Item:
         name = self.string("item name")
         return Item(name, self.braced(self.keyframe, "keyframe"), location=loc)
 
@@ -356,8 +368,8 @@ class _Parser:
         name = self.ident("keyframe name")
         self.expect("LBRACE", "'{'")
         coords = []
-        while self.peek().kind == "LPAREN":
-            self.advance()
+        while self.kinds[self.pos] == "LPAREN":
+            self.pos += 1
             x = self.number()
             self.expect("COMMA", "','")
             y = self.number()
@@ -371,64 +383,58 @@ class _Parser:
         self.expect("RBRACE", "'}'")
         return Keyframe(name, tuple(coords))
 
-    def io_decl(self) -> IOOperation:
-        loc = self.expect_word("io_operation").location
+    def io_decl(self, loc: SourceLocation) -> IOOperation:
         name = self.string("io operation name")
         return IOOperation(name, self.braced(self.primitive), location=loc)
 
     def primitive(self):
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail("'set_low'", "'set_high'", "'bit'", "'sleep'")
-        word = tok.value
+        word = self.texts[self.pos]
         if word == "set_low":
-            self.advance()
+            self.pos += 1
             self.semi()
             return SetLow()
         if word == "set_high":
-            self.advance()
+            self.pos += 1
             self.semi()
             return SetHigh()
         if word == "bit":
-            self.advance()
+            self.pos += 1
             index = self.integer("bit index")
             self.semi()
             return SelectBit(index)
         if word == "sleep":
-            self.advance()
+            self.pos += 1
             seconds = self.number("sleep duration")
             self.semi()
             return Sleep(seconds)
         self.fail("'set_low'", "'set_high'", "'bit'", "'sleep'")
 
-    def joint_decl(self) -> JointConfiguration:
-        loc = self.expect_word("joint_configuration").location
+    def joint_decl(self, loc: SourceLocation) -> JointConfiguration:
         name = self.ident("joint configuration name")
         self.expect("EQUALS", "'='")
         self.expect("LBRACE", "'{'")
         joints = [self.number()]
-        while self.peek().kind == "COMMA":
-            self.advance()
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             joints.append(self.number())
         self.expect("RBRACE", "'}'")
         self.semi()
         return JointConfiguration(name, tuple(joints), location=loc)
 
-    def sequence_decl(self) -> Sequence:
-        loc = self.expect_word("sequence").location
+    def sequence_decl(self, loc: SourceLocation) -> Sequence:
         name = self.string("sequence name")
         return Sequence(name, self.braced(self.instruction, "instruction"), location=loc)
 
     def instruction(self) -> Instruction:
         annotation = None
-        if self.peek().kind == "AT":
+        if self.kinds[self.pos] == "AT":
             annotation = self.annotation()
         instr = self.instruction_core(annotation)
         self.semi()
         return instr
 
     def annotation(self) -> Annotation:
-        self.expect("AT", "'@'")
+        self.pos += 1  # past '@'
         word = self.ident("annotation name")
         if word == "nonreversible":
             return NonReversible()
@@ -441,25 +447,23 @@ class _Parser:
             inner = self.instruction_core(None)
             self.expect("RPAREN", "')'")
             return ReverseWith(inner)
-        tok = self.tokens[self.pos - 1]
         raise ParseError(
-            tok.location,
+            self.tokens.location(self.pos - 1),
             ("'nonreversible'", "'skip_on_reverse'", "'barrier'", "'reverse_with'"),
             word,
         )
 
     def instruction_core(self, annotation) -> Instruction:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.value not in _INSTRUCTION_WORDS:
+        word = self.texts[self.pos]
+        if word not in _INSTRUCTION_WORDS:
             self.fail("instruction")
-        loc = tok.location
-        word = tok.value
-        self.advance()
+        loc = self.location()
+        self.pos += 1
         if word == "move":
             self.expect_word("to")
             waypoints = [self.ident("joint configuration name")]
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
                 waypoints.append(self.ident("joint configuration name"))
             return MoveJoint(tuple(waypoints), annotation, location=loc)
         if word == "io":
@@ -470,47 +474,43 @@ class _Parser:
             action = self.string("action name")
             self.expect("LPAREN", "'('")
             items = []
-            while self.peek().kind == "STRING":
-                items.append(self.advance().value)
+            while self.kinds[self.pos] == "STRING":
+                items.append(self.string("item name"))
             self.expect("RPAREN", "')'")
             return Call(action, tuple(items), annotation, location=loc)
         if word == "adv_move":
             return AdvMoveRef(self.string("advanced move name"), annotation, location=loc)
         return SeqCall(self.string("sequence name"), annotation, location=loc)
 
-    def error_decl(self) -> ErrorSpec:
-        loc = self.expect_word("error").location
+    def error_decl(self, loc: SourceLocation) -> ErrorSpec:
         name = self.string("error name")
         self.expect("LBRACE", "'{'")
         recovery = None
         respond = None
         ret = None
-        while self.peek().kind != "RBRACE":
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                self.fail("'recovery_sequence'", "'respond_after'", "'return_to'")
-            word = tok.value
+        while self.kinds[self.pos] != "RBRACE":
+            word = self.texts[self.pos]
             if word == "recovery_sequence":
                 if recovery is not None:
-                    raise ParseError(tok.location, ("a single recovery_sequence",), word)
-                self.advance()
+                    raise ParseError(self.location(), ("a single recovery_sequence",), word)
+                self.pos += 1
                 recovery = self.string("sequence name")
                 self.semi()
             elif word == "respond_after":
                 if respond is not None:
-                    raise ParseError(tok.location, ("a single respond_after",), word)
-                self.advance()
+                    raise ParseError(self.location(), ("a single respond_after",), word)
+                self.pos += 1
                 respond = self.keyword_from(_RESPONDS, "response timing")
                 self.semi()
             elif word == "return_to":
                 if ret is not None:
-                    raise ParseError(tok.location, ("a single return_to",), word)
-                self.advance()
+                    raise ParseError(self.location(), ("a single return_to",), word)
+                self.pos += 1
                 ret = self.keyword_from(_RETURNS, "resume target")
                 self.semi()
             else:
                 self.fail("'recovery_sequence'", "'respond_after'", "'return_to'")
-        self.expect("RBRACE", "'}'")
+        self.pos += 1
         return ErrorSpec(
             name,
             recovery_sequence=recovery,
@@ -520,17 +520,15 @@ class _Parser:
         )
 
     def query(self) -> Query:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail("'forces_exceed'", "'distance_covered'")
-        if tok.value == "forces_exceed":
-            self.advance()
+        word = self.texts[self.pos]
+        if word == "forces_exceed":
+            self.pos += 1
             self.expect("LPAREN", "'('")
             threshold = self.number("force threshold")
             self.expect("RPAREN", "')'")
             return ForcesExceed(threshold)
-        if tok.value == "distance_covered":
-            self.advance()
+        if word == "distance_covered":
+            self.pos += 1
             self.expect("LPAREN", "'('")
             cmp = self.keyword_from(_COMPARISONS, "'more_than' or 'less_than'")
             self.expect("COMMA", "','")
@@ -545,22 +543,22 @@ class _Parser:
         return query
 
     def behavior(self):
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        if self.kinds[self.pos] != "IDENT":
             self.fail("behavior")
-        if tok.value == "return_to_initial_position":
-            self.advance()
+        word = self.texts[self.pos]
+        if word == "return_to_initial_position":
+            self.pos += 1
             self.semi()
             return ReturnToInitialPosition()
-        if tok.value == "repeat_with_perturbation":
-            self.advance()
+        if word == "repeat_with_perturbation":
+            self.pos += 1
             self.expect("LPAREN", "'('")
             retries = self.integer("retry count")
             self.expect("RPAREN", "')'")
             self.semi()
             return RepeatWithPerturbation(retries)
-        if tok.value == "throw_error":
-            self.advance()
+        if word == "throw_error":
+            self.pos += 1
             self.expect("LPAREN", "'('")
             error = self.string("error name")
             self.expect("RPAREN", "')'")
@@ -576,14 +574,13 @@ class _Parser:
         self.expect_word(word)
         return self.braced(self.behavior)
 
-    def adv_move_decl(self) -> AdvMoveSpec:
-        loc = self.expect_word("advanced_move").location
+    def adv_move_decl(self, loc: SourceLocation) -> AdvMoveSpec:
         name = self.string("advanced move name")
         self.expect("LBRACE", "'{'")
 
         condition = None
         if self.at_word("condition"):
-            self.advance()
+            self.pos += 1
             condition = self.query_statement()
 
         self.expect_word("specification")
@@ -597,11 +594,11 @@ class _Parser:
         self.semi()
         stop_if = None
         if self.at_word("stop_if"):
-            self.advance()
+            self.pos += 1
             stop_if = self.query_statement()
         speed = None
         if self.at_word("speed"):
-            self.advance()
+            self.pos += 1
             speed = self.keyword_from(_SPEEDS, "speed level")
             self.semi()
         self.expect("RBRACE", "'}'")
@@ -617,8 +614,8 @@ class _Parser:
             self.fail("'on_fail'")
         on_fail = self.behavior_block("on_fail")
         if not on_fail:
-            tok = self.peek()
-            raise ParseError(tok.location, ("at least one on_fail behavior",), tok.text)
+            found = self.texts[self.pos]
+            raise ParseError(self.location(), ("at least one on_fail behavior",), found)
 
         self.expect("RBRACE", "'}'")
         return AdvMoveSpec(
@@ -643,7 +640,4 @@ def parse_program(text: str) -> Program:
     ever returned. The result may still be semantically invalid; run
     `model.validate_program` before executing it.
     """
-    parser = _Parser(tokenize(text))
-    program = parser.program()
-    parser.expect("EOF", "end of input")
-    return program
+    return _Parser(tokenize(text)).program()

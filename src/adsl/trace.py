@@ -174,9 +174,6 @@ class ExecutionTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.kind is kind]
-
     def serialize(self) -> str:
         memo = _Memo()
         return "".join([serialize_event(ev, memo) + "\n" for ev in self.events])

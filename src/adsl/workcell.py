@@ -182,6 +182,8 @@ class WorkcellConfig:
             raise WorkcellConfigError(
                 "speed_map must strictly decrease from very_fast to very_slow"
             )
+        if values[-1] * self.dt == 0.0:  # the tool could never move at very_slow
+            raise WorkcellConfigError("dt is too small: very_slow speed * dt is 0.0")
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(WorkcellConfig))

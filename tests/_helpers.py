@@ -25,6 +25,11 @@ def quiet_config(**overrides):
     return workcell_config_from_dict(raw)
 
 
+def of_kind(trace, kind):
+    """The events of `trace` of one `EventKind`, in order."""
+    return [event for event in trace.events if event.kind is kind]
+
+
 def max_overshoot_past_first_contact(trace):
     """Largest per-attempt advance recorded after that attempt's first contact."""
     worst = None

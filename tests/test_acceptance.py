@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from _helpers import max_overshoot_past_first_contact, random_reversible_program
+from _helpers import max_overshoot_past_first_contact, of_kind, random_reversible_program
 
 from adsl.cli import main as cli_main
 from adsl.controller import Controller, ControllerOptions
@@ -73,8 +73,8 @@ def test_criterion_2_aligned_peg_in_hole():
         controller, result = run_example("peg_in_hole.adsl", "aligned.json")
         assert result.completed and result.stats.errors == 0
 
-        begins = controller.trace.of_kind(EventKind.ATTEMPT_BEGIN)
-        ends = controller.trace.of_kind(EventKind.ATTEMPT_END)
+        begins = of_kind(controller.trace, EventKind.ATTEMPT_BEGIN)
+        ends = of_kind(controller.trace, EventKind.ATTEMPT_END)
         assert len(begins) == len(ends) == 1
         assert begins[0].data["move"] == "insert_peg"
         assert ends[0].data["covered"] > 0.20  # strict
@@ -82,7 +82,7 @@ def test_criterion_2_aligned_peg_in_hole():
         # on_success return_to_initial_position restored the TCP pose.
         instr_end = next(
             e
-            for e in controller.trace.of_kind(EventKind.INSTR_END)
+            for e in of_kind(controller.trace, EventKind.INSTR_END)
             if e.data["text"] == 'adv_move "insert_peg";'
         )
         assert instr_end.post_joints == instr_end.pre_joints
@@ -93,12 +93,12 @@ def test_criterion_3_blocked_peg_in_hole():
         controller, result = run_example("peg_in_hole.adsl", "blocked.json")
         assert result.completed, result.reason
 
-        assert len(controller.trace.of_kind(EventKind.ATTEMPT_BEGIN)) == 4
-        errors = controller.trace.of_kind(EventKind.ERROR_SIGNALED)
+        assert len(of_kind(controller.trace, EventKind.ATTEMPT_BEGIN)) == 4
+        errors = of_kind(controller.trace, EventKind.ERROR_SIGNALED)
         assert [e.data["error"] for e in errors] == ["peg_not_inserted"]
 
-        rec_begin = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
-        rec_end = controller.trace.of_kind(EventKind.RECOVERY_END)
+        rec_begin = of_kind(controller.trace, EventKind.RECOVERY_BEGIN)
+        rec_end = of_kind(controller.trace, EventKind.RECOVERY_END)
         assert len(rec_begin) == len(rec_end) == 1
         assert rec_begin[0].data["sequence"] == "peg_in_hole_recovery"
 
@@ -296,7 +296,7 @@ def test_criterion_8_progressive_resume_policy():
             controller.run()
             depths = [
                 e.data["depth"]
-                for e in controller.trace.of_kind(EventKind.REVERSE_BEGIN)
+                for e in of_kind(controller.trace, EventKind.REVERSE_BEGIN)
             ]
             assert depths[:3] == expected, depths
 

@@ -13,6 +13,7 @@ from adsl.cli import (
     EXIT_REVERSAL_BLOCKED,
     main,
 )
+from adsl import controller as controller_module
 from adsl.controller import Controller
 from adsl.workcell import load_workcell_config
 
@@ -175,6 +176,20 @@ class TestRun:
         assert trace.read_text(encoding="utf-8") == expected
         assert '"aborted":true' in expected.splitlines()[-1]
 
+    def test_cycle_cap_ends_a_move_that_never_arrives(self, capsys, tmp_path, monkeypatch):
+        # The distance to the target overflows to inf, so each cycle moves
+        # the tool a finite step and it never arrives.
+        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 1000)
+        cell = tmp_path / "far.json"
+        cell.write_text('{"home_joints": [1e308, 0, 0.1, 0, 0, 0]}')
+        code, out, _ = run_cli(capsys, "run", example("reverse_demo.adsl"), "--workcell", str(cell))
+        assert code == EXIT_ABORTED
+        assert summary_dict(out)["reason"] == "control cycles exceed MAX_CONTROL_CYCLES (1000)"
+        code, out, _ = run_cli(
+            capsys, "reverse", example("reverse_demo.adsl"), "--workcell", str(cell)
+        )
+        assert (code, summary_dict(out)["forward result"]) == (EXIT_OK, "aborted")
+
     def test_validation_failure_exits_1(self, capsys, tmp_path):
         prog = tmp_path / "bad.adsl"
         prog.write_text('sequence "s" { io "nope"; }')
@@ -195,6 +210,7 @@ class TestRun:
         ('{"home_joints": 5}', "home_joints must be a list of dof numbers"),
         ('{"dof": "6"}', "dof must be an integer"),
         ('{"home_joints": [NaN, 0, 0.1, 0, 0, 0]}', "home_joints must be finite"),
+        ('{"dt": 5e-324}', "dt is too small: very_slow speed * dt is 0.0"),
     ])
     def test_mistyped_workcell_config(self, capsys, tmp_path, command, config, message):
         cfg = tmp_path / "typed.json"

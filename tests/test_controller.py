@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adsl import controller as controller_module
 from adsl.controller import (
     Controller,
     ControllerOptions,
@@ -22,7 +23,7 @@ from adsl.trace import EventKind
 from adsl.workcell import Obstacle, WorkcellConfig
 
 
-from _helpers import build, max_overshoot_past_first_contact, quiet_config
+from _helpers import build, max_overshoot_past_first_contact, of_kind, quiet_config
 
 
 GRIPPER_OPS = """
@@ -55,7 +56,7 @@ class TestBasicInstructions:
         controller = Controller(program, quiet_config(), seed=0)
         result = controller.run()
         assert result.completed
-        writes = controller.trace.of_kind(EventKind.IO_WRITE)
+        writes = of_kind(controller.trace, EventKind.IO_WRITE)
         assert [w.data for w in writes] == [
             {"bit": 0, "level": True},
             {"bit": 0, "level": False},
@@ -102,7 +103,7 @@ class TestBasicInstructions:
         )
         controller = Controller(program, quiet_config(), seed=0)
         assert controller.run().completed
-        texts = [e.data["text"] for e in controller.trace.of_kind(EventKind.INSTR_END)]
+        texts = [e.data["text"] for e in of_kind(controller.trace, EventKind.INSTR_END)]
         assert texts == ["wait 0.1;", 'seq "inner";', "wait 0.1;"]
 
     def test_call_depth_guard(self):
@@ -169,7 +170,7 @@ class TestAdvancedMove:
         controller = Controller(program, quiet_config(), seed=0)
         result = controller.run()
         assert result.completed and result.stats.errors == 0
-        ends = controller.trace.of_kind(EventKind.ATTEMPT_END)
+        ends = of_kind(controller.trace, EventKind.ATTEMPT_END)
         assert len(ends) == 1
         assert ends[0].data["outcome"] == "success"
         assert ends[0].data["covered"] > 0.20
@@ -183,13 +184,13 @@ class TestAdvancedMove:
         program = build(ADV_MOVE_TEMPLATE.format(distance=0.30, threshold=0.20))
         controller = Controller(program, quiet_config(obstacles=[WALL_AT_15CM]), seed=0)
         result = controller.run()
-        ends = controller.trace.of_kind(EventKind.ATTEMPT_END)
+        ends = of_kind(controller.trace, EventKind.ATTEMPT_END)
         assert len(ends) == 4  # 1 + 3 perturbation retries
         for e in ends:
             assert e.data["guard_stopped"] is True
             assert e.data["covered"] == pytest.approx(0.15, abs=1e-9)
             assert e.data["outcome"] == "fail"
-        errors = controller.trace.of_kind(EventKind.ERROR_SIGNALED)
+        errors = of_kind(controller.trace, EventKind.ERROR_SIGNALED)
         assert [e.data["error"] for e in errors] == ["stuck"]
         assert result.completed  # recovery ran, sequence resumed
 
@@ -207,7 +208,7 @@ class TestAdvancedMove:
         )
         controller = Controller(program, quiet_config(), seed=0)
         controller.run()
-        assert len(controller.trace.of_kind(EventKind.ATTEMPT_BEGIN)) == 1
+        assert len(of_kind(controller.trace, EventKind.ATTEMPT_BEGIN)) == 1
 
     def test_guard_overshoot_bound(self):
         # speed slow (0.05), dt 0.008, window 5: advance past first contact
@@ -223,7 +224,7 @@ class TestAdvancedMove:
         program = build(ADV_MOVE_TEMPLATE.format(distance=0.02, threshold=0.01))
         controller = Controller(program, quiet_config(), seed=0)
         controller.run()
-        changes = controller.trace.of_kind(EventKind.SETTING_CHANGE)
+        changes = of_kind(controller.trace, EventKind.SETTING_CHANGE)
         assert changes and changes[0].data["speed"] == "slow"
         assert controller.ctx.active_speed.value == "slow"
 
@@ -242,7 +243,7 @@ class TestAdvancedMove:
         )
         controller = Controller(program, quiet_config(), seed=0)
         controller.run()
-        ends = controller.trace.of_kind(EventKind.ATTEMPT_END)
+        ends = of_kind(controller.trace, EventKind.ATTEMPT_END)
         assert len(ends) == 1
         assert ends[0].data["covered"] == 0.0
         assert ends[0].data["failed"] == ["condition"]
@@ -330,7 +331,7 @@ class TestErrorHandling:
         assert result.completed
         begins = [
             e.data["text"]
-            for e in controller.trace.of_kind(EventKind.INSTR_BEGIN)
+            for e in of_kind(controller.trace, EventKind.INSTR_BEGIN)
         ]
         assert begins.count("wait 0.02;") == 2
 
@@ -367,7 +368,7 @@ class TestErrorHandling:
         assert controller.run().completed
         aborted = [
             e
-            for e in controller.trace.of_kind(EventKind.INSTR_END)
+            for e in of_kind(controller.trace, EventKind.INSTR_END)
             if e.data.get("aborted")
         ]
         assert len(aborted) == 1
@@ -493,7 +494,7 @@ class TestErrorHandling:
         assert result.completed, result.reason
         assert (result.stats.errors, result.stats.recoveries) == (3, 3)
         assert runs == [(("main", 1),)] * 4
-        undone = [e.data["indices"] for e in controller.trace.of_kind(EventKind.REVERSE_END)]
+        undone = [e.data["indices"] for e in of_kind(controller.trace, EventKind.REVERSE_END)]
         assert [len(indices) for indices in undone] == [1, 2]
         assert controller.trace.events[undone[1][1]].stack == (("main", 2), ("rec", 0))
 
@@ -513,7 +514,7 @@ class TestErrorHandling:
         result = controller.run()
         assert result.completed
         assert (result.stats.errors, result.stats.recoveries) == (2, 2)
-        begins = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
+        begins = of_kind(controller.trace, EventKind.RECOVERY_BEGIN)
         assert [e.data["error"] for e in begins] == ["flaky", "late"]
         assert controller.ctx.pending == []
 
@@ -577,7 +578,7 @@ class TestErrorHandling:
         controller = Controller(program, quiet_config(), seed=0, registry=registry)
         result = controller.run()
         assert result.completed, result.reason
-        begins = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
+        begins = of_kind(controller.trace, EventKind.RECOVERY_BEGIN)
         assert [e.data["error"] for e in begins] == ["boom"]
         assert state["runs"] == 2
         assert (controller.ctx.pending, controller.ctx.frames) == ([], [])
@@ -598,7 +599,7 @@ class TestErrorHandling:
                 program, quiet_config(), seed=0, registry=registry, options=options
             )
             assert controller.run().completed
-            depths = [e.data["depth"] for e in controller.trace.of_kind(EventKind.REVERSE_BEGIN)]
+            depths = [e.data["depth"] for e in of_kind(controller.trace, EventKind.REVERSE_BEGIN)]
             assert depths == [1, 2, 3]
             traces.append(controller.trace.serialize())
         assert traces[0] == traces[1]
@@ -630,15 +631,15 @@ class TestErrorHandling:
         assert result.completed
         assert state["runs"] == 2  # the call re-ran after the restart
         begins = [
-            e.data["text"] for e in controller.trace.of_kind(EventKind.INSTR_BEGIN)
+            e.data["text"] for e in of_kind(controller.trace, EventKind.INSTR_BEGIN)
         ]
         assert begins.count('io "gripper_close";') == 2
 
     def test_recovery_bracketing(self, corpus_program, blocked_config):
         controller = Controller(corpus_program, blocked_config, seed=0)
         result = controller.run()
-        begins = controller.trace.of_kind(EventKind.RECOVERY_BEGIN)
-        ends = controller.trace.of_kind(EventKind.RECOVERY_END)
+        begins = of_kind(controller.trace, EventKind.RECOVERY_BEGIN)
+        ends = of_kind(controller.trace, EventKind.RECOVERY_END)
         assert result.completed
         assert len(begins) == len(ends) == 1
 
@@ -758,3 +759,40 @@ def test_valid_programs_execute_without_resolution_failures(text):
     options = ControllerOptions(record_motion_samples=False)
     result = Controller(program, config, seed=0, options=options).run()
     assert result.completed, result.reason
+
+
+GUARDED_ONLY = """
+advanced_move "down" {
+  specification { distance 1.0 direction down frame base; }
+  evaluation { forces_exceed(1000); }
+  on_fail { return_to_initial_position; }
+}
+sequence "s" { adv_move "down"; }
+"""
+
+FAR_MOVE = """
+joint_configuration far = { 1.0, 0.0, 0.1, 0.0, 0.0, 0.0 };
+sequence "s" { move to far; }
+"""
+
+
+class TestControlCycleCap:
+    @pytest.mark.parametrize("config", ["aligned_config", "blocked_config"])
+    def test_cycles_count_every_step(self, request, corpus_program, config):
+        controller = Controller(corpus_program, request.getfixturevalue(config), seed=1)
+        assert controller.run().completed
+        # Guarded attempts and plain moves both emit one sample per cycle.
+        samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
+        assert any("covered" in e.data for e in samples)
+        assert any("covered" not in e.data for e in samples)
+        assert controller.ctx.cycles == len(samples)
+        assert 100 * controller.ctx.cycles <= controller_module.MAX_CONTROL_CYCLES
+
+    @pytest.mark.parametrize("text", [GUARDED_ONLY, FAR_MOVE], ids=["guarded", "move"])
+    def test_cap_aborts_the_run(self, monkeypatch, text):
+        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 100)
+        controller = Controller(build(text), quiet_config(), seed=0)
+        result = controller.run()
+        assert not result.completed
+        assert result.reason == "control cycles exceed MAX_CONTROL_CYCLES (100)"
+        assert len(of_kind(controller.trace, EventKind.MOTION_SAMPLE)) == controller.ctx.cycles == 100

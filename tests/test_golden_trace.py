@@ -23,7 +23,7 @@ from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
 from adsl.trace import EventKind
 from adsl.workcell import Pose, Workcell
 
-from _helpers import build, quiet_config
+from _helpers import build, of_kind, quiet_config
 
 
 GOLDEN_PROGRAM = """
@@ -90,7 +90,7 @@ def test_golden_trace_digest(mode):
     assert result.completed, result.reason
     assert result.stats.errors == 4
     assert plan.stop_reason is StopReason.TRACE_START
-    depths = [e.data["depth"] for e in controller.trace.of_kind(EventKind.REVERSE_BEGIN)]
+    depths = [e.data["depth"] for e in of_kind(controller.trace, EventKind.REVERSE_BEGIN)]
     expected = [1, 2, 3, 4] if mode is PolicyMode.LINEAR else [1, 2, 4, 8]
     assert depths == expected + ["full"]
     digest = hashlib.sha256(controller.trace.serialize().encode("utf-8")).hexdigest()
@@ -265,5 +265,5 @@ def test_one_step_motion_call_per_motion_sample(name, monkeypatch):
 
     monkeypatch.setattr(Workcell, "step_motion", counting)
     controller, _ = motion_run(name)
-    samples = controller.trace.of_kind(EventKind.MOTION_SAMPLE)
+    samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
     assert samples and len(calls) == len(samples)

@@ -1,10 +1,13 @@
 import collections
 import dataclasses
+import gc
 import importlib.resources
 import importlib.util
 import os
 import random
 import string
+import sys
+import tracemalloc
 import typing
 
 import pytest
@@ -182,6 +185,37 @@ class TestParseBasics:
         assert parse_program(noisy) == corpus_program
 
 
+class TestLexicalErrors:
+    def test_a_long_integer_int_converts_is_a_number(self):
+        raw = "7" * 700
+        tokens = tokenize(f"bit -{raw};")
+        assert tokens.kinds == ["IDENT", "NUMBER", "SEMI", "EOF"]
+        assert tokens.value(1) == -int(raw)
+
+    def test_the_integer_limit_is_read_when_lexing(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert tokenize("1" * 5000).value(0) == int("1" * 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("$ " + "1" * 5000, ("declaration", "statement", "token")),
+        ("1" * 5000 + " $", ("a shorter integer",)),
+        ("1" * 700 + " $", ("declaration", "statement", "token")),
+    ])
+    def test_the_first_in_text_order_is_reported(self, text, expected):
+        with pytest.raises(ParseError) as exc_info:
+            tokenize(text)
+        assert exc_info.value.expected == expected
+
+    def test_a_lexical_error_comes_before_any_grammar_error(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse_program('sequence ; "open')
+        assert exc_info.value.expected == ("closing '\"'",)
+
+
 class TestLexerTotality:
     @given(st.text(max_size=200))
     @settings(max_examples=300)
@@ -316,7 +350,11 @@ def _lexed(lex, text):
         return "error", err.location, err.expected, err.found
     if lex is reference_tokenize:
         return [(kind, raw, value, type(value), loc) for kind, raw, value, loc in tokens]
-    return [(t.kind, t.text, t.value, type(t.value), t.location) for t in tokens]
+    assert len(tokens.kinds) == len(tokens.texts) == len(tokens.offsets) == len(tokens)
+    return [
+        (tokens.kinds[i], tokens.texts[i], value, type(value), tokens.location(i))
+        for i, value in enumerate(map(tokens.value, range(len(tokens))))
+    ]
 
 
 def assert_lexes_like_reference(text):
@@ -369,6 +407,26 @@ class TestLexerOracle:
     def test_matches_reference_on_generated_corpus_program(self):
         text, _ = _bench_generator().corpus_program(random.Random(7), 300)
         assert_lexes_like_reference(text)
+
+
+#: What `tokenize` may keep per token: three list slots, an offset and the
+#: token's text (~85 B on the benchmark corpus, on CPython 3.11). A token
+#: object, or a tuple per token, takes it past the bound (~150 B with the
+#: slotted token objects the columns replaced).
+MAX_BYTES_PER_TOKEN = 100
+
+
+def test_tokens_are_columns_without_an_object_per_token():
+    text, _ = _bench_generator().corpus_program(random.Random(7), 1000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tokens = tokenize(text)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) > 20_000
+    assert size / len(tokens) < MAX_BYTES_PER_TOKEN
 
 
 def _bench_generator():
@@ -636,10 +694,11 @@ def test_noncanonical_whitespace_reparses_identically(corpus_program):
 
 
 def test_single_token_deletion_error_locations(corpus_text):
-    tokens = tokenize(corpus_text)[:-1]  # drop EOF
-    for tok in tokens:
-        start = tok.location.offset
-        mutated = corpus_text[:start] + corpus_text[start + len(tok.text):]
+    tokens = tokenize(corpus_text)
+    for i in range(len(tokens) - 1):  # all but EOF
+        raw = tokens.texts[i]
+        start = tokens.location(i).offset
+        mutated = corpus_text[:start] + corpus_text[start + len(raw):]
         try:
             parse_program(mutated)
         except ParseError as err:
@@ -647,7 +706,7 @@ def test_single_token_deletion_error_locations(corpus_text):
             # then starts before the splice but always covers it.
             end_of_found = err.location.offset + max(len(err.found), 1)
             assert end_of_found > start, (
-                f"deleting {tok!r} at {start} reported error before the deletion"
+                f"deleting {raw!r} at {start} reported error before the deletion"
             )
 
 

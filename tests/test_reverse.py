@@ -33,7 +33,7 @@ from adsl.trace import EventKind
 from adsl.workcell import load_workcell_config
 
 
-from _helpers import build, quiet_config, random_reversible_program
+from _helpers import build, of_kind, quiet_config, random_reversible_program
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -328,7 +328,7 @@ class TestResumePolicy:
         registry.register("fail_b", failing("b", 1), reverse=undo)
         controller = Controller(program, quiet_config(), seed=0, registry=registry)
         assert controller.run().completed
-        begins = controller.trace.of_kind(EventKind.REVERSE_BEGIN)
+        begins = of_kind(controller.trace, EventKind.REVERSE_BEGIN)
         assert [(e.data["error"], e.data["occurrence"], e.data["depth"]) for e in begins] == [
             ("a", 1, 1), ("a", 2, 2), ("b", 1, 1),
         ]
@@ -358,7 +358,7 @@ class TestRecoverByReversal:
         controller = Controller(program, quiet_config(), seed=0)
         result = controller.run()
         assert not result.completed  # loop guard eventually trips
-        reverses = controller.trace.of_kind(EventKind.REVERSE_BEGIN)
+        reverses = of_kind(controller.trace, EventKind.REVERSE_BEGIN)
         assert reverses[0].data["depth"] == 1
         assert reverses[0].data["error"] == "stuck"
 
@@ -374,7 +374,7 @@ class TestRecoverByReversal:
             controller.run()
             depths = [
                 e.data["depth"]
-                for e in controller.trace.of_kind(EventKind.REVERSE_BEGIN)
+                for e in of_kind(controller.trace, EventKind.REVERSE_BEGIN)
             ]
             assert depths == expected
 
@@ -389,7 +389,7 @@ class TestRecoverByReversal:
         assert not result.completed
         assert "boundary" in result.reason
         assert controller.ctx.error_counts["stuck"] == 3
-        ends = controller.trace.of_kind(EventKind.REVERSE_END)
+        ends = of_kind(controller.trace, EventKind.REVERSE_END)
         assert [e.data["stop_reason"] for e in ends] == [
             "depth_reached",
             "never_reversible_hit",

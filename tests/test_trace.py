@@ -15,7 +15,7 @@ from adsl.reverse import PolicyMode, reverse_execute
 from adsl.trace import EventKind, ExecutionTrace, TraceEvent, read_trace_file, serialize_event
 from adsl.workcell import load_workcell_config
 
-from _helpers import build, quiet_config
+from _helpers import build, of_kind, quiet_config
 from test_golden_trace import MOTION_CASES, golden_run, motion_run
 
 
@@ -308,7 +308,7 @@ SHIPPED_RUNS = [
 def assert_instr_ends_close_their_stack_tops(controller):
     """Reversal reads an entry's instruction off the top of its stack."""
     sequences = controller.program.sequences
-    ends = controller.trace.of_kind(EventKind.INSTR_END)
+    ends = of_kind(controller.trace, EventKind.INSTR_END)
     assert ends
     for event in ends:
         seq, index = event.stack[-1]

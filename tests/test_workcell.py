@@ -398,6 +398,13 @@ class TestConfigLoading:
         with pytest.raises(WorkcellConfigError, match="dt must be positive"):
             WorkcellConfig(dt=0.0)
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-322])
+    def test_dt_that_cannot_move_the_tool_is_rejected(self, dt):
+        # At 1e-322 only very_slow (0.01 m/s) rounds to no motion at all.
+        with pytest.raises(WorkcellConfigError, match="dt is too small"):
+            WorkcellConfig(dt=dt)
+        WorkcellConfig(dt=1e-320)
+
     def test_obstacle_checks_itself_when_built(self):
         with pytest.raises(WorkcellConfigError, match="strictly below"):
             Obstacle((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))
