@@ -1,9 +1,9 @@
 """Command-line surface: validate, run, and reverse assembly programs.
 
 Exit codes are a fixed map: 0 success, 1 validation diagnostics, 2 I/O or
-parse errors, 3 aborted run, 4 reversal stopped by a barrier or a
-never-reversible entry. Summaries go to stdout as `key: value` lines;
-machine-readable output goes only to the trace file.
+parse errors, 3 aborted run (before 4 when both apply), 4 reversal stopped by
+a barrier or a never-reversible entry. Summaries go to stdout as `key: value`
+lines; machine-readable output goes only to the trace file.
 """
 
 from __future__ import annotations
@@ -161,12 +161,16 @@ def cmd_reverse(args) -> int:
 
     print(f"seed: {args.seed}")
     print(f"forward result: {'completed' if result.completed else 'aborted'}")
+    if not result.completed:
+        print(f"reason: {result.reason}")
     print(f"requested depth: {'full' if args.depth is None else args.depth}")
     print(f"steps reversed: {len(plan.steps)}")
     print(f"stop reason: {plan.stop_reason.value}")
     print(f"joints restored: {'true' if joints_ok else 'false'}")
     print(f"io bits restored: {'true' if bits_ok else 'false'}")
 
+    if not result.completed:
+        return EXIT_ABORTED
     if plan.stop_reason in (StopReason.BARRIER, StopReason.NEVER_REVERSIBLE_HIT):
         return EXIT_REVERSAL_BLOCKED
     return EXIT_OK

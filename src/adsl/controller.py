@@ -29,10 +29,8 @@ program, workcell config, and seed produce byte-identical traces.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reverse as reverse_engine
@@ -58,6 +56,7 @@ from .model import (
     Sleep,
     SpeedLevel,
     ThrowError,
+    Value,
     Wait,
     validate_program,
 )
@@ -72,8 +71,6 @@ from .workcell import (
     DEFAULT_SPEED,
 )
 
-logger = logging.getLogger("adsl")
-
 #: Looked up once: reading an enum member off its class costs ~0.1 us a cycle.
 _MOTION_SAMPLE = EventKind.MOTION_SAMPLE
 
@@ -86,23 +83,20 @@ MAX_RESUME_RETRIES = 5  # resolutions of one error at one site before an abort
 # Results
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(Value):
     instructions: int
     errors: int
     recoveries: int
     simulated_time: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Value):
     completed: bool
     reason: Optional[str]
     stats: RunStats
 
 
-@dataclass
-class ControllerOptions:
+class ControllerOptions(Value, frozen=False):
     #: How return_to=sequence resumes: "resume" continues after the failed
     #: instruction, "restart" re-runs the enclosing sequence from the top.
     return_to_sequence: str = "resume"
@@ -114,8 +108,7 @@ class ControllerOptions:
 # Action registry for `call` instructions
 
 
-@dataclass(frozen=True)
-class ActionEntry:
+class ActionEntry(Value):
     run: Callable
     reverse: Optional[Callable] = None
 
@@ -146,7 +139,8 @@ def _noop_action(ctx, items):
 
 
 def _log_action(ctx, items):
-    logger.info("log action: %s", ", ".join(items) if items else "(no items)")
+    import logging  # loaded here: only this action logs, and the import costs ~4 ms
+    logging.getLogger("adsl").info("log action: %s", ", ".join(items) if items else "(no items)")
 
 
 def default_registry() -> ActionRegistry:
@@ -312,7 +306,7 @@ class ExecutionContext:
         bits = state.io_bits
         trace = self.trace
         event = TraceEvent(
-            len(trace.events), kind, state.clock, self.call_stack(), self.active_speed,
+            trace.count, kind, state.clock, self.call_stack(), self.active_speed,
             joints if pre_joints is None else pre_joints, joints,
             bits if pre_bits is None else pre_bits, bits,
             {} if data is None else data,
@@ -604,6 +598,7 @@ class Controller:
 
         while True:
             attempts += 1
+            start_cycles = ctx.cycles
             ctx.emit(
                 EventKind.ATTEMPT_BEGIN,
                 data={"move": spec.name, "attempt": attempts},
@@ -643,6 +638,10 @@ class Controller:
                     "failed": list(failed),
                 },
             )
+            if ctx.cycles == start_cycles:  # an attempt counts as one cycle at least
+                if start_cycles >= MAX_CONTROL_CYCLES:
+                    raise _cycle_cap_exceeded()
+                ctx.cycles += 1
 
             behaviors = spec.on_success if success else spec.on_fail
             restart = False

@@ -2,7 +2,8 @@
 
 A program is a bundle of named declarations: items with keyframes, I/O
 operations, joint configurations, error handlers, guarded moves, and
-instruction sequences. All types here are immutable value objects.
+instruction sequences. All types here are immutable `Value`s: their fields
+are their annotations, and they compare by class and field values.
 Constructors take their values as given: sequence fields are tuples and
 reals are floats, which `parse_program`, where program text enters, builds
 and direct callers pass. Construction never fails on semantic grounds;
@@ -13,19 +14,73 @@ instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
+
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the value classes. A subclass's fields are its annotations, in
+    order; a class attribute of the same name is a default. Unless it writes
+    its own, a subclass gets an `__init__` of its fields, compiled once when
+    the class is made, that ends by calling `__post_init__` if there is one.
+    Eq, hash and repr are by class and fields, less those the class keyword
+    `hidden` names. Instances are frozen unless the class says `frozen=False`;
+    `replace(**changes)` rebuilds through `__init__`, so checks run again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=True, hidden=()):
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in fields if f not in hidden)
+        if "__init__" not in cls.__dict__:
+            slots = cls.__dict__.get("__slots__", ())
+            defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__ and f not in slots}
+            params = "".join([f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in fields])
+            body = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in fields]
+            if hasattr(cls, "__post_init__"):
+                body.append("self.__post_init__()")
+            namespace = {"_d": defaults, "_set": _set}
+            exec(f"def __init__(self{params}):\n " + "\n ".join(body or ["pass"]), namespace)
+            cls.__init__ = namespace["__init__"]
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = _set, object.__delattr__, None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._compared])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+    def __reduce__(self):  # copy and pickle rebuild through `__init__` too
+        return type(self), tuple([getattr(self, f) for f in self._fields])
 
 
 # ---------------------------------------------------------------------------
 # Source locations and diagnostics
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(Value):
     """Position of a construct in source text (1-based line/column)."""
 
+    __slots__ = ("line", "column", "offset")
     line: int
     column: int
     offset: int
@@ -38,8 +93,7 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     severity: Severity
     message: str
     name: Optional[str] = None
@@ -102,23 +156,19 @@ class Comparison(Enum):
 # I/O primitives
 
 
-@dataclass(frozen=True)
-class SetLow:
+class SetLow(Value):
     pass
 
 
-@dataclass(frozen=True)
-class SetHigh:
+class SetHigh(Value):
     pass
 
 
-@dataclass(frozen=True)
-class SelectBit:
+class SelectBit(Value):
     index: int
 
 
-@dataclass(frozen=True)
-class Sleep:
+class Sleep(Value):
     seconds: float
 
 
@@ -129,13 +179,11 @@ Primitive = Union[SetLow, SetHigh, SelectBit, Sleep]
 # Guarded-move queries and behaviors
 
 
-@dataclass(frozen=True)
-class ForcesExceed:
+class ForcesExceed(Value):
     threshold: float
 
 
-@dataclass(frozen=True)
-class DistanceCovered:
+class DistanceCovered(Value):
     cmp: Comparison
     value: float
 
@@ -143,18 +191,15 @@ class DistanceCovered:
 Query = Union[ForcesExceed, DistanceCovered]
 
 
-@dataclass(frozen=True)
-class ReturnToInitialPosition:
+class ReturnToInitialPosition(Value):
     pass
 
 
-@dataclass(frozen=True)
-class RepeatWithPerturbation:
+class RepeatWithPerturbation(Value):
     max_retries: int
 
 
-@dataclass(frozen=True)
-class ThrowError:
+class ThrowError(Value):
     error: str
 
 
@@ -165,23 +210,19 @@ Behavior = Union[ReturnToInitialPosition, RepeatWithPerturbation, ThrowError]
 # Reversibility annotations
 
 
-@dataclass(frozen=True)
-class NonReversible:
+class NonReversible(Value):
     pass
 
 
-@dataclass(frozen=True)
-class SkipOnReverse:
+class SkipOnReverse(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Barrier:
+class Barrier(Value):
     pass
 
 
-@dataclass(frozen=True)
-class ReverseWith:
+class ReverseWith(Value):
     instruction: "Instruction"
 
 
@@ -191,50 +232,41 @@ Annotation = Union[NonReversible, SkipOnReverse, Barrier, ReverseWith]
 # ---------------------------------------------------------------------------
 # Instructions
 
-_LOC = dict(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class MoveJoint:
+class MoveJoint(Value, hidden=("location",)):
     waypoints: tuple[str, ...]
     annotation: Optional[Annotation] = None
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class Io:
+class Io(Value, hidden=("location",)):
     op: str
     annotation: Optional[Annotation] = None
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(Value, hidden=("location",)):
     seconds: float
     annotation: Optional[Annotation] = None
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Value, hidden=("location",)):
     action: str
     items: tuple[str, ...] = ()
     annotation: Optional[Annotation] = None
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class AdvMoveRef:
+class AdvMoveRef(Value, hidden=("location",)):
     name: str
     annotation: Optional[Annotation] = None
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class SeqCall:
+class SeqCall(Value, hidden=("location",)):
     name: str
     annotation: Optional[Annotation] = None
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
 Instruction = Union[MoveJoint, Io, Wait, Call, AdvMoveRef, SeqCall]
@@ -244,51 +276,44 @@ Instruction = Union[MoveJoint, Io, Wait, Call, AdvMoveRef, SeqCall]
 # Declarations
 
 
-@dataclass(frozen=True)
-class Keyframe:
+class Keyframe(Value):
     name: str
     coordinates: tuple[tuple[float, float, float], ...]
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(Value, hidden=("location",)):
     name: str
     keyframes: tuple[Keyframe, ...]
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class IOOperation:
+class IOOperation(Value, hidden=("location",)):
     name: str
     primitives: tuple[Primitive, ...]
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class JointConfiguration:
+class JointConfiguration(Value, hidden=("location",)):
     name: str
     joints: tuple[float, ...]
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Value, hidden=("location",)):
     name: str
     instructions: tuple[Instruction, ...]
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class ErrorSpec:
+class ErrorSpec(Value, hidden=("location",)):
     name: str
     recovery_sequence: Optional[str] = None
     respond_after: RespondAfter = RespondAfter.CURRENT_ACTION
     return_to: ReturnTo = ReturnTo.SEQUENCE
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class AdvMoveSpec:
+class AdvMoveSpec(Value, hidden=("location",)):
     name: str
     distance: float
     direction: Direction
@@ -299,18 +324,24 @@ class AdvMoveSpec:
     stop_if: Optional[Query] = None
     speed: Optional[SpeedLevel] = None
     on_success: tuple[Behavior, ...] = ()
-    location: Optional[SourceLocation] = field(**_LOC)
+    location: Optional[SourceLocation] = None
 
 
-@dataclass(frozen=True)
-class Program:
-    items: dict[str, Item] = field(default_factory=dict)
-    io_ops: dict[str, IOOperation] = field(default_factory=dict)
-    joint_confs: dict[str, JointConfiguration] = field(default_factory=dict)
-    sequences: dict[str, Sequence] = field(default_factory=dict)
-    errors: dict[str, ErrorSpec] = field(default_factory=dict)
-    adv_moves: dict[str, AdvMoveSpec] = field(default_factory=dict)
+class Program(Value):
+    """Each declaration table left out (or None) is a new empty dict."""
+
+    items: dict[str, Item] = None
+    io_ops: dict[str, IOOperation] = None
+    joint_confs: dict[str, JointConfiguration] = None
+    sequences: dict[str, Sequence] = None
+    errors: dict[str, ErrorSpec] = None
+    adv_moves: dict[str, AdvMoveSpec] = None
     entry: Optional[str] = None
+
+    def __post_init__(self):
+        for table in self._fields:
+            if table != "entry" and getattr(self, table) is None:
+                _set(self, table, {})
 
 
 # ---------------------------------------------------------------------------

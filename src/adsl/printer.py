@@ -7,8 +7,6 @@ exact float round-trip. Fields equal to their defaults are omitted.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .model import (
     AdvMoveRef,
     AdvMoveSpec,
@@ -54,6 +52,7 @@ def format_number(value) -> str:
     r = repr(float(value))
     if "e" not in r and "E" not in r:
         return r
+    from decimal import Decimal  # loaded here: few numbers need it
     return format(Decimal(float(value)), "f")
 
 

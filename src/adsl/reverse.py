@@ -33,7 +33,6 @@ error's occurrences on `ctx`, so the counts are per run. The run is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -50,6 +49,7 @@ from .model import (
     SetHigh,
     SetLow,
     SkipOnReverse,
+    Value,
     Wait,
 )
 from .trace import EventKind, ExecutionTrace, TraceEvent
@@ -157,8 +157,7 @@ def _undo(entry: TraceEvent, instr: Instruction, ctx, registry) -> None:
 # Undo-log walking
 
 
-@dataclass(frozen=True)
-class ReversePlan:
+class ReversePlan(Value):
     #: The undone `INSTR_END` events, newest first.
     steps: tuple[TraceEvent, ...]
     stop_reason: StopReason
@@ -248,8 +247,7 @@ class PolicyMode(Enum):
 MAX_REVERSAL_OCCURRENCES = 5  # reversals of an error before a blocked one aborts
 
 
-@dataclass(frozen=True)
-class ResumePolicy:
+class ResumePolicy(Value):
     """How far to reverse when the same error keeps recurring."""
 
     mode: PolicyMode = PolicyMode.LINEAR

@@ -22,11 +22,10 @@ in tests/test_trace.py defines the bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) does
 
-from .model import SpeedLevel
+from .model import SpeedLevel, Value
 
 
 class EventKind(Enum):
@@ -44,8 +43,9 @@ class EventKind(Enum):
     REVERSE_END = "reverse_end"
 
 
-@dataclass(slots=True)
-class TraceEvent:
+class TraceEvent(Value, frozen=False):
+    __slots__ = ("index", "kind", "clock", "stack", "speed", "pre_joints", "post_joints",
+                 "pre_bits", "post_bits", "data")
     index: int
     kind: EventKind
     clock: float
@@ -159,22 +159,29 @@ def serialize_event(ev: TraceEvent, memo=None) -> str:
 
 
 class ExecutionTrace:
-    """In-memory event log, optionally mirrored line-by-line to a text sink."""
+    """A run's events: kept in `events`, or with a text sink written to it line
+    by line and not kept (`events` is None). `len()` counts them either way."""
 
     def __init__(self, sink=None):
-        self.events: list[TraceEvent] = []
+        self.events: list[TraceEvent] | None = [] if sink is None else None
         self.sink = sink
+        self.count = 0
         self._memo = _Memo()
 
     def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        if self.sink is not None:
+        self.count += 1
+        if self.events is None:
             self.sink.write(serialize_event(event, self._memo) + "\n")
+        else:
+            self.events.append(event)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.count
 
     def serialize(self) -> str:
+        """The NDJSON text; a streamed trace's is in its sink, so this raises."""
+        if self.events is None:
+            raise ValueError("the trace was streamed to its sink and kept no events")
         memo = _Memo()
         return "".join([serialize_event(ev, memo) + "\n" for ev in self.events])
 

@@ -32,12 +32,11 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Optional, Protocol
 
-from .model import Direction, Frame, SpeedLevel
+from .model import Direction, Frame, SpeedLevel, Value, _set
 
 
 class WorkcellConfigError(ValueError):
@@ -52,12 +51,16 @@ class BitOutOfRange(IndexError):
 # Geometry
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(Value):
     """Position in meters plus ZYX Euler orientation in radians."""
 
+    __slots__ = ("position", "orientation")
     position: tuple[float, float, float]
-    orientation: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    orientation: tuple[float, float, float]
+
+    def __init__(self, position, orientation=(0.0, 0.0, 0.0)):
+        _set(self, "position", position)
+        _set(self, "orientation", orientation)
 
 
 IDENTITY_POSE = Pose((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -86,15 +89,13 @@ class HoleAxis(Enum):
 _CROSS_AXES = {HoleAxis.X: (1, 2), HoleAxis.Y: (0, 2), HoleAxis.Z: (0, 1)}
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(Value):
     axis: HoleAxis
     center: tuple[float, float]
     half_extents: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Obstacle:
+class Obstacle(Value):
     """Axis-aligned box, solid except for an optional rectangular through-hole.
     It checks its geometry when it is built."""
 
@@ -130,8 +131,7 @@ DEFAULT_SPEED_MAP = {
 DEFAULT_SPEED = SpeedLevel.NORMAL
 
 
-@dataclass(frozen=True)
-class WorkcellConfig:
+class WorkcellConfig(Value):
     dof: int = 6
     home_joints: tuple[float, ...] = (0.0,) * 6
     bit_count: int = 8
@@ -141,14 +141,14 @@ class WorkcellConfig:
     filter_window: int = 5
     dt: float = 0.008
     #: Read-only: stored as a `MappingProxyType` over the config's own copy.
-    speed_map: Mapping[SpeedLevel, float] = field(default_factory=lambda: DEFAULT_SPEED_MAP)
+    speed_map: Mapping[SpeedLevel, float] = DEFAULT_SPEED_MAP
     perturbation_radius: float = 0.01
     rng_seed: int = 0
     tool_transform: Pose = IDENTITY_POSE
 
     def __post_init__(self):
         """Check every invariant once, here: an invalid config is never built."""
-        object.__setattr__(self, "speed_map", MappingProxyType(dict(self.speed_map)))
+        _set(self, "speed_map", MappingProxyType(dict(self.speed_map)))
         if self.dof < 1:
             raise WorkcellConfigError("dof must be positive")
         if len(self.home_joints) != self.dof:
@@ -184,9 +184,6 @@ class WorkcellConfig:
             )
         if values[-1] * self.dt == 0.0:  # the tool could never move at very_slow
             raise WorkcellConfigError("dt is too small: very_slow speed * dt is 0.0")
-
-
-_CONFIG_KEYS = frozenset(f.name for f in fields(WorkcellConfig))
 
 
 def _number(value, what: str) -> float:
@@ -248,7 +245,7 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
     type-checked and coerced to floats and tuples. Unknown keys are rejected."""
     if not isinstance(raw, dict):
         raise WorkcellConfigError("workcell config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(WorkcellConfig._fields)
     if unknown:
         raise WorkcellConfigError(f"unknown workcell config keys: {sorted(unknown)}")
     kwargs = {}
@@ -332,8 +329,8 @@ class TranslationEulerModel:
 # State and sensing
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class SensorReading(Value):
+    __slots__ = ("raw", "filtered")
     raw: float
     filtered: float
 

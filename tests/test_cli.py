@@ -1,10 +1,13 @@
 import importlib.resources
 import json
+import os
 import runpy
+import subprocess
 import sys
 
 import pytest
 
+import adsl
 from adsl.cli import (
     EXIT_ABORTED,
     EXIT_INPUT_ERROR,
@@ -188,7 +191,33 @@ class TestRun:
         code, out, _ = run_cli(
             capsys, "reverse", example("reverse_demo.adsl"), "--workcell", str(cell)
         )
-        assert (code, summary_dict(out)["forward result"]) == (EXIT_OK, "aborted")
+        summary = summary_dict(out)
+        assert (code, summary["forward result"]) == (EXIT_ABORTED, "aborted")
+        assert summary["reason"] == "control cycles exceed MAX_CONTROL_CYCLES (1000)"
+
+    def test_cycle_cap_ends_retries_that_never_move(self, capsys, tmp_path, monkeypatch):
+        # A guarded move of distance 0 in a cell without perturbation makes
+        # no control cycle; each attempt still counts as one. 5,000 retries
+        # stand for 1e9: without the count the run completes instead.
+        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 1000)
+        cell = tmp_path / "still.json"
+        cell.write_text('{"perturbation_radius": 0, "noise_sigma": 0}')
+        prog = tmp_path / "still.adsl"
+        prog.write_text(
+            'advanced_move "nudge" {\n'
+            "  specification { distance 0 direction down frame base; }\n"
+            "  evaluation { distance_covered(more_than, 1.0); }\n"
+            "  on_fail { repeat_with_perturbation(5000); }\n"
+            "}\n"
+            'sequence "s" { adv_move "nudge"; }\nentry "s";'
+        )
+        trace = tmp_path / "still.ndjson"
+        code, out, _ = run_cli(capsys, "run", str(prog), "--workcell", str(cell), "--trace", str(trace))
+        assert code == EXIT_ABORTED
+        assert summary_dict(out)["reason"] == "control cycles exceed MAX_CONTROL_CYCLES (1000)"
+        kinds = [json.loads(line)["kind"] for line in trace.read_text().splitlines()]
+        assert kinds.count("attempt_end") == 1001
+        assert "motion_sample" not in kinds
 
     def test_validation_failure_exits_1(self, capsys, tmp_path):
         prog = tmp_path / "bad.adsl"
@@ -249,6 +278,15 @@ class TestReverse:
         assert code == EXIT_REVERSAL_BLOCKED
         assert summary_dict(out)["stop reason"] == "barrier"
 
+    def test_forward_abort_wins_over_a_blocked_reversal(self, capsys, tmp_path):
+        prog = tmp_path / "stop.adsl"
+        prog.write_text('sequence "s" { @barrier wait 0.1; call "missing" (); }\nentry "s";')
+        code, out, _ = run_cli(capsys, "reverse", str(prog), "--workcell", example("free_space.json"))
+        summary = summary_dict(out)
+        assert summary["reason"] == "unregistered action 'missing'"
+        assert summary["stop reason"] == "never_reversible_hit"
+        assert code == EXIT_ABORTED
+
     def test_policy_flags_configure_forward_recovery(self, capsys, tmp_path):
         prog = tmp_path / "doomed.adsl"
         prog.write_text(
@@ -277,8 +315,9 @@ class TestReverse:
         # still reaches the start of what remains unconsumed.
         summary = summary_dict(out)
         assert summary["forward result"] == "aborted"
+        assert summary["reason"].startswith("resume loop guard: error 'stuck'")
         assert summary["stop reason"] == "trace_start"
-        assert code == EXIT_OK
+        assert code == EXIT_ABORTED
 
     def test_depth_one_on_two_instruction_program(self, capsys, tmp_path):
         prog = tmp_path / "two.adsl"
@@ -395,3 +434,43 @@ def test_python_dash_m_adsl_returns_the_exit_code(capsys, monkeypatch, argv, exp
     with pytest.raises(SystemExit) as exit_:
         runpy.run_module("adsl", run_name="__main__")
     assert exit_.value.code == expected
+
+
+def _fresh_python(code, *argv):
+    """Run `code` in a fresh interpreter that imports this adsl; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(adsl.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_cli_import_loads_no_module_it_does_not_need():
+    loaded = _fresh_python(
+        "import sys, adsl.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'logging', 'decimal') if m in sys.modules])"
+    )
+    assert loaded.split() == []
+
+
+def test_streamed_trace_memory_does_not_grow_with_the_run(tmp_path):
+    """A 20 m move (25,000 events) under `adsl run --trace` peaks within a few
+    MB of a 1 m one: the events go to the file and are not kept."""
+    # A child's ru_maxrss starts at its parent's peak, the size of this test
+    # process, so the run is a grandchild under a bare interpreter, which
+    # reads it as RUSAGE_CHILDREN.
+    measure = (
+        "import resource, subprocess, sys; "
+        "subprocess.run([sys.executable, '-m', 'adsl', *sys.argv[1:]], check=True); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    peaks_kb = []
+    for metres in (1, 20):
+        prog = tmp_path / f"move{metres}.adsl"
+        prog.write_text(f"joint_configuration far = {{ {metres}.0, 0.0, 0.1, 0.0, 0.0, 0.0 }};\n"
+                        'sequence "s" { move to far; }\nentry "s";')
+        out = _fresh_python(measure, "run", str(prog), "--workcell", example("free_space.json"),
+                            "--trace", str(tmp_path / f"move{metres}.ndjson"))
+        assert "result: completed" in out
+        peaks_kb.append(int(out.splitlines()[-1]))
+    lines = (tmp_path / "move20.ndjson").read_text().count("\n")
+    assert lines > 25_000
+    assert peaks_kb[1] - peaks_kb[0] < 4 * 1024, peaks_kb

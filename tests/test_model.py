@@ -1,11 +1,17 @@
+import copy
 import gc
+import hashlib
+import importlib.resources
+import pickle
 
 import pytest
 
+from adsl.controller import Controller, ControllerOptions
 from adsl.model import (
     AdvMoveRef,
     AdvMoveSpec,
     Comparison,
+    Diagnostic,
     Direction,
     DistanceCovered,
     ErrorSpec,
@@ -24,12 +30,16 @@ from adsl.model import (
     Sequence,
     SetHigh,
     SetLow,
+    Severity,
     Sleep,
+    SourceLocation,
     ThrowError,
     Wait,
     validate_program,
 )
 from adsl.parser import parse_program
+from adsl.trace import EventKind, TraceEvent
+from adsl.workcell import Pose, SensorReading, WorkcellConfig, WorkcellConfigError, load_workcell_config
 
 from _helpers import call_chain
 
@@ -278,3 +288,137 @@ class TestValidation:
             sequences={"main": Sequence("main", (Wait(1.0, annotation=nested),))}
         )
         assert any("unresolved io operation" in d.message for d in validate_program(program))
+
+
+class TestValueClasses:
+    """The value classes compare, hash and print as frozen dataclasses did."""
+
+    def test_equality_is_nominal(self):
+        assert SetLow() == SetLow() and SetLow() != SetHigh()
+        assert ReturnToInitialPosition() != SetLow()
+        assert Io("x") != SeqCall("x") != AdvMoveRef("x")
+        assert Wait(0.5) == Wait(0.5) != Sleep(0.5)
+        assert Wait(0.5) != Wait(0.25)
+
+    def test_location_is_left_out_of_eq_hash_and_repr(self):
+        here, there = SourceLocation(1, 1, 0), SourceLocation(9, 4, 99)
+        a = MoveJoint(("p",), location=here)
+        b = MoveJoint(("p",), None, there)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "MoveJoint(waypoints=('p',), annotation=None)"
+        assert a.location is here and b.location is there
+        # A diagnostic's location is part of its value.
+        assert Diagnostic(Severity.ERROR, "m", location=here) != Diagnostic(
+            Severity.ERROR, "m", location=there
+        )
+
+    def test_equal_values_hash_equal(self):
+        for make in (
+            lambda: ErrorSpec("e", "rescue"),
+            lambda: Pose((1.0, 2.0, 3.0)),
+            lambda: SourceLocation(3, 4, 5),
+            lambda: SensorReading(1.0, 0.5),
+            lambda: ReverseWith(Wait(0.1)),
+        ):
+            assert make() == make() and hash(make()) == hash(make())
+        assert len({SetLow(), SetLow(), SetHigh()}) == 2
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for value, name in (
+            (SetLow(), "x"),
+            (Wait(0.5), "seconds"),
+            (Pose((0.0, 0.0, 0.0)), "position"),
+            (SourceLocation(1, 1, 0), "line"),
+            (SensorReading(1.0, 1.0), "raw"),
+            (WorkcellConfig(), "dt"),
+        ):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+
+    def test_trace_events_and_options_stay_mutable(self):
+        event = TraceEvent(0, EventKind.INSTR_BEGIN, 0.0, (), None, (), (), (), (), {})
+        event.index = 7
+        assert event.index == 7
+        with pytest.raises(AttributeError):
+            event.extra = 1  # slotted: no ad-hoc attributes
+        with pytest.raises(TypeError):
+            hash(event)
+        options = ControllerOptions()
+        options.record_motion_samples = False
+        assert options == ControllerOptions(record_motion_samples=False)
+
+    def test_reprs_are_unchanged(self):
+        assert repr(ErrorSpec("e", location=SourceLocation(1, 2, 3))) == (
+            "ErrorSpec(name='e', recovery_sequence=None, "
+            "respond_after=<RespondAfter.CURRENT_ACTION: 'current_action'>, "
+            "return_to=<ReturnTo.SEQUENCE: 'sequence'>)"
+        )
+        assert repr(Pose((1.0, 2.0, 3.0))) == (
+            "Pose(position=(1.0, 2.0, 3.0), orientation=(0.0, 0.0, 0.0))"
+        )
+        assert repr(Program()) == (
+            "Program(items={}, io_ops={}, joint_confs={}, sequences={}, errors={}, "
+            "adv_moves={}, entry=None)"
+        )
+        # The reprs of the parsed shipped programs, a config, a run result,
+        # trace events and options, as the frozen dataclasses printed them.
+        examples = importlib.resources.files("adsl") / "examples"
+        texts = [
+            repr(parse_program((examples / name).read_text(encoding="utf-8")))
+            for name in ("peg_in_hole.adsl", "reverse_demo.adsl", "barrier_demo.adsl",
+                         "stats_insert.adsl")
+        ]
+        config = load_workcell_config(str(examples / "blocked.json"))
+        controller = Controller(
+            parse_program((examples / "reverse_demo.adsl").read_text(encoding="utf-8")),
+            config,
+            seed=0,
+        )
+        result = controller.run()
+        texts += [repr(config), repr(result), repr(controller.trace.events[:50]),
+                  repr(ControllerOptions())]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "a993acfbfb999c707fd058b90320007846cf9411afd17b83bcc31846198aaf10"
+
+    def test_constructors_check_their_arguments(self):
+        with pytest.raises(TypeError):
+            MoveJoint()
+        with pytest.raises(TypeError):
+            SetLow(1)
+        with pytest.raises(TypeError):
+            Io("x", bogus=1)
+        with pytest.raises(TypeError):
+            Wait(0.5, seconds=0.5)
+
+    def test_replace_builds_through_the_constructor(self):
+        config = WorkcellConfig()
+        assert config.replace(dt=0.004).dt == 0.004 and config.dt == 0.008
+        with pytest.raises(WorkcellConfigError, match="dt must be positive"):
+            config.replace(dt=0.0)
+        with pytest.raises(TypeError):
+            config.replace(bogus=1)
+        loc = SourceLocation(1, 1, 0)
+        moved = Wait(0.5, location=loc).replace(seconds=0.25)
+        assert moved == Wait(0.25) and moved.location is loc
+
+    def test_copy_and_pickle_rebuild_equal_values(self, corpus_program):
+        pose = Pose((1.0, 2.0, 3.0), (0.0, 0.5, 0.0))
+        loc = SourceLocation(2, 3, 4)
+        for value in (corpus_program, pose, loc, SensorReading(1.0, 0.5), SetLow(),
+                      MoveJoint(("p",), location=loc)):
+            for clone in (copy.copy(value), copy.deepcopy(value),
+                          pickle.loads(pickle.dumps(value))):
+                assert type(clone) is type(value) and clone == value
+        assert copy.deepcopy(MoveJoint(("p",), location=loc)).location == loc
+        assert copy.copy(WorkcellConfig(dt=0.004)) == WorkcellConfig(dt=0.004)
+
+    def test_each_program_gets_its_own_tables(self):
+        first, second = Program(), Program()
+        assert first.items == {} and first.items is not second.items
+        assert all(getattr(first, table) is not getattr(second, table)
+                   for table in ("items", "io_ops", "joint_confs", "sequences", "errors",
+                                 "adv_moves"))
+        items = {}
+        assert Program(items).items is items

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import gc
 import importlib.resources
 import importlib.util
@@ -47,6 +46,7 @@ from adsl.model import (
     SourceLocation,
     SpeedLevel,
     ThrowError,
+    Value,
     Wait,
     validate_program,
 )
@@ -464,15 +464,16 @@ def _check_built_types(value, hint, counts) -> None:
         for element in value.values():
             _check_built_types(element, typing.get_args(hint)[1], counts)
     elif origin is typing.Union:
-        if dataclasses.is_dataclass(value):
+        if isinstance(value, Value):
             _check_built_types(value, type(value), counts)
         elif value is not None and float in typing.get_args(hint):
             _check_built_types(value, float, counts)
-    elif dataclasses.is_dataclass(hint):
+    elif isinstance(hint, type) and issubclass(hint, Value):
         assert type(value) is hint, (hint, value)
         hints = typing.get_type_hints(hint)
-        for f in dataclasses.fields(value):
-            _check_built_types(getattr(value, f.name), hints[f.name], counts)
+        assert list(hints) == list(hint._fields), hint
+        for name in hint._fields:
+            _check_built_types(getattr(value, name), hints[name], counts)
 
 
 @pytest.mark.parametrize(
@@ -640,7 +641,7 @@ def programs(draw) -> Program:
             return type(instr)(
                 **{
                     f: getattr(instr, f)
-                    for f in instr.__dataclass_fields__
+                    for f in instr._fields
                     if f not in ("annotation", "location")
                 },
                 annotation=ann,

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.resources
 import io
 import json
@@ -48,10 +47,26 @@ def test_trace_file_reader(tmp_path):
     with open(path, "w", encoding="utf-8") as sink:
         controller = Controller(program, quiet_config(), trace_sink=sink)
         controller.run()
+    # A trace with a sink keeps no events; a sink-less run of the same seed does.
+    kept = Controller(program, quiet_config())
+    kept.run()
     records = read_trace_file(path)
-    assert len(records) == len(controller.trace.events)
+    assert len(records) == len(controller.trace) == len(kept.trace.events) == 2
+    assert records == [json.loads(serialize_event(ev)) for ev in kept.trace.events]
     assert records[0]["kind"] == "instr_begin"
     assert records[-1]["kind"] == "instr_end"
+
+
+def test_a_trace_with_a_sink_keeps_no_events():
+    sink = io.StringIO()
+    controller = Controller(build('sequence "s" { wait 0.5; wait 0.25; }'), quiet_config(),
+                            trace_sink=sink)
+    controller.run()
+    assert controller.trace.events is None
+    assert len(controller.trace) == 4 == len(sink.getvalue().splitlines())
+    assert [json.loads(line)["i"] for line in sink.getvalue().splitlines()] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="kept no events"):
+        controller.trace.serialize()
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +267,18 @@ CACHE_ATTACKS = (
 @given(first=event_sequences(), second=event_sequences())
 def test_serializer_matches_reference_on_two_interleaved_traces(first, second):
     sinks = (io.StringIO(), io.StringIO())
-    traces = (ExecutionTrace(sinks[0]), ExecutionTrace(sinks[1]))
+    # Two streamed traces and two that keep their events, fed interleaved.
+    traces = (ExecutionTrace(sinks[0]), ExecutionTrace(sinks[1]), ExecutionTrace(), ExecutionTrace())
     for k in range(max(len(first), len(second))):
-        for trace, events in zip(traces, (first, second)):
+        for trace, events in zip(traces, (first, second) * 2):
             if k < len(events):
                 trace.append(events[k])
-    for sink, trace, events in zip(sinks, traces, (first, second)):
+    for sink, trace, kept, events in zip(sinks, traces, traces[2:], (first, second)):
         lines = [reference_serialize_event(ev) for ev in events]
         expected = "".join(line + "\n" for line in lines)
         assert sink.getvalue() == expected
-        assert trace.serialize() == expected
+        assert len(trace) == len(kept) == len(events)
+        assert kept.serialize() == expected
         assert [serialize_event(ev) for ev in events] == lines
 
 
@@ -273,26 +290,33 @@ def test_serializer_matches_reference_on_two_interleaved_traces(first, second):
     ("stats_insert.adsl", "stats.json"),
 ])
 def test_sink_bytes_equal_serialize_for_shipped_examples(program, config):
+    # A streamed trace keeps no events, so a second, sink-less run of the
+    # same seed provides them: the sink's bytes must equal its serialization.
     examples = importlib.resources.files("adsl") / "examples"
     sink = io.StringIO()
-    controller = Controller(
-        build((examples / program).read_text(encoding="utf-8")),
-        load_workcell_config(str(examples / config)),
-        seed=0,
-        trace_sink=sink,
-    )
-    controller.run()
-    reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
-    assert sink.getvalue() == controller.trace.serialize()
-    assert sink.getvalue() == "".join(
-        reference_serialize_event(ev) + "\n" for ev in controller.trace.events
-    )
+    controllers = [
+        Controller(
+            build((examples / program).read_text(encoding="utf-8")),
+            load_workcell_config(str(examples / config)),
+            seed=0,
+            trace_sink=trace_sink,
+        )
+        for trace_sink in (sink, None)
+    ]
+    for controller in controllers:
+        controller.run()
+        reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+    streamed, kept = (controller.trace for controller in controllers)
+    assert len(streamed) == len(kept.events) > 0
+    assert sink.getvalue() == kept.serialize()
+    assert sink.getvalue() == "".join(reference_serialize_event(ev) + "\n" for ev in kept.events)
 
 
 def test_an_event_holds_exactly_the_fields_it_serializes():
     event = TraceEvent(0, EventKind.INSTR_BEGIN, 0.0, (), SpeedLevel.NORMAL, (), (), (), (), {})
     keys = list(json.loads(serialize_event(event)))
-    names = [f.name for f in dataclasses.fields(TraceEvent)]
+    names = list(TraceEvent._fields)
+    assert names == list(TraceEvent.__slots__)
     assert ["i" if n == "index" else n for n in names] == keys
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -392,7 +391,7 @@ class TestConfigLoading:
 
     def test_loaded_examples_validate(self, aligned_config, blocked_config, free_config):
         for cfg in (aligned_config, blocked_config, free_config):
-            assert dataclasses.replace(cfg) == cfg  # rebuilding runs the checks again
+            assert cfg.replace() == cfg  # rebuilding runs the checks again
 
     def test_config_checks_itself_when_built(self):
         with pytest.raises(WorkcellConfigError, match="dt must be positive"):
@@ -418,9 +417,9 @@ class TestConfigLoading:
         bad = dict(c.speed_map)
         bad[SpeedLevel.NORMAL] = -0.1
         with pytest.raises(WorkcellConfigError, match="speed values must be positive"):
-            dataclasses.replace(c, speed_map=bad)
+            c.replace(speed_map=bad)
         assert c.speed_map[SpeedLevel.NORMAL] == 0.1
-        assert c == WorkcellConfig(noise_sigma=0.0) == dataclasses.replace(c)
+        assert c == WorkcellConfig(noise_sigma=0.0) == c.replace()
         assert c == WorkcellConfig(noise_sigma=0.0, speed_map=dict(c.speed_map))
 
     def test_pluggable_model_dof_mismatch(self):
