@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .controller import Controller, ControllerOptions, RunAborted
+from .controller import Controller, ControllerOptions, RunAborted, default_registry
 from .model import validate_program
 from .parser import ParseError, parse_program
 from .reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
@@ -77,12 +77,18 @@ def _inputs(args):
     return program, config, _report(validate_program(program, config.dof))
 
 
+def _print_log(ctx, items):
+    """The `log` action here: the library's logs at INFO, which no handler shows."""
+    print("log:", ", ".join(items) if items else "(no items)", file=sys.stderr)
+
+
 def _controller(args, program, config, sink=None):
     """The controller for a run, or None when the workcell cannot host it."""
+    registry = default_registry()
+    registry.register("log", _print_log)
     try:
-        return Controller(
-            program, config, seed=args.seed, trace_sink=sink, options=_options_from_args(args)
-        )
+        return Controller(program, config, seed=args.seed, trace_sink=sink,
+                          options=_options_from_args(args), registry=registry)
     except WorkcellConfigError as exc:
         print(f"error: {args.workcell}: {exc}", file=sys.stderr)
         return None

@@ -21,10 +21,11 @@ Its `fk` makes joints floats: it is where an action callback's
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the pose of
 the current joints straight toward the target by at most speed*dt, less
-when an obstacle surface comes first (tested only when the cell has
-obstacles). The orientation interpolates by the same fraction, or snaps to
-the target on arrival or for a pure rotation; the inverse kinematics of the
-new pose become the joints, and the clock advances by dt.
+when an obstacle surface comes first (tested exactly only for obstacles
+whose widened box meets the step's). The orientation interpolates by the
+same fraction, or snaps to the target on arrival or for a pure rotation; the
+inverse kinematics of the new pose become the joints, and the clock advances
+by dt.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class HoleAxis(Enum):
 
 # Cross-section axes for a hole along each axis, in (u, v) order.
 _CROSS_AXES = {HoleAxis.X: (1, 2), HoleAxis.Y: (0, 2), HoleAxis.Z: (0, 1)}
+# How far `Obstacle.bounds` widens a box, in metres. When `_segment_hit` finds
+# a step of at most 1 m per axis entering a box, the step's far end as
+# `Workcell._first_hit` rounds it lies less than 5e-16 m outside the box.
+_MARGIN = 1e-9
 
 
 class Hole(Value):
@@ -97,7 +102,8 @@ class Hole(Value):
 
 class Obstacle(Value):
     """Axis-aligned box, solid except for an optional rectangular through-hole.
-    It checks its geometry when it is built."""
+    It checks its geometry when it is built, and keeps `bounds` (not a field):
+    the box's minima then maxima, each moved `_MARGIN` outward."""
 
     box_min: tuple[float, float, float]
     box_max: tuple[float, float, float]
@@ -107,6 +113,8 @@ class Obstacle(Value):
         for lo, hi in zip(self.box_min, self.box_max):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise WorkcellConfigError("obstacle box min must be strictly below max")
+        _set(self, "bounds", tuple([b - _MARGIN for b in self.box_min]
+                                   + [b + _MARGIN for b in self.box_max]))
         if self.hole is None:
             return
         u, v = _CROSS_AXES[self.hole.axis]
@@ -387,7 +395,11 @@ class Workcell:
         """
         state = self.state
         dt = self.config.dt
-        pose = self.tcp_pose()
+        joints = state.joints
+        key, pose = self._tcp  # `tcp_pose`, inline
+        if key is not joints:
+            pose = self.model.fk(joints)
+            self._tcp = (joints, pose)
         px, py, pz = pose.position
         tx, ty, tz = target.position
         dx, dy, dz = tx - px, ty - py, tz - pz
@@ -423,9 +435,32 @@ class Workcell:
         return contact, advanced
 
     def _first_hit(self, origin, unit_dir, length):
-        """Distance along the segment to the first solid surface, or None."""
+        """Distance along the segment to the first solid surface, or None.
+        Only obstacles whose `bounds` meet the segment's bounding box get the
+        exact test; that box is all of space unless every coordinate is
+        finite and the step is at most 1 m on each axis."""
+        ox, oy, oz = origin
+        ux, uy, uz = unit_dir
+        sx, sy, sz = ux * length, uy * length, uz * length
+        if -1.0 <= sx <= 1.0 and -1.0 <= sy <= 1.0 and -1.0 <= sz <= 1.0 \
+                and -math.inf < ox + oy + oz < math.inf:
+            x0, x1 = ox, ox + sx
+            if sx < 0.0:
+                x0, x1 = x1, x0
+            y0, y1 = oy, oy + sy
+            if sy < 0.0:
+                y0, y1 = y1, y0
+            z0, z1 = oz, oz + sz
+            if sz < 0.0:
+                z0, z1 = z1, z0
+        else:
+            x0 = y0 = z0 = -math.inf
+            x1 = y1 = z1 = math.inf
         best = None
         for obs in self.config.obstacles:
+            b = obs.bounds
+            if x1 < b[0] or x0 > b[3] or y1 < b[1] or y0 > b[4] or z1 < b[2] or z0 > b[5]:
+                continue
             hit = _segment_hit(origin, unit_dir, length, obs)
             if hit is not None and (best is None or hit < best):
                 best = hit

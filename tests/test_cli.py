@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import logging
 import os
 import runpy
 import subprocess
@@ -474,3 +475,30 @@ def test_streamed_trace_memory_does_not_grow_with_the_run(tmp_path):
     lines = (tmp_path / "move20.ndjson").read_text().count("\n")
     assert lines > 25_000
     assert peaks_kb[1] - peaks_kb[0] < 4 * 1024, peaks_kb
+
+
+LOG_PROGRAM = 'item "a" { keyframe k { (0.0, 0.0, 0.0); } } sequence "s" { call "log" ("a"); }'
+
+
+def test_log_action_prints_on_stderr(capsys, tmp_path):
+    """The CLI prints the built-in `log` action's message on stderr; stdout and
+    the trace are those of a library run, which logs instead."""
+    prog, trace = tmp_path / "log.adsl", tmp_path / "t.ndjson"
+    prog.write_text(LOG_PROGRAM)
+    cell = example("free_space.json")
+    code, out, err = run_cli(capsys, "run", str(prog), "--workcell", cell, "--trace", str(trace))
+    assert (code, err) == (EXIT_OK, "log: a\n")
+    assert summary_dict(out) == {"seed": "0", "result": "completed", "instructions": "1",
+                                 "errors": "0", "recoveries": "0", "simulated time": "0.000000"}
+    controller = Controller(build(LOG_PROGRAM), load_workcell_config(cell), seed=0)
+    controller.run()
+    assert trace.read_text(encoding="utf-8") == controller.trace.serialize()
+    code, out, err = run_cli(capsys, "reverse", str(prog), "--workcell", cell)
+    assert (code, err) == (EXIT_REVERSAL_BLOCKED, "log: a\n")  # `log` has no reverse
+
+
+def test_log_action_in_library_use_logs_at_info(caplog):
+    with caplog.at_level(logging.INFO, logger="adsl"):
+        Controller(build(LOG_PROGRAM), load_workcell_config(example("free_space.json"))).run()
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == \
+        [("adsl", logging.INFO, "log action: a")]

@@ -1,10 +1,15 @@
+import hashlib
+import importlib.resources
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from adsl import controller as controller_module, workcell as workcell_module
+from adsl.controller import Controller
 from adsl.model import Direction, Frame, SpeedLevel
+from adsl.parser import parse_program
 from adsl.workcell import (
     BitOutOfRange,
     Hole,
@@ -17,6 +22,8 @@ from adsl.workcell import (
     WorkcellConfigError,
     load_workcell_config,
     workcell_config_from_dict,
+    _CROSS_AXES,
+    _segment_hit,
 )
 
 
@@ -434,3 +441,239 @@ class TestConfigLoading:
 
         with pytest.raises(WorkcellConfigError):
             Workcell(WorkcellConfig(), model=TwoAxis())
+
+
+# ---------------------------------------------------------------------------
+# Broad phase: `Workcell._first_hit` against the exact test of every obstacle
+
+
+def reference_first_hit(self, origin, unit_dir, length):
+    """`Workcell._first_hit` with no broad phase: the nearest hit of all."""
+    hits = [_segment_hit(origin, unit_dir, length, obs) for obs in self.config.obstacles]
+    return min([h for h in hits if h is not None], default=None)
+
+
+@st.composite
+def coordinate_pools(draw):
+    """A few shared coordinates at one scale, up to 1e300, so that faces,
+    hole edges and segment ends often coincide."""
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e6, 1e300]))
+    return [scale * p for p in draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6))]
+
+
+def _near(rng, value):
+    """`value`, or a few ulps off it, so that a point grazes a face."""
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        value = math.nextafter(value, rng.choice((-math.inf, math.inf)))
+    return value
+
+
+def random_obstacles(rng, pools, count):
+    """`count` boxes with their x, y and z coordinates from `pools`, each with
+    no hole or a hole along x, y or z, whose sides may touch the box's edges."""
+    obstacles = []
+    for _ in range(count):
+        corners = [sorted((rng.choice(pool), rng.choice(pool))) for pool in pools]
+        lo = tuple(c[0] for c in corners)
+        hi = tuple(b if a < b else math.nextafter(a, math.inf) for a, b in corners)
+        axis = rng.choice([None, *HoleAxis])
+        hole = None
+        if axis is not None:
+            center, half = [], []
+            for k in _CROSS_AXES[axis]:  # halves first: hi - lo can overflow at 1e300
+                f0, f1 = sorted(rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
+                a = lo[k] + (hi[k] / 2 - lo[k] / 2) * 2 * f0
+                b = lo[k] + (hi[k] / 2 - lo[k] / 2) * 2 * f1
+                center.append(a / 2 + b / 2)
+                half.append(b / 2 - a / 2)
+            hole = Hole(axis, tuple(center), tuple(half))
+        try:
+            obstacles.append(Obstacle(lo, hi, hole))
+        except WorkcellConfigError:  # a zero-width hole, or rounding put it off the face
+            obstacles.append(Obstacle(lo, hi))
+    return tuple(obstacles)
+
+
+def _aimed(origin, target, stretch):
+    """The segment from `origin` toward `target`, `stretch` times as long."""
+    dist = math.dist(origin, target)
+    if not 0.0 < dist < math.inf:
+        return origin, (1.0, 0.0, 0.0), stretch
+    return origin, tuple((t - o) / dist for t, o in zip(target, origin)), dist * stretch
+
+
+def random_segment(rng, pool, obstacles):
+    """(origin, unit direction, length): from pool points and box centres,
+    along an axis, nearly along one, diagonal or at random, of zero, tiny,
+    per-cycle, 1 m or huge length; or aimed at a pool point, or from outside
+    a box at a point on one of its faces, ending on or near it."""
+    box = rng.choice(obstacles)
+    inside = [lo / 2 + hi / 2 for lo, hi in zip(box.box_min, box.box_max)]
+    origin = tuple(_near(rng, rng.choice(pool + [inside[k]])) for k in range(3))
+    length = rng.choice((0.0, 5e-324, 1e-9, 0.002, 0.5, 1.0, 1.5, 1e300, 2 * rng.random()))
+    stretch = rng.choice((1.0, 1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.5, 2.0))
+    kind = rng.choice(("axis", "near_axis", "diagonal", "random", "aimed", "face", "face"))
+    if kind == "aimed":
+        return _aimed(origin, tuple(_near(rng, rng.choice(pool)) for _ in range(3)), stretch)
+    if kind == "face":
+        axis, side = rng.randrange(3), rng.choice((0, 1))
+        lo, hi = box.box_min, box.box_max
+        point = [lo[k] + (hi[k] / 2 - lo[k] / 2) * 2 * rng.choice((0.0, 0.5, 1.0, rng.random()))
+                 for k in range(3)]
+        point[axis] = (lo, hi)[side][axis]
+        start = [p + (hi[k] / 2 - lo[k] / 2) * rng.uniform(-4.0, 4.0) for k, p in enumerate(point)]
+        start[axis] = point[axis] + (2 * side - 1) * abs(rng.choice(pool) - point[axis]) \
+            * rng.choice((1e-12, 1.0, rng.random()))
+        return _aimed(tuple(start), tuple(point), stretch)
+    if kind == "axis":
+        axis, sign = rng.randrange(3), rng.choice((-1.0, 1.0))
+        return origin, tuple(sign if k == axis else 0.0 for k in range(3)), length
+    if kind == "near_axis":
+        return origin, (rng.choice((-1.0, 1.0)), 1e-16, -5e-16), length
+    if kind == "diagonal":
+        raw = [rng.choice((-1.0, 0.0, 1.0)) for _ in range(2)] + [1.0]
+    else:
+        raw = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+    norm = math.sqrt(sum(c * c for c in raw))
+    return origin, tuple(c / norm for c in raw), length
+
+
+@st.composite
+def obstacle_lists(draw, pools, max_size=20):
+    """Strategy: `random_obstacles` of 1-`max_size` boxes."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_obstacles(rng, pools, draw(st.integers(1, max_size)))
+
+
+class TestBroadPhase:
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_first_hit_equals_the_exact_test_of_every_obstacle(self, data, seed):
+        pool = data.draw(coordinate_pools())
+        obstacles = data.draw(obstacle_lists([pool] * 3))
+        cell = make_cell(obstacles=obstacles)
+        rng = random.Random(seed)
+        for _ in range(20):
+            origin, unit_dir, length = random_segment(rng, pool, obstacles)
+            assert cell._first_hit(origin, unit_dir, length) == \
+                reference_first_hit(cell, origin, unit_dir, length), (origin, unit_dir, length)
+
+    #: Steps whose far end, as `_first_hit` rounds it, falls short of a box
+    #: the exact test enters: a 0.25 m step, and a 2e300 m step at 1e300.
+    SHORT_ENDS = [
+        (WALL, (-0.016, 0.285, 0.0), (0.669856024139719, -0.7424910147090861, 0.0),
+         0.24781444671366515),
+        (Obstacle((-7.508706973136405e+299, 5.917142373428151e+299, -7.508706973136405e+299),
+                  (9.529747764121172e+299,) * 3),
+         (-7.508706973136405e+299, -7.508706973136405e+299, 4.216435220119861e+299),
+         (0.7629037370211684, 0.6011478621227311, 0.23790572902812956), 2.2333688918323923e+300),
+    ]
+
+    @pytest.mark.parametrize("obstacle, origin, unit_dir, length", SHORT_ENDS)
+    def test_a_far_end_rounded_short_of_the_box_still_hits(self, obstacle, origin, unit_dir,
+                                                           length):
+        end = [o + u * length for o, u in zip(origin, unit_dir)]
+        assert any(max(o, e) < lo or min(o, e) > hi for o, e, lo, hi
+                   in zip(origin, end, obstacle.box_min, obstacle.box_max))
+        cell = make_cell(obstacles=(obstacle,))
+        hit = reference_first_hit(cell, origin, unit_dir, length)
+        assert hit is not None and cell._first_hit(origin, unit_dir, length) == hit
+
+    @pytest.mark.parametrize("origin, unit_dir, length", [
+        ((0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), 0.002),  # the exact test: contact at 0
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), math.nan),
+        ((math.inf, 0.0, 0.0), (-1.0, 0.0, 0.0), 0.002),
+        ((math.nan, 0.6, 0.0), (1.0, 0.0, 0.0), 0.002),
+        ((0.2, 0.0, 0.0), (1.0, 0.0, 0.0), 1e300),
+        ((0.15 - 0.002, 0.5, 0.0), (1.0, 0.0, 0.0), 0.002),  # ends on the face, on its edge
+        ((0.15, 0.5 + 1e-12, 0.0), (1.0, 1e-16, 0.0), 0.002),  # parallel, just outside
+        ((0.2, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),  # zero length inside the box
+        ((1e300, 0.5, 0.5), (-1.0, 0.0, 0.0), 1e-3),  # on a face at 1e300
+    ])
+    def test_edge_segments_keep_the_exact_answer(self, origin, unit_dir, length):
+        cell = make_cell(obstacles=(WALL, Obstacle((1e300, 0.0, 0.0), (2e300, 1.0, 1.0))))
+        assert cell._first_hit(origin, unit_dir, length) == \
+            reference_first_hit(cell, origin, unit_dir, length)
+
+    def test_bounds_widen_the_box_and_stay_out_of_the_fields(self):
+        assert WALL_WITH_HOLE.bounds == (0.15 - 1e-9, -0.5 - 1e-9, -0.5 - 1e-9,
+                                         0.25 + 1e-9, 0.5 + 1e-9, 0.5 + 1e-9)
+        assert "bounds" not in repr(WALL_WITH_HOLE)
+        assert WALL_WITH_HOLE.replace().bounds == WALL_WITH_HOLE.bounds
+
+    def test_a_wall_far_to_the_side_is_never_tested(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(workcell_module, "_segment_hit",
+                            lambda *args: calls.append(args) or _segment_hit(*args))
+        cell = make_cell(obstacles=(Obstacle((-1.0, 0.5, -1.0), (1.0, 0.6, 1.0)),))
+        for _ in range(100):
+            assert cell.step_motion(Pose((0.3, 0.0, 0.0)), speed=0.25)[0] is False
+        assert cell.tcp_pose().position[0] == pytest.approx(0.2) and calls == []
+
+
+# ---------------------------------------------------------------------------
+# Generated workcells: whole runs with and without the broad phase
+
+EXAMPLES = importlib.resources.files("adsl") / "examples"
+STATS = parse_program((EXAMPLES / "stats_insert.adsl").read_text(encoding="utf-8"))
+PEG = parse_program((EXAMPLES / "peg_in_hole.adsl").read_text(encoding="utf-8"))
+#: name -> (program, home joints, centre and half-sizes of the box its moves cross)
+PATHS = {
+    "stats": (STATS, (0.0, 0.0, 0.1, 0.0, 0.0, 0.0), (0.04, 0.0, 0.1), (0.06, 0.02, 0.02)),
+    "peg": (PEG, (3.425, -1.0, 0.5, 0.0, 0.0, 0.0), (3.55, -1.0, 0.3), (0.2, 0.1, 0.1)),
+}
+
+
+@st.composite
+def generated_cells(draw):
+    """(program, config): a shipped program among 1-4 boxes, each side of its
+    path alike, with random holes, at a fine or a coarse control cycle."""
+    program, home, centre, half = PATHS[draw(st.sampled_from(sorted(PATHS)))]
+    fractions = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5)
+    pools = [[c + h * sign * f for f in draw(fractions) for sign in (1.0, -1.0)]
+             for c, h in zip(centre, half)]
+    config = WorkcellConfig(home_joints=home, obstacles=draw(obstacle_lists(pools, 4)),
+                            dt=draw(st.sampled_from([0.008, 0.04])))
+    return program, config
+
+
+def _trace(program, config, seed):
+    controller = Controller(program, config, seed=seed)
+    controller.run()
+    return controller.trace.serialize()
+
+
+# Each example is two whole runs, so shrinking a failure would take minutes;
+# the failing example is reported as found.
+@given(generated_cells(), st.integers(0, 1000))
+@settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_generated_cells_trace_as_without_the_broad_phase(cell, seed):
+    program, config = cell
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller_module, "MAX_CONTROL_CYCLES", 2000)
+        trace = _trace(program, config, seed)
+        mp.setattr(Workcell, "_first_hit", reference_first_hit)
+        assert _trace(program, config, seed) == trace
+
+
+def test_the_stats_wall_is_tested_only_near_it(monkeypatch):
+    """The guarded insertion into `stats.json`'s wall makes contact on the same
+    cycles as before (the trace digest), and only steps that reach the
+    widened wall run the exact test."""
+    calls = []
+
+    def counting(origin, unit_dir, length, obs):
+        calls.append((origin, length))
+        return _segment_hit(origin, unit_dir, length, obs)
+
+    monkeypatch.setattr(workcell_module, "_segment_hit", counting)
+    config = load_workcell_config(str(EXAMPLES / "stats.json"))
+    trace = _trace(STATS, config, 0)
+    assert hashlib.sha256(trace.encode()).hexdigest() == \
+        "4f987ff1a5529825050af8b6301ac5f3b31532c921bc968ed5026736f139fa1f"
+    wall = config.obstacles[0]
+    cycles = trace.count('"kind":"motion_sample"')
+    assert 0 < len(calls) < cycles / 5
+    for origin, length in calls:
+        gap = max(max(lo - o, o - hi) for o, lo, hi in zip(origin, wall.box_min, wall.box_max))
+        assert gap <= length + 1e-9
