@@ -10,7 +10,6 @@ from .controller import (
     Controller,
     ControllerOptions,
     InvalidProgramError,
-    RunAborted,
     RunResult,
     default_registry,
     evaluate_query,
@@ -22,6 +21,7 @@ from .reverse import (
     PolicyMode,
     ResumePolicy,
     ReversibilityClass,
+    RunAborted,
     StopReason,
     classify,
     recover_by_reversal,

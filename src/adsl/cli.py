@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .controller import Controller, ControllerOptions, RunAborted, default_registry
 from .model import validate_program
@@ -122,18 +123,16 @@ def cmd_run(args) -> int:
         return code
 
     try:
-        sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    except OSError as exc:
+        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as sink:
+            controller = _controller(args, program, config, sink)
+            if controller is None:
+                return EXIT_INPUT_ERROR
+            result = controller.run()
+    except OSError as exc:  # opening, writing or closing the trace file
+        if not args.trace:
+            raise
         print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        controller = _controller(args, program, config, sink)
-        if controller is None:
-            return EXIT_INPUT_ERROR
-        result = controller.run()
-    finally:
-        if sink is not None:
-            sink.close()
 
     _print_run_summary(args, result)
     return EXIT_OK if result.completed else EXIT_ABORTED

@@ -14,14 +14,15 @@ recovery sequence then runs on top of the run's one frame stack, and
 recovery sequence are delegated to the reverse-execution engine, which
 undoes recorded instructions from the context's undo log and resumes. An
 error signaled while another is being resolved aborts the run, as does an
-unguarded move into a solid: each abort is a `RunAborted`. The context owns
-the frame stack, and a `respond_after current_sequence` error waits on the
-frame it was signaled in. Resuming moves the existing frames, so open calls
-keep their entry state and waiting errors; a frame the resume drops takes
-its waiting errors with it, and `return_to restart_program` discards them
-all. The limits are module constants; the `ResumePolicy` in
-`ControllerOptions` is immutable, and the reversal occurrence counts it is
-applied to belong to the run.
+unguarded move into a solid: each abort is a `RunAborted`, re-exported from
+`reverse`. `ctx.stack`, a tuple of `(sequence, index)` pairs, is the one
+record of where the run is; `ctx.frames` has a frame per entry, holding its
+entry state and the `respond_after current_sequence` errors waiting on it.
+Resuming moves the existing frames, so open calls keep their entry state
+and waiting errors; a frame the resume drops takes its waiting errors with
+it, and `return_to restart_program` discards them all. The limits are module
+constants; the `ResumePolicy` in `ControllerOptions` is immutable, and the
+reversal occurrence counts it is applied to belong to the run.
 
 Every state change is recorded in an `ExecutionTrace`; runs with the same
 program, workcell config, and seed produce byte-identical traces.
@@ -61,7 +62,7 @@ from .model import (
     validate_program,
 )
 from .printer import format_instruction
-from .reverse import RecoveryImpossible, ResumePolicy
+from .reverse import ResumePolicy, RunAborted
 from .trace import EventKind, ExecutionTrace, TraceEvent
 from .workcell import (
     BitOutOfRange,
@@ -176,11 +177,6 @@ def _describe_query(query: Query) -> str:
 # Internal control flow
 
 
-class RunAborted(Exception):
-    """Unrecoverable condition: `Controller.run` returns it as an aborted
-    result, and `reverse_execute` outside a run raises it."""
-
-
 class UnregisteredAction(RunAborted):
     """A `call` named an action the registry does not hold."""
 
@@ -198,20 +194,15 @@ class InvalidProgramError(ValueError):
 
 
 class CallFrame:
-    """An open sequence: its position, its entry state, and the `(name, site)`
-    of each `respond_after current_sequence` error waiting for its end."""
+    """An open call's entry state and the `(name, site)` of each `respond_after
+    current_sequence` error waiting for its end; its position is in `ctx.stack`."""
 
-    __slots__ = ("seq", "index", "entry_joints", "entry_bits", "deferred")
+    __slots__ = ("entry_joints", "entry_bits", "deferred")
 
-    def __init__(self, seq: str, index: int, entry_joints, entry_bits):
-        self.seq = seq
-        self.index = index
+    def __init__(self, entry_joints, entry_bits):
         self.entry_joints = entry_joints
         self.entry_bits = entry_bits
         self.deferred: list[tuple[str, tuple]] = []
-
-    def __repr__(self):
-        return f"CallFrame({self.seq!r}, {self.index})"
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +232,10 @@ class ExecutionContext:
         self.running: bool = False  # inside `Controller.run`
         self.in_recovery: bool = False  # resolving an error; another aborts
         self.cycles: int = 0  # control cycles so far, capped at MAX_CONTROL_CYCLES
-        #: The one call-frame stack, outermost first; recoveries run on top.
-        #: Only the frame methods below write it or a frame's index.
+        #: Where the run is, `(sequence, index)` per open frame, outermost first
+        #: (recoveries on top), and a `CallFrame` per entry. Only the frame
+        #: methods below write them; `stack` is replaced, never mutated.
+        self.stack: tuple[tuple[str, int], ...] = ()
         self.frames: list[CallFrame] = []
         #: `(name, site)` of each `respond_after current_action` error queued.
         self.pending: list[tuple[str, tuple]] = []
@@ -251,48 +244,39 @@ class ExecutionContext:
         self.undo_log: list[TraceEvent] = []
         #: Trace indices of the `INSTR_END`s recorded in recovery sequences.
         self.recovery_ends: set[int] = set()
-        self._stack: Optional[tuple[tuple[str, int], ...]] = None
 
     # -- frame stack ----------------------------------------------------------
 
-    def call_stack(self) -> tuple[tuple[str, int], ...]:
-        """(sequence, index) of every frame, outermost first; cached until a
-        frame method below changes the stack."""
-        if self._stack is None:
-            self._stack = tuple((f.seq, f.index) for f in self.frames)
-        return self._stack
-
-    def push(self, seq: str, index: int = 0) -> None:
-        """Open a frame on `seq` at `index`, entered in the current state."""
+    def push(self, seq: str) -> None:
+        """Open a frame at the top of `seq`, entered in the current state."""
         state = self.workcell.state
-        self.frames.append(CallFrame(seq, index, state.joints, state.bits()))
-        self._stack = None
+        self.frames.append(CallFrame(state.joints, state.bits()))
+        self.stack += ((seq, 0),)
 
     def truncate(self, depth: int) -> None:
         """Drop the frames above `depth`, with the errors waiting on them."""
         del self.frames[depth:]
-        self._stack = None
+        self.stack = self.stack[:depth]
 
     def advance(self) -> None:
         """Move the top frame on to its next instruction."""
-        self.frames[-1].index += 1
-        self._stack = None
+        seq, index = self.stack[-1]
+        self.stack = self.stack[:-1] + ((seq, index + 1),)
 
     def resume(self, stack: tuple[tuple[str, int], ...]) -> None:
         """Move the frames to `stack`: frames of calls still open stay, the
         first whose index differs moves there, and deeper ones start fresh."""
-        frames = self.frames
         keep = 0
-        for frame, (seq, index) in zip(frames, stack):
-            if frame.seq != seq:
+        for (seq, index), (new_seq, new_index) in zip(self.stack, stack):
+            if seq != new_seq:
                 break
             keep += 1
-            if frame.index != index:
-                frame.index = index
+            if index != new_index:
                 break
-        self.truncate(keep)
-        for seq, index in stack[keep:]:
-            self.push(seq, index)
+        del self.frames[keep:]
+        state = self.workcell.state
+        self.frames += [CallFrame(state.joints, state.bits()) for _ in stack[keep:]]
+        self.stack = stack
 
     # -- snapshots ----------------------------------------------------------
 
@@ -306,7 +290,7 @@ class ExecutionContext:
         bits = state.io_bits
         trace = self.trace
         event = TraceEvent(
-            trace.count, kind, state.clock, self.call_stack(), self.active_speed,
+            trace.count, kind, state.clock, self.stack, self.active_speed,
             joints if pre_joints is None else pre_joints, joints,
             bits if pre_bits is None else pre_bits, bits,
             {} if data is None else data,
@@ -328,18 +312,20 @@ class ExecutionContext:
             self.active_speed = level
 
     def move_to_pose(self, target: Pose, speed: float) -> None:
-        """Drive the TCP to `target`; a blocking solid raises RunAborted."""
+        """Drive the TCP to `target` until it is at `fk(ik(target))`, the pose
+        the model can reach; a blocking solid raises RunAborted."""
         workcell = self.workcell
         record = self.options.record_motion_samples
         state = workcell.state
-        tcp_pose = workcell.tcp_pose
+        fk = workcell.model.fk  # `tcp_pose`, inline
         step_motion = workcell.step_motion
         emit = self.emit
-        position, orientation = target.position, target.orientation
+        goal = fk(workcell.model.ik(target))
+        position, orientation = goal.position, goal.orientation
         cycles = self.cycles
         try:
             while True:
-                pose = tcp_pose()
+                pose = fk(state.joints)
                 if pose.position == position and pose.orientation == orientation:
                     return
                 if cycles >= MAX_CONTROL_CYCLES:
@@ -424,7 +410,7 @@ class ExecutionContext:
         spec = self.program.errors.get(name)
         if spec is None:
             raise RunAborted(f"undeclared error '{name}'")
-        site = self.call_stack()
+        site = self.stack
         if spec.respond_after is RespondAfter.IMMEDIATELY:
             raise _ErrorUnwind(name, site)
         if spec.respond_after is RespondAfter.CURRENT_SEQUENCE:
@@ -456,6 +442,9 @@ class Controller:
             raise InvalidProgramError(diagnostics)
         self.program = program
         self.options = options if options is not None else ControllerOptions()
+        if self.options.return_to_sequence not in ("resume", "restart"):
+            raise ValueError("return_to_sequence must be 'resume' or 'restart', got "
+                             f"{self.options.return_to_sequence!r}")
         self.registry = registry if registry is not None else default_registry()
         workcell = Workcell(config, model=model)
         rng = random.Random(config.rng_seed if seed is None else seed)
@@ -504,9 +493,10 @@ class Controller:
             if ctx.pending and not ctx.in_recovery:
                 self._resolve_error(*ctx.pending.pop(0))
                 continue
-            frame = frames[-1]
-            sequence = program.sequences[frame.seq]
-            if frame.index >= len(sequence.instructions):
+            seq, index = ctx.stack[-1]
+            sequence = program.sequences[seq]
+            if index >= len(sequence.instructions):
+                frame = frames[-1]
                 # Nothing waits on a frame that ends during recovery: an
                 # error signaled then aborts before it is queued.
                 if frame.deferred:
@@ -514,16 +504,16 @@ class Controller:
                     continue
                 ctx.truncate(len(frames) - 1)
                 if len(frames) > base:
-                    parent = frames[-1]
-                    call_instr = program.sequences[parent.seq].instructions[parent.index]
+                    seq, index = ctx.stack[-1]
+                    call_instr = program.sequences[seq].instructions[index]
                     if call_instr.annotation is not None:
                         # An annotated call is undone (or not) as a whole.
-                        _drop_children(ctx.undo_log, ctx.call_stack())
+                        _drop_children(ctx.undo_log, ctx.stack)
                     text = format_instruction(call_instr)
                     self._end_instruction({"text": text}, frame.entry_joints, frame.entry_bits)
                     ctx.advance()
                 continue
-            instr = sequence.instructions[frame.index]
+            instr = sequence.instructions[index]
             if isinstance(instr, SeqCall):
                 if len(frames) >= MAX_CALL_DEPTH:
                     raise RunAborted(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
@@ -762,8 +752,6 @@ class Controller:
                     seq, index = resume_at[-1]
                     index = 0 if self.options.return_to_sequence == "restart" else index + 1
                     resume_at = resume_at[:-1] + ((seq, index),)
-        except RecoveryImpossible as exc:
-            raise RunAborted(str(exc)) from None
         finally:  # an abort inside the recovery sequence leaves its frames
             ctx.in_recovery = False
             ctx.truncate(base)

@@ -25,7 +25,8 @@ ctx)` backs up further each time, by a linear or exponential schedule, and
 resumes forward execution at the earliest instruction it undid, skipping
 those of recovery sequences: a recovery is never resumed into. It reads the
 schedule, an immutable `ResumePolicy`, from `ctx.options` and counts each
-error's occurrences on `ctx`, so the counts are per run. The run is
+error's occurrences on `ctx`, so the counts are per run; a reversal that
+cannot progress raises `RunAborted`, the one abort. The run is
 `in_recovery` meanwhile: an error a reverse callback signals aborts it. In a
 `reverse_execute` outside a run, such an error raises `RunAborted`.
 """
@@ -68,8 +69,9 @@ class StopReason(Enum):
     NEVER_REVERSIBLE_HIT = "never_reversible_hit"
 
 
-class RecoveryImpossible(RuntimeError):
-    """Reversal-based recovery cannot make further progress."""
+class RunAborted(Exception):
+    """Unrecoverable condition: `Controller.run` returns it as an aborted
+    result, and `reverse_execute` outside a run raises it."""
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,12 @@ class ResumePolicy(Value):
     mode: PolicyMode = PolicyMode.LINEAR
     base_depth: int = 1
 
+    def __post_init__(self):
+        if not isinstance(self.mode, PolicyMode):
+            raise TypeError(f"mode must be a PolicyMode, got {self.mode!r}")
+        if type(self.base_depth) is not int or self.base_depth < 1:
+            raise ValueError(f"base_depth must be an int of at least 1, got {self.base_depth!r}")
+
     def depth_for(self, occurrence: int) -> int:
         if self.mode is PolicyMode.LINEAR:
             return self.base_depth * occurrence
@@ -266,7 +274,7 @@ def recover_by_reversal(name: str, ctx) -> Optional[tuple]:
     not a call to resume in), or None when there is none (re-execute from
     the signaling site).
 
-    Raises RecoveryImpossible when the reversal saturates against the same
+    Raises RunAborted when the reversal saturates against the same
     barrier or never-reversible boundary twice in a row, or when the error
     recurs against a boundary more than `MAX_REVERSAL_OCCURRENCES` times.
     """
@@ -282,12 +290,12 @@ def recover_by_reversal(name: str, ctx) -> Optional[tuple]:
     )
     if plan.stop_reason in (StopReason.BARRIER, StopReason.NEVER_REVERSIBLE_HIT):
         if occurrence > MAX_REVERSAL_OCCURRENCES:
-            raise RecoveryImpossible(
+            raise RunAborted(
                 f"error '{name}' recurred {occurrence} times against an irreversible boundary"
             )
         marker = (plan.stop_reason, plan.stop_index)
         if ctx.saturation_markers.get(name) == marker:
-            raise RecoveryImpossible(
+            raise RunAborted(
                 f"reversal for error '{name}' blocked at the same boundary twice"
             )
         ctx.saturation_markers[name] = marker

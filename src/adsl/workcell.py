@@ -17,7 +17,9 @@ The joint-to-pose mapping is pluggable. The default model maps joints 1-3 to
 the TCP position and joints 4-6 to ZYX Euler orientation, which is trivially
 invertible and keeps motion in joint space and Cartesian space identical.
 Its `fk` makes joints floats: it is where an action callback's
-`ctx.move_joints_to(...)` values enter.
+`ctx.move_joints_to(...)` values enter. The workcell keeps no pose: each
+query calls `fk`, and the default model's answers the tuple its `ik` last
+returned with the very pose `ik` received.
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the pose of
 the current joints straight toward the target by at most speed*dt, less
@@ -372,16 +374,12 @@ class Workcell:
                 f"kinematic model expects {model_dof} joints, config says {config.dof}"
             )
         self.state = WorkcellState(config.home_joints, config.bit_count, config.filter_window)
-        self._tcp = (None, IDENTITY_POSE)
 
     # -- poses ----------------------------------------------------------------
 
     def tcp_pose(self) -> Pose:
-        """Forward kinematics of the current joints, computed once per joint state."""
-        joints = self.state.joints
-        if self._tcp[0] is not joints:
-            self._tcp = (joints, self.model.fk(joints))
-        return self._tcp[1]
+        """Forward kinematics of the current joints: the model's `fk`, per call."""
+        return self.model.fk(self.state.joints)
 
     # -- motion -----------------------------------------------------------
 
@@ -395,11 +393,7 @@ class Workcell:
         """
         state = self.state
         dt = self.config.dt
-        joints = state.joints
-        key, pose = self._tcp  # `tcp_pose`, inline
-        if key is not joints:
-            pose = self.model.fk(joints)
-            self._tcp = (joints, pose)
+        pose = self.model.fk(state.joints)
         px, py, pz = pose.position
         tx, ty, tz = target.position
         dx, dy, dz = tx - px, ty - py, tz - pz
@@ -503,8 +497,8 @@ class Workcell:
             rows = rotation_matrix(self.tcp_pose().orientation)
             if frame is Frame.TOOLMOUNT:
                 tool = rotation_matrix(self.config.tool_transform.orientation)
-                # Flange orientation: R_tcp composed with the inverse (i.e.
-                # transpose) of the tool rotation.
+                # Flange orientation: the TCP rotation composed with the
+                # inverse (i.e. transpose) of the tool rotation.
                 rows = tuple(
                     tuple(
                         sum(rows[i][k] * tool[j][k] for k in range(3))

@@ -148,6 +148,24 @@ class TestRun:
         assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("program", ["peg_in_hole", "one_wait"], ids=["in_run", "at_close"])
+    def test_trace_write_that_fails(self, capsys, tmp_path, program):
+        # The blocked run's trace overflows the file buffer mid-run; the
+        # one-wait trace is written only when the file is closed.
+        if program == "one_wait":
+            path = tmp_path / "p.adsl"
+            path.write_text('sequence "s" { wait 0.1; }')
+        else:
+            path = example("peg_in_hole.adsl")
+        code, out, err = run_cli(
+            capsys, "run", str(path), "--workcell", example("blocked.json"), "--trace", "/dev/full"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert len(err.splitlines()) == 1
+
     def test_workcell_required(self, capsys, corpus_path):
         with pytest.raises(SystemExit):
             main(["run", corpus_path])

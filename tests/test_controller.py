@@ -19,7 +19,7 @@ from adsl.model import Comparison, DistanceCovered, ForcesExceed
 from adsl.parser import parse_program
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import Obstacle, WorkcellConfig
+from adsl.workcell import Obstacle, Pose, WorkcellConfig
 
 
 from _helpers import build, max_overshoot_past_first_contact, of_kind, quiet_config
@@ -481,7 +481,7 @@ class TestErrorHandling:
         runs = []
 
         def flaky(ctx, items):
-            runs.append(ctx.call_stack())
+            runs.append(ctx.stack)
             if len(runs) in (2, 3):
                 ctx.signal_error("flaky")
 
@@ -531,7 +531,7 @@ class TestErrorHandling:
         runs = []
 
         def f(ctx, items):
-            runs.append(ctx.call_stack())
+            runs.append(ctx.stack)
             if len(runs) <= 3:
                 ctx.signal_error("e")
 
@@ -633,6 +633,11 @@ class TestErrorHandling:
             e.data["text"] for e in of_kind(controller.trace, EventKind.INSTR_BEGIN)
         ]
         assert begins.count('io "gripper_close";') == 2
+
+    def test_unknown_return_to_sequence_mode_is_rejected(self):
+        options = ControllerOptions(return_to_sequence="Restart")
+        with pytest.raises(ValueError, match="return_to_sequence must be 'resume' or 'restart'"):
+            Controller(build('sequence "main" { wait 0.01; }'), quiet_config(), options=options)
 
     def test_recovery_bracketing(self, corpus_program, blocked_config):
         controller = Controller(corpus_program, blocked_config, seed=0)
@@ -795,3 +800,23 @@ class TestControlCycleCap:
         assert not result.completed
         assert result.reason == "control cycles exceed MAX_CONTROL_CYCLES (100)"
         assert len(of_kind(controller.trace, EventKind.MOTION_SAMPLE)) == controller.ctx.cycles == 100
+
+    def test_move_ends_where_the_model_can_reach(self, monkeypatch):
+        # sin(asin(x)) is not x for this target, so the TCP never lands on
+        # the target pose itself; the move ends at fk(ik(target)).
+        class Revolute:
+            dof = 6
+
+            def fk(self, joints):
+                return Pose((math.sin(joints[0]),) + tuple(joints[1:3]), tuple(joints[3:6]))
+
+            def ik(self, pose):
+                return (math.asin(pose.position[0]),) + pose.position[1:] + pose.orientation
+
+        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 2000)
+        text = ('joint_configuration c = { -0.07250718066679696, 0.0, 0.1, 0.0, 0.0, 0.0 };\n'
+                'sequence "s" { move to c; }')
+        controller = Controller(build(text), quiet_config(), seed=0, model=Revolute())
+        result = controller.run()
+        assert result.completed, result.reason
+        assert controller.ctx.cycles < 100

@@ -7,7 +7,8 @@ callback), io, wait and move leaves, `seq` calls two deep and `@barrier`s,
 run under a random `ResumePolicy` and `return_to_sequence` mode with motion
 samples off. Whatever a program does, only `RunAborted` may end the run or
 its reversal, the same seed gives the same trace bytes, and a completed run
-leaves no error waiting and no frame open.
+leaves no error waiting and no frame open. At every event, the context has
+one frame per entry of its stack, and the event records that very stack.
 """
 
 import hashlib
@@ -91,6 +92,16 @@ def run_case(seed):
         registry.register(name, action, (lambda ctx, items: None) if undoable else None)
     controller = Controller(build(text), quiet_config(), seed=seed, options=options,
                             registry=registry)
+    ctx = controller.ctx
+    emit = ctx.emit
+
+    def checked_emit(*args, **kwargs):
+        event = emit(*args, **kwargs)
+        assert len(ctx.frames) == len(ctx.stack), seed
+        assert event.stack is ctx.stack, seed
+        return event
+
+    ctx.emit = checked_emit
     result = controller.run()
     waiting = (list(controller.ctx.pending), list(controller.ctx.frames))
     try:

@@ -304,6 +304,14 @@ class TestResumePolicy:
                 depths = [policy.depth_for(k) for k in range(1, 8)]
                 assert all(b > a for a, b in zip(depths, depths[1:]))
 
+    def test_mode_must_be_a_policy_mode(self):
+        with pytest.raises(TypeError, match="mode must be a PolicyMode"):
+            ResumePolicy("linear")
+
+    def test_base_depth_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="base_depth must be an int of at least 1"):
+            ResumePolicy(base_depth=0)
+
     def test_per_error_memory_is_independent(self):
         # "a" fails twice, then "b" once: "b" starts at occurrence 1 although
         # "a" already reached 2.
