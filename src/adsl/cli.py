@@ -67,14 +67,16 @@ def cmd_validate(args) -> int:
 
 
 def _inputs(args):
-    """Parse the program, load the config and validate the program against
-    the config's dof; returns (program, config, exit code)."""
+    """Parse the program, load the config, default `--seed` to its `rng_seed`
+    and validate the program against its dof; returns (program, config, exit code)."""
     program = _load_program(args.program)
     if program is None:
         return None, None, EXIT_INPUT_ERROR
     config = _load_config(args.workcell)
     if config is None:
         return None, None, EXIT_INPUT_ERROR
+    if args.seed is None:  # the library's rule for `seed=None`
+        args.seed = config.rng_seed
     return program, config, _report(validate_program(program, config.dof))
 
 
@@ -96,14 +98,10 @@ def _controller(args, program, config, sink=None):
 
 
 def _options_from_args(args) -> ControllerOptions:
-    options = ControllerOptions()
-    if getattr(args, "return_to_sequence", None):
-        options.return_to_sequence = args.return_to_sequence
-    if hasattr(args, "base_depth"):  # `reverse` only
-        options.resume_policy = ResumePolicy(
-            mode=PolicyMode(args.policy or "linear"), base_depth=args.base_depth
-        )
-    return options
+    return ControllerOptions(
+        return_to_sequence=args.return_to_sequence,
+        resume_policy=ResumePolicy(PolicyMode(args.policy), args.base_depth),
+    )
 
 
 def _print_run_summary(args, result) -> None:
@@ -207,33 +205,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a program against a workcell")
     p_run.add_argument("program", help="program file (.adsl)")
     p_run.add_argument("--workcell", required=True, help="workcell config (JSON)")
-    p_run.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    p_run.add_argument("--seed", type=int, help="rng seed (default: the workcell's rng_seed)")
     p_run.add_argument("--trace", default=None, help="write the event trace here")
     p_run.add_argument(
         "--return-to-sequence",
         choices=("restart", "resume"),
-        default=None,
+        default="resume",
         help="how return_to=sequence resumes (default: resume)",
     )
-    p_run.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=cmd_run, policy="linear", base_depth=1)  # ResumePolicy()
 
     p_rev = sub.add_parser("reverse", help="run forward, then reverse the trace")
     p_rev.add_argument("program", help="program file (.adsl)")
     p_rev.add_argument("--workcell", required=True, help="workcell config (JSON)")
-    p_rev.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    p_rev.add_argument("--seed", type=int, help="rng seed (default: the workcell's rng_seed)")
     p_rev.add_argument(
         "--depth", type=_count(0), default=None, help="instructions to undo (default: all)"
     )
     p_rev.add_argument(
         "--policy",
         choices=("linear", "exponential"),
-        default=None,
+        default="linear",
         help="resume policy used for reversal-based recovery during the forward run",
     )
     p_rev.add_argument(
         "--base-depth", type=_count(1), default=1, help="resume policy base depth"
     )
-    p_rev.set_defaults(fn=cmd_reverse)
+    p_rev.set_defaults(fn=cmd_reverse, return_to_sequence="resume")  # not a `reverse` flag
 
     return parser
 

@@ -13,19 +13,22 @@ recovery sequence then runs on top of the run's one frame stack, and
 `return_to` picks where forward execution resumes. Errors declared without a
 recovery sequence are delegated to the reverse-execution engine, which
 undoes recorded instructions from the context's undo log and resumes. An
-error signaled while another is being resolved aborts the run, as does an
-unguarded move into a solid: each abort is a `RunAborted`, re-exported from
-`reverse`. `ctx.stack`, a tuple of `(sequence, index)` pairs, is the one
-record of where the run is; `ctx.frames` has a frame per entry, holding its
-entry state and the `respond_after current_sequence` errors waiting on it.
+error signaled while another is being resolved aborts the run, as do an
+unguarded move into a solid and a `call` of an unregistered action: each
+abort is a `RunAborted`, re-exported from `reverse`. `ctx.stack`, a tuple
+of `(sequence, index)` pairs, is the one record of where the run is;
+`ctx.frames` has a frame per entry, holding its entry state and the
+`respond_after current_sequence` errors waiting on it.
 Resuming moves the existing frames, so open calls keep their entry state
 and waiting errors; a frame the resume drops takes its waiting errors with
 it, and `return_to restart_program` discards them all. The limits are module
-constants; the `ResumePolicy` in `ControllerOptions` is immutable, and the
-reversal occurrence counts it is applied to belong to the run.
+constants. `ControllerOptions` is frozen and checks itself when it is built;
+`ctx.program` and `ctx.options` are the run's one reference to each, and the
+reversal occurrence counts its `ResumePolicy` is applied to belong to the run.
 
-Every state change is recorded in an `ExecutionTrace`; runs with the same
-program, workcell config, and seed produce byte-identical traces.
+Every state change is recorded in an `ExecutionTrace`, failed guarded-move
+queries as the program text `printer.format_query` writes; runs with the
+same program, workcell config, and seed produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .model import (
     Wait,
     validate_program,
 )
-from .printer import format_instruction
+from .printer import format_instruction, format_query
 from .reverse import ResumePolicy, RunAborted
 from .trace import EventKind, ExecutionTrace, TraceEvent
 from .workcell import (
@@ -97,12 +100,17 @@ class RunResult(Value):
     stats: RunStats
 
 
-class ControllerOptions(Value, frozen=False):
+class ControllerOptions(Value):
     #: How return_to=sequence resumes: "resume" continues after the failed
     #: instruction, "restart" re-runs the enclosing sequence from the top.
     return_to_sequence: str = "resume"
     resume_policy: ResumePolicy = ResumePolicy()
     record_motion_samples: bool = True
+
+    def __post_init__(self):
+        if self.return_to_sequence not in ("resume", "restart"):
+            raise ValueError("return_to_sequence must be 'resume' or 'restart', got "
+                             f"{self.return_to_sequence!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +175,8 @@ def evaluate_query(query: Query, covered: float, filtered: float) -> bool:
     return covered < query.value
 
 
-def _describe_query(query: Query) -> str:
-    if isinstance(query, ForcesExceed):
-        return f"forces_exceed({query.threshold})"
-    return f"distance_covered({query.cmp.value}, {query.value})"
-
-
 # ---------------------------------------------------------------------------
 # Internal control flow
-
-
-class UnregisteredAction(RunAborted):
-    """A `call` named an action the registry does not hold."""
 
 
 class _ErrorUnwind(Exception):
@@ -391,7 +389,7 @@ class ExecutionContext:
         elif isinstance(instr, Call):
             entry = self.registry.lookup(instr.action)
             if entry is None:
-                raise UnregisteredAction(f"unregistered action '{instr.action}'")
+                raise RunAborted(f"unregistered action '{instr.action}'")
             entry.run(self, instr.items)
         else:
             raise RunAborted(f"cannot execute {type(instr).__name__} as a basic instruction")
@@ -440,16 +438,12 @@ class Controller:
         diagnostics = validate_program(program, config.dof)
         if diagnostics:
             raise InvalidProgramError(diagnostics)
-        self.program = program
-        self.options = options if options is not None else ControllerOptions()
-        if self.options.return_to_sequence not in ("resume", "restart"):
-            raise ValueError("return_to_sequence must be 'resume' or 'restart', got "
-                             f"{self.options.return_to_sequence!r}")
+        options = options if options is not None else ControllerOptions()
         self.registry = registry if registry is not None else default_registry()
         workcell = Workcell(config, model=model)
         rng = random.Random(config.rng_seed if seed is None else seed)
         self.ctx = ExecutionContext(
-            program, workcell, rng, ExecutionTrace(trace_sink), self.options, self.registry
+            program, workcell, rng, ExecutionTrace(trace_sink), options, self.registry
         )
         self._failure_counts: dict[tuple, int] = {}
         self.stats_instructions = 0
@@ -459,7 +453,7 @@ class Controller:
 
     def run(self) -> RunResult:
         ctx = self.ctx
-        ctx.push(self.program.entry)
+        ctx.push(ctx.program.entry)
         ctx.running = True
         try:
             self._loop(0)
@@ -488,7 +482,7 @@ class Controller:
         """Run the top frame until the stack is back down to `base` frames."""
         ctx = self.ctx
         frames = ctx.frames
-        program = self.program
+        program = ctx.program
         while len(frames) > base:
             if ctx.pending and not ctx.in_recovery:
                 self._resolve_error(*ctx.pending.pop(0))
@@ -540,7 +534,7 @@ class Controller:
         finished = False
         try:
             if isinstance(instr, AdvMoveRef):
-                success = self._execute_adv_move(self.program.adv_moves[instr.name])
+                success = self._execute_adv_move(ctx.program.adv_moves[instr.name])
             else:
                 ctx.run_basic_instruction(instr)
             finished = True
@@ -609,7 +603,7 @@ class Controller:
                 covered, guard_stopped = self._attempt_motion(spec, start_pose, direction, speed)
                 filtered = workcell.filtered_force()
                 failed = tuple(
-                    _describe_query(q)
+                    format_query(q)
                     for q in spec.eval_queries
                     if not evaluate_query(q, covered, filtered)
                 )
@@ -672,7 +666,7 @@ class Controller:
         """
         ctx = self.ctx
         workcell = ctx.workcell
-        record = self.options.record_motion_samples
+        record = ctx.options.record_motion_samples
         target = Pose(
             (
                 start_pose.position[0] + direction[0] * spec.distance,
@@ -728,9 +722,9 @@ class Controller:
         self._failure_counts[key] = count
         if count > MAX_RESUME_RETRIES:
             raise RunAborted(f"resume loop guard: error '{name}' recurred {count} times")
-        spec = self.program.errors[name]
-        self.stats_recoveries += 1
         ctx = self.ctx
+        spec = ctx.program.errors[name]
+        self.stats_recoveries += 1
         base = len(ctx.frames)
         resume_at = site
         ctx.in_recovery = True
@@ -745,12 +739,12 @@ class Controller:
                 ctx.emit(EventKind.RECOVERY_END, data=dict(data))
                 if spec.return_to is ReturnTo.RESTART_PROGRAM:
                     # Every waiting error is discarded with its frame.
-                    resume_at = ((self.program.entry, 0),)
+                    resume_at = ((ctx.program.entry, 0),)
                     ctx.pending.clear()
                     ctx.truncate(0)
                 elif spec.return_to is ReturnTo.SEQUENCE:
                     seq, index = resume_at[-1]
-                    index = 0 if self.options.return_to_sequence == "restart" else index + 1
+                    index = 0 if ctx.options.return_to_sequence == "restart" else index + 1
                     resume_at = resume_at[:-1] + ((seq, index),)
         finally:  # an abort inside the recovery sequence leaves its frames
             ctx.in_recovery = False

@@ -89,12 +89,7 @@ class SourceLocation(Value):
         return f"{self.line}:{self.column}"
 
 
-class Severity(Enum):
-    ERROR = "error"
-
-
 class Diagnostic(Value):
-    severity: Severity
     message: str
     name: Optional[str] = None
     location: Optional[SourceLocation] = None
@@ -102,7 +97,7 @@ class Diagnostic(Value):
     def __str__(self) -> str:
         where = str(self.location) if self.location is not None else "?"
         subject = f" '{self.name}'" if self.name else ""
-        return f"{self.severity.value}:{subject} {self.message} at {where}"
+        return f"error:{subject} {self.message} at {where}"
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +361,7 @@ def validate_program(program: Program, dof: int = DEFAULT_DOF) -> list[Diagnosti
     diags: list[Diagnostic] = []
 
     def err(message, name=None, location=None):
-        diags.append(Diagnostic(Severity.ERROR, message, name, location))
+        diags.append(Diagnostic(message, name, location))
 
     for item in program.items.values():
         if not item.keyframes:

@@ -60,12 +60,6 @@ def _string(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _query(q: Query) -> str:
-    if isinstance(q, ForcesExceed):
-        return f"forces_exceed({format_number(q.threshold)})"
-    return f"distance_covered({q.cmp.value}, {format_number(q.value)})"
-
-
 def _behavior(b) -> str:
     if isinstance(b, ReturnToInitialPosition):
         return "return_to_initial_position;"
@@ -117,6 +111,13 @@ def format_instruction(instr: Instruction) -> str:
     return prefix + _instruction_core(instr) + ";"
 
 
+def format_query(q: Query) -> str:
+    """Rendering of a query as program text, which the parser reads back."""
+    if isinstance(q, ForcesExceed):
+        return f"forces_exceed({format_number(q.threshold)})"
+    return f"distance_covered({q.cmp.value}, {format_number(q.value)})"
+
+
 def _item(item: Item, out: list[str]) -> None:
     out.append(f"item {_string(item.name)} {{")
     for kf in item.keyframes:
@@ -155,20 +156,20 @@ def _error(spec: ErrorSpec, out: list[str]) -> None:
 def _adv_move(spec: AdvMoveSpec, out: list[str]) -> None:
     out.append(f"advanced_move {_string(spec.name)} {{")
     if spec.condition is not None:
-        out.append(f"  condition {_query(spec.condition)};")
+        out.append(f"  condition {format_query(spec.condition)};")
     out.append("  specification {")
     out.append(
         f"    distance {format_number(spec.distance)}"
         f" direction {spec.direction.value} frame {spec.frame.value};"
     )
     if spec.stop_if is not None:
-        out.append(f"    stop_if {_query(spec.stop_if)};")
+        out.append(f"    stop_if {format_query(spec.stop_if)};")
     if spec.speed is not None:
         out.append(f"    speed {spec.speed.value};")
     out.append("  }")
     out.append("  evaluation {")
     for q in spec.eval_queries:
-        out.append(f"    {_query(q)};")
+        out.append(f"    {format_query(q)};")
     out.append("  }")
     if spec.on_success:
         out.append("  on_success {")

@@ -181,6 +181,61 @@ class TestRun:
         assert summary["result"] == "aborted"
         assert "unregistered" in summary["reason"]
 
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    def test_out_of_range_io_bit_aborts(self, capsys, tmp_path, command):
+        prog = tmp_path / "bits.adsl"
+        prog.write_text(
+            'io_operation "bad" { set_high; bit 1; set_high; bit 8; }\nsequence "s" { io "bad"; }'
+        )
+        code, out, err = run_cli(capsys, command, str(prog), "--workcell", example("free_space.json"))
+        assert code == EXIT_ABORTED
+        if command == "run":
+            assert summary_dict(out)["reason"] == "io bit out of range: bit 8 outside 0..7"
+        else:  # undoing the aborted `io "bad"` writes bit 8 again
+            assert out == "" and err == "error: reversal failed: bit 8 outside 0..7\n"
+
+    @pytest.mark.parametrize("flags, code, expected", [
+        ((), EXIT_OK, {"result": "completed", "errors": "1"}),
+        (("--return-to-sequence", "resume"), EXIT_OK, {"result": "completed", "errors": "1"}),
+        (("--return-to-sequence", "restart"), EXIT_ABORTED,
+         {"result": "aborted", "reason": "resume loop guard: error 'miss' recurred 6 times"}),
+    ], ids=["default", "resume", "restart"])
+    def test_return_to_sequence_flag(self, capsys, tmp_path, flags, code, expected):
+        prog = tmp_path / "miss.adsl"
+        prog.write_text(
+            'error "miss" { recovery_sequence "rec"; return_to sequence; }\n'
+            'sequence "rec" { wait 0.01; }\n'
+            'advanced_move "m" {\n'
+            "  specification { distance 0.001 direction forward frame tcp; }\n"
+            "  evaluation { distance_covered(more_than, 999.0); }\n"
+            '  on_fail { throw_error("miss"); }\n'
+            "}\n"
+            'sequence "main" { wait 0.01; adv_move "m"; }\n'
+            'entry "main";'
+        )
+        got, out, _ = run_cli(
+            capsys, "run", str(prog), "--workcell", example("free_space.json"), *flags
+        )
+        summary = summary_dict(out)
+        assert got == code
+        assert {key: summary[key] for key in expected} == expected
+
+    def test_seed_defaults_to_the_config_rng_seed(self, capsys, corpus_path, tmp_path):
+        cell = tmp_path / "seven.json"
+        with open(example("blocked.json"), encoding="utf-8") as fh:
+            cell.write_text(json.dumps({**json.load(fh), "rng_seed": 7}))
+        traces = []
+        for flags in ((), ("--seed", "7")):
+            trace = tmp_path / f"{len(traces)}.ndjson"
+            code, out, _ = run_cli(
+                capsys, "run", corpus_path, "--workcell", str(cell), "--trace", str(trace), *flags
+            )
+            assert code == EXIT_OK and summary_dict(out)["seed"] == "7"
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1]
+        _, out, _ = run_cli(capsys, "reverse", corpus_path, "--workcell", str(cell))
+        assert summary_dict(out)["seed"] == "7"
+
     def test_trace_of_a_collision_abort_is_complete(self, capsys, tmp_path):
         prog, cell, trace = tmp_path / "p.adsl", tmp_path / "cell.json", tmp_path / "t.ndjson"
         prog.write_text(BLOCKED)

@@ -15,8 +15,21 @@ from adsl.controller import (
     default_registry,
     evaluate_query,
 )
-from adsl.model import Comparison, DistanceCovered, ForcesExceed
+from adsl.model import (
+    AdvMoveSpec,
+    Comparison,
+    Direction,
+    DistanceCovered,
+    ForcesExceed,
+    Frame,
+    Item,
+    Keyframe,
+    MoveJoint,
+    Program,
+    Sequence,
+)
 from adsl.parser import parse_program
+from adsl.printer import format_query
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
 from adsl.workcell import Obstacle, Pose, WorkcellConfig
@@ -29,6 +42,16 @@ GRIPPER_OPS = """
 io_operation "gripper_open" { set_low; bit 0; sleep 0.5; }
 io_operation "gripper_close" { set_high; bit 0; sleep 0.5; }
 """
+
+GUARDED = (
+    'advanced_move "m" {{ specification {{ distance {} direction forward frame tcp; }}'
+    ' evaluation {{ {}; }} on_fail {{ {} }} }}\nsequence "s" {{ adv_move "m"; }}'
+)
+
+
+def _program(text='sequence "s" { wait 0.1; }', **tables):
+    """A parsed program with declaration tables replaced: inputs the parser cannot build."""
+    return parse_program(text).replace(**tables)
 
 
 class TestEvaluateQuery:
@@ -119,10 +142,39 @@ class TestBasicInstructions:
         [
             ("move to nowhere;", "unresolved joint configuration", "nowhere"),
             ('io "nothere";', "unresolved io operation", "nothere"),
+            ('call "noop" ("ghost");', "unresolved item", "ghost"),
+            ('adv_move "ghost";', "unresolved advanced move", "ghost"),
+            (_program('io_operation "o" { set_high; set_low; bit 0; }\nsequence "s" { io "o"; }'),
+             "level primitive not followed by exactly one select", "o"),
+            (_program('io_operation "o" { set_high; bit -1; }\nsequence "s" { io "o"; }'),
+             "negative bit index", "o"),
+            (_program('io_operation "o" { sleep 0; }\nsequence "s" { io "o"; }'),
+             "sleep duration must be a positive finite number", "o"),
+            (_program('error "e" { recovery_sequence "ghost"; }\nsequence "s" { wait 0.1; }'),
+             "unresolved recovery sequence", "ghost"),
+            (_program('item "i" { keyframe k { (1' + "0" * 400 + ', 0, 0); } }\n'
+                      'sequence "s" { wait 0.1; }'),
+             "non-finite keyframe coordinate", "i.k"),
+            (_program(GUARDED.format("0.1", "distance_covered(more_than, -1.0)",
+                                     "return_to_initial_position;")),
+             "distance value must be a non-negative finite number", "m"),
+            (_program(GUARDED.format("-0.1", "forces_exceed(1.0)", "return_to_initial_position;")),
+             "move distance must be a non-negative finite number", "m"),
+            (_program(GUARDED.format("0.1", "forces_exceed(1.0)", "repeat_with_perturbation(0);")),
+             "retry count must be a positive integer", "m"),
+            (_program(items={"i": Item("i", ())}), "item has no keyframes", "i"),
+            (_program(items={"i": Item("i", (Keyframe("k", ()),))}),
+             "keyframe has no coordinates", "i.k"),
+            (_program(sequences={"s": Sequence("s", (MoveJoint(()),))}),
+             "move has no waypoints", "s"),
+            (_program(adv_moves={"m": AdvMoveSpec("m", 0.1, Direction.FORWARD, Frame.TCP,
+                                                  (ForcesExceed(1.0),), ())}),
+             "advanced move needs at least one on_fail behavior", "m"),
         ],
     )
     def test_unvalidated_program_rejected_with_diagnostics(self, body, message, name):
-        program = parse_program(f'sequence "s" {{ {body} }}')
+        # A text `body` is the one instruction of sequence "s".
+        program = body if isinstance(body, Program) else parse_program(f'sequence "s" {{ {body} }}')
         with pytest.raises(InvalidProgramError) as info:
             Controller(program, quiet_config(), seed=0)
         assert isinstance(info.value, ValueError)
@@ -246,6 +298,20 @@ class TestAdvancedMove:
         assert len(ends) == 1
         assert ends[0].data["covered"] == 0.0
         assert ends[0].data["failed"] == ["condition"]
+
+    def test_failed_queries_are_program_text(self):
+        # Their reprs, 5e-05 and 2e+16, are not adsl: the grammar has no exponent.
+        program = build(GUARDED.format(
+            "0.01", "forces_exceed(0.00005); distance_covered(more_than, 20000000000000000.0)",
+            "return_to_initial_position;"))
+        controller = Controller(program, quiet_config(), seed=0)
+        assert controller.run().completed
+        [end] = of_kind(controller.trace, EventKind.ATTEMPT_END)
+        queries = program.adv_moves["m"].eval_queries
+        assert end.data["failed"] == [format_query(q) for q in queries]
+        for text, query in zip(end.data["failed"], queries):
+            reread = build(GUARDED.format("0.01", text, "return_to_initial_position;"))
+            assert reread.adv_moves["m"].eval_queries == (query,)
 
 
 def _noop(ctx, items):
@@ -635,9 +701,38 @@ class TestErrorHandling:
         assert begins.count('io "gripper_close";') == 2
 
     def test_unknown_return_to_sequence_mode_is_rejected(self):
-        options = ControllerOptions(return_to_sequence="Restart")
         with pytest.raises(ValueError, match="return_to_sequence must be 'resume' or 'restart'"):
-            Controller(build('sequence "main" { wait 0.01; }'), quiet_config(), options=options)
+            ControllerOptions(return_to_sequence="Restart")
+
+    def test_options_are_checked_when_built_and_frozen(self):
+        with pytest.raises(ValueError, match="got 'Restart'"):
+            ControllerOptions(return_to_sequence="Restart")
+        options = ControllerOptions()
+        Controller(build('sequence "main" { wait 0.01; }'), quiet_config(), options=options)
+        # The run's context shares the caller's options, so no field can change.
+        for field, value in (("return_to_sequence", "Restart"),
+                             ("resume_policy", ResumePolicy(PolicyMode.EXPONENTIAL)),
+                             ("record_motion_samples", False)):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(options, field, value)
+        assert options == ControllerOptions()
+
+    def test_reversal_guard_aborts_an_error_recurring_against_boundaries(self):
+        # Every odd run fails, and each reversal stops at the failing call: it
+        # has no reverse callback. The sixth occurrence crosses the guard.
+        program = build('error "e" { }\nsequence "main" { ' + 'call "flaky" (); ' * 6 + "}")
+        registry = default_registry()
+        runs = []
+
+        def flaky(ctx, items):
+            runs.append(None)
+            if len(runs) % 2:
+                ctx.signal_error("e")
+
+        registry.register("flaky", flaky)
+        result = Controller(program, quiet_config(), seed=0, registry=registry).run()
+        assert not result.completed
+        assert result.reason == "error 'e' recurred 6 times against an irreversible boundary"
 
     def test_recovery_bracketing(self, corpus_program, blocked_config):
         controller = Controller(corpus_program, blocked_config, seed=0)

@@ -10,6 +10,7 @@ from adsl.controller import Controller, ControllerOptions
 from adsl.model import (
     AdvMoveRef,
     AdvMoveSpec,
+    Barrier,
     Comparison,
     Diagnostic,
     Direction,
@@ -30,7 +31,6 @@ from adsl.model import (
     Sequence,
     SetHigh,
     SetLow,
-    Severity,
     Sleep,
     SourceLocation,
     ThrowError,
@@ -289,6 +289,16 @@ class TestValidation:
         )
         assert any("unresolved io operation" in d.message for d in validate_program(program))
 
+        # Only a directly built payload can carry an annotation; the parser has none.
+        annotated = ReverseWith(Wait(0.1, annotation=Barrier()))
+        program = simple_program(
+            sequences={"main": Sequence("main", (Wait(1.0, annotation=annotated),))}
+        )
+        assert [(d.message, d.name) for d in validate_program(program)] == [
+            ("reverse_with payload must not carry an annotation", "main"),
+            ("annotation not allowed here", "main"),
+        ]
+
 
 class TestValueClasses:
     """The value classes compare, hash and print as frozen dataclasses did."""
@@ -308,9 +318,7 @@ class TestValueClasses:
         assert repr(a) == "MoveJoint(waypoints=('p',), annotation=None)"
         assert a.location is here and b.location is there
         # A diagnostic's location is part of its value.
-        assert Diagnostic(Severity.ERROR, "m", location=here) != Diagnostic(
-            Severity.ERROR, "m", location=there
-        )
+        assert Diagnostic("m", location=here) != Diagnostic("m", location=there)
 
     def test_equal_values_hash_equal(self):
         for make in (
@@ -345,9 +353,11 @@ class TestValueClasses:
             event.extra = 1  # slotted: no ad-hoc attributes
         with pytest.raises(TypeError):
             hash(event)
+        # Options are frozen: a run's context shares them with the caller.
         options = ControllerOptions()
-        options.record_motion_samples = False
-        assert options == ControllerOptions(record_motion_samples=False)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            options.record_motion_samples = False
+        assert options == ControllerOptions() != ControllerOptions(record_motion_samples=False)
 
     def test_reprs_are_unchanged(self):
         assert repr(ErrorSpec("e", location=SourceLocation(1, 2, 3))) == (

@@ -331,7 +331,7 @@ SHIPPED_RUNS = [
 
 def assert_instr_ends_close_their_stack_tops(controller):
     """Reversal reads an entry's instruction off the top of its stack."""
-    sequences = controller.program.sequences
+    sequences = controller.ctx.program.sequences
     ends = of_kind(controller.trace, EventKind.INSTR_END)
     assert ends
     for event in ends:

@@ -374,6 +374,29 @@ class TestConfigLoading:
         ({"obstacles": [{"box": BOX, "hole": {"axis": "z", "center": [math.nan, 0.5],
                                                "half_extents": [0.1, 0.1]}}]},
          "hole must lie within the obstacle face"),
+        ({"dof": 0}, "dof must be positive"),
+        ({"dof": 5}, "home_joints length must equal dof"),
+        ({"bit_count": 0}, "bit_count must be positive"),
+        ({"contact_force": 0}, "contact_force must be positive"),
+        ({"noise_sigma": -1}, "noise_sigma must be non-negative"),
+        ({"filter_window": 0}, "filter_window must be positive"),
+        ({"perturbation_radius": -0.1}, "perturbation_radius must be non-negative"),
+        ({"rng_seed": 2 ** 64}, "rng_seed must fit in 64 unsigned bits"),
+        ({"speed_map": {"very_fast": 2.0, "fast": 1.0}},
+         "speed_map missing levels: ['normal', 'slow', 'very_slow']"),
+        ({"speed_map": {"warp": 1.0}}, "unknown speed level: 'warp'"),
+        ({"tool_transform": 5}, "pose must be an object with position/orientation"),
+        ({"tool_transform": {"scale": 1}}, "unknown pose keys: ['scale']"),
+        ({"obstacles": [5]}, "obstacle must be an object"),
+        ({"obstacles": [{"box": BOX, "colour": "red"}]}, "unknown obstacle keys: ['colour']"),
+        ({"obstacles": [{"box": {"min": [0, 0, 0]}}]},
+         "obstacle box must have exactly min and max"),
+        ({"obstacles": [{"box": BOX, "hole": {"axis": "x"}}]},
+         "hole must have exactly axis, center, and half_extents"),
+        ({"obstacles": [{"box": BOX, "hole": {"axis": "w", "center": [0.5, 0.5],
+                                               "half_extents": [0.1, 0.1]}}]},
+         "unknown hole axis: 'w'"),
+        ([], "workcell config must be a JSON object"),
     ])
     def test_mistyped_fields_rejected(self, raw, message):
         with pytest.raises(WorkcellConfigError) as info:
