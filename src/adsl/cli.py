@@ -2,8 +2,10 @@
 
 Exit codes are a fixed map: 0 success, 1 validation diagnostics, 2 I/O or
 parse errors, 3 aborted run (before 4 when both apply), 4 reversal stopped by
-a barrier or a never-reversible entry. Summaries go to stdout as `key: value`
-lines; machine-readable output goes only to the trace file.
+a barrier or a never-reversible entry. An unusable input raises `_InputError`;
+`main` alone turns it into one `error:` line on stderr and exit 2. Summaries
+go to stdout as `key: value` lines; machine-readable output goes only to the
+trace file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .controller import Controller, ControllerOptions, RunAborted, default_regis
 from .model import validate_program
 from .parser import ParseError, parse_program
 from .reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
-from .workcell import BitOutOfRange, WorkcellConfigError, load_workcell_config
+from .workcell import MAX_RNG_SEED, BitOutOfRange, WorkcellConfigError, load_workcell_config
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -25,32 +27,22 @@ EXIT_ABORTED = 3
 EXIT_REVERSAL_BLOCKED = 4
 
 
+class _InputError(Exception):
+    """An input the command cannot use; `main` prints `error: <message>`."""
+
+
 def _load_program(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise _InputError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
-        return None
+        raise _InputError(f"{path}: not UTF-8 text: {exc}")
     try:
         return parse_program(text)
     except ParseError as exc:
-        print(f"error: {path}:{exc}", file=sys.stderr)
-        return None
-
-
-def _load_config(path):
-    try:
-        return load_workcell_config(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    except WorkcellConfigError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+        raise _InputError(f"{path}:{exc}")
 
 
 def _report(diagnostics) -> int:
@@ -60,21 +52,19 @@ def _report(diagnostics) -> int:
 
 
 def cmd_validate(args) -> int:
-    program = _load_program(args.program)
-    if program is None:
-        return EXIT_INPUT_ERROR
-    return _report(validate_program(program))
+    return _report(validate_program(_load_program(args.program)))
 
 
 def _inputs(args):
     """Parse the program, load the config, default `--seed` to its `rng_seed`
     and validate the program against its dof; returns (program, config, exit code)."""
     program = _load_program(args.program)
-    if program is None:
-        return None, None, EXIT_INPUT_ERROR
-    config = _load_config(args.workcell)
-    if config is None:
-        return None, None, EXIT_INPUT_ERROR
+    try:
+        config = load_workcell_config(args.workcell)
+    except OSError as exc:
+        raise _InputError(f"cannot read {args.workcell}: {exc}")
+    except WorkcellConfigError as exc:
+        raise _InputError(f"{args.workcell}: {exc}")
     if args.seed is None:  # the library's rule for `seed=None`
         args.seed = config.rng_seed
     return program, config, _report(validate_program(program, config.dof))
@@ -86,15 +76,14 @@ def _print_log(ctx, items):
 
 
 def _controller(args, program, config, sink=None):
-    """The controller for a run, or None when the workcell cannot host it."""
+    """The controller for a run; `_InputError` when the workcell cannot host it."""
     registry = default_registry()
     registry.register("log", _print_log)
     try:
         return Controller(program, config, seed=args.seed, trace_sink=sink,
                           options=_options_from_args(args), registry=registry)
     except WorkcellConfigError as exc:
-        print(f"error: {args.workcell}: {exc}", file=sys.stderr)
-        return None
+        raise _InputError(f"{args.workcell}: {exc}")
 
 
 def _options_from_args(args) -> ControllerOptions:
@@ -122,15 +111,11 @@ def cmd_run(args) -> int:
 
     try:
         with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as sink:
-            controller = _controller(args, program, config, sink)
-            if controller is None:
-                return EXIT_INPUT_ERROR
-            result = controller.run()
+            result = _controller(args, program, config, sink).run()
     except OSError as exc:  # opening, writing or closing the trace file
         if not args.trace:
             raise
-        print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise _InputError(f"cannot write {args.trace}: {exc}")
 
     _print_run_summary(args, result)
     return EXIT_OK if result.completed else EXIT_ABORTED
@@ -141,9 +126,6 @@ def cmd_reverse(args) -> int:
     if code != EXIT_OK:
         return code
     controller = _controller(args, program, config)
-    if controller is None:
-        return EXIT_INPUT_ERROR
-
     initial_joints = controller.ctx.workcell.state.joints
     initial_bits = controller.ctx.workcell.state.bits()
     result = controller.run()
@@ -179,16 +161,21 @@ def cmd_reverse(args) -> int:
     return EXIT_OK
 
 
-def _count(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _count(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer from `minimum` up to `maximum`, if given."""
 
     def integer(text: str) -> int:  # argparse names it in "invalid integer value"
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return integer
+
+
+_SEED = _count(0, MAX_RNG_SEED)  # the range a config's rng_seed has
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -205,7 +192,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a program against a workcell")
     p_run.add_argument("program", help="program file (.adsl)")
     p_run.add_argument("--workcell", required=True, help="workcell config (JSON)")
-    p_run.add_argument("--seed", type=int, help="rng seed (default: the workcell's rng_seed)")
+    p_run.add_argument("--seed", type=_SEED, help="rng seed (default: the workcell's rng_seed)")
     p_run.add_argument("--trace", default=None, help="write the event trace here")
     p_run.add_argument(
         "--return-to-sequence",
@@ -218,7 +205,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_rev = sub.add_parser("reverse", help="run forward, then reverse the trace")
     p_rev.add_argument("program", help="program file (.adsl)")
     p_rev.add_argument("--workcell", required=True, help="workcell config (JSON)")
-    p_rev.add_argument("--seed", type=int, help="rng seed (default: the workcell's rng_seed)")
+    p_rev.add_argument("--seed", type=_SEED, help="rng seed (default: the workcell's rng_seed)")
     p_rev.add_argument(
         "--depth", type=_count(0), default=None, help="instructions to undo (default: all)"
     )
@@ -238,7 +225,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

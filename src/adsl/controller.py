@@ -12,19 +12,20 @@ current instruction, or after the innermost sequence finishes), the optional
 recovery sequence then runs on top of the run's one frame stack, and
 `return_to` picks where forward execution resumes. Errors declared without a
 recovery sequence are delegated to the reverse-execution engine, which
-undoes recorded instructions from the context's undo log and resumes. An
-error signaled while another is being resolved aborts the run, as do an
-unguarded move into a solid and a `call` of an unregistered action: each
-abort is a `RunAborted`, re-exported from `reverse`. `ctx.stack`, a tuple
-of `(sequence, index)` pairs, is the one record of where the run is;
-`ctx.frames` has a frame per entry, holding its entry state and the
-`respond_after current_sequence` errors waiting on it.
-Resuming moves the existing frames, so open calls keep their entry state
-and waiting errors; a frame the resume drops takes its waiting errors with
-it, and `return_to restart_program` discards them all. The limits are module
-constants. `ControllerOptions` is frozen and checks itself when it is built;
-`ctx.program` and `ctx.options` are the run's one reference to each, and the
-reversal occurrence counts its `ResumePolicy` is applied to belong to the run.
+undoes recorded instructions from the context's undo log, which holds no
+plain `seq` call (only its children), and resumes. An error signaled while
+another is being resolved aborts the run, as do an unguarded move into a
+solid and a `call` of an unregistered action: each abort is a `RunAborted`,
+re-exported from `reverse`. `ctx.stack`, a tuple of `(sequence, index)`
+pairs, is the one record of where the run is; `ctx.frames` has a frame per
+entry, holding its entry state and the `respond_after current_sequence`
+errors waiting on it. Resuming moves the existing frames, so open calls keep
+their entry state and waiting errors; a frame the resume drops takes its
+waiting errors with it, and `return_to restart_program` discards them all.
+The limits are module constants. `ControllerOptions` is frozen and checks
+itself when it is built; `ctx.program` and `ctx.options` are the run's one
+reference to each, and the reversal occurrence counts its `ResumePolicy` is
+applied to belong to the run.
 
 Every state change is recorded in an `ExecutionTrace`, failed guarded-move
 queries as the program text `printer.format_query` writes; runs with the
@@ -500,11 +501,13 @@ class Controller:
                 if len(frames) > base:
                     seq, index = ctx.stack[-1]
                     call_instr = program.sequences[seq].instructions[index]
-                    if call_instr.annotation is not None:
-                        # An annotated call is undone (or not) as a whole.
+                    annotated = call_instr.annotation is not None
+                    if annotated:
+                        # Annotated: undone (or not) as a whole; plain: through its children.
                         _drop_children(ctx.undo_log, ctx.stack)
                     text = format_instruction(call_instr)
-                    self._end_instruction({"text": text}, frame.entry_joints, frame.entry_bits)
+                    self._end_instruction({"text": text}, frame.entry_joints, frame.entry_bits,
+                                          logged=annotated)
                     ctx.advance()
                 continue
             instr = sequence.instructions[index]
@@ -546,13 +549,14 @@ class Controller:
                 data["outcome"] = "success" if success else "fail"
             self._end_instruction(data, pre_j, pre_b)
 
-    def _end_instruction(self, data: dict, pre_joints, pre_bits) -> None:
-        """Record an `INSTR_END` and put it on the undo log."""
+    def _end_instruction(self, data: dict, pre_joints, pre_bits, logged=True) -> None:
+        """Record an `INSTR_END` and, when `logged`, put it on the undo log."""
         ctx = self.ctx
         event = ctx.emit(EventKind.INSTR_END, data, pre_joints, pre_bits)
-        ctx.undo_log.append(event)
-        if ctx.in_recovery:
-            ctx.recovery_ends.add(event.index)
+        if logged:
+            ctx.undo_log.append(event)
+            if ctx.in_recovery:
+                ctx.recovery_ends.add(event.index)
         self.stats_instructions += 1
 
     # -- guarded moves ----------------------------------------------------

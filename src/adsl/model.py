@@ -390,7 +390,7 @@ def validate_program(program: Program, dof: int = DEFAULT_DOF) -> list[Diagnosti
         if not seq.instructions:
             err("sequence has no instructions", seq.name, seq.location)
         for instr in seq.instructions:
-            _check_instruction(program, seq.name, instr, err, allow_annotation=True)
+            _check_instruction(program, seq.name, instr, err)
 
     _check_sequence_cycles(program, err)
 
@@ -433,7 +433,7 @@ def _check_io_operation(op: IOOperation, err) -> None:
         err("level primitive not followed by exactly one select", op.name, op.location)
 
 
-def _check_instruction(program, owner, instr, err, allow_annotation) -> None:
+def _check_instruction(program, owner, instr, err) -> None:
     loc = instr.location
     if isinstance(instr, MoveJoint):
         if not instr.waypoints:
@@ -461,8 +461,6 @@ def _check_instruction(program, owner, instr, err, allow_annotation) -> None:
             err("unresolved sequence call", instr.name, loc)
 
     ann = instr.annotation
-    if ann is not None and not allow_annotation:
-        err("annotation not allowed here", owner, loc)
     if isinstance(ann, ReverseWith):
         payload = ann.instruction
         if payload.annotation is not None:
@@ -470,7 +468,7 @@ def _check_instruction(program, owner, instr, err, allow_annotation) -> None:
         if not isinstance(payload, _PRIMITIVE_INSTRUCTIONS):
             err("reverse_with payload must be an io, wait, move, or call", owner, loc)
         else:
-            _check_instruction(program, owner, payload, err, allow_annotation=False)
+            _check_instruction(program, owner, payload, err)
 
 
 def _check_sequence_cycles(program: Program, err) -> None:

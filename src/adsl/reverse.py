@@ -8,11 +8,12 @@ override the defaults, and `@barrier` marks a point reversal may not cross.
 Reversal pops the run's undo log (`ExecutionContext.undo_log`), the
 `INSTR_END` events of the instructions executed so far, not the static
 program text: dynamic detours such as recoveries and retried attempts are
-undone exactly as they happened. Each entry's instruction is the one at the
-top of its recorded call stack. An undone entry leaves the log, so a later,
-deeper reversal continues past it instead of undoing it twice. Before
-undoing an entry, lasting settings (the active speed) are restored to the
-value recorded with it.
+undone exactly as they happened. A plain `seq` call is undone through its
+children and has no entry of its own. Each entry's instruction is the one
+at the top of its recorded call stack. An undone entry leaves the log, so a
+later, deeper reversal continues past it instead of undoing it twice.
+Before undoing an entry, lasting settings (the active speed) are restored
+to the value recorded with it.
 
 Each undo is performed directly on the execution context: a `@reverse_with`
 payload runs through the same leaf dispatcher as forward execution
@@ -187,9 +188,9 @@ def reverse_execute(
     `depth=None` reverses as far as the undo log allows. The walk halts early
     at a barrier annotation, a never-reversible entry, or an empty undo log,
     and the stop reason is recorded in the plan and in the closing trace
-    event. Plain sequence-call brackets are not counted; their children are
-    undone individually. An annotated call is one entry: the controller
-    drops its children from the log when the call completes.
+    event. A plain sequence call is not on the log, only its children; an
+    annotated call is one entry: the controller drops its children from the
+    log when the call completes.
     """
     limit = math.inf if depth is None else depth
     log = ctx.undo_log
@@ -220,8 +221,6 @@ def reverse_execute(
             break
         log.pop()
         cursor = entry.index - 1
-        if isinstance(instr, SeqCall) and instr.annotation is None:
-            continue  # plain bracket: descend into the recorded children
         ctx.set_active_speed(entry.speed, "reverse restore")
         _undo(entry, instr, ctx, registry)
         steps.append(entry)

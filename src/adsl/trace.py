@@ -10,6 +10,9 @@ The on-disk form is newline-delimited JSON with a fixed field order:
 i, kind, clock, stack, speed, pre_joints, post_joints, pre_bits, post_bits,
 data. Bits serialize as 0/1 strings; reals use 17 significant digits so the
 file round-trips bit-exactly and identical runs produce identical bytes.
+Every string, sequence names in `stack` included, is written as `json.dumps`
+writes it (`_quote`, ASCII escapes). `data` keys must be `str`; any other
+key, like any unserializable value, raises `TypeError`.
 
 Each line is one `%` format over field texts. A trace keeps the texts last
 built from its events' stack, speed, bits and joints objects (immutable
@@ -79,10 +82,7 @@ def _json_list(value) -> str:
 
 
 def _json_dict(value) -> str:
-    return "{" + ",".join([
-        (_quote(k) if isinstance(k, str) else json.dumps(k)) + ":" + _json_value(value[k])
-        for k in sorted(value)
-    ]) + "}"
+    return "{" + ",".join([_quote(k) + ":" + _json_value(value[k]) for k in sorted(value)]) + "}"
 
 
 _FORMATTERS = {
@@ -136,7 +136,7 @@ def serialize_event(ev: TraceEvent, memo=None) -> str:
     stack, speed = ev.stack, ev.speed
     if stack is not memo.stack or speed is not memo.speed:
         memo.stack, memo.speed = stack, speed
-        frames = ",".join([f'["{s}",{i}]' for s, i in stack])
+        frames = ",".join([f"[{_quote(s)},{i}]" for s, i in stack])
         memo.head = f',"stack":[{frames}],"speed":"{speed.value}","pre_joints":'
     pre_joints, post_joints = ev.pre_joints, ev.post_joints
     pre = memo.joints_text if pre_joints is memo.joints else _joints(pre_joints)
@@ -149,9 +149,9 @@ def serialize_event(ev: TraceEvent, memo=None) -> str:
     values = ev.data
     keys = tuple(values)
     order = memo.orders.get(keys)
-    if order is None and all(type(k) is str for k in keys):
+    if order is None:
         order = memo.orders[keys] = [[_quote(k) + ":", k, None, ""] for k in sorted(keys)]
-    data = _json_dict(values) if order is None else "{" + ",".join([
+    data = "{" + ",".join([
         _float_text(slot, v) if type(v) is float else slot[0] + _json_value(v)
         for slot in order for v in (values[slot[1]],)]) + "}"
     line, clock = (_LINE, ev.clock) if type(ev.clock) is float else (_LINE_NUM, _num(ev.clock))
@@ -184,14 +184,3 @@ class ExecutionTrace:
             raise ValueError("the trace was streamed to its sink and kept no events")
         memo = _Memo()
         return "".join([serialize_event(ev, memo) + "\n" for ev in self.events])
-
-
-def read_trace_file(path) -> list[dict]:
-    """Parse a trace file back into plain dicts (for inspection and tests)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -139,6 +139,7 @@ DEFAULT_SPEED_MAP = {
 }
 
 DEFAULT_SPEED = SpeedLevel.NORMAL
+MAX_RNG_SEED = 0xFFFFFFFFFFFFFFFF  # a seed fits in 64 unsigned bits
 
 
 class WorkcellConfig(Value):
@@ -180,7 +181,7 @@ class WorkcellConfig(Value):
             raise WorkcellConfigError("dt must be positive")
         if not (math.isfinite(self.perturbation_radius) and self.perturbation_radius >= 0):
             raise WorkcellConfigError("perturbation_radius must be non-negative")
-        if self.rng_seed < 0 or self.rng_seed > 0xFFFFFFFFFFFFFFFF:
+        if not 0 <= self.rng_seed <= MAX_RNG_SEED:
             raise WorkcellConfigError("rng_seed must fit in 64 unsigned bits")
         missing = [s.value for s in SpeedLevel if s not in self.speed_map]
         if missing:

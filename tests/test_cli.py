@@ -236,6 +236,33 @@ class TestRun:
         _, out, _ = run_cli(capsys, "reverse", corpus_path, "--workcell", str(cell))
         assert summary_dict(out)["seed"] == "7"
 
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_config_range_is_a_usage_error(self, capsys, command, seed):
+        # `random.Random` seeds with abs(n): -1 would run as 1 but print -1.
+        with pytest.raises(SystemExit) as exc:
+            main([command, example("reverse_demo.adsl"), "--workcell",
+                  example("free_space.json"), "--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --seed:" in captured.err
+
+    def test_trace_quotes_sequence_names(self, capsys, tmp_path):
+        name = 'a"b\\c\tdé'
+        prog, trace = tmp_path / "p.adsl", tmp_path / "t.ndjson"
+        written = name.replace("\\", "\\\\").replace('"', '\\"')
+        prog.write_text(f'sequence "{written}" {{ wait 0.1; }}\n'
+                        f'sequence "main" {{ seq "{written}"; wait 0.1; }}\nentry "main";',
+                        encoding="utf-8")
+        code, _, _ = run_cli(capsys, "run", str(prog), "--workcell", example("free_space.json"),
+                             "--trace", str(trace))
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in trace.read_text(encoding="ascii").splitlines()]
+        assert {tuple(seq for seq, _ in r["stack"]) for r in records} == {
+            ("main",), ("main", name)
+        }
+
     def test_trace_of_a_collision_abort_is_complete(self, capsys, tmp_path):
         prog, cell, trace = tmp_path / "p.adsl", tmp_path / "cell.json", tmp_path / "t.ndjson"
         prog.write_text(BLOCKED)

@@ -9,6 +9,7 @@ samples off. Whatever a program does, only `RunAborted` may end the run or
 its reversal, the same seed gives the same trace bytes, and a completed run
 leaves no error waiting and no frame open. At every event, the context has
 one frame per entry of its stack, and the event records that very stack.
+After the run and after the reversal, the trace alone rebuilds the undo log.
 """
 
 import hashlib
@@ -17,7 +18,9 @@ import random
 import pytest
 
 from adsl.controller import Controller, ControllerOptions, RunAborted, default_registry
+from adsl.model import SeqCall
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
+from adsl.trace import EventKind
 
 from _helpers import build, quiet_config
 
@@ -76,6 +79,35 @@ def generated_case(seed):
     return "\n".join(lines), actions, options
 
 
+def undo_log_from_trace(events, program):
+    """The undo log as the trace determines it: each `INSTR_END` but a plain
+    `seq` call's, an annotated call's after dropping its children's, and at
+    each `REVERSE_END` the entries from its lowest undone index on popped."""
+    log = []
+    for event in events:
+        if event.kind is EventKind.INSTR_END:
+            seq, index = event.stack[-1]
+            instr = program.sequences[seq].instructions[index]
+            if isinstance(instr, SeqCall):
+                if instr.annotation is None:
+                    continue
+                depth = len(event.stack)
+                while log and log[-1].stack[:depth] == event.stack and len(log[-1].stack) > depth:
+                    log.pop()
+            log.append(event)
+        elif event.kind is EventKind.REVERSE_END and event.data["indices"]:
+            lowest = min(event.data["indices"])
+            while log and log[-1].index >= lowest:
+                log.pop()
+    return [event.index for event in log]
+
+
+def assert_undo_log_follows_the_trace(controller, seed):
+    ctx = controller.ctx
+    rebuilt = undo_log_from_trace(controller.trace.events, ctx.program)
+    assert rebuilt == [event.index for event in ctx.undo_log], seed
+
+
 def run_case(seed):
     """Run the case forward, then fully reversed: (run result, (pending, frames)
     as the run left them, sha256 of the trace bytes)."""
@@ -104,10 +136,12 @@ def run_case(seed):
     ctx.emit = checked_emit
     result = controller.run()
     waiting = (list(controller.ctx.pending), list(controller.ctx.frames))
+    assert_undo_log_follows_the_trace(controller, seed)
     try:
         reverse_execute(controller.trace, None, controller.ctx, registry=registry)
     except RunAborted:
         pass
+    assert_undo_log_follows_the_trace(controller, seed)
     digest = hashlib.sha256(controller.trace.serialize().encode()).hexdigest()
     return result, waiting, digest
 

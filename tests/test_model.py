@@ -296,7 +296,6 @@ class TestValidation:
         )
         assert [(d.message, d.name) for d in validate_program(program)] == [
             ("reverse_with payload must not carry an annotation", "main"),
-            ("annotation not allowed here", "main"),
         ]
 
 
