@@ -15,17 +15,18 @@ recovery sequence are delegated to the reverse-execution engine, which
 undoes recorded instructions from the context's undo log, which holds no
 plain `seq` call (only its children), and resumes. An error signaled while
 another is being resolved aborts the run, as do an unguarded move into a
-solid and a `call` of an unregistered action: each abort is a `RunAborted`,
-re-exported from `reverse`. `ctx.stack`, a tuple of `(sequence, index)`
-pairs, is the one record of where the run is; `ctx.frames` has a frame per
-entry, holding its entry state and the `respond_after current_sequence`
-errors waiting on it. Resuming moves the existing frames, so open calls keep
-their entry state and waiting errors; a frame the resume drops takes its
-waiting errors with it, and `return_to restart_program` discards them all.
-The limits are module constants. `ControllerOptions` is frozen and checks
-itself when it is built; `ctx.program` and `ctx.options` are the run's one
-reference to each, and the reversal occurrence counts its `ResumePolicy` is
-applied to belong to the run.
+solid, a move whose span or speed is not finite and a `call` of an
+unregistered action: each abort is a `RunAborted`, re-exported from
+`reverse`. `ctx.stack`, a tuple of `(sequence, index)` pairs, is the one
+record of where the run is; `ctx.frames` has a frame per entry, holding its
+entry state and the `respond_after current_sequence` errors waiting on it.
+Resuming moves the existing frames, so open calls keep their entry state and
+waiting errors; a frame the resume drops takes its waiting errors with it,
+and `return_to restart_program` discards them all. The limits are module
+constants. `ControllerOptions` is frozen and checks itself when it is built;
+`ctx.program` and `ctx.options` are the run's one reference to each, and the
+reversal occurrence counts its `ResumePolicy` is applied to belong to the
+run.
 
 Every state change is recorded in an `ExecutionTrace`, failed guarded-move
 queries as the program text `printer.format_query` writes; runs with the
@@ -312,13 +313,15 @@ class ExecutionContext:
 
     def move_to_pose(self, target: Pose, speed: float) -> None:
         """Drive the TCP to `target` until it is at `fk(ik(target))`, the pose
-        the model can reach; a blocking solid raises RunAborted."""
+        the model can reach; a blocking solid, a span that is not finite or a
+        speed that is not a positive finite number raises RunAborted."""
         workcell = self.workcell
         record = self.options.record_motion_samples
         state = workcell.state
         fk = workcell.model.fk  # `tcp_pose`, inline
         step_motion = workcell.step_motion
         emit = self.emit
+        _check_move(fk(state.joints), target, speed)
         goal = fk(workcell.model.ik(target))
         position, orientation = goal.position, goal.orientation
         cycles = self.cycles
@@ -345,7 +348,11 @@ class ExecutionContext:
             self.cycles = cycles
 
     def move_joints_to(self, joints) -> None:
-        self.move_to_pose(self.workcell.model.fk(tuple(joints)), self.speed_value())
+        joints = tuple(joints)
+        dof = self.workcell.config.dof
+        if len(joints) != dof:
+            raise RunAborted(f"move_joints_to: {len(joints)} joints for a {dof}-dof cell")
+        self.move_to_pose(self.workcell.model.fk(joints), self.speed_value())
 
     def apply_primitives(self, primitives) -> None:
         """Run an I/O primitive list.
@@ -679,6 +686,7 @@ class Controller:
             ),
             start_pose.orientation,
         )
+        _check_move(start_pose, target, speed)
         covered = 0.0
         state = workcell.state
         step_motion = workcell.step_motion
@@ -762,6 +770,24 @@ class Controller:
 
 def _cycle_cap_exceeded() -> RunAborted:
     return RunAborted(f"control cycles exceed MAX_CONTROL_CYCLES ({MAX_CONTROL_CYCLES})")
+
+
+def _check_move(start: Pose, target: Pose, speed: float) -> None:
+    """Abort a move before its first cycle unless each coordinate of
+    `target - start` is finite and `speed` is a positive finite number:
+    stepping it would write NaN joints. Unpacked, as it runs once a move."""
+    (px, py, pz), (pa, pb, pc) = start.position, start.orientation
+    (tx, ty, tz), (ta, tb, tc) = target.position, target.orientation
+    isfinite = math.isfinite
+    if not (
+        isfinite(tx - px) and isfinite(ty - py) and isfinite(tz - pz)
+        and isfinite(ta - pa) and isfinite(tb - pb) and isfinite(tc - pc)
+        and 0.0 < speed < math.inf
+    ):
+        raise RunAborted(
+            f"move out of range: from {start.position + start.orientation}"
+            f" to {target.position + target.orientation} at speed {speed}"
+        )
 
 
 def _drop_children(undo_log: list[TraceEvent], call_site: tuple) -> None:

@@ -15,6 +15,12 @@ token's value (an unescaped string, an int or float) and its
 `SourceLocation` (line, column) are built only where they are used. Where
 no token matches, a short check of the failing text names the error.
 
+Each word choice of the grammar is one table (`_DECLARATIONS`, `_PRIMITIVES`,
+`_ERROR_FIELDS`, ...): its keys are the words accepted and, quoted and in
+order, the words a failure lists. Declarations and error fields fill `Program`
+and `ErrorSpec` by field name. The instruction words alone stay a branch
+chain, on the hot path, whose failure names no word.
+
 Parsing is a pure function of the input text: it either returns a complete
 `Program` or raises `ParseError` at the first failure point.
 """
@@ -210,16 +216,6 @@ def _lex_error(text: str, start: int, end: int, line_starts: list[int]) -> Parse
 # ---------------------------------------------------------------------------
 # Parser
 
-_DECL_WORDS = (
-    "item",
-    "io_operation",
-    "joint_configuration",
-    "sequence",
-    "error",
-    "advanced_move",
-    "entry",
-)
-
 _INSTRUCTION_WORDS = ("move", "io", "wait", "call", "adv_move", "seq")
 
 _DIRECTIONS = {d.value: d for d in Direction}
@@ -228,6 +224,29 @@ _SPEEDS = {s.value: s for s in SpeedLevel}
 _RESPONDS = {r.value: r for r in RespondAfter}
 _RETURNS = {r.value: r for r in ReturnTo}
 _COMPARISONS = {c.value: c for c in Comparison}
+_COMPARISON_WORDS = " or ".join(f"'{w}'" for w in _COMPARISONS)
+
+_PRIMITIVES = {"set_low": SetLow, "set_high": SetHigh, "bit": SelectBit, "sleep": Sleep}
+_ANNOTATIONS = {
+    "nonreversible": NonReversible,
+    "skip_on_reverse": SkipOnReverse,
+    "barrier": Barrier,
+    "reverse_with": ReverseWith,
+}
+_QUERIES = {"forces_exceed": ForcesExceed, "distance_covered": DistanceCovered}
+_BEHAVIORS = {
+    "return_to_initial_position": ReturnToInitialPosition,
+    "repeat_with_perturbation": RepeatWithPerturbation,
+    "throw_error": ThrowError,
+}
+
+#: Each `ErrorSpec` field word: its keyword table (None for a string) and
+#: what its value is called.
+_ERROR_FIELDS = {
+    "recovery_sequence": (None, "sequence name"),
+    "respond_after": (_RESPONDS, "response timing"),
+    "return_to": (_RETURNS, "resume target"),
+}
 
 
 class _Parser:
@@ -263,8 +282,12 @@ class _Parser:
             self.fail(f"'{word}'")
         self.pos += 1
 
-    def at_word(self, word: str) -> bool:
-        return self.texts[self.pos] == word
+    def accept(self, word: str) -> bool:
+        """Whether the current token is `word`; moves past it if so."""
+        if self.texts[self.pos] != word:
+            return False
+        self.pos += 1
+        return True
 
     def string(self, description: str) -> str:
         self.expect("STRING", description)
@@ -284,10 +307,12 @@ class _Parser:
         self.pos = pos + 1
         return self.tokens.value(pos)
 
-    def keyword_from(self, table: dict, description: str):
+    def keyword_from(self, table: dict, *expected: str):
+        """`table[word]` for the current word; moves past it. An unknown word
+        fails expecting `expected`, or else each key as `'word'`."""
         word = self.texts[self.pos]
         if word not in table:
-            self.fail(description)
+            self.fail(*(expected or [f"'{w}'" for w in table]))
         self.pos += 1
         return table[word]
 
@@ -310,51 +335,29 @@ class _Parser:
     # -- program ------------------------------------------------------------
 
     def program(self) -> Program:
-        items: dict[str, Item] = {}
-        io_ops: dict[str, IOOperation] = {}
-        joint_confs: dict[str, JointConfiguration] = {}
-        sequences: dict[str, Sequence] = {}
-        errors: dict[str, ErrorSpec] = {}
-        adv_moves: dict[str, AdvMoveSpec] = {}
+        tables: dict[str, dict] = {}  # by `Program` field
         entry: Optional[str] = None
-        entry_declared = False
-
-        def declare(table: dict, decl, what: str, location):
-            if decl.name in table:
-                raise ParseError(location, (f"unique {what} name",), decl.name)
-            table[decl.name] = decl
-
         while self.kinds[self.pos] != "EOF":
-            word = self.texts[self.pos]
-            if word not in _DECL_WORDS:
-                self.fail(*(f"'{w}'" for w in _DECL_WORDS))
             loc = self.location()
-            self.pos += 1
-            if word == "item":
-                declare(items, self.item_decl(loc), "item", loc)
-            elif word == "io_operation":
-                declare(io_ops, self.io_decl(loc), "io operation", loc)
-            elif word == "joint_configuration":
-                declare(joint_confs, self.joint_decl(loc), "joint configuration", loc)
-            elif word == "sequence":
-                declare(sequences, self.sequence_decl(loc), "sequence", loc)
-            elif word == "error":
-                declare(errors, self.error_decl(loc), "error", loc)
-            elif word == "advanced_move":
-                declare(adv_moves, self.adv_move_decl(loc), "advanced move", loc)
-            else:
-                if entry_declared:
+            declaration = self.keyword_from(_DECLARATIONS)
+            if declaration is None:  # entry
+                if entry is not None:
                     raise ParseError(loc, ("a single entry declaration",), "entry")
                 entry = self.string("entry sequence name")
                 self.semi()
-                entry_declared = True
+                continue
+            field, what, parse = declaration
+            decl = parse(self, loc)
+            table = tables.setdefault(field, {})
+            if decl.name in table:
+                raise ParseError(loc, (f"unique {what} name",), decl.name)
+            table[decl.name] = decl
 
-        if entry is None and sequences:
+        if entry is None and tables.get("sequences"):
             # Without an explicit entry declaration the last declared
             # sequence is the program entry point.
-            entry = next(reversed(sequences))
-
-        return Program(items, io_ops, joint_confs, sequences, errors, adv_moves, entry)
+            entry = next(reversed(tables["sequences"]))
+        return Program(**tables, entry=entry)
 
     # -- declarations ---------------------------------------------------------
     # Each starts past its declaration word, which is at `loc`.
@@ -388,26 +391,15 @@ class _Parser:
         return IOOperation(name, self.braced(self.primitive), location=loc)
 
     def primitive(self):
-        word = self.texts[self.pos]
-        if word == "set_low":
-            self.pos += 1
-            self.semi()
-            return SetLow()
-        if word == "set_high":
-            self.pos += 1
-            self.semi()
-            return SetHigh()
-        if word == "bit":
-            self.pos += 1
-            index = self.integer("bit index")
-            self.semi()
-            return SelectBit(index)
-        if word == "sleep":
-            self.pos += 1
-            seconds = self.number("sleep duration")
-            self.semi()
-            return Sleep(seconds)
-        self.fail("'set_low'", "'set_high'", "'bit'", "'sleep'")
+        cls = self.keyword_from(_PRIMITIVES)
+        if cls is SelectBit:
+            primitive = SelectBit(self.integer("bit index"))
+        elif cls is Sleep:
+            primitive = Sleep(self.number("sleep duration"))
+        else:
+            primitive = cls()
+        self.semi()
+        return primitive
 
     def joint_decl(self, loc: SourceLocation) -> JointConfiguration:
         name = self.ident("joint configuration name")
@@ -435,23 +427,15 @@ class _Parser:
 
     def annotation(self) -> Annotation:
         self.pos += 1  # past '@'
-        word = self.ident("annotation name")
-        if word == "nonreversible":
-            return NonReversible()
-        if word == "skip_on_reverse":
-            return SkipOnReverse()
-        if word == "barrier":
-            return Barrier()
-        if word == "reverse_with":
-            self.expect("LPAREN", "'('")
-            inner = self.instruction_core(None)
-            self.expect("RPAREN", "')'")
-            return ReverseWith(inner)
-        raise ParseError(
-            self.tokens.location(self.pos - 1),
-            ("'nonreversible'", "'skip_on_reverse'", "'barrier'", "'reverse_with'"),
-            word,
-        )
+        if self.kinds[self.pos] != "IDENT":
+            self.fail("annotation name")
+        cls = self.keyword_from(_ANNOTATIONS)
+        if cls is not ReverseWith:
+            return cls()
+        self.expect("LPAREN", "'('")
+        inner = self.instruction_core(None)
+        self.expect("RPAREN", "')'")
+        return ReverseWith(inner)
 
     def instruction_core(self, annotation) -> Instruction:
         word = self.texts[self.pos]
@@ -485,57 +469,31 @@ class _Parser:
     def error_decl(self, loc: SourceLocation) -> ErrorSpec:
         name = self.string("error name")
         self.expect("LBRACE", "'{'")
-        recovery = None
-        respond = None
-        ret = None
+        fields = {}  # by `ErrorSpec` field, which is the field's word
         while self.kinds[self.pos] != "RBRACE":
             word = self.texts[self.pos]
-            if word == "recovery_sequence":
-                if recovery is not None:
-                    raise ParseError(self.location(), ("a single recovery_sequence",), word)
-                self.pos += 1
-                recovery = self.string("sequence name")
-                self.semi()
-            elif word == "respond_after":
-                if respond is not None:
-                    raise ParseError(self.location(), ("a single respond_after",), word)
-                self.pos += 1
-                respond = self.keyword_from(_RESPONDS, "response timing")
-                self.semi()
-            elif word == "return_to":
-                if ret is not None:
-                    raise ParseError(self.location(), ("a single return_to",), word)
-                self.pos += 1
-                ret = self.keyword_from(_RETURNS, "resume target")
-                self.semi()
+            if word in fields:
+                self.fail(f"a single {word}")
+            table, description = self.keyword_from(_ERROR_FIELDS)
+            if table is None:
+                fields[word] = self.string(description)
             else:
-                self.fail("'recovery_sequence'", "'respond_after'", "'return_to'")
+                fields[word] = self.keyword_from(table, description)
+            self.semi()
         self.pos += 1
-        return ErrorSpec(
-            name,
-            recovery_sequence=recovery,
-            respond_after=respond if respond is not None else RespondAfter.CURRENT_ACTION,
-            return_to=ret if ret is not None else ReturnTo.SEQUENCE,
-            location=loc,
-        )
+        return ErrorSpec(name, location=loc, **fields)
 
     def query(self) -> Query:
-        word = self.texts[self.pos]
-        if word == "forces_exceed":
-            self.pos += 1
-            self.expect("LPAREN", "'('")
-            threshold = self.number("force threshold")
-            self.expect("RPAREN", "')'")
-            return ForcesExceed(threshold)
-        if word == "distance_covered":
-            self.pos += 1
-            self.expect("LPAREN", "'('")
-            cmp = self.keyword_from(_COMPARISONS, "'more_than' or 'less_than'")
+        cls = self.keyword_from(_QUERIES)
+        self.expect("LPAREN", "'('")
+        if cls is ForcesExceed:
+            query = ForcesExceed(self.number("force threshold"))
+        else:
+            cmp = self.keyword_from(_COMPARISONS, _COMPARISON_WORDS)
             self.expect("COMMA", "','")
-            value = self.number("distance")
-            self.expect("RPAREN", "')'")
-            return DistanceCovered(cmp, value)
-        self.fail("'forces_exceed'", "'distance_covered'")
+            query = DistanceCovered(cmp, self.number("distance"))
+        self.expect("RPAREN", "')'")
+        return query
 
     def query_statement(self) -> Query:
         query = self.query()
@@ -545,43 +503,23 @@ class _Parser:
     def behavior(self):
         if self.kinds[self.pos] != "IDENT":
             self.fail("behavior")
-        word = self.texts[self.pos]
-        if word == "return_to_initial_position":
-            self.pos += 1
-            self.semi()
-            return ReturnToInitialPosition()
-        if word == "repeat_with_perturbation":
-            self.pos += 1
+        cls = self.keyword_from(_BEHAVIORS)
+        if cls is ReturnToInitialPosition:
+            behavior = cls()
+        else:
             self.expect("LPAREN", "'('")
-            retries = self.integer("retry count")
+            if cls is RepeatWithPerturbation:
+                behavior = cls(self.integer("retry count"))
+            else:
+                behavior = cls(self.string("error name"))
             self.expect("RPAREN", "')'")
-            self.semi()
-            return RepeatWithPerturbation(retries)
-        if word == "throw_error":
-            self.pos += 1
-            self.expect("LPAREN", "'('")
-            error = self.string("error name")
-            self.expect("RPAREN", "')'")
-            self.semi()
-            return ThrowError(error)
-        self.fail(
-            "'return_to_initial_position'",
-            "'repeat_with_perturbation'",
-            "'throw_error'",
-        )
-
-    def behavior_block(self, word: str) -> tuple:
-        self.expect_word(word)
-        return self.braced(self.behavior)
+        self.semi()
+        return behavior
 
     def adv_move_decl(self, loc: SourceLocation) -> AdvMoveSpec:
         name = self.string("advanced move name")
         self.expect("LBRACE", "'{'")
-
-        condition = None
-        if self.at_word("condition"):
-            self.pos += 1
-            condition = self.query_statement()
+        condition = self.query_statement() if self.accept("condition") else None
 
         self.expect_word("specification")
         self.expect("LBRACE", "'{'")
@@ -592,31 +530,18 @@ class _Parser:
         self.expect_word("frame")
         frame = self.keyword_from(_FRAMES, "frame")
         self.semi()
-        stop_if = None
-        if self.at_word("stop_if"):
-            self.pos += 1
-            stop_if = self.query_statement()
+        stop_if = self.query_statement() if self.accept("stop_if") else None
         speed = None
-        if self.at_word("speed"):
-            self.pos += 1
+        if self.accept("speed"):
             speed = self.keyword_from(_SPEEDS, "speed level")
             self.semi()
         self.expect("RBRACE", "'}'")
 
         self.expect_word("evaluation")
         eval_queries = self.braced(self.query_statement, "query")
-
-        on_success = ()
-        if self.at_word("on_success"):
-            on_success = self.behavior_block("on_success")
-
-        if not self.at_word("on_fail"):
-            self.fail("'on_fail'")
-        on_fail = self.behavior_block("on_fail")
-        if not on_fail:
-            found = self.texts[self.pos]
-            raise ParseError(self.location(), ("at least one on_fail behavior",), found)
-
+        on_success = self.braced(self.behavior) if self.accept("on_success") else ()
+        self.expect_word("on_fail")
+        on_fail = self.braced(self.behavior, "at least one on_fail behavior")
         self.expect("RBRACE", "'}'")
         return AdvMoveSpec(
             name,
@@ -631,6 +556,19 @@ class _Parser:
             on_success=on_success,
             location=loc,
         )
+
+
+#: Each declaration word: the `Program` field its declarations fill, what a
+#: duplicate is called and its parse method; `entry` fills no table.
+_DECLARATIONS = {
+    "item": ("items", "item", _Parser.item_decl),
+    "io_operation": ("io_ops", "io operation", _Parser.io_decl),
+    "joint_configuration": ("joint_confs", "joint configuration", _Parser.joint_decl),
+    "sequence": ("sequences", "sequence", _Parser.sequence_decl),
+    "error": ("errors", "error", _Parser.error_decl),
+    "advanced_move": ("adv_moves", "advanced move", _Parser.adv_move_decl),
+    "entry": None,
+}
 
 
 def parse_program(text: str) -> Program:

@@ -190,6 +190,11 @@ def _sequence(seq: Sequence, out: list[str]) -> None:
     out.append("}")
 
 
+#: Each declaration table as a `Program` field and its writer, in print order.
+_SECTIONS = (("items", _item), ("io_ops", _io_op), ("joint_confs", _joint_conf),
+             ("errors", _error), ("adv_moves", _adv_move), ("sequences", _sequence))
+
+
 def pretty_print(program: Program) -> str:
     """Render a program as canonical DSL text.
 
@@ -197,18 +202,10 @@ def pretty_print(program: Program) -> str:
     structurally equal programs always print to the same bytes.
     """
     out: list[str] = []
-    for name in sorted(program.items):
-        _item(program.items[name], out)
-    for name in sorted(program.io_ops):
-        _io_op(program.io_ops[name], out)
-    for name in sorted(program.joint_confs):
-        _joint_conf(program.joint_confs[name], out)
-    for name in sorted(program.errors):
-        _error(program.errors[name], out)
-    for name in sorted(program.adv_moves):
-        _adv_move(program.adv_moves[name], out)
-    for name in sorted(program.sequences):
-        _sequence(program.sequences[name], out)
+    for field, write in _SECTIONS:
+        table = getattr(program, field)
+        for name in sorted(table):
+            write(table[name], out)
     if program.entry is not None:
         out.append(f"entry {_string(program.entry)};")
     return "\n".join(out) + "\n"

@@ -296,6 +296,30 @@ class TestRun:
         assert (code, summary["forward result"]) == (EXIT_ABORTED, "aborted")
         assert summary["reason"] == "control cycles exceed MAX_CONTROL_CYCLES (1000)"
 
+    @pytest.mark.parametrize("text, home", [
+        ("joint_configuration far = { 1" + "0" * 308 + ".0, 0.0, 0.0, 0.0, 0.0, 0.0 };\n"
+         'sequence "main" { move to far; }', -1e308),
+        ('advanced_move "far" {\n'
+         "  specification { distance 1" + "0" * 308 + ".0 direction forward frame base; }\n"
+         "  evaluation { distance_covered(more_than, 1.0); }\n"
+         "  on_fail { return_to_initial_position; }\n"
+         '}\nsequence "main" { adv_move "far"; }', 1e308),
+    ], ids=["move", "guarded"])
+    def test_a_move_whose_span_overflows_aborts(self, capsys, tmp_path, monkeypatch, text, home):
+        # Start to target overflows to inf: stepping would write NaN joints.
+        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 50)
+        prog, cell, trace = tmp_path / "p.adsl", tmp_path / "cell.json", tmp_path / "t.ndjson"
+        prog.write_text(text)
+        cell.write_text(json.dumps({"home_joints": [home, 0, 0, 0, 0, 0]}))
+        assert run_cli(capsys, "validate", str(prog))[0] == EXIT_OK
+        code, out, _ = run_cli(
+            capsys, "run", str(prog), "--workcell", str(cell), "--trace", str(trace)
+        )
+        assert code == EXIT_ABORTED
+        assert summary_dict(out)["reason"].startswith("move out of range: ")
+        for line in trace.read_text(encoding="ascii").splitlines():
+            json.loads(line)
+
     def test_cycle_cap_ends_retries_that_never_move(self, capsys, tmp_path, monkeypatch):
         # A guarded move of distance 0 in a cell without perturbation makes
         # no control cycle; each attempt still counts as one. 5,000 retries
@@ -334,6 +358,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", corpus_path, "--workcell", str(cfg))
         assert code == EXIT_INPUT_ERROR
         assert "unknown workcell config keys" in err
+
+    def test_missing_workcell_file(self, capsys, corpus_path, tmp_path):
+        code, out, err = run_cli(
+            capsys, "run", corpus_path, "--workcell", str(tmp_path / "ghost.json")
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: cannot read {tmp_path / 'ghost.json'}: ")
 
     @pytest.mark.parametrize("command", ["run", "reverse"])
     @pytest.mark.parametrize("config, message", [

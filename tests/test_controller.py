@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import math
 import weakref
 
@@ -244,6 +245,28 @@ class TestAdvancedMove:
         errors = of_kind(controller.trace, EventKind.ERROR_SIGNALED)
         assert [e.data["error"] for e in errors] == ["stuck"]
         assert result.completed  # recovery ran, sequence resumed
+
+    def test_wall_ends_an_unguarded_attempt_short_of_its_distance(self):
+        # No stop_if: the wall stops the motion at covered=0.15 and the
+        # attempt ends there instead of stepping in place to the cycle cap.
+        program = build(
+            'advanced_move "m" {\n'
+            "  specification { distance 0.30 direction forward frame tcp; }\n"
+            "  evaluation { distance_covered(more_than, 0.20); }\n"
+            "  on_fail { return_to_initial_position; }\n"
+            "}\n"
+            'sequence "main" { adv_move "m"; }'
+        )
+        controller = Controller(program, quiet_config(obstacles=[WALL_AT_15CM]), seed=0)
+        assert controller.run().completed
+        (end,) = of_kind(controller.trace, EventKind.ATTEMPT_END)
+        assert end.data["guard_stopped"] is False
+        assert end.data["covered"] == pytest.approx(0.15, abs=1e-9)
+        assert end.data["outcome"] == "fail"
+        guarded = [e.data for e in of_kind(controller.trace, EventKind.MOTION_SAMPLE)
+                   if "covered" in e.data]
+        assert [d["advanced"] == 0.0 for d in guarded].count(True) == 1
+        assert guarded[-1]["contact"] and guarded[-1]["advanced"] == 0.0
 
     def test_attempt_bound_without_repeat(self):
         program = build(
@@ -915,3 +938,36 @@ class TestControlCycleCap:
         result = controller.run()
         assert result.completed, result.reason
         assert controller.ctx.cycles < 100
+
+
+class TestMoveRange:
+    """A move whose span from start to target is not finite, or whose speed
+    is not a positive finite number, aborts before its first cycle."""
+
+    @pytest.mark.parametrize("move", [
+        lambda ctx: ctx.move_joints_to([math.inf] * 6),
+        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), math.nan),
+    ], ids=["infinite_joints", "nan_speed"])
+    def test_callback_move_aborts(self, monkeypatch, move):
+        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 50)
+        registry = default_registry()
+        registry.register("far", lambda ctx, items: move(ctx))
+        controller = Controller(
+            build('sequence "s" { call "far" (); }'), quiet_config(), seed=0, registry=registry
+        )
+        result = controller.run()
+        assert not result.completed
+        assert result.reason.startswith("move out of range: ")
+        assert controller.ctx.cycles == 0
+        for line in controller.trace.serialize().splitlines():
+            json.loads(line)
+
+    def test_callback_joint_count_must_match_the_cell(self):
+        registry = default_registry()
+        registry.register("short", lambda ctx, items: ctx.move_joints_to((0.1, 0.2, 0.3)))
+        controller = Controller(
+            build('sequence "s" { call "short" (); }'), quiet_config(), seed=0, registry=registry
+        )
+        result = controller.run()
+        assert not result.completed
+        assert result.reason == "move_joints_to: 3 joints for a 6-dof cell"

@@ -274,6 +274,43 @@ class TestValidation:
         diags = validate_program(program)
         assert any("throws this error" in d.message for d in diags)
 
+    def test_recovery_reaching_a_move_on_two_call_paths_is_reported_once(self):
+        # "rec" reaches "inner" through "left" and "right"; the walk visits it once.
+        spec = AdvMoveSpec(
+            "m",
+            distance=0.1,
+            direction=Direction.FORWARD,
+            frame=Frame.TCP,
+            eval_queries=(DistanceCovered(Comparison.MORE_THAN, 0.05),),
+            on_fail=(ThrowError("stuck"),),
+        )
+        program = simple_program(
+            errors={"stuck": ErrorSpec("stuck", recovery_sequence="rec")},
+            adv_moves={"m": spec},
+            sequences={
+                "main": Sequence("main", (AdvMoveRef("m"),)),
+                "rec": Sequence("rec", (SeqCall("left"), SeqCall("right"))),
+                "left": Sequence("left", (SeqCall("inner"),)),
+                "right": Sequence("right", (SeqCall("inner"),)),
+                "inner": Sequence("inner", (AdvMoveRef("m"),)),
+            },
+        )
+        assert [d.message for d in validate_program(program)] == [
+            "recovery sequence reaches advanced move 'm' that throws this error",
+        ]
+
+    def test_recovery_reaching_an_undeclared_move_is_reported_as_unresolved(self):
+        program = simple_program(
+            errors={"stuck": ErrorSpec("stuck", recovery_sequence="rec")},
+            sequences={
+                "main": Sequence("main", (MoveJoint(("home",)),)),
+                "rec": Sequence("rec", (AdvMoveRef("ghost"),)),
+            },
+        )
+        assert [(d.message, d.name) for d in validate_program(program)] == [
+            ("unresolved advanced move", "ghost"),
+        ]
+
     def test_reverse_with_payload_restrictions(self):
         ann = ReverseWith(SeqCall("main"))
         program = simple_program(

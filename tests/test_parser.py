@@ -185,6 +185,90 @@ class TestParseBasics:
         assert parse_program(noisy) == corpus_program
 
 
+_GUARDED_TO = (
+    'advanced_move "m" {{ specification {{ distance 1 direction up frame tcp; }}'
+    ' evaluation {{ {} }} on_fail {{ {} }} }}'
+)
+
+
+class TestParseFailures:
+    """Each failure as `str(ParseError)` (its location first), `expected` and
+    `found`: word lists included, since each is built from the table of words
+    it accepts."""
+
+    @pytest.mark.parametrize("source, message, expected, found", [
+        ('widget "w" { }',
+         "1:1: expected 'item' or 'io_operation' or 'joint_configuration' or 'sequence'"
+         " or 'error' or 'advanced_move' or 'entry', found 'widget'",
+         ("'item'", "'io_operation'", "'joint_configuration'", "'sequence'", "'error'",
+          "'advanced_move'", "'entry'"), "widget"),
+        ('sequence "s" { wait 1; } sequence "s" { wait 2; }',
+         "1:26: expected unique sequence name, found 's'", ("unique sequence name",), "s"),
+        ('sequence "a" { wait 1; } entry "a"; entry "a";',
+         "1:37: expected a single entry declaration, found 'entry'",
+         ("a single entry declaration",), "entry"),
+        ('item "i" { keyframe k { } }',
+         "1:25: expected coordinate '(', found '}'", ("coordinate '('",), "}"),
+        ('io_operation "x" { toggle; }',
+         "1:20: expected 'set_low' or 'set_high' or 'bit' or 'sleep', found 'toggle'",
+         ("'set_low'", "'set_high'", "'bit'", "'sleep'"), "toggle"),
+        ('sequence "s" { jump "x"; }',
+         "1:16: expected instruction, found 'jump'", ("instruction",), "jump"),
+        ('sequence "s" { @sideways wait 1; }',
+         "1:17: expected 'nonreversible' or 'skip_on_reverse' or 'barrier' or 'reverse_with',"
+         " found 'sideways'",
+         ("'nonreversible'", "'skip_on_reverse'", "'barrier'", "'reverse_with'"), "sideways"),
+        ('sequence "s" { @1 wait 1; }',
+         "1:17: expected annotation name, found '1'", ("annotation name",), "1"),
+        ('error "e" { resume_at sequence; }',
+         "1:13: expected 'recovery_sequence' or 'respond_after' or 'return_to',"
+         " found 'resume_at'",
+         ("'recovery_sequence'", "'respond_after'", "'return_to'"), "resume_at"),
+        ('error "e" { recovery_sequence "r"; recovery_sequence "r"; }',
+         "1:36: expected a single recovery_sequence, found 'recovery_sequence'",
+         ("a single recovery_sequence",), "recovery_sequence"),
+        ('error "e" { respond_after current_action; respond_after current_action; }',
+         "1:43: expected a single respond_after, found 'respond_after'",
+         ("a single respond_after",), "respond_after"),
+        ('error "e" { return_to sequence; return_to sequence; }',
+         "1:33: expected a single return_to, found 'return_to'",
+         ("a single return_to",), "return_to"),
+        ('error "e" { respond_after later; }',
+         "1:27: expected response timing, found 'later'", ("response timing",), "later"),
+        ('error "e" { return_to nowhere; }',
+         "1:23: expected resume target, found 'nowhere'", ("resume target",), "nowhere"),
+        (_GUARDED_TO.format("pressure(1);", "return_to_initial_position;"),
+         "1:87: expected 'forces_exceed' or 'distance_covered', found 'pressure'",
+         ("'forces_exceed'", "'distance_covered'"), "pressure"),
+        (_GUARDED_TO.format("distance_covered(about, 1);", "return_to_initial_position;"),
+         "1:104: expected 'more_than' or 'less_than', found 'about'",
+         ("'more_than' or 'less_than'",), "about"),
+        (_GUARDED_TO.format("forces_exceed(1);", "explode;"),
+         "1:117: expected 'return_to_initial_position' or 'repeat_with_perturbation'"
+         " or 'throw_error', found 'explode'",
+         ("'return_to_initial_position'", "'repeat_with_perturbation'", "'throw_error'"),
+         "explode"),
+        (_GUARDED_TO.format("forces_exceed(1);", "3;"),
+         "1:117: expected behavior, found '3'", ("behavior",), "3"),
+        # An empty on_fail block is reported at its own '}', also at the end of input.
+        (_GUARDED_TO.format("forces_exceed(1);", ""),
+         "1:118: expected at least one on_fail behavior, found '}'",
+         ("at least one on_fail behavior",), "}"),
+        ('advanced_move "m" {\n specification { distance 1 direction up frame tcp; }\n'
+         ' evaluation { forces_exceed(1); }\n on_fail {\n }\n}\n',
+         "5:2: expected at least one on_fail behavior, found '}'",
+         ("at least one on_fail behavior",), "}"),
+        (_GUARDED_TO.format("forces_exceed(1);", "")[:-2],
+         "1:118: expected at least one on_fail behavior, found '}'",
+         ("at least one on_fail behavior",), "}"),
+    ])
+    def test_failure_is_reported_as_pinned(self, source, message, expected, found):
+        with pytest.raises(ParseError) as exc_info:
+            parse_program(source)
+        err = exc_info.value
+        assert (str(err), err.expected, err.found) == (message, expected, found)
+
+
 class TestLexicalErrors:
     def test_a_long_integer_int_converts_is_a_number(self):
         raw = "7" * 700

@@ -288,6 +288,15 @@ def test_data_keys_that_are_not_strings_raise_type_error(data):
         ExecutionTrace(io.StringIO()).append(event)
 
 
+@pytest.mark.parametrize("data", [
+    {"a": object()}, {"a": {1, 2}}, {"a": [b"x"]}, {"a": {"b": 1j}},
+])
+def test_data_values_that_are_not_json_raise_type_error(data):
+    event = _trail(datas=[data])[0]
+    with pytest.raises(TypeError, match="^unserializable trace value: "):
+        serialize_event(event)
+
+
 @pytest.mark.parametrize("program, config", [
     ("peg_in_hole.adsl", "aligned.json"),
     ("peg_in_hole.adsl", "blocked.json"),
