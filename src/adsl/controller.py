@@ -15,7 +15,7 @@ recovery sequence are delegated to the reverse-execution engine, which
 undoes recorded instructions from the context's undo log, which holds no
 plain `seq` call (only its children), and resumes. An error signaled while
 another is being resolved aborts the run, as do an unguarded move into a
-solid, a move whose span or speed is not finite and a `call` of an
+solid, a move with a malformed or non-finite target or speed and a `call` of an
 unregistered action: each abort is a `RunAborted`, re-exported from
 `reverse`. `ctx.stack`, a tuple of `(sequence, index)` pairs, is the one
 record of where the run is; `ctx.frames` has a frame per entry, holding its
@@ -313,22 +313,27 @@ class ExecutionContext:
 
     def move_to_pose(self, target: Pose, speed: float) -> None:
         """Drive the TCP to `target` until it is at `fk(ik(target))`, the pose
-        the model can reach; a blocking solid, a span that is not finite or a
-        speed that is not a positive finite number raises RunAborted."""
+        the model can reach, whose coordinates are the default model's joints;
+        `_check_move`'s rejects and a blocking solid raise RunAborted."""
         workcell = self.workcell
         record = self.options.record_motion_samples
         state = workcell.state
         fk = workcell.model.fk  # `tcp_pose`, inline
+        pose_joints = workcell._pose_joints
         step_motion = workcell.step_motion
         emit = self.emit
-        _check_move(fk(state.joints), target, speed)
-        goal = fk(workcell.model.ik(target))
-        position, orientation = goal.position, goal.orientation
+        target = _check_move(fk(state.joints), target, speed)
+        reach = fk(workcell.model.ik(target))
+        goal = reach.position + reach.orientation
         cycles = self.cycles
         try:
             while True:
-                pose = fk(state.joints)
-                if pose.position == position and pose.orientation == orientation:
+                if pose_joints:
+                    here = state.joints
+                else:
+                    pose = fk(state.joints)
+                    here = pose.position + pose.orientation
+                if here == goal:
                     return
                 if cycles >= MAX_CONTROL_CYCLES:
                     raise _cycle_cap_exceeded()
@@ -348,7 +353,7 @@ class ExecutionContext:
             self.cycles = cycles
 
     def move_joints_to(self, joints) -> None:
-        joints = tuple(joints)
+        joints = _coordinates(joints, None, "joints")
         dof = self.workcell.config.dof
         if len(joints) != dof:
             raise RunAborted(f"move_joints_to: {len(joints)} joints for a {dof}-dof cell")
@@ -686,7 +691,7 @@ class Controller:
             ),
             start_pose.orientation,
         )
-        _check_move(start_pose, target, speed)
+        target = _check_move(start_pose, target, speed)
         covered = 0.0
         state = workcell.state
         step_motion = workcell.step_motion
@@ -772,22 +777,43 @@ def _cycle_cap_exceeded() -> RunAborted:
     return RunAborted(f"control cycles exceed MAX_CONTROL_CYCLES ({MAX_CONTROL_CYCLES})")
 
 
-def _check_move(start: Pose, target: Pose, speed: float) -> None:
-    """Abort a move before its first cycle unless each coordinate of
-    `target - start` is finite and `speed` is a positive finite number:
-    stepping it would write NaN joints. Unpacked, as it runs once a move."""
+def _check_move(start: Pose, target: Pose, speed: float) -> Pose:
+    """`target` with float coordinates, checked once a move, before its first
+    cycle: it must be a `Pose` of 3 + 3 ints or floats, each coordinate of
+    `target - start` finite and `speed` a positive finite int or float. Anything
+    else raises RunAborted, as stepping it would raise or write NaN joints."""
+    if not isinstance(target, Pose):
+        raise RunAborted(f"move target is not a Pose: {target!r}")
+    position = _coordinates(target.position, 3, "target position")
+    orientation = _coordinates(target.orientation, 3, "target orientation")
     (px, py, pz), (pa, pb, pc) = start.position, start.orientation
-    (tx, ty, tz), (ta, tb, tc) = target.position, target.orientation
+    (tx, ty, tz), (ta, tb, tc) = position, orientation
     isfinite = math.isfinite
     if not (
         isfinite(tx - px) and isfinite(ty - py) and isfinite(tz - pz)
         and isfinite(ta - pa) and isfinite(tb - pb) and isfinite(tc - pc)
-        and 0.0 < speed < math.inf
+        and isinstance(speed, (int, float)) and 0.0 < speed < math.inf
     ):
         raise RunAborted(
             f"move out of range: from {start.position + start.orientation}"
-            f" to {target.position + target.orientation} at speed {speed}"
+            f" to {position + orientation} at speed {speed}"
         )
+    return Pose(position, orientation)
+
+
+def _coordinates(values, count: Optional[int], what: str) -> tuple[float, ...]:
+    """`count` (any, for None) ints or floats as a tuple of floats: where a
+    callback's move values enter. Anything else raises RunAborted."""
+    try:
+        values = tuple(values)
+        if count in (None, len(values)):
+            if {float}.issuperset(map(type, values)):
+                return values  # the common case, and the cheap one
+            if all([isinstance(v, (int, float)) for v in values]):
+                return tuple(map(float, values))
+    except (TypeError, OverflowError):  # not iterable, or an int beyond float range
+        pass
+    raise RunAborted(f"move {what} must be {count or 'dof'} ints or floats, got {values!r}")
 
 
 def _drop_children(undo_log: list[TraceEvent], call_site: tuple) -> None:

@@ -16,10 +16,7 @@ them as given.
 The joint-to-pose mapping is pluggable. The default model maps joints 1-3 to
 the TCP position and joints 4-6 to ZYX Euler orientation, which is trivially
 invertible and keeps motion in joint space and Cartesian space identical.
-Its `fk` makes joints floats: it is where an action callback's
-`ctx.move_joints_to(...)` values enter. The workcell keeps no pose: each
-query calls `fk`, and the default model's answers the tuple its `ik` last
-returned with the very pose `ik` received.
+The workcell keeps no pose: each query calls `fk`.
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the pose of
 the current joints straight toward the target by at most speed*dt, less
@@ -27,7 +24,8 @@ when an obstacle surface comes first (tested exactly only for obstacles
 whose widened box meets the step's). The orientation interpolates by the
 same fraction, or snaps to the target on arrival or for a pure rotation; the
 inverse kinematics of the new pose become the joints, and the clock advances
-by dt.
+by dt. The default model's joints are the pose's coordinates, so its cycle
+steps them as one tuple, with no `fk` or `ik` call.
 """
 
 from __future__ import annotations
@@ -313,27 +311,15 @@ class KinematicModel(Protocol):
 
 class TranslationEulerModel:
     """Trivially invertible joint map: joints 1-3 position, joints 4-6 Euler.
-
-    `fk(ik(p))` is `p` bit for bit when `p` holds floats, so `fk` of the
-    tuple `ik` last returned returns that pose instead of rebuilding it.
-    """
+    `fk(ik(p))` is `p` bit for bit."""
 
     dof = 6
 
-    def __init__(self):
-        self.ik(IDENTITY_POSE)  # so the memo only ever holds a tuple `ik` made
-
     def fk(self, joints) -> Pose:
-        if joints is self._ik_joints:
-            return self._ik_pose
-        j = tuple(map(float, joints))
-        return Pose(j[0:3], j[3:6])
+        return Pose(joints[0:3], joints[3:6])
 
     def ik(self, pose: Pose) -> tuple[float, ...]:
-        joints = pose.position + pose.orientation
-        self._ik_joints = joints
-        self._ik_pose = pose
-        return joints
+        return pose.position + pose.orientation
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +361,7 @@ class Workcell:
                 f"kinematic model expects {model_dof} joints, config says {config.dof}"
             )
         self.state = WorkcellState(config.home_joints, config.bit_count, config.filter_window)
+        self._pose_joints = type(self.model) is TranslationEulerModel  # joints are the pose
 
     # -- poses ----------------------------------------------------------------
 
@@ -394,15 +381,18 @@ class Workcell:
         """
         state = self.state
         dt = self.config.dt
-        pose = self.model.fk(state.joints)
-        px, py, pz = pose.position
+        pose_joints = self._pose_joints
+        if pose_joints:
+            px, py, pz, o0x, o0y, o0z = state.joints
+        else:
+            pose = self.model.fk(state.joints)
+            (px, py, pz), (o0x, o0y, o0z) = pose.position, pose.orientation
         tx, ty, tz = target.position
         dx, dy, dz = tx - px, ty - py, tz - pz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         contact = False
         if dist <= 1e-15:
             advanced = 0.0
-            joints = self.model.ik(target)
         else:
             advanced = speed * dt
             if dist < advanced:
@@ -413,17 +403,15 @@ class Workcell:
                 if hit is not None:
                     advanced = hit if hit > 0.0 else 0.0
                     contact = True
-            if not contact and advanced >= dist - 1e-15:
-                joints = self.model.ik(target)
-            else:
-                # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
-                frac = advanced / dist
-                o0x, o0y, o0z = pose.orientation
-                o1x, o1y, o1z = target.orientation
-                joints = self.model.ik(Pose(
-                    (px + ux * advanced, py + uy * advanced, pz + uz * advanced),
-                    (o0x + (o1x - o0x) * frac, o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac),
-                ))
+        if dist <= 1e-15 or not contact and advanced >= dist - 1e-15:
+            joints = target.position + target.orientation if pose_joints else self.model.ik(target)
+        else:
+            # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
+            frac = advanced / dist
+            o1x, o1y, o1z = target.orientation
+            x, y, z = px + ux * advanced, py + uy * advanced, pz + uz * advanced
+            a, b, c = o0x + (o1x - o0x) * frac, o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac
+            joints = (x, y, z, a, b, c) if pose_joints else self.model.ik(Pose((x, y, z), (a, b, c)))
         state.joints = joints
         state.clock += dt
         state.in_contact = contact

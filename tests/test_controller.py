@@ -947,7 +947,8 @@ class TestMoveRange:
     @pytest.mark.parametrize("move", [
         lambda ctx: ctx.move_joints_to([math.inf] * 6),
         lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), math.nan),
-    ], ids=["infinite_joints", "nan_speed"])
+        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), "fast"),
+    ], ids=["infinite_joints", "nan_speed", "str_speed"])
     def test_callback_move_aborts(self, monkeypatch, move):
         monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 50)
         registry = default_registry()
@@ -961,6 +962,42 @@ class TestMoveRange:
         assert controller.ctx.cycles == 0
         for line in controller.trace.serialize().splitlines():
             json.loads(line)
+
+    @pytest.mark.parametrize("move, reason", [
+        (lambda ctx: ctx.move_to_pose(Pose((0.1, 0.2), (0.0, 0.0, 0.0)), 0.1),
+         "move target position must be 3 ints or floats, got (0.1, 0.2)"),
+        (lambda ctx: ctx.move_joints_to(["a"] * 6),
+         "move joints must be dof ints or floats, got ('a', 'a', 'a', 'a', 'a', 'a')"),
+        (lambda ctx: ctx.move_to_pose(Pose((0.1, "0.2", 0.1)), 0.1),
+         "move target position must be 3 ints or floats, got (0.1, '0.2', 0.1)"),
+        (lambda ctx: ctx.move_to_pose((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), 0.1),
+         "move target is not a Pose: (0.1, 0.0, 0.1, 0.0, 0.0, 0.0)"),
+    ], ids=["short_position", "str_joints", "str_coordinate", "not_a_pose"])
+    def test_callback_malformed_target_aborts(self, move, reason):
+        registry = default_registry()
+        registry.register("bad", lambda ctx, items: move(ctx))
+        controller = Controller(
+            build('sequence "s" { call "bad" (); }'), quiet_config(), seed=0, registry=registry
+        )
+        result = controller.run()
+        assert not result.completed
+        assert result.reason == reason
+        assert controller.ctx.cycles == 0
+
+    def test_callback_int_coordinates_move_as_floats(self):
+        traces = []
+        for coords in [(0, 0, 1, 0, 0, 0), (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)]:
+            registry = default_registry()
+            registry.register("up", lambda ctx, items: ctx.move_to_pose(
+                Pose(coords[:3], coords[3:]), 0.5))
+            controller = Controller(
+                build('sequence "s" { call "up" (); }'), quiet_config(), seed=0, registry=registry
+            )
+            assert controller.run().completed
+            assert controller.ctx.workcell.state.joints == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+            assert {type(j) for j in controller.ctx.workcell.state.joints} == {float}
+            traces.append(controller.trace.serialize())
+        assert traces[0] == traces[1]
 
     def test_callback_joint_count_must_match_the_cell(self):
         registry = default_registry()
