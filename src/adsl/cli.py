@@ -25,6 +25,7 @@ EXIT_INVALID = 1
 EXIT_INPUT_ERROR = 2
 EXIT_ABORTED = 3
 EXIT_REVERSAL_BLOCKED = 4
+_TRACE_BUFFER = 1 << 16  # bytes: a trace file takes one write per 64 KiB, not per 8 KiB
 
 
 class _InputError(Exception):
@@ -110,7 +111,8 @@ def cmd_run(args) -> int:
         return code
 
     try:
-        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as sink:
+        with (open(args.trace, "w", _TRACE_BUFFER, "utf-8") if args.trace
+              else nullcontext()) as sink:
             result = _controller(args, program, config, sink).run()
     except OSError as exc:  # opening, writing or closing the trace file
         if not args.trace:

@@ -68,7 +68,7 @@ from .model import (
 )
 from .printer import format_instruction, format_query
 from .reverse import ResumePolicy, RunAborted
-from .trace import EventKind, ExecutionTrace, TraceEvent
+from .trace import _MOTION_SAMPLE, EventKind, ExecutionTrace, TraceEvent
 from .workcell import (
     BitOutOfRange,
     Pose,
@@ -76,9 +76,6 @@ from .workcell import (
     WorkcellConfig,
     DEFAULT_SPEED,
 )
-
-#: Looked up once: reading an enum member off its class costs ~0.1 us a cycle.
-_MOTION_SAMPLE = EventKind.MOTION_SAMPLE
 
 MAX_CALL_DEPTH = 32  # open sequence calls, recovery sequences included
 MAX_CONTROL_CYCLES = 600_000  # `step_motion` calls in one context, reversal included

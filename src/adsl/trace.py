@@ -18,7 +18,11 @@ Each line is one `%` format over field texts. A trace keeps the texts last
 built from its events' stack, speed, bits and joints objects (immutable
 snapshots that consecutive events mostly share), reused only for those very
 objects, and per `data` key tuple the sorted, quoted keys and each key's last
-exact-float text, reused for an equal nonzero float. The reference formatter
+exact-float text, reused for an equal nonzero float. A `MOTION_SAMPLE` whose
+`data` keys are `MOVE_SAMPLE_KEYS` or `ATTEMPT_SAMPLE_KEYS` in that order,
+whose clock and reals are exact floats and whose `contact` is an exact bool
+is one `%` over its shape's line template; any other event takes the generic
+path, and the bytes never depend on which path ran. The reference formatter
 in tests/test_trace.py defines the bytes.
 """
 
@@ -120,6 +124,15 @@ _JOINTS = ["[" + ",".join(["%.17g"] * n) + "]" for n in range(32)]  # by length
 _LINE = '{"i":%s,"kind":"%s","clock":%.17g%s%s,"post_joints":%s%s%s}'
 _LINE_NUM = _LINE.replace("%.17g", "%s")  # for a clock that is not exactly a float
 
+#: The `data` keys, in insertion order, of the controller's motion samples:
+MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a pose move's cycle
+ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # a guarded move's
+_MOTION_SAMPLE = EventKind.MOTION_SAMPLE  # looked up once: off the class it costs ~0.1 us
+_BOOL = ("false", "true")
+_SAMPLE = _LINE.replace('"%s"', f'"{_MOTION_SAMPLE.value}"').replace("%s}", '{%s,"contact":%s')
+_MOVE_LINE = _SAMPLE + "}}"  # the data keys sorted, as every line writes them
+_ATTEMPT_LINE = _SAMPLE + ',"covered":%.17g,"filtered":%.17g,"raw":%.17g}}'
+
 
 class _Memo:
     """A trace's texts, each kept with the objects it was last built from;
@@ -128,6 +141,7 @@ class _Memo:
     def __init__(self):
         self.stack = self.speed = self.joints = self.pre_bits = self.post_bits = _NEVER
         self.orders: dict[tuple, list] = {}
+        self.advanced = ['"advanced":', "advanced", None, ""]  # an `orders` slot, for templates
 
 
 def serialize_event(ev: TraceEvent, memo=None) -> str:
@@ -148,6 +162,20 @@ def serialize_event(ev: TraceEvent, memo=None) -> str:
         memo.bits_text = f',"pre_bits":{_bits(pre_bits)},"post_bits":{_bits(post_bits)},"data":'
     values = ev.data
     keys = tuple(values)
+    if ev.kind is _MOTION_SAMPLE and type(ev.clock) is float:
+        if keys == MOVE_SAMPLE_KEYS:
+            advanced, contact = values["advanced"], values["contact"]
+            if type(advanced) is float and type(contact) is bool:
+                return _MOVE_LINE % (ev.index, ev.clock, memo.head, pre, post, memo.bits_text,
+                                     _float_text(memo.advanced, advanced), _BOOL[contact])
+        elif keys == ATTEMPT_SAMPLE_KEYS:
+            advanced, covered, contact = values["advanced"], values["covered"], values["contact"]
+            raw, filtered = values["raw"], values["filtered"]
+            if (type(advanced) is float and type(covered) is float and type(contact) is bool
+                    and type(raw) is float and type(filtered) is float):
+                return _ATTEMPT_LINE % (ev.index, ev.clock, memo.head, pre, post, memo.bits_text,
+                                        _float_text(memo.advanced, advanced), _BOOL[contact],
+                                        covered, filtered, raw)
     order = memo.orders.get(keys)
     if order is None:
         order = memo.orders[keys] = [[_quote(k) + ":", k, None, ""] for k in sorted(keys)]

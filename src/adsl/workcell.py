@@ -138,6 +138,8 @@ DEFAULT_SPEED_MAP = {
 
 DEFAULT_SPEED = SpeedLevel.NORMAL
 MAX_RNG_SEED = 0xFFFFFFFFFFFFFFFF  # a seed fits in 64 unsigned bits
+MAX_BIT_COUNT = 1024  # each event snapshots the bits, so they stay few
+MAX_FILTER_WINDOW = 2 ** 31 - 1  # the largest `deque(maxlen=...)` on every platform
 
 
 class WorkcellConfig(Value):
@@ -169,12 +171,16 @@ class WorkcellConfig(Value):
             raise WorkcellConfigError("tool_transform must be finite")
         if self.bit_count < 1:
             raise WorkcellConfigError("bit_count must be positive")
+        if self.bit_count > MAX_BIT_COUNT:
+            raise WorkcellConfigError(f"bit_count must be at most {MAX_BIT_COUNT}")
         if not (math.isfinite(self.contact_force) and self.contact_force > 0):
             raise WorkcellConfigError("contact_force must be positive")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise WorkcellConfigError("noise_sigma must be non-negative")
         if self.filter_window < 1:
             raise WorkcellConfigError("filter_window must be positive")
+        if self.filter_window > MAX_FILTER_WINDOW:
+            raise WorkcellConfigError(f"filter_window must be at most {MAX_FILTER_WINDOW}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise WorkcellConfigError("dt must be positive")
         if not (math.isfinite(self.perturbation_radius) and self.perturbation_radius >= 0):
@@ -326,6 +332,15 @@ class TranslationEulerModel:
 # State and sensing
 
 
+def _sum(values) -> float:
+    """Add floats left to right from 0.0, as `sum` does before Python 3.12
+    (which compensates), so every Python writes the same trace."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class SensorReading(Value):
     __slots__ = ("raw", "filtered")
     raw: float
@@ -458,13 +473,13 @@ class Workcell:
         raw += rng.gauss(0.0, self.config.noise_sigma)
         history = state.force_history
         history.append(raw)
-        return SensorReading(raw, sum(history) / len(history))
+        return SensorReading(raw, _sum(history) / len(history))
 
     def filtered_force(self) -> float:
         history = self.state.force_history
         if not history:
             return 0.0
-        return sum(history) / len(history)
+        return _sum(history) / len(history)
 
     # -- I/O -----------------------------------------------------------------
 
@@ -490,7 +505,7 @@ class Workcell:
                 # inverse (i.e. transpose) of the tool rotation.
                 rows = tuple(
                     tuple(
-                        sum(rows[i][k] * tool[j][k] for k in range(3))
+                        _sum(rows[i][k] * tool[j][k] for k in range(3))
                         for j in range(3)
                     )
                     for i in range(3)

@@ -11,7 +11,9 @@ from adsl.controller import Controller
 from adsl.model import SpeedLevel
 from adsl.printer import format_instruction
 from adsl.reverse import PolicyMode, reverse_execute
-from adsl.trace import EventKind, ExecutionTrace, TraceEvent, serialize_event
+from adsl.trace import (
+    ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, EventKind, ExecutionTrace, TraceEvent, serialize_event,
+)
 from adsl.workcell import load_workcell_config
 
 from _helpers import build, of_kind, quiet_config
@@ -276,6 +278,86 @@ def test_serializer_matches_reference_on_two_interleaved_traces(first, second):
         assert [serialize_event(ev) for ev in events] == lines
 
 
+# ---------------------------------------------------------------------------
+# Motion samples: a line template for the controller's two data shapes, and
+# the generic path for anything else; the bytes must not tell them apart.
+
+#: Exact floats, as a motion sample holds; a few often, so that one repeats.
+SAMPLE_FLOATS = st.one_of(st.sampled_from([0.1, 0.25, 0.0, -0.0, math.nan, math.inf]), st.floats())
+
+
+@st.composite
+def motion_samples(draw):
+    """Events with a motion sample's data keys as emitted, reordered, with one
+    key more or one fewer; holding the types the controller writes, one value
+    of any type, or any values; mostly of the motion-sample kind."""
+    keys = list(draw(st.sampled_from((MOVE_SAMPLE_KEYS, ATTEMPT_SAMPLE_KEYS))))
+    how = draw(st.sampled_from(("emitted", "emitted", "reordered", "extra", "missing")))
+    if how == "reordered":
+        keys = draw(st.permutations(keys))
+    elif how == "extra":
+        keys.insert(draw(st.integers(0, len(keys))), draw(STRINGS.filter(lambda k: k not in keys)))
+    elif how == "missing":
+        del keys[draw(st.integers(0, len(keys) - 1))]
+    data = {k: draw(st.booleans() if k == "contact" else SAMPLE_FLOATS) for k in keys}
+    how = draw(st.sampled_from(("typed", "typed", "one retyped", "any")))
+    if how != "typed":
+        for k in keys if how == "any" else [draw(st.sampled_from(keys))]:
+            data[k] = draw(RETYPED)
+    pre = draw(st.one_of(st.just((0.5, 0.1, -0.0, 0.0, 0.0, 0.25)), JOINTS))
+    bits = draw(BITS)
+    return TraceEvent(
+        draw(st.integers(0, 10 ** 6)),
+        draw(st.sampled_from([EventKind.MOTION_SAMPLE] * 4 + list(EventKind))),
+        draw(st.one_of(st.floats(), NUMBERS)),
+        draw(st.sampled_from(((("s", 0),), (("s", 0), ("t", 2))))),
+        draw(st.sampled_from(list(SpeedLevel))),
+        pre, draw(st.sampled_from((pre, (0.5, 0.1, 0.0, 0.0, 0.0, 0.25)))), bits, bits,
+        data,
+    )
+
+
+@st.composite
+def mixed_traces(draw):
+    """Generic events with motion samples put in at any places."""
+    events = draw(event_sequences())
+    for sample in draw(st.lists(motion_samples(), min_size=1, max_size=8)):
+        events.insert(draw(st.integers(0, len(events))), sample)
+    return events
+
+
+_MOVE = {"advanced": 0.1, "contact": False}
+_ATTEMPT = {"advanced": 0.1, "covered": 0.2, "contact": True, "raw": 0.5, "filtered": 0.25}
+#: Samples of both shapes whose `advanced` repeats or changes sign, each slot
+#: of which in turn holds another type, with their keys reordered or extra,
+#: then of another kind or with a clock that is not an exact float.
+SAMPLE_ATTACKS = _trail(datas=[
+    _MOVE, _ATTEMPT, _MOVE, {**_MOVE, "advanced": 0.0}, {**_MOVE, "advanced": -0.0},
+    {**_MOVE, "advanced": math.nan}, {**_MOVE, "advanced": math.nan},
+    {**_MOVE, "contact": 1}, {**_MOVE, "advanced": _Real(0.1)}, {**_MOVE, "advanced": True},
+    *[{**_ATTEMPT, key: value} for key in _ATTEMPT for value in (True, _Real(0.3), 2 ** 60, 1)],
+    {"contact": False, "advanced": 0.1}, {**_MOVE, "extra": None},
+])
+SAMPLE_ATTACKS += [
+    SAMPLE_ATTACKS[0].replace(kind=EventKind.INSTR_END),
+    SAMPLE_ATTACKS[0].replace(clock=True),
+    SAMPLE_ATTACKS[1].replace(clock=_Real(0.1)),
+]
+
+
+@example(events=SAMPLE_ATTACKS)
+@settings(max_examples=100, deadline=None)
+@given(events=mixed_traces())
+def test_motion_samples_match_reference_on_either_path(events):
+    sink = io.StringIO()
+    trace = ExecutionTrace(sink)
+    for event in events:
+        trace.append(event)
+    lines = [reference_serialize_event(ev) for ev in events]
+    assert sink.getvalue() == "".join(line + "\n" for line in lines)
+    assert [serialize_event(ev) for ev in events] == lines
+
+
 @pytest.mark.parametrize("data", [
     {1: 0.1}, {True: 0.1}, {1.5: 0, 0.0: 1}, {None: 0}, {"a": {2: "x"}}, {"a": [{-0.0: 2}]},
 ])
@@ -371,3 +453,32 @@ def test_instr_end_closes_the_instruction_at_its_stack_top_in_golden_runs():
         assert_instr_ends_close_their_stack_tops(golden_run(mode)[0])
     for name in MOTION_CASES:
         assert_instr_ends_close_their_stack_tops(motion_run(name)[0])
+
+
+def test_motion_samples_of_golden_and_shipped_runs_take_the_template():
+    examples = importlib.resources.files("adsl") / "examples"
+    controllers = [golden_run(mode)[0] for mode in PolicyMode]
+    controllers += [motion_run(name)[0] for name in MOTION_CASES]
+    for program, config in SHIPPED_RUNS:
+        controller = Controller(
+            build((examples / program).read_text(encoding="utf-8")),
+            load_workcell_config(str(examples / config)),
+            seed=0,
+        )
+        controller.run()
+        controllers.append(controller)
+    # Each sample has a shape the serializer writes from a template, with the
+    # types it needs, so a renamed key fails here and not only by slowing runs.
+    shapes = {
+        MOVE_SAMPLE_KEYS: (float, bool),
+        ATTEMPT_SAMPLE_KEYS: (float, float, bool, float, float),
+    }
+    seen = set()
+    for controller in controllers:
+        for event in of_kind(controller.trace, EventKind.MOTION_SAMPLE):
+            keys = tuple(event.data)
+            assert keys in shapes
+            assert tuple(map(type, event.data.values())) == shapes[keys]
+            assert type(event.clock) is float
+            seen.add(keys)
+    assert seen == set(shapes)

@@ -212,6 +212,21 @@ class TestForceSensing:
             raws.append(reading.raw)
             assert reading.filtered == sum(raws[-5:]) / len(raws[-5:])
 
+    def test_filter_adds_left_to_right_on_every_python(self):
+        # From Python 3.12 `sum` compensates: it gives 1e16 + 2 for this history,
+        # so its mean would differ in the last bit and so would every trace.
+        cell = make_cell(filter_window=4)
+        cell.state.force_history.extend([1e16, 1.0, 1.0])
+        assert cell.read_force(random.Random(0)).filtered == 2.5e15
+        assert cell.filtered_force() == 2.5e15
+
+    def test_largest_bit_count_and_window_build_a_cell(self):
+        config = WorkcellConfig(bit_count=workcell_module.MAX_BIT_COUNT,
+                                filter_window=workcell_module.MAX_FILTER_WINDOW)
+        cell = Workcell(config)
+        assert len(cell.state.io_bits) == 1024
+        assert cell.state.force_history.maxlen == 2 ** 31 - 1
+
     def test_seeded_noise_statistics(self):
         # Sample mean of 1000 free-space raws stays within 3 sigma/sqrt(n).
         cell = make_cell(noise_sigma=0.5)
@@ -377,9 +392,13 @@ class TestConfigLoading:
         ({"dof": 0}, "dof must be positive"),
         ({"dof": 5}, "home_joints length must equal dof"),
         ({"bit_count": 0}, "bit_count must be positive"),
+        ({"bit_count": 1025}, "bit_count must be at most 1024"),
+        ({"bit_count": 10 ** 11}, "bit_count must be at most 1024"),
         ({"contact_force": 0}, "contact_force must be positive"),
         ({"noise_sigma": -1}, "noise_sigma must be non-negative"),
         ({"filter_window": 0}, "filter_window must be positive"),
+        ({"filter_window": 2 ** 31}, "filter_window must be at most 2147483647"),
+        ({"filter_window": 10 ** 30}, "filter_window must be at most 2147483647"),
         ({"perturbation_radius": -0.1}, "perturbation_radius must be non-negative"),
         ({"rng_seed": 2 ** 64}, "rng_seed must fit in 64 unsigned bits"),
         ({"speed_map": {"very_fast": 2.0, "fast": 1.0}},
