@@ -58,7 +58,7 @@ def cmd_validate(args) -> int:
 
 def _inputs(args):
     """Parse the program, load the config, default `--seed` to its `rng_seed`
-    and validate the program against its dof; returns (program, config, exit code)."""
+    and validate the program; returns (program, config, exit code)."""
     program = _load_program(args.program)
     try:
         config = load_workcell_config(args.workcell)
@@ -68,7 +68,7 @@ def _inputs(args):
         raise _InputError(f"{args.workcell}: {exc}")
     if args.seed is None:  # the library's rule for `seed=None`
         args.seed = config.rng_seed
-    return program, config, _report(validate_program(program, config.dof))
+    return program, config, _report(validate_program(program))
 
 
 def _print_log(ctx, items):
@@ -77,14 +77,11 @@ def _print_log(ctx, items):
 
 
 def _controller(args, program, config, sink=None):
-    """The controller for a run; `_InputError` when the workcell cannot host it."""
+    """The controller for a run, with the CLI's `log` action."""
     registry = default_registry()
     registry.register("log", _print_log)
-    try:
-        return Controller(program, config, seed=args.seed, trace_sink=sink,
-                          options=_options_from_args(args), registry=registry)
-    except WorkcellConfigError as exc:
-        raise _InputError(f"{args.workcell}: {exc}")
+    return Controller(program, config, seed=args.seed, trace_sink=sink,
+                      options=_options_from_args(args), registry=registry)
 
 
 def _options_from_args(args) -> ControllerOptions:

@@ -4,7 +4,8 @@ The controller validates the program on construction (an invalid program
 raises `InvalidProgramError`) and interprets it: it runs the entry sequence
 instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
-failure behaviors, and manages signaled errors.
+failure behaviors, and manages signaled errors. The workcell's six joints are
+the TCP pose, so a move steps them until they equal its target's coordinates.
 
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
@@ -41,6 +42,7 @@ from typing import Callable, Optional
 
 from . import reverse as reverse_engine
 from .model import (
+    JOINT_COUNT,
     AdvMoveRef,
     AdvMoveSpec,
     Call,
@@ -309,29 +311,18 @@ class ExecutionContext:
             self.active_speed = level
 
     def move_to_pose(self, target: Pose, speed: float) -> None:
-        """Drive the TCP to `target` until it is at `fk(ik(target))`, the pose
-        the model can reach, whose coordinates are the default model's joints;
+        """Drive the TCP until the joints are `target`'s six coordinates;
         `_check_move`'s rejects and a blocking solid raise RunAborted."""
         workcell = self.workcell
         record = self.options.record_motion_samples
         state = workcell.state
-        fk = workcell.model.fk  # `tcp_pose`, inline
-        pose_joints = workcell._pose_joints
         step_motion = workcell.step_motion
         emit = self.emit
-        target = _check_move(fk(state.joints), target, speed)
-        reach = fk(workcell.model.ik(target))
-        goal = reach.position + reach.orientation
+        target = _check_move(workcell.tcp_pose(), target, speed)
+        goal = target.position + target.orientation
         cycles = self.cycles
         try:
-            while True:
-                if pose_joints:
-                    here = state.joints
-                else:
-                    pose = fk(state.joints)
-                    here = pose.position + pose.orientation
-                if here == goal:
-                    return
+            while state.joints != goal:
                 if cycles >= MAX_CONTROL_CYCLES:
                     raise _cycle_cap_exceeded()
                 cycles += 1
@@ -350,11 +341,8 @@ class ExecutionContext:
             self.cycles = cycles
 
     def move_joints_to(self, joints) -> None:
-        joints = _coordinates(joints, None, "joints")
-        dof = self.workcell.config.dof
-        if len(joints) != dof:
-            raise RunAborted(f"move_joints_to: {len(joints)} joints for a {dof}-dof cell")
-        self.move_to_pose(self.workcell.model.fk(joints), self.speed_value())
+        joints = _coordinates(joints, JOINT_COUNT, "joints")
+        self.move_to_pose(Pose(joints[:3], joints[3:]), self.speed_value())
 
     def apply_primitives(self, primitives) -> None:
         """Run an I/O primitive list.
@@ -443,14 +431,13 @@ class Controller:
         trace_sink=None,
         options: Optional[ControllerOptions] = None,
         registry: Optional[ActionRegistry] = None,
-        model=None,
     ):
-        diagnostics = validate_program(program, config.dof)
+        diagnostics = validate_program(program)
         if diagnostics:
             raise InvalidProgramError(diagnostics)
         options = options if options is not None else ControllerOptions()
         self.registry = registry if registry is not None else default_registry()
-        workcell = Workcell(config, model=model)
+        workcell = Workcell(config)
         rng = random.Random(config.rng_seed if seed is None else seed)
         self.ctx = ExecutionContext(
             program, workcell, rng, ExecutionTrace(trace_sink), options, self.registry
@@ -798,19 +785,19 @@ def _check_move(start: Pose, target: Pose, speed: float) -> Pose:
     return Pose(position, orientation)
 
 
-def _coordinates(values, count: Optional[int], what: str) -> tuple[float, ...]:
-    """`count` (any, for None) ints or floats as a tuple of floats: where a
-    callback's move values enter. Anything else raises RunAborted."""
+def _coordinates(values, count: int, what: str) -> tuple[float, ...]:
+    """`count` ints or floats as a tuple of floats: where a callback's move
+    values enter. Anything else raises RunAborted."""
     try:
         values = tuple(values)
-        if count in (None, len(values)):
+        if len(values) == count:
             if {float}.issuperset(map(type, values)):
                 return values  # the common case, and the cheap one
             if all([isinstance(v, (int, float)) for v in values]):
                 return tuple(map(float, values))
     except (TypeError, OverflowError):  # not iterable, or an int beyond float range
         pass
-    raise RunAborted(f"move {what} must be {count or 'dof'} ints or floats, got {values!r}")
+    raise RunAborted(f"move {what} must be {count} ints or floats, got {values!r}")
 
 
 def _drop_children(undo_log: list[TraceEvent], call_site: tuple) -> None:

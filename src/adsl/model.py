@@ -342,14 +342,15 @@ class Program(Value):
 # ---------------------------------------------------------------------------
 # Validation
 
-DEFAULT_DOF = 6
+#: The cell's joints, which are the TCP pose: (x, y, z, roll, pitch, yaw).
+JOINT_COUNT = 6
 
 #: Instruction forms allowed as a reverse_with payload. Structured forms
 #: (sequence calls, guarded moves) have no single-step undo meaning.
 _PRIMITIVE_INSTRUCTIONS = (Io, Wait, MoveJoint, Call)
 
 
-def validate_program(program: Program, dof: int = DEFAULT_DOF) -> list[Diagnostic]:
+def validate_program(program: Program) -> list[Diagnostic]:
     """Check every structural invariant and return the diagnostics found.
 
     An empty list means the program is executable: all referenced names
@@ -377,9 +378,10 @@ def validate_program(program: Program, dof: int = DEFAULT_DOF) -> list[Diagnosti
         _check_io_operation(op, err)
 
     for conf in program.joint_confs.values():
-        if len(conf.joints) != dof:
+        if len(conf.joints) != JOINT_COUNT:
             err(
-                f"joint configuration must have exactly {dof} values, got {len(conf.joints)}",
+                f"joint configuration must have exactly {JOINT_COUNT} values,"
+                f" got {len(conf.joints)}",
                 conf.name,
                 conf.location,
             )

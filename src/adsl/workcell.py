@@ -13,19 +13,17 @@ read-only, so none becomes invalid. `workcell_config_from_dict` is where JSON
 values are type-checked and made floats and tuples; direct constructors take
 them as given.
 
-The joint-to-pose mapping is pluggable. The default model maps joints 1-3 to
-the TCP position and joints 4-6 to ZYX Euler orientation, which is trivially
-invertible and keeps motion in joint space and Cartesian space identical.
-The workcell keeps no pose: each query calls `fk`.
+The cell's `JOINT_COUNT` (six) joints are the TCP pose: the position
+(x, y, z) in metres, then the ZYX Euler orientation (roll, pitch, yaw) in
+radians, so motion in joint space and in Cartesian space is the same motion.
+The workcell keeps no other pose; `tcp_pose` reads it off the joints.
 
-One control cycle (`Workcell.step_motion`) moves the TCP from the pose of
-the current joints straight toward the target by at most speed*dt, less
-when an obstacle surface comes first (tested exactly only for obstacles
-whose widened box meets the step's). The orientation interpolates by the
-same fraction, or snaps to the target on arrival or for a pure rotation; the
-inverse kinematics of the new pose become the joints, and the clock advances
-by dt. The default model's joints are the pose's coordinates, so its cycle
-steps them as one tuple, with no `fk` or `ik` call.
+One control cycle (`Workcell.step_motion`) moves the TCP from the current
+joints straight toward the target by at most speed*dt, less when an obstacle
+surface comes first (tested exactly only for obstacles whose widened box
+meets the step's). The orientation interpolates by the same fraction, or
+snaps to the target on arrival or for a pure rotation; the new pose's six
+coordinates become the joints, and the clock advances by dt.
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ import math
 from collections import deque
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional, Protocol
+from typing import Mapping, Optional
 
-from .model import Direction, Frame, SpeedLevel, Value, _set
+from .model import JOINT_COUNT, Direction, Frame, SpeedLevel, Value, _set
 
 
 class WorkcellConfigError(ValueError):
@@ -143,8 +141,8 @@ MAX_FILTER_WINDOW = 2 ** 31 - 1  # the largest `deque(maxlen=...)` on every plat
 
 
 class WorkcellConfig(Value):
-    dof: int = 6
-    home_joints: tuple[float, ...] = (0.0,) * 6
+    #: (x, y, z, roll, pitch, yaw): the joints are the TCP pose.
+    home_joints: tuple[float, ...] = (0.0,) * JOINT_COUNT
     bit_count: int = 8
     obstacles: tuple[Obstacle, ...] = ()
     contact_force: float = 50.0
@@ -160,10 +158,8 @@ class WorkcellConfig(Value):
     def __post_init__(self):
         """Check every invariant once, here: an invalid config is never built."""
         _set(self, "speed_map", MappingProxyType(dict(self.speed_map)))
-        if self.dof < 1:
-            raise WorkcellConfigError("dof must be positive")
-        if len(self.home_joints) != self.dof:
-            raise WorkcellConfigError("home_joints length must equal dof")
+        if len(self.home_joints) != JOINT_COUNT:
+            raise WorkcellConfigError(f"home_joints must hold {JOINT_COUNT} values")
         if not all(map(math.isfinite, self.home_joints)):
             raise WorkcellConfigError("home_joints must be finite")
         tool = self.tool_transform
@@ -211,10 +207,10 @@ def _number(value, what: str) -> float:
         raise WorkcellConfigError(f"{what} is out of range") from None
 
 
-def _floats(values, length: Optional[int], what: str) -> tuple[float, ...]:
-    """A JSON list of `length` (any, for None) numbers as floats."""
-    if not isinstance(values, list) or length not in (None, len(values)):
-        raise WorkcellConfigError(f"{what} must be a list of {length or 'dof'} numbers")
+def _floats(values, length: int, what: str) -> tuple[float, ...]:
+    """A JSON list of `length` numbers as floats."""
+    if not isinstance(values, list) or len(values) != length:
+        raise WorkcellConfigError(f"{what} must be a list of {length} numbers")
     return tuple(_number(v, f"{what} entry") for v in values)
 
 
@@ -264,7 +260,7 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
     if unknown:
         raise WorkcellConfigError(f"unknown workcell config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("dof", "bit_count", "filter_window", "rng_seed"):
+    for key in ("bit_count", "filter_window", "rng_seed"):
         if key in raw:
             if type(raw[key]) is not int:
                 raise WorkcellConfigError(f"{key} must be an integer")
@@ -273,7 +269,7 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
         if key in raw:
             kwargs[key] = _number(raw[key], key)
     if "home_joints" in raw:
-        kwargs["home_joints"] = _floats(raw["home_joints"], None, "home_joints")
+        kwargs["home_joints"] = _floats(raw["home_joints"], JOINT_COUNT, "home_joints")
     if "obstacles" in raw:
         if not isinstance(raw["obstacles"], list):
             raise WorkcellConfigError("obstacles must be a list")
@@ -303,29 +299,6 @@ def load_workcell_config(path) -> WorkcellConfig:
         except RecursionError:
             raise WorkcellConfigError(f"invalid JSON in {path}: nested too deeply") from None
     return workcell_config_from_dict(raw)
-
-
-# ---------------------------------------------------------------------------
-# Kinematics
-
-
-class KinematicModel(Protocol):
-    def fk(self, joints: tuple[float, ...]) -> Pose: ...
-
-    def ik(self, pose: Pose) -> tuple[float, ...]: ...
-
-
-class TranslationEulerModel:
-    """Trivially invertible joint map: joints 1-3 position, joints 4-6 Euler.
-    `fk(ik(p))` is `p` bit for bit."""
-
-    dof = 6
-
-    def fk(self, joints) -> Pose:
-        return Pose(joints[0:3], joints[3:6])
-
-    def ik(self, pose: Pose) -> tuple[float, ...]:
-        return pose.position + pose.orientation
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +338,18 @@ class WorkcellState:
 
 
 class Workcell:
-    """Config + kinematic model + mutable state, with the simulation verbs."""
+    """Config + mutable state, with the simulation verbs."""
 
-    def __init__(self, config: WorkcellConfig, model: Optional[KinematicModel] = None):
+    def __init__(self, config: WorkcellConfig):
         self.config = config
-        self.model = model if model is not None else TranslationEulerModel()
-        model_dof = getattr(self.model, "dof", config.dof)
-        if model_dof != config.dof:
-            raise WorkcellConfigError(
-                f"kinematic model expects {model_dof} joints, config says {config.dof}"
-            )
         self.state = WorkcellState(config.home_joints, config.bit_count, config.filter_window)
-        self._pose_joints = type(self.model) is TranslationEulerModel  # joints are the pose
 
     # -- poses ----------------------------------------------------------------
 
     def tcp_pose(self) -> Pose:
-        """Forward kinematics of the current joints: the model's `fk`, per call."""
-        return self.model.fk(self.state.joints)
+        """The current joints as a pose: (x, y, z), then (roll, pitch, yaw)."""
+        joints = self.state.joints
+        return Pose(joints[:3], joints[3:])
 
     # -- motion -----------------------------------------------------------
 
@@ -396,12 +363,7 @@ class Workcell:
         """
         state = self.state
         dt = self.config.dt
-        pose_joints = self._pose_joints
-        if pose_joints:
-            px, py, pz, o0x, o0y, o0z = state.joints
-        else:
-            pose = self.model.fk(state.joints)
-            (px, py, pz), (o0x, o0y, o0z) = pose.position, pose.orientation
+        px, py, pz, o0x, o0y, o0z = state.joints
         tx, ty, tz = target.position
         dx, dy, dz = tx - px, ty - py, tz - pz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -419,14 +381,14 @@ class Workcell:
                     advanced = hit if hit > 0.0 else 0.0
                     contact = True
         if dist <= 1e-15 or not contact and advanced >= dist - 1e-15:
-            joints = target.position + target.orientation if pose_joints else self.model.ik(target)
+            joints = target.position + target.orientation
         else:
             # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
             frac = advanced / dist
             o1x, o1y, o1z = target.orientation
             x, y, z = px + ux * advanced, py + uy * advanced, pz + uz * advanced
             a, b, c = o0x + (o1x - o0x) * frac, o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac
-            joints = (x, y, z, a, b, c) if pose_joints else self.model.ik(Pose((x, y, z), (a, b, c)))
+            joints = (x, y, z, a, b, c)
         state.joints = joints
         state.clock += dt
         state.in_contact = contact

@@ -369,8 +369,10 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "reverse"])
     @pytest.mark.parametrize("config, message", [
-        ('{"home_joints": 5}', "home_joints must be a list of dof numbers"),
-        ('{"dof": "6"}', "dof must be an integer"),
+        ('{"home_joints": 5}', "home_joints must be a list of 6 numbers"),
+        ('{"home_joints": [0, 0, 0.1, 0, 0]}', "home_joints must be a list of 6 numbers"),
+        ('{"home_joints": [0, 0, 0.1, 0, 0, 0, 0]}', "home_joints must be a list of 6 numbers"),
+        ('{"dof": 6}', "unknown workcell config keys: ['dof']"),
         ('{"home_joints": [NaN, 0, 0.1, 0, 0, 0]}', "home_joints must be finite"),
         ('{"dt": 5e-324}', "dt is too small: very_slow speed * dt is 0.0"),
         ('{"bit_count": 100000000000}', "bit_count must be at most 1024"),
@@ -530,33 +532,32 @@ class TestUndecodableInput:
         assert err == f"error: {cfg}: invalid JSON in {cfg}: nested too deeply\n"
 
 
-class TestWorkcellDof:
-    """A config whose dof differs from the program's joint configurations or
-    from the kinematic model ends in a documented exit code, not a traceback."""
-
-    DOF7 = '{"dof": 7, "home_joints": [0, 0, 0.1, 0, 0, 0, 0]}'
+class TestJointCount:
+    """The cell has six joints, (x, y, z, roll, pitch, yaw), and no setting
+    for their count: a config that names one, or a joint configuration of
+    another length, ends in a documented exit code, not a traceback."""
 
     @pytest.mark.parametrize("command", ["run", "reverse"])
-    def test_program_validated_against_config_dof(self, capsys, tmp_path, command):
-        cfg = tmp_path / "dof7.json"
-        cfg.write_text(self.DOF7)
+    def test_config_naming_dof_is_an_input_error(self, capsys, tmp_path, command):
+        cfg = tmp_path / "dof.json"
+        cfg.write_text('{"dof": 7, "home_joints": [0, 0, 0.1, 0, 0, 0, 0]}')
         code, out, err = run_cli(
             capsys, command, example("reverse_demo.adsl"), "--workcell", str(cfg)
         )
-        assert code == EXIT_INVALID
-        assert "exactly 7 values" in out
-        assert err == ""
-
-    @pytest.mark.parametrize("command", ["run", "reverse"])
-    def test_model_dof_mismatch_is_an_input_error(self, capsys, tmp_path, command):
-        cfg = tmp_path / "dof7.json"
-        cfg.write_text(self.DOF7)
-        prog = tmp_path / "wait.adsl"
-        prog.write_text('sequence "s" { wait 0.1; }\nentry "s";')
-        code, out, err = run_cli(capsys, command, str(prog), "--workcell", str(cfg))
         assert code == EXIT_INPUT_ERROR
         assert out == ""
-        assert err.startswith(f"error: {cfg}: kinematic model expects 6 joints")
+        assert err == f"error: {cfg}: unknown workcell config keys: ['dof']\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "reverse"])
+    def test_seven_joint_configuration_is_invalid(self, capsys, tmp_path, command):
+        prog = tmp_path / "seven.adsl"
+        prog.write_text('joint_configuration c = { 0, 0, 0.1, 0, 0, 0, 0 };\n'
+                        'sequence "s" { move to c; }\nentry "s";')
+        workcell = [] if command == "validate" else ["--workcell", example("free_space.json")]
+        code, out, err = run_cli(capsys, command, str(prog), *workcell)
+        assert code == EXIT_INVALID
+        assert "exactly 6 values" in out
+        assert err == ""
 
 
 @pytest.mark.parametrize("argv, expected", [

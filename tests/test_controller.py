@@ -919,26 +919,6 @@ class TestControlCycleCap:
         assert result.reason == "control cycles exceed MAX_CONTROL_CYCLES (100)"
         assert len(of_kind(controller.trace, EventKind.MOTION_SAMPLE)) == controller.ctx.cycles == 100
 
-    def test_move_ends_where_the_model_can_reach(self, monkeypatch):
-        # sin(asin(x)) is not x for this target, so the TCP never lands on
-        # the target pose itself; the move ends at fk(ik(target)).
-        class Revolute:
-            dof = 6
-
-            def fk(self, joints):
-                return Pose((math.sin(joints[0]),) + tuple(joints[1:3]), tuple(joints[3:6]))
-
-            def ik(self, pose):
-                return (math.asin(pose.position[0]),) + pose.position[1:] + pose.orientation
-
-        monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 2000)
-        text = ('joint_configuration c = { -0.07250718066679696, 0.0, 0.1, 0.0, 0.0, 0.0 };\n'
-                'sequence "s" { move to c; }')
-        controller = Controller(build(text), quiet_config(), seed=0, model=Revolute())
-        result = controller.run()
-        assert result.completed, result.reason
-        assert controller.ctx.cycles < 100
-
 
 class TestMoveRange:
     """A move whose span from start to target is not finite, or whose speed
@@ -967,12 +947,17 @@ class TestMoveRange:
         (lambda ctx: ctx.move_to_pose(Pose((0.1, 0.2), (0.0, 0.0, 0.0)), 0.1),
          "move target position must be 3 ints or floats, got (0.1, 0.2)"),
         (lambda ctx: ctx.move_joints_to(["a"] * 6),
-         "move joints must be dof ints or floats, got ('a', 'a', 'a', 'a', 'a', 'a')"),
+         "move joints must be 6 ints or floats, got ('a', 'a', 'a', 'a', 'a', 'a')"),
+        (lambda ctx: ctx.move_joints_to((0.1, 0.2, 0.3)),
+         "move joints must be 6 ints or floats, got (0.1, 0.2, 0.3)"),
+        (lambda ctx: ctx.move_joints_to((0.1, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0)),
+         "move joints must be 6 ints or floats, got (0.1, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0)"),
         (lambda ctx: ctx.move_to_pose(Pose((0.1, "0.2", 0.1)), 0.1),
          "move target position must be 3 ints or floats, got (0.1, '0.2', 0.1)"),
         (lambda ctx: ctx.move_to_pose((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), 0.1),
          "move target is not a Pose: (0.1, 0.0, 0.1, 0.0, 0.0, 0.0)"),
-    ], ids=["short_position", "str_joints", "str_coordinate", "not_a_pose"])
+    ], ids=["short_position", "str_joints", "three_joints", "seven_joints", "str_coordinate",
+            "not_a_pose"])
     def test_callback_malformed_target_aborts(self, move, reason):
         registry = default_registry()
         registry.register("bad", lambda ctx, items: move(ctx))
@@ -998,13 +983,3 @@ class TestMoveRange:
             assert {type(j) for j in controller.ctx.workcell.state.joints} == {float}
             traces.append(controller.trace.serialize())
         assert traces[0] == traces[1]
-
-    def test_callback_joint_count_must_match_the_cell(self):
-        registry = default_registry()
-        registry.register("short", lambda ctx, items: ctx.move_joints_to((0.1, 0.2, 0.3)))
-        controller = Controller(
-            build('sequence "s" { call "short" (); }'), quiet_config(), seed=0, registry=registry
-        )
-        result = controller.run()
-        assert not result.completed
-        assert result.reason == "move_joints_to: 3 joints for a 6-dof cell"

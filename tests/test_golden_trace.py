@@ -8,20 +8,24 @@ these digests record.
 
 The motion cases pin the control cycle's edge cases the same way: signed
 zeros in orientations, rotation-only moves, a last step that lands exactly
-on the target, contact at distance 0, a blocked unguarded move, and a
-custom kinematic model whose `fk(ik(p))` is not exactly `p`.
+on the target, contact at distance 0 and a blocked unguarded move. Every
+shipped example on every shipped config, and generated programs that touch
+a wall and retry, are pinned by digest as well: run forward and then fully
+reversed.
 """
 
 import hashlib
 import importlib.resources
+import random
 
 import pytest
 
 from adsl.cli import EXIT_ABORTED, main
-from adsl.controller import Controller, ControllerOptions, default_registry
+from adsl.controller import Controller, ControllerOptions, RunAborted, default_registry
+from adsl.parser import parse_program
 from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import Pose, Workcell
+from adsl.workcell import Workcell, load_workcell_config
 
 from _helpers import build, of_kind, quiet_config
 
@@ -175,36 +179,15 @@ WALL = {"box": {"min": [0.05, -0.5, -0.5], "max": [0.08, 0.5, 0.5]}}
 BACK_WALL = {"box": {"min": [-0.03, -0.5, -0.5], "max": [0.0, 0.5, 0.5]}}
 
 
-class ScaledModel:
-    """A 6-dof model whose position joints are positions in decimetres."""
-
-    dof = 6
-
-    def fk(self, joints):
-        j = tuple(map(float, joints))
-        return Pose((j[0] * 0.1, j[1] * 0.1, j[2] * 0.1), j[3:6])
-
-    def ik(self, pose):
-        x, y, z = pose.position
-        return (x / 0.1, y / 0.1, z / 0.1) + pose.orientation
-
-
-SCALED = """
-joint_configuration a = { 0.3, -0.2, 1.1, 0.0, 0.1, 0.0 };
-joint_configuration b = { 0.7, 0.1, 1.3, 0.2, 0.1, -0.3 };
-sequence "main" { move to a; move to b; }
-entry "main";
-"""
-
-#: name -> (program, config overrides, model, run completes, sha256 of the
+#: name -> (program, config overrides, run completes, sha256 of the
 #: trace of the forward run followed, when it completes, by a full reversal).
 MOTION_CASES = {
     "negative_zero": (
-        NEG_ZERO, {"home_joints": [0.0, 0.0, 0.1, -0.0, 0.0, -0.0]}, None, True,
+        NEG_ZERO, {"home_joints": [0.0, 0.0, 0.1, -0.0, 0.0, -0.0]}, True,
         "e291097c83097742c7790cfd84f4c3f62d37ae6977dd2cfcb2c15d481658eb2e",
     ),
     "rotation_only": (
-        ROTATION_ONLY, {}, None, True,
+        ROTATION_ONLY, {}, True,
         "10b09889ced94a2a07253dd9efde3aff18e958c55f8c34ea4dba3ae2d1ea8042",
     ),
     "exact_landing": (
@@ -215,29 +198,25 @@ MOTION_CASES = {
             "speed_map": {"very_fast": 0.5, "fast": 0.25, "normal": 0.125,
                           "slow": 0.05, "very_slow": 0.01},
         },
-        None, True,
+        True,
         "71d95f48577e8909a179a71863115947d740e04cb322f1fa12007c42a5a22374",
     ),
     "contact_at_zero": (
         CONTACT_AT_ZERO,
         {"obstacles": [WALL, BACK_WALL]},
-        None, True,
+        True,
         "02cdecffe5e75f4ae9f428a01c824df20eb9c9b147e9d70709478b02d8d97408",
     ),
     "blocked": (
-        BLOCKED, {"obstacles": [WALL]}, None, False,
+        BLOCKED, {"obstacles": [WALL]}, False,
         "dd8723aa19dce320ec645ce91662cb42551734805a3a5f9279df40888774a438",
-    ),
-    "scaled_model": (
-        SCALED, {"home_joints": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}, ScaledModel(), True,
-        "641a45a405ecf945b6d57ba10bc49f7eb14834166c86a3a959584cc5c01a5b32",
     ),
 }
 
 
 def motion_run(name):
-    text, overrides, model, _, _ = MOTION_CASES[name]
-    controller = Controller(build(text), quiet_config(**overrides), seed=0, model=model)
+    text, overrides, _, _ = MOTION_CASES[name]
+    controller = Controller(build(text), quiet_config(**overrides), seed=0)
     result = controller.run()
     if result.completed:
         reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
@@ -247,11 +226,11 @@ def motion_run(name):
 @pytest.mark.parametrize("name", list(MOTION_CASES))
 def test_motion_golden_trace_digest(name):
     controller, result = motion_run(name)
-    assert result.completed is MOTION_CASES[name][3], result.reason
+    assert result.completed is MOTION_CASES[name][2], result.reason
     if not result.completed:
         assert result.reason.startswith("collision during move: blocked at")
     digest = hashlib.sha256(controller.trace.serialize().encode("utf-8")).hexdigest()
-    assert digest == MOTION_CASES[name][4]
+    assert digest == MOTION_CASES[name][3]
 
 
 @pytest.mark.parametrize("name", list(MOTION_CASES))
@@ -267,3 +246,124 @@ def test_one_step_motion_call_per_motion_sample(name, monkeypatch):
     controller, _ = motion_run(name)
     samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
     assert samples and len(calls) == len(samples)
+
+
+# ---------------------------------------------------------------------------
+# Motion: the shipped examples, and generated programs in front of a wall
+
+def run_and_reverse(program, config, seed):
+    """The trace of a run and, when it completes, its full reversal, which
+    may itself abort (moving back into the wall, say)."""
+    controller = Controller(program, config, seed=seed)
+    if controller.run().completed:
+        try:
+            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+        except RunAborted:
+            pass
+    return controller.trace
+
+
+EXAMPLES = importlib.resources.files("adsl") / "examples"
+
+#: (program, config) -> sha256 of `run_and_reverse` at seed 3, for every
+#: shipped example on every shipped config.
+SHIPPED_DIGESTS = {
+    ("barrier_demo.adsl", "aligned.json"):
+        "2c77ed5991a098ada65079cc452dec33ea019ce8ca72d332852c8e1ee0bcf004",
+    ("barrier_demo.adsl", "blocked.json"):
+        "2c77ed5991a098ada65079cc452dec33ea019ce8ca72d332852c8e1ee0bcf004",
+    ("barrier_demo.adsl", "free_space.json"):
+        "7d312bd8c18c0d649a5ed1adc687485b5ddd366fb72388e02d94452fc479fcc0",
+    ("barrier_demo.adsl", "stats.json"):
+        "900acefb33713fdbfa1d975cffe28de0bc9f5a29727df003bd8865a6bcf1ac22",
+    ("peg_in_hole.adsl", "aligned.json"):
+        "f406e8c16d7ef70b56cb83a677595e4c31183323562e5e3dd46b2092497d741b",
+    ("peg_in_hole.adsl", "blocked.json"):
+        "1aa726218aa41b75d70bca664905242a6dbf2c15a44e4c0ac132652ccab74cc5",
+    ("peg_in_hole.adsl", "free_space.json"):
+        "9d4e029b093882011d613915d60306a3f555a90d62dd2db0e532a0970514a4d2",
+    ("peg_in_hole.adsl", "stats.json"):
+        "f839891caae08eb29d37926bdc7bf0a18bb212826f2b07609b6b28a9532a9340",
+    ("reverse_demo.adsl", "aligned.json"):
+        "681352df50785da9b4247fab7d354b44fd9f6bee462f7e6649b3af96e0441de2",
+    ("reverse_demo.adsl", "blocked.json"):
+        "681352df50785da9b4247fab7d354b44fd9f6bee462f7e6649b3af96e0441de2",
+    ("reverse_demo.adsl", "free_space.json"):
+        "9bc063284480bcee41dcdb7d86fe4fc6a636dbb3167b1b936405690c739c54ca",
+    ("reverse_demo.adsl", "stats.json"):
+        "900acefb33713fdbfa1d975cffe28de0bc9f5a29727df003bd8865a6bcf1ac22",
+    ("stats_insert.adsl", "aligned.json"):
+        "5d7a7207d99ca01ef738fde9e91b6a823cee08b35271f39cf262b0eec7ce08e9",
+    ("stats_insert.adsl", "blocked.json"):
+        "5d7a7207d99ca01ef738fde9e91b6a823cee08b35271f39cf262b0eec7ce08e9",
+    ("stats_insert.adsl", "free_space.json"):
+        "ae59355e519cb04e73c1c9c5c0dd742e9684594cc0d0ff3a1501d97028475fe3",
+    ("stats_insert.adsl", "stats.json"):
+        "86325e1b79978739126c26ba03dae90a2982a275a0276e65f1f7ca14a806a5ba",
+}
+
+
+def test_every_shipped_pair_has_a_digest():
+    programs = sorted(p.name for p in EXAMPLES.iterdir() if p.name.endswith(".adsl"))
+    configs = sorted(p.name for p in EXAMPLES.iterdir() if p.name.endswith(".json"))
+    assert sorted(SHIPPED_DIGESTS) == [(p, c) for p in programs for c in configs]
+
+
+@pytest.mark.parametrize("program,config", list(SHIPPED_DIGESTS),
+                         ids=[f"{p}-{c}" for p, c in SHIPPED_DIGESTS])
+def test_shipped_example_golden_trace_digest(program, config):
+    trace = run_and_reverse(parse_program((EXAMPLES / program).read_text(encoding="utf-8")),
+                            load_workcell_config(EXAMPLES / config), 3)
+    digest = hashlib.sha256(trace.serialize().encode("utf-8")).hexdigest()
+    assert digest == SHIPPED_DIGESTS[program, config]
+
+
+#: A wall at 0.15 <= x <= 0.25 with a square hole along x at (y, z) = (0, 0.1).
+HOLED_WALL = {"box": {"min": [0.15, -0.5, -0.5], "max": [0.25, 0.5, 0.5]},
+              "hole": {"axis": "x", "center": [0.0, 0.1], "half_extents": [0.008, 0.008]}}
+
+
+def generated_program(rng):
+    """Plain and guarded moves in front of `HOLED_WALL`: starts scattered
+    around the hole, some turned, guarded moves forward in the base or tool
+    frame that stop on contact force, retry with perturbation and raise an
+    error with a recovery sequence."""
+    lines = ['error "missed" { recovery_sequence "back"; respond_after current_action;'
+             ' return_to sequence; }']
+    for k in range(3):
+        x, y, z = rng.uniform(0.0, 0.12), rng.gauss(0.0, 0.01), rng.gauss(0.1, 0.01)
+        turn = [round(rng.uniform(-0.2, 0.2), 4) if rng.random() < 0.4 else 0.0 for _ in range(3)]
+        coords = [round(x, 4), round(y, 4), round(z, 4)] + turn
+        lines.append(f"joint_configuration c{k} = {{ {', '.join(map(str, coords))} }};")
+    lines.append('sequence "back" { move to c0; }')
+    for k in range(2):
+        frame = rng.choice(["base", "tcp"])
+        stop = "stop_if forces_exceed(5); " if rng.random() < 0.7 else ""
+        lines.append(
+            f'advanced_move "m{k}" {{ specification {{ distance {rng.choice([0.2, 0.3])}'
+            f' direction forward frame {frame}; {stop}speed {rng.choice(["fast", "normal"])}; }}'
+            f' evaluation {{ distance_covered(more_than, 0.12); }}'
+            f' on_fail {{ return_to_initial_position; repeat_with_perturbation({rng.randint(1, 4)});'
+            ' throw_error("missed"); } }'
+        )
+    body = [rng.choice(["move to c0;", "move to c1;", "move to c2;", 'adv_move "m0";',
+                        'adv_move "m1";']) for _ in range(rng.randint(3, 7))]
+    lines.append(f'sequence "main" {{ move to c0; {" ".join(body)} }}')
+    lines.append('entry "main";')
+    return build("\n".join(lines))
+
+
+def test_generated_wall_programs_golden_trace_digest():
+    digest = hashlib.sha256()
+    contacts = retries = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        program = generated_program(rng)
+        config = quiet_config(obstacles=[HOLED_WALL], noise_sigma=rng.choice([0.0, 0.5]))
+        trace = run_and_reverse(program, config, seed)
+        digest.update(trace.serialize().encode("utf-8"))
+        contacts += any(e.data["contact"] for e in of_kind(trace, EventKind.MOTION_SAMPLE))
+        retries += any(e.data["attempt"] > 1 for e in of_kind(trace, EventKind.ATTEMPT_BEGIN))
+    # The cases reach what they are for: contact with the wall, and retries.
+    assert contacts >= 10 and retries >= 10, (contacts, retries)
+    assert digest.hexdigest() == "c4e73c5f598eb97ea84bd355aa151d8c9e09a7bba0abe681d919b431a2c7d1d3"

@@ -426,7 +426,7 @@ class TestValueClasses:
         texts += [repr(config), repr(result), repr(controller.trace.events[:50]),
                   repr(ControllerOptions())]
         digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-        assert digest == "a993acfbfb999c707fd058b90320007846cf9411afd17b83bcc31846198aaf10"
+        assert digest == "92351ddd0ca83a7d4ced2bfa1db02c59d7803168d8470fe48589d21653adf88a"
 
     def test_constructors_check_their_arguments(self):
         with pytest.raises(TypeError):

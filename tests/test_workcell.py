@@ -18,7 +18,6 @@ from adsl.workcell import (
     Pose,
     Workcell,
     WorkcellConfig,
-    TranslationEulerModel,
     WorkcellConfigError,
     load_workcell_config,
     workcell_config_from_dict,
@@ -42,26 +41,9 @@ WALL_WITH_HOLE = Obstacle(
 
 
 class TestKinematics:
-    model = TranslationEulerModel()
-
-    def test_fk_identity(self):
-        pose = self.model.fk((0.0,) * 6)
-        assert pose.position == (0.0, 0.0, 0.0)
-        assert pose.orientation == (0.0, 0.0, 0.0)
-
-    def test_fk_coordinate_mapping(self):
-        pose = self.model.fk((0.1, 0.2, 0.3, 0.0, 0.0, 0.0))
-        assert pose.position == (0.1, 0.2, 0.3)
-
-    def test_ik_inverts_fk_exactly(self):
-        rng = random.Random(7)
-        for _ in range(1000):
-            joints = tuple(rng.uniform(-3, 3) for _ in range(6))
-            assert self.model.ik(self.model.fk(joints)) == joints
-
-    def test_fk_of_ik(self):
-        pose = Pose((1.0, -2.0, 0.5), (0.1, 0.2, 0.3))
-        assert self.model.fk(self.model.ik(pose)) == pose
+    def test_joints_are_the_tcp_pose(self):
+        cell = make_cell(home_joints=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+        assert cell.tcp_pose() == Pose((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
 
 
 class TestStepMotion:
@@ -370,9 +352,11 @@ class TestConfigLoading:
         ({"dt": True}, "dt must be a number"),
         ({"dt": 10 ** 400}, "dt is out of range"),
         ({"home_joints": ["x", 0, 0, 0, 0, 0]}, "home_joints entry must be a number"),
-        ({"home_joints": 5}, "home_joints must be a list of dof numbers"),
+        ({"home_joints": 5}, "home_joints must be a list of 6 numbers"),
+        ({"home_joints": [0, 0, 0, 0, 0]}, "home_joints must be a list of 6 numbers"),
+        ({"home_joints": [0, 0, 0, 0, 0, 0, 0]}, "home_joints must be a list of 6 numbers"),
         ({"home_joints": [math.nan, 0, 0, 0, 0, 0]}, "home_joints must be finite"),
-        ({"dof": "6"}, "dof must be an integer"),
+        ({"dof": 6}, "unknown workcell config keys: ['dof']"),
         ({"bit_count": 2.5}, "bit_count must be an integer"),
         ({"filter_window": 2.5}, "filter_window must be an integer"),
         ({"rng_seed": 1.5}, "rng_seed must be an integer"),
@@ -389,8 +373,6 @@ class TestConfigLoading:
         ({"obstacles": [{"box": BOX, "hole": {"axis": "z", "center": [math.nan, 0.5],
                                                "half_extents": [0.1, 0.1]}}]},
          "hole must lie within the obstacle face"),
-        ({"dof": 0}, "dof must be positive"),
-        ({"dof": 5}, "home_joints length must equal dof"),
         ({"bit_count": 0}, "bit_count must be positive"),
         ({"bit_count": 1025}, "bit_count must be at most 1024"),
         ({"bit_count": 10 ** 11}, "bit_count must be at most 1024"),
@@ -425,6 +407,11 @@ class TestConfigLoading:
     def test_non_finite_home_joints_rejected_when_constructed_directly(self):
         with pytest.raises(WorkcellConfigError, match="home_joints must be finite"):
             make_cell(home_joints=(math.nan, 0.0, 0.1, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_home_joints_count_checked_when_constructed_directly(self, count):
+        with pytest.raises(WorkcellConfigError, match="home_joints must hold 6 values"):
+            WorkcellConfig(home_joints=(0.0,) * count)
 
     def test_integers_accepted_for_reals(self):
         cfg = workcell_config_from_dict({"contact_force": 50, "home_joints": [0, 0, 1, 0, 0, 0]})
@@ -470,19 +457,6 @@ class TestConfigLoading:
         assert c.speed_map[SpeedLevel.NORMAL] == 0.1
         assert c == WorkcellConfig(noise_sigma=0.0) == c.replace()
         assert c == WorkcellConfig(noise_sigma=0.0, speed_map=dict(c.speed_map))
-
-    def test_pluggable_model_dof_mismatch(self):
-        class TwoAxis:
-            dof = 2
-
-            def fk(self, joints):
-                return Pose((joints[0], joints[1], 0.0))
-
-            def ik(self, pose):
-                return pose.position[:2]
-
-        with pytest.raises(WorkcellConfigError):
-            Workcell(WorkcellConfig(), model=TwoAxis())
 
 
 # ---------------------------------------------------------------------------
