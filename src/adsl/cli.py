@@ -18,6 +18,7 @@ from .controller import Controller, ControllerOptions, RunAborted, default_regis
 from .model import validate_program
 from .parser import ParseError, parse_program
 from .reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
+from .trace import NULL_SINK
 from .workcell import MAX_RNG_SEED, BitOutOfRange, WorkcellConfigError, load_workcell_config
 
 EXIT_OK = 0
@@ -76,8 +77,9 @@ def _print_log(ctx, items):
     print("log:", ", ".join(items) if items else "(no items)", file=sys.stderr)
 
 
-def _controller(args, program, config, sink=None):
-    """The controller for a run, with the CLI's `log` action."""
+def _controller(args, program, config, sink):
+    """The controller for a run, with the CLI's `log` action; `sink` takes its
+    trace (`NULL_SINK` where no file is asked for: nothing reads the events)."""
     registry = default_registry()
     registry.register("log", _print_log)
     return Controller(program, config, seed=args.seed, trace_sink=sink,
@@ -109,7 +111,7 @@ def cmd_run(args) -> int:
 
     try:
         with (open(args.trace, "w", _TRACE_BUFFER, "utf-8") if args.trace
-              else nullcontext()) as sink:
+              else nullcontext(NULL_SINK)) as sink:
             result = _controller(args, program, config, sink).run()
     except OSError as exc:  # opening, writing or closing the trace file
         if not args.trace:
@@ -124,7 +126,7 @@ def cmd_reverse(args) -> int:
     program, config, code = _inputs(args)
     if code != EXIT_OK:
         return code
-    controller = _controller(args, program, config)
+    controller = _controller(args, program, config, NULL_SINK)
     initial_joints = controller.ctx.workcell.state.joints
     initial_bits = controller.ctx.workcell.state.bits()
     result = controller.run()

@@ -6,14 +6,18 @@ are bare identifiers; everything else is named by a double-quoted string.
 Comments run from `#` to end of line. The grammar is documented in
 docs/grammar.ebnf and `printer.pretty_print` emits its canonical form.
 
-The lexer is one compiled regular expression that matches one token, and
-the whitespace and comments after it, per match; the named group that
-matched is the token's kind. `tokenize` keeps no object per token: it fills
-three columns, the kinds, raw texts and start offsets (about 85 bytes a
-token on the benchmark corpus), and the parser reads them by index. A
-token's value (an unescaped string, an int or float) and its
-`SourceLocation` (line, column) are built only where they are used. Where
-no token matches, a short check of the failing text names the error.
+The lexer is one compiled regular expression, each match of which is one
+token and the whitespace and comments after it, in three groups: the
+token's text, the text no token matches, and the blanks. `tokenize` splits
+the text by it once and builds three columns from the parts by C-level
+iteration, with no Python statement per token: the raw texts, the kinds
+(looked up by each text's first character) and the start offsets (an
+`array` summed from the lengths of texts and blanks). They take about 52
+bytes a token on the benchmark corpus, and the parser reads them by index.
+A token's value (an unescaped string, an int or float) and its
+`SourceLocation` (line, column) are built only where they are used. Only
+where some text matches no token does a walk over the parts, in text order,
+name the error (or take a long integer `int` converts as a NUMBER).
 
 Each word choice of the grammar is one table (`_DECLARATIONS`, `_PRIMITIVES`,
 `_ERROR_FIELDS`, ...): its keys are the words accepted and, quoted and in
@@ -29,8 +33,10 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from bisect import bisect_right
-from operator import itemgetter
+from itertools import accumulate, islice
+from operator import add, itemgetter
 from typing import Optional
 
 from .model import (
@@ -89,32 +95,33 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-#: A string literal up to, not including, its closing quote.
-_STRING_PREFIX = r'"(?:[^"\\\n]|\\["\\])*'
+#: A string literal up to, not including, its closing quote (unrolled: runs of
+#: plain characters between escapes).
+_STRING_PREFIX = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
 
 #: Whitespace and comments, which separate tokens.
 _BLANKS = r"[ \t\r\n]* (?: \# [^\n]* [ \t\r\n]* )*"
 
 #: `int` converts an integer of at most this many digits from text under any
-#: limit the interpreter sets. A longer one lexes as ERROR, and
+#: limit the interpreter sets. A longer one is text no token matches, and
 #: `_check_errors` makes it a NUMBER if it converts under the current limit.
 _SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
-#: One match per token: exactly one token, then the blanks after it. The
-#: group that matched names the token's kind. Past the leading blanks every
-#: position matches some alternative (at worst ERROR or the end of input), so
-#: `finditer` never skips text. The classes are ASCII on purpose: `\d` and
-#: `\w` also match non-ASCII digits and letters, which the grammar excludes.
+#: One match per token, in three groups: the token's text (`""` at the end of
+#: input), else the text no token matches, then the blanks after it. Past the
+#: leading blanks every position matches (at worst one stray character or
+#: the end of input), so `split` leaves no text between matches. The classes
+#: are ASCII on purpose: `\d` and `\w` also match non-ASCII digits and
+#: letters, which the grammar excludes.
 _TOKEN_RE = re.compile(
     rf"""
-    (?: (?P<IDENT> [A-Za-z_][A-Za-z0-9_]* )
-      | (?P<NUMBER> [+-]?[0-9]+\.[0-9]+ | [+-]?[0-9]{{1,{_SAFE_DIGITS}}}(?![0-9]) )
-      | (?P<SEMI> ; ) | (?P<COMMA> , ) | (?P<LBRACE> \{{ ) | (?P<RBRACE> \}} )
-      | (?P<LPAREN> \( ) | (?P<RPAREN> \) ) | (?P<EQUALS> = ) | (?P<AT> @ )
-      | (?P<STRING> {_STRING_PREFIX}" )
-      | (?P<ERROR> {_STRING_PREFIX} | [+-]?[0-9]+ | . )
-      | (?P<EOF> \Z )
-    ) {_BLANKS}
+    (?: ( [;,{{}}()=@]
+        | [A-Za-z_][A-Za-z0-9_]*
+        | [+-]?[0-9]+\.[0-9]+ | [+-]?[0-9]{{1,{_SAFE_DIGITS}}}(?![0-9])
+        | {_STRING_PREFIX}"
+        | \Z )
+      | ( {_STRING_PREFIX} | [+-]?[0-9]+ | . )
+    ) ( {_BLANKS} )
     """,
     re.VERBOSE,
 )
@@ -123,17 +130,25 @@ _LONG_INTEGER = re.compile(r"[+-]?[0-9]+")
 _NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r'\\(["\\])')
 
+#: A token's kind, by the first character of its text; EOF's text is empty.
+_KIND_OF = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    **dict.fromkeys("0123456789+-", "NUMBER"),
+    ";": "SEMI", ",": "COMMA", "{": "LBRACE", "}": "RBRACE",
+    "(": "LPAREN", ")": "RPAREN", "=": "EQUALS", "@": "AT", '"': "STRING",
+}
 
-def _location(line_starts: list[int], offset: int) -> SourceLocation:
+
+def _location(line_starts, offset: int) -> SourceLocation:
     line = bisect_right(line_starts, offset)
     return SourceLocation(line, offset - line_starts[line - 1] + 1, offset)
 
 
 class Tokens:
     """The tokens of one text, as columns: token `i` has kind `kinds[i]`,
-    raw text `texts[i]` and start offset `offsets[i]`. The last token is
-    EOF, with empty text at the end of the input. A token's value and
-    location are built only when asked for."""
+    raw text `texts[i]` and start offset `offsets[i]` (an `array`, as are
+    the line starts). The last token is EOF, with empty text at the end of
+    the input. A token's value and location are built only when asked for."""
 
     __slots__ = ("kinds", "texts", "offsets", "line_starts")
 
@@ -161,43 +176,49 @@ class Tokens:
 
 
 def tokenize(text: str) -> Tokens:
-    """Split `text` into tokens; total over all inputs (errors, not crashes)."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    offsets: list[int] = []
-    add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
-    for m in _TOKEN_RE.finditer(text, _LEADING_BLANKS.match(text).end()):
-        kind = m.lastgroup
-        add_kind(kind)
-        add_text(m[kind])
-        add_offset(m.start())
-    line_starts = [0]
-    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
-    tokens = Tokens(kinds, texts, offsets, line_starts)
-    if "ERROR" in kinds:
-        _check_errors(text, tokens)
-    return tokens
+    """Split `text` into tokens; total over all inputs (errors, not crashes).
+
+    One `split` by `_TOKEN_RE` gives four parts a token: the empty text
+    between matches, then its three groups. The columns are built from them
+    by C-level iteration; no Python statement runs per token."""
+    line_starts = array("q", [0])
+    line_starts.extend(map(re.Match.end, _NEWLINE.finditer(text)))
+    start = _LEADING_BLANKS.match(text).end()
+    parts = _TOKEN_RE.split(text[start:])
+    if any(islice(parts, 2, None, 4)):
+        _check_errors(text, start, parts, line_starts)
+    texts = parts[1::4]
+    offsets = array("q", accumulate(
+        map(add, map(len, texts), map(len, islice(parts, 3, None, 4))), initial=start))
+    del parts
+    offsets.pop()  # where the text ends, after EOF
+    kinds = list(map(_KIND_OF.__getitem__, map(itemgetter(0), islice(texts, len(texts) - 1))))
+    kinds.append("EOF")
+    return Tokens(kinds, texts, offsets, line_starts)
 
 
-def _check_errors(text: str, tokens: Tokens):
-    """Raise the error for the first ERROR token, in text order, that is not
-    an integer `int` converts; an integer that converts becomes a NUMBER."""
-    for i, kind in enumerate(tokens.kinds):
-        if kind != "ERROR":
-            continue
-        raw = tokens.texts[i]
-        if not _LONG_INTEGER.fullmatch(raw):
-            start = tokens.offsets[i]
-            raise _lex_error(text, start, start + len(raw), tokens.line_starts)
-        try:
-            int(raw)
-        except ValueError:  # more digits than `int` converts from text
-            found = f"{len(raw.lstrip('+-'))}-digit integer"
-            raise ParseError(tokens.location(i), ("a shorter integer",), found) from None
-        tokens.kinds[i] = "NUMBER"
+def _check_errors(text: str, start: int, parts: list, line_starts):
+    """Raise the error for the first text no token matches, in text order,
+    unless it is an integer `int` converts: that becomes the token's text, a
+    NUMBER. `parts` is the split that `tokenize` made from `start`."""
+    offset = start
+    for i in range(1, len(parts), 4):
+        raw = parts[i]
+        if raw is None:
+            raw = parts[i + 1]
+            if not _LONG_INTEGER.fullmatch(raw):
+                raise _lex_error(text, offset, offset + len(raw), line_starts)
+            try:
+                int(raw)
+            except ValueError:  # more digits than `int` converts from text
+                found = f"{len(raw.lstrip('+-'))}-digit integer"
+                raise ParseError(_location(line_starts, offset), ("a shorter integer",),
+                                 found) from None
+            parts[i] = raw
+        offset += len(raw) + len(parts[i + 2])
 
 
-def _lex_error(text: str, start: int, end: int, line_starts: list[int]) -> ParseError:
+def _lex_error(text: str, start: int, end: int, line_starts) -> ParseError:
     """The error for `text[start:end]`, where no token matches: a stray
     character, or a string prefix that ends before a closing quote."""
     if text[start] != '"':

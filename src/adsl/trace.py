@@ -32,7 +32,7 @@ import json
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) does
 
-from .model import SpeedLevel, Value
+from .model import JOINT_COUNT, SpeedLevel, Value
 
 
 class EventKind(Enum):
@@ -107,8 +107,8 @@ def _bits(bits) -> str:
 
 
 def _joints(joints) -> str:
-    if len(joints) < len(_JOINTS) and _FLOAT_ONLY.issuperset(map(type, joints)):
-        return _JOINTS[len(joints)] % tuple(joints)
+    if len(joints) == JOINT_COUNT and _FLOAT_ONLY.issuperset(map(type, joints)):
+        return _SIX_JOINTS % tuple(joints)
     return "[" + ",".join([_num(j) for j in joints]) + "]"
 
 
@@ -120,7 +120,7 @@ def _float_text(slot: list, v: float) -> str:
 
 _NEVER = object()
 _FLOAT_ONLY = frozenset([float])
-_JOINTS = ["[" + ",".join(["%.17g"] * n) + "]" for n in range(32)]  # by length
+_SIX_JOINTS = "[" + ",".join(["%.17g"] * JOINT_COUNT) + "]"  # a run's joints: six floats
 _LINE = '{"i":%s,"kind":"%s","clock":%.17g%s%s,"post_joints":%s%s%s}'
 _LINE_NUM = _LINE.replace("%.17g", "%s")  # for a clock that is not exactly a float
 
@@ -186,9 +186,22 @@ def serialize_event(ev: TraceEvent, memo=None) -> str:
     return line % (ev.index, ev.kind._value_, clock, memo.head, pre, post, memo.bits_text, data)
 
 
+class _NullSink:
+    """Drops what is written: still a sink, for code that wraps a trace's sink."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+#: A text sink that drops what is written. A trace given it neither keeps nor
+#: serializes its events; it only counts them.
+NULL_SINK = _NullSink()
+
+
 class ExecutionTrace:
     """A run's events: kept in `events`, or with a text sink written to it line
-    by line and not kept (`events` is None). `len()` counts them either way."""
+    by line and not kept (`events` is None); with `NULL_SINK`, only counted.
+    `len()` counts them each way."""
 
     def __init__(self, sink=None):
         self.events: list[TraceEvent] | None = [] if sink is None else None
@@ -199,7 +212,8 @@ class ExecutionTrace:
     def append(self, event: TraceEvent) -> None:
         self.count += 1
         if self.events is None:
-            self.sink.write(serialize_event(event, self._memo) + "\n")
+            if self.sink is not NULL_SINK:
+                self.sink.write(serialize_event(event, self._memo) + "\n")
         else:
             self.events.append(event)
 

@@ -1,10 +1,18 @@
 import importlib.resources
+import os
 
 import pytest
+from hypothesis import settings
 
 from adsl.model import validate_program
 from adsl.parser import parse_program
 from adsl.workcell import load_workcell_config
+
+# On CI a failing property prints the blob that `@reproduce_failure` replays,
+# so a failure on any of the tested Pythons can be rerun locally.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 EXAMPLES = importlib.resources.files("adsl") / "examples"
 

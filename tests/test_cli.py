@@ -588,9 +588,9 @@ def test_cli_import_loads_no_module_it_does_not_need():
     assert loaded.split() == []
 
 
-def test_streamed_trace_memory_does_not_grow_with_the_run(tmp_path):
-    """A 20 m move (25,000 events) under `adsl run --trace` peaks within a few
-    MB of a 1 m one: the events go to the file and are not kept."""
+def _move_peaks_kb(tmp_path, command, trace=False):
+    """Peak RSS in KB of `adsl COMMAND` on a 1 m and a 20 m move (25,000
+    events), with `--trace` to a file if `trace`."""
     # A child's ru_maxrss starts at its parent's peak, the size of this test
     # process, so the run is a grandchild under a bare interpreter, which
     # reads it as RUSAGE_CHILDREN.
@@ -604,12 +604,29 @@ def test_streamed_trace_memory_does_not_grow_with_the_run(tmp_path):
         prog = tmp_path / f"move{metres}.adsl"
         prog.write_text(f"joint_configuration far = {{ {metres}.0, 0.0, 0.1, 0.0, 0.0, 0.0 }};\n"
                         'sequence "s" { move to far; }\nentry "s";')
-        out = _fresh_python(measure, "run", str(prog), "--workcell", example("free_space.json"),
-                            "--trace", str(tmp_path / f"move{metres}.ndjson"))
+        traced = ["--trace", str(tmp_path / f"move{metres}.ndjson")] if trace else []
+        out = _fresh_python(measure, command, str(prog), "--workcell",
+                            example("free_space.json"), *traced)
         assert "result: completed" in out
         peaks_kb.append(int(out.splitlines()[-1]))
+    return peaks_kb
+
+
+def test_streamed_trace_memory_does_not_grow_with_the_run(tmp_path):
+    """A 20 m move under `adsl run --trace` peaks within a few MB of a 1 m
+    one: the events go to the file and are not kept."""
+    peaks_kb = _move_peaks_kb(tmp_path, "run", trace=True)
     lines = (tmp_path / "move20.ndjson").read_text().count("\n")
     assert lines > 25_000
+    assert peaks_kb[1] - peaks_kb[0] < 4 * 1024, peaks_kb
+
+
+@pytest.mark.parametrize("command", ["run", "reverse"])
+def test_untraced_memory_does_not_grow_with_the_run(tmp_path, command):
+    """Without `--trace`, and under `adsl reverse` (which has none), a 20 m
+    move peaks within a few MB of a 1 m one: nothing reads the events, so
+    the trace only counts them."""
+    peaks_kb = _move_peaks_kb(tmp_path, command)
     assert peaks_kb[1] - peaks_kb[0] < 4 * 1024, peaks_kb
 
 

@@ -493,11 +493,73 @@ class TestLexerOracle:
         assert_lexes_like_reference(text)
 
 
-#: What `tokenize` may keep per token: three list slots, an offset and the
-#: token's text (~85 B on the benchmark corpus, on CPython 3.11). A token
-#: object, or a tuple per token, takes it past the bound (~150 B with the
-#: slotted token objects the columns replaced).
-MAX_BYTES_PER_TOKEN = 100
+class TestLexerOracleLongInputs:
+    """Tokens and inputs longer than the generated texts above reach."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "move to a" + "b_9" * 240 + "7;",  # an identifier ending in a digit
+            "bit " + "9" * 700 + ";",  # past `int`'s safe digits, converts
+            "-" + "3" * 700 + " +" + "4" * 700 + ".5",
+            'sequence "s" {\r\n  wait 1.5; # c\r\n}\r\nentry "s";\r\n',
+        ],
+        ids=["long-ident", "700-digits", "signed-long", "crlf"],
+    )
+    def test_matches_reference(self, text):
+        assert_lexes_like_reference(text)
+
+    def test_5000_digit_integer_after_comment(self):
+        """Past `int`'s default limit the integer is an error, at the location
+        the reference gives its token when the limit is lifted."""
+        text = "# lead\n  " + "1" * 5000 + ";"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert_lexes_like_reference(text)
+            where = reference_tokenize(text)[0][3]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        with pytest.raises(ParseError) as exc_info:
+            tokenize(text)
+        err = exc_info.value
+        assert (err.location, err.expected, err.found) == (
+            where, ("a shorter integer",), "5000-digit integer")
+        assert where == SourceLocation(2, 3, 9)
+
+    def test_matches_reference_on_the_largest_benchmark_program(self):
+        text, _ = _bench_generator().corpus_program(random.Random(7), 2000)
+        assert_lexes_like_reference(text)
+
+
+def test_tokenize_runs_no_python_code_per_token():
+    """`tokenize` runs as many Python lines for 30,000 tokens as for 30."""
+    def lines_run(text):
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            count += event == "line"
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            tokens = tokenize(text)
+        finally:
+            sys.settrace(None)
+        return count, len(tokens)
+
+    small, n_small = lines_run("x = { 1.5, -2 }; " * 3)
+    large, n_large = lines_run("x = { 1.5, -2 }; " * 3000)
+    assert n_large > 1000 * n_small / 3 > 0
+    assert small == large
+
+
+#: What `tokenize` may keep per token: two list slots, an array offset and
+#: the token's text (~52 B on the benchmark corpus, on CPython 3.11). An
+#: offset as a Python int takes it to ~80 B, a token object or a tuple per
+#: token further (~150 B with the slotted token objects the columns replaced).
+MAX_BYTES_PER_TOKEN = 70
 
 
 def test_tokens_are_columns_without_an_object_per_token():

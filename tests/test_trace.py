@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from adsl.controller import Controller
 from adsl.model import SpeedLevel
 from adsl.printer import format_instruction
+from adsl import trace as trace_module
 from adsl.reverse import PolicyMode, reverse_execute
 from adsl.trace import (
-    ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, EventKind, ExecutionTrace, TraceEvent, serialize_event,
+    ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, NULL_SINK, EventKind, ExecutionTrace, TraceEvent,
+    serialize_event,
 )
 from adsl.workcell import load_workcell_config
 
@@ -68,6 +70,19 @@ def test_a_trace_with_a_sink_keeps_no_events():
     assert controller.trace.events is None
     assert len(controller.trace) == 4 == len(sink.getvalue().splitlines())
     assert [json.loads(line)["i"] for line in sink.getvalue().splitlines()] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="kept no events"):
+        controller.trace.serialize()
+
+
+def test_a_trace_with_the_null_sink_only_counts(monkeypatch):
+    program = build('sequence "s" { wait 0.5; wait 0.25; }')
+    kept = Controller(program, quiet_config())
+    kept.run()
+    monkeypatch.setattr(trace_module, "serialize_event", None)  # never called
+    controller = Controller(program, quiet_config(), trace_sink=NULL_SINK)
+    result = controller.run()
+    assert result.completed and controller.trace.events is None
+    assert len(controller.trace) == len(kept.trace.events) == 4
     with pytest.raises(ValueError, match="kept no events"):
         controller.trace.serialize()
 
@@ -248,17 +263,23 @@ def _trail(datas=None, joints=None):
 
 
 #: Data values that change type or sign under a kept key order; same-length
-#: joints that mix in ints, bools, -0.0 and a float subclass.
+#: joints that mix in ints, bools, -0.0 and a float subclass; and six joints,
+#: a run's, that leave the six-float template by one value's type or by
+#: their length.
+SIX = (0.1, -0.0, math.nan, math.inf, 5e-324, 1e17)
 CACHE_ATTACKS = (
     _trail(datas=[{"a": v, "b": 0.5} for v in (
         0.0, -0.0, 0.0, 0.1, _Real(0.1), 0.1, 1.0, 1, True, 1.0,
         {"c": 0.1}, {"c": True}, math.nan, math.nan, -0.0, -0.0, 2.5, 2.5,
     )]),
     _trail(joints=[(0.1, 0.0), (1, 0.0), (True, -0.0), (_Real(0.1), 0.0), (0.1, -0.0)]),
+    _trail(joints=[SIX, (1,) + SIX[1:], SIX, SIX[:5] + (True,), (_Real(0.1),) + SIX[1:],
+                   SIX[:5], SIX + (0.5,), SIX]),
 )
 
 
 @example(first=CACHE_ATTACKS[0], second=CACHE_ATTACKS[1])
+@example(first=CACHE_ATTACKS[2], second=CACHE_ATTACKS[1])
 @settings(max_examples=60, deadline=None)
 @given(first=event_sequences(), second=event_sequences())
 def test_serializer_matches_reference_on_two_interleaved_traces(first, second):
