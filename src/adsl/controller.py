@@ -5,7 +5,8 @@ raises `InvalidProgramError`) and interprets it: it runs the entry sequence
 instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors. The workcell's six joints are
-the TCP pose, so a move steps them until they equal its target's coordinates.
+the TCP pose, so every move steps them until they equal its goal: one tuple
+of six floats, checked once (`_check_move`) before the first cycle.
 
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
@@ -311,15 +312,27 @@ class ExecutionContext:
             self.active_speed = level
 
     def move_to_pose(self, target: Pose, speed: float) -> None:
-        """Drive the TCP until the joints are `target`'s six coordinates;
-        `_check_move`'s rejects and a blocking solid raise RunAborted."""
+        """Drive the TCP to `target` at `speed` m/s. Where an action callback's
+        `Pose` enters: its 3 + 3 ints or floats become the move's goal, six
+        floats; anything else raises RunAborted, as `_move` does."""
+        if not isinstance(target, Pose):
+            raise RunAborted(f"move target is not a Pose: {target!r}")
+        self._move(_coordinates(target.position, 3, "target position")
+                   + _coordinates(target.orientation, 3, "target orientation"), speed)
+
+    def move_joints_to(self, joints) -> None:
+        """Drive the joints to `joints`, six ints or floats, at the active speed."""
+        self._move(_coordinates(joints, JOINT_COUNT, "joints"), self.speed_value())
+
+    def _move(self, goal: tuple[float, ...], speed: float) -> None:
+        """Step the joints until they equal `goal`, six floats; `_check_move`'s
+        rejects and a blocking solid raise RunAborted."""
         workcell = self.workcell
         record = self.options.record_motion_samples
         state = workcell.state
         step_motion = workcell.step_motion
         emit = self.emit
-        target = _check_move(workcell.tcp_pose(), target, speed)
-        goal = target.position + target.orientation
+        _check_move(state.joints, goal, speed)
         cycles = self.cycles
         try:
             while state.joints != goal:
@@ -328,21 +341,17 @@ class ExecutionContext:
                 cycles += 1
                 pre_j = state.joints
                 pre_b = state.io_bits
-                contact, advanced = step_motion(target, speed)
+                contact, advanced = step_motion(goal, speed)
                 if record:
                     data = {"advanced": advanced, "contact": contact}
                     emit(_MOTION_SAMPLE, data, pre_j, pre_b)
                 if contact and advanced <= 1e-15:
                     raise RunAborted(
-                        f"collision during move: blocked at {workcell.tcp_pose().position}"
-                        f" moving to {target.position}"
+                        f"collision during move: blocked at {state.joints[:3]}"
+                        f" moving to {goal[:3]}"
                     )
         finally:
             self.cycles = cycles
-
-    def move_joints_to(self, joints) -> None:
-        joints = _coordinates(joints, JOINT_COUNT, "joints")
-        self.move_to_pose(Pose(joints[:3], joints[3:]), self.speed_value())
 
     def apply_primitives(self, primitives) -> None:
         """Run an I/O primitive list.
@@ -564,8 +573,8 @@ class Controller:
         force filter every control cycle and stopping early on the guard.
         Success is the conjunction of all evaluation queries. Failure runs
         the on_fail behaviors in order; a repeat behavior with budget left
-        perturbs the start pose and begins a new attempt, skipping the rest
-        of the list.
+        perturbs the start position and begins a new attempt, skipping the
+        rest of the list. The initial and start poses are joint tuples.
         """
         ctx = self.ctx
         workcell = ctx.workcell
@@ -575,8 +584,8 @@ class Controller:
             ctx.set_active_speed(spec.speed, f"advanced move '{spec.name}'")
         speed = ctx.speed_value()
 
-        initial_pose = workcell.tcp_pose()
-        start_pose = initial_pose
+        initial = workcell.state.joints
+        start = initial
         direction = workcell.direction_vector(spec.direction, spec.frame)
         attempts = 0
 
@@ -600,7 +609,7 @@ class Controller:
             covered = 0.0
             guard_stopped = False
             if condition_ok:
-                covered, guard_stopped = self._attempt_motion(spec, start_pose, direction, speed)
+                covered, guard_stopped = self._attempt_motion(spec, start, direction, speed)
                 filtered = workcell.filtered_force()
                 failed = tuple(
                     format_query(q)
@@ -631,21 +640,15 @@ class Controller:
             restart = False
             for behavior in behaviors:
                 if isinstance(behavior, ReturnToInitialPosition):
-                    ctx.move_to_pose(initial_pose, speed)
+                    ctx._move(initial, speed)
                 elif isinstance(behavior, RepeatWithPerturbation):
                     if attempts < 1 + behavior.max_retries:
                         offset = _disc_offset(
                             rng, workcell.config.perturbation_radius, direction
                         )
-                        start_pose = Pose(
-                            (
-                                initial_pose.position[0] + offset[0],
-                                initial_pose.position[1] + offset[1],
-                                initial_pose.position[2] + offset[2],
-                            ),
-                            initial_pose.orientation,
-                        )
-                        ctx.move_to_pose(start_pose, speed)
+                        start = (initial[0] + offset[0], initial[1] + offset[1],
+                                 initial[2] + offset[2]) + initial[3:]
+                        ctx._move(start, speed)
                         restart = True
                         break
                     # Retry budget exhausted: fall through to the next behavior.
@@ -657,8 +660,8 @@ class Controller:
                 continue
             return success
 
-    def _attempt_motion(self, spec, start_pose, direction, speed):
-        """Move up to spec.distance along `direction`.
+    def _attempt_motion(self, spec, start, direction, speed):
+        """Move up to spec.distance along `direction` from the joints `start`.
 
         Returns (covered meters, whether the guard stopped it). Motion also
         ends when the full distance is covered or when a solid blocks any
@@ -667,15 +670,10 @@ class Controller:
         ctx = self.ctx
         workcell = ctx.workcell
         record = ctx.options.record_motion_samples
-        target = Pose(
-            (
-                start_pose.position[0] + direction[0] * spec.distance,
-                start_pose.position[1] + direction[1] * spec.distance,
-                start_pose.position[2] + direction[2] * spec.distance,
-            ),
-            start_pose.orientation,
-        )
-        target = _check_move(start_pose, target, speed)
+        distance = spec.distance
+        goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
+                start[2] + direction[2] * distance) + start[3:]
+        _check_move(start, goal, speed)
         covered = 0.0
         state = workcell.state
         step_motion = workcell.step_motion
@@ -683,7 +681,7 @@ class Controller:
         rng = ctx.rng
         emit = ctx.emit
         stop_if = spec.stop_if
-        until = spec.distance - 1e-12
+        until = distance - 1e-12
         cycles = ctx.cycles
         try:
             while covered < until:
@@ -692,19 +690,19 @@ class Controller:
                 cycles += 1
                 pre_j = state.joints
                 pre_b = state.io_bits
-                contact, advanced = step_motion(target, speed)
+                contact, advanced = step_motion(goal, speed)
                 covered += advanced
-                reading = read_force(rng)
+                raw, filtered = read_force(rng)
                 if record:
                     data = {
                         "advanced": advanced,
                         "covered": covered,
                         "contact": contact,
-                        "raw": reading.raw,
-                        "filtered": reading.filtered,
+                        "raw": raw,
+                        "filtered": filtered,
                     }
                     emit(_MOTION_SAMPLE, data, pre_j, pre_b)
-                if stop_if is not None and evaluate_query(stop_if, covered, reading.filtered):
+                if stop_if is not None and evaluate_query(stop_if, covered, filtered):
                     return covered, True
                 if advanced <= 1e-15:
                     # Blocked by a solid, or already at the target with the
@@ -761,28 +759,20 @@ def _cycle_cap_exceeded() -> RunAborted:
     return RunAborted(f"control cycles exceed MAX_CONTROL_CYCLES ({MAX_CONTROL_CYCLES})")
 
 
-def _check_move(start: Pose, target: Pose, speed: float) -> Pose:
-    """`target` with float coordinates, checked once a move, before its first
-    cycle: it must be a `Pose` of 3 + 3 ints or floats, each coordinate of
-    `target - start` finite and `speed` a positive finite int or float. Anything
-    else raises RunAborted, as stepping it would raise or write NaN joints."""
-    if not isinstance(target, Pose):
-        raise RunAborted(f"move target is not a Pose: {target!r}")
-    position = _coordinates(target.position, 3, "target position")
-    orientation = _coordinates(target.orientation, 3, "target orientation")
-    (px, py, pz), (pa, pb, pc) = start.position, start.orientation
-    (tx, ty, tz), (ta, tb, tc) = position, orientation
+def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed: float) -> None:
+    """Check a move once, before its first cycle, from the joints `start` to
+    `goal`, six floats each: every coordinate of `goal - start` must be finite
+    and `speed` a positive finite int or float. Anything else raises
+    RunAborted, as stepping it would write NaN joints."""
+    px, py, pz, pa, pb, pc = start
+    tx, ty, tz, ta, tb, tc = goal
     isfinite = math.isfinite
     if not (
         isfinite(tx - px) and isfinite(ty - py) and isfinite(tz - pz)
         and isfinite(ta - pa) and isfinite(tb - pb) and isfinite(tc - pc)
         and isinstance(speed, (int, float)) and 0.0 < speed < math.inf
     ):
-        raise RunAborted(
-            f"move out of range: from {start.position + start.orientation}"
-            f" to {position + orientation} at speed {speed}"
-        )
-    return Pose(position, orientation)
+        raise RunAborted(f"move out of range: from {start} to {goal} at speed {speed}")
 
 
 def _coordinates(values, count: int, what: str) -> tuple[float, ...]:

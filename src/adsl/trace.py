@@ -107,8 +107,10 @@ def _bits(bits) -> str:
 
 
 def _joints(joints) -> str:
-    if len(joints) == JOINT_COUNT and _FLOAT_ONLY.issuperset(map(type, joints)):
-        return _SIX_JOINTS % tuple(joints)
+    if len(joints) == JOINT_COUNT:
+        a, b, c, d, e, f = joints
+        if float is type(a) is type(b) is type(c) is type(d) is type(e) is type(f):
+            return _SIX_JOINTS % tuple(joints)
     return "[" + ",".join([_num(j) for j in joints]) + "]"
 
 
@@ -119,7 +121,6 @@ def _float_text(slot: list, v: float) -> str:
 
 
 _NEVER = object()
-_FLOAT_ONLY = frozenset([float])
 _SIX_JOINTS = "[" + ",".join(["%.17g"] * JOINT_COUNT) + "]"  # a run's joints: six floats
 _LINE = '{"i":%s,"kind":"%s","clock":%.17g%s%s,"post_joints":%s%s%s}'
 _LINE_NUM = _LINE.replace("%.17g", "%s")  # for a clock that is not exactly a float

@@ -16,14 +16,18 @@ them as given.
 The cell's `JOINT_COUNT` (six) joints are the TCP pose: the position
 (x, y, z) in metres, then the ZYX Euler orientation (roll, pitch, yaw) in
 radians, so motion in joint space and in Cartesian space is the same motion.
-The workcell keeps no other pose; `tcp_pose` reads it off the joints.
+The workcell keeps no other pose; `tcp_pose` reads a `Pose` off the joints.
+A `Pose` is built only at the edges: by `tcp_pose`, for a config's
+`tool_transform`, and by an action callback for `ExecutionContext.move_to_pose`.
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the current
-joints straight toward the target by at most speed*dt, less when an obstacle
-surface comes first (tested exactly only for obstacles whose widened box
-meets the step's). The orientation interpolates by the same fraction, or
-snaps to the target on arrival or for a pure rotation; the new pose's six
-coordinates become the joints, and the clock advances by dt.
+joints straight toward the target, a tuple of six floats in the joints'
+order, by at most speed*dt, less when an obstacle surface comes first
+(tested exactly only for obstacles whose widened box meets the step's). The
+orientation interpolates by the same fraction, or snaps to the target on
+arrival or for a pure rotation; on arrival the target becomes the joints,
+and the clock advances by dt. A force reading (`read_force`) is a
+`SensorReading`, the tuple `(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import json
 import math
 from collections import deque
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -314,10 +319,13 @@ def _sum(values) -> float:
     return total
 
 
-class SensorReading(Value):
-    __slots__ = ("raw", "filtered")
-    raw: float
-    filtered: float
+class SensorReading(tuple):
+    """`(raw, filtered)`: one sample and the filter's mean. A tuple, not a
+    `Value`: one is read every guarded cycle, and a tuple costs one C call."""
+
+    __slots__ = ()
+    raw = property(itemgetter(0))
+    filtered = property(itemgetter(1))
 
 
 class WorkcellState:
@@ -353,8 +361,8 @@ class Workcell:
 
     # -- motion -----------------------------------------------------------
 
-    def step_motion(self, target: Pose, speed: float):
-        """Advance one control cycle toward `target`.
+    def step_motion(self, target: tuple[float, ...], speed: float):
+        """Advance one control cycle toward `target`, six floats as the joints.
 
         Moves the TCP along the straight position segment by at most
         speed * config.dt, halting at the first solid surface on the way. The
@@ -364,7 +372,7 @@ class Workcell:
         state = self.state
         dt = self.config.dt
         px, py, pz, o0x, o0y, o0z = state.joints
-        tx, ty, tz = target.position
+        tx, ty, tz, o1x, o1y, o1z = target
         dx, dy, dz = tx - px, ty - py, tz - pz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         contact = False
@@ -381,11 +389,10 @@ class Workcell:
                     advanced = hit if hit > 0.0 else 0.0
                     contact = True
         if dist <= 1e-15 or not contact and advanced >= dist - 1e-15:
-            joints = target.position + target.orientation
+            joints = target
         else:
             # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
             frac = advanced / dist
-            o1x, o1y, o1z = target.orientation
             x, y, z = px + ux * advanced, py + uy * advanced, pz + uz * advanced
             a, b, c = o0x + (o1x - o0x) * frac, o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac
             joints = (x, y, z, a, b, c)
@@ -435,7 +442,7 @@ class Workcell:
         raw += rng.gauss(0.0, self.config.noise_sigma)
         history = state.force_history
         history.append(raw)
-        return SensorReading(raw, _sum(history) / len(history))
+        return SensorReading((raw, _sum(history) / len(history)))
 
     def filtered_force(self) -> float:
         history = self.state.force_history

@@ -28,12 +28,13 @@ from adsl.model import (
     MoveJoint,
     Program,
     Sequence,
+    Value,
 )
 from adsl.parser import parse_program
 from adsl.printer import format_query
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import Obstacle, Pose, WorkcellConfig
+from adsl.workcell import Obstacle, Pose, Workcell, WorkcellConfig
 
 
 from _helpers import build, max_overshoot_past_first_contact, of_kind, quiet_config
@@ -918,6 +919,44 @@ class TestControlCycleCap:
         assert not result.completed
         assert result.reason == "control cycles exceed MAX_CONTROL_CYCLES (100)"
         assert len(of_kind(controller.trace, EventKind.MOTION_SAMPLE)) == controller.ctx.cycles == 100
+
+
+def _value_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+class TestNoValuesPerCycle:
+    """A control cycle builds no value object: a guarded move and its return
+    build as many whatever their length. Counted, not timed."""
+
+    def test_value_count_does_not_grow_with_cycles(self, monkeypatch):
+        built = []
+        for cls in set(_value_classes(Value)):
+            init = cls.__dict__["__init__"]  # every value class has its own
+
+            def counting(self, *args, _init=init, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        steps = []
+        step_motion = Workcell.step_motion
+        monkeypatch.setattr(Workcell, "step_motion",
+                            lambda *args: steps.append(1) or step_motion(*args))
+        options = ControllerOptions(record_motion_samples=False)
+        counts = []
+        for distance in (0.04, 0.4):  # down and back: ~100 and ~1,000 cycles
+            controller = Controller(build(GUARDED_ONLY.replace("1.0", str(distance))),
+                                    quiet_config(), seed=0, options=options)
+            del built[:], steps[:]
+            assert controller.run().completed
+            assert len(steps) == controller.ctx.cycles
+            counts.append((len(built), len(steps)))
+        (short_values, short_cycles), (long_values, long_cycles) = counts
+        assert short_cycles >= 100 and long_cycles >= 9 * short_cycles
+        assert short_values == long_values
 
 
 class TestMoveRange:

@@ -39,7 +39,7 @@ from adsl.model import (
 )
 from adsl.parser import parse_program
 from adsl.trace import EventKind, TraceEvent
-from adsl.workcell import Pose, SensorReading, WorkcellConfig, WorkcellConfigError, load_workcell_config
+from adsl.workcell import Pose, WorkcellConfig, WorkcellConfigError, load_workcell_config
 
 from _helpers import call_chain
 
@@ -361,7 +361,6 @@ class TestValueClasses:
             lambda: ErrorSpec("e", "rescue"),
             lambda: Pose((1.0, 2.0, 3.0)),
             lambda: SourceLocation(3, 4, 5),
-            lambda: SensorReading(1.0, 0.5),
             lambda: ReverseWith(Wait(0.1)),
         ):
             assert make() == make() and hash(make()) == hash(make())
@@ -373,7 +372,6 @@ class TestValueClasses:
             (Wait(0.5), "seconds"),
             (Pose((0.0, 0.0, 0.0)), "position"),
             (SourceLocation(1, 1, 0), "line"),
-            (SensorReading(1.0, 1.0), "raw"),
             (WorkcellConfig(), "dt"),
         ):
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
@@ -452,7 +450,7 @@ class TestValueClasses:
     def test_copy_and_pickle_rebuild_equal_values(self, corpus_program):
         pose = Pose((1.0, 2.0, 3.0), (0.0, 0.5, 0.0))
         loc = SourceLocation(2, 3, 4)
-        for value in (corpus_program, pose, loc, SensorReading(1.0, 0.5), SetLow(),
+        for value in (corpus_program, pose, loc, SetLow(),
                       MoveJoint(("p",), location=loc)):
             for clone in (copy.copy(value), copy.deepcopy(value),
                           pickle.loads(pickle.dumps(value))):

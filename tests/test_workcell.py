@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib.resources
 import math
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from adsl.workcell import (
     HoleAxis,
     Obstacle,
     Pose,
+    SensorReading,
     Workcell,
     WorkcellConfig,
     WorkcellConfigError,
@@ -49,7 +52,7 @@ class TestKinematics:
 class TestStepMotion:
     def test_free_space_step(self):
         cell = make_cell()
-        target = Pose((0.30, 0.0, 0.0))
+        target = (0.30, 0.0, 0.0, 0.0, 0.0, 0.0)
         contact, advanced = cell.step_motion(target, speed=0.05)
         assert not contact
         assert advanced == pytest.approx(0.0004, abs=1e-15)
@@ -59,7 +62,7 @@ class TestStepMotion:
         # Wall face 0.15 m ahead; hand-computed entry: segment param where
         # x reaches 0.15, so the total advance over repeated steps is 0.15.
         cell = make_cell(obstacles=(WALL,))
-        target = Pose((0.40, 0.0, 0.0))
+        target = (0.40, 0.0, 0.0, 0.0, 0.0, 0.0)
         total = 0.0
         contact = False
         for _ in range(10000):
@@ -75,7 +78,7 @@ class TestStepMotion:
         # Ray along +x through the aperture center: hand-computed membership
         # |y|<=0.02, |z|<=0.02 holds the whole transit, so no contact.
         cell = make_cell(obstacles=(WALL_WITH_HOLE,))
-        target = Pose((0.40, 0.0, 0.0))
+        target = (0.40, 0.0, 0.0, 0.0, 0.0, 0.0)
         total = 0.0
         for _ in range(10000):
             contact, advanced = cell.step_motion(target, speed=0.5)
@@ -88,7 +91,7 @@ class TestStepMotion:
     def test_offset_ray_hits_wall_next_to_hole(self):
         cell = make_cell(home_joints=(0.0, 0.05, 0.0, 0.0, 0.0, 0.0),
                          obstacles=(WALL_WITH_HOLE,))
-        target = Pose((0.40, 0.05, 0.0))
+        target = (0.40, 0.05, 0.0, 0.0, 0.0, 0.0)
         total = 0.0
         contact = False
         for _ in range(10000):
@@ -103,7 +106,7 @@ class TestStepMotion:
         # Enter through the aperture (y=0.015 at the face), drift sideways,
         # and hit the channel side wall where y reaches 0.02 (at x=0.2).
         cell = make_cell(obstacles=(WALL_WITH_HOLE,))
-        target = Pose((0.30, 0.03, 0.0))
+        target = (0.30, 0.03, 0.0, 0.0, 0.0, 0.0)
         contact = False
         for _ in range(10000):
             contact, advanced = cell.step_motion(target, speed=0.5)
@@ -122,8 +125,8 @@ class TestStepMotion:
         rng = random.Random(99)
         cell = make_cell(obstacles=(WALL_WITH_HOLE,))
         for _ in range(300):
-            target = Pose((rng.uniform(-0.3, 0.5), rng.uniform(-0.3, 0.3),
-                           rng.uniform(-0.3, 0.3)))
+            target = (rng.uniform(-0.3, 0.5), rng.uniform(-0.3, 0.3),
+                      rng.uniform(-0.3, 0.3), 0.0, 0.0, 0.0)
             for _ in range(40):
                 cell.step_motion(target, speed=0.5)
                 assert _signed_outside(cell.tcp_pose().position, WALL_WITH_HOLE)
@@ -131,7 +134,7 @@ class TestStepMotion:
     def test_clock_monotone(self):
         cell = make_cell(obstacles=(WALL,))
         last = cell.state.clock
-        target = Pose((1.0, 0.0, 0.0))
+        target = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         for _ in range(50):
             cell.step_motion(target, speed=0.5)
             assert cell.state.clock >= last
@@ -139,10 +142,11 @@ class TestStepMotion:
 
     def test_orientation_only_motion_snaps(self):
         cell = make_cell()
-        target = Pose((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        target = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
         contact, advanced = cell.step_motion(target, speed=0.1)
         assert advanced == 0.0
         assert cell.tcp_pose().orientation == (0.0, 0.0, 1.0)
+        assert cell.state.joints is target  # on arrival the target is the joints
 
 
 def _signed_outside(point, obs, tol=1e-9):
@@ -202,6 +206,24 @@ class TestForceSensing:
         assert cell.read_force(random.Random(0)).filtered == 2.5e15
         assert cell.filtered_force() == 2.5e15
 
+    def test_reading_is_a_read_only_raw_filtered_tuple(self):
+        reading = make_cell(noise_sigma=0.5).read_force(random.Random(0))
+        raw, filtered = reading
+        assert type(reading) is SensorReading and (reading.raw, reading.filtered) == (raw, filtered)
+        for name in ("raw", "filtered"):
+            with pytest.raises(AttributeError):
+                setattr(reading, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(reading, name)
+        with pytest.raises(AttributeError):
+            reading.extra = 1  # slotted: no ad-hoc attributes
+        same = SensorReading((raw, filtered))
+        assert same == reading and hash(same) == hash(reading)
+        for clone in (copy.copy(reading), copy.deepcopy(reading),
+                      pickle.loads(pickle.dumps(reading))):
+            assert type(clone) is SensorReading and clone == reading
+            assert (clone.raw, clone.filtered) == (raw, filtered)
+
     def test_largest_bit_count_and_window_build_a_cell(self):
         config = WorkcellConfig(bit_count=workcell_module.MAX_BIT_COUNT,
                                 filter_window=workcell_module.MAX_FILTER_WINDOW)
@@ -221,7 +243,7 @@ class TestForceSensing:
             cell = make_cell(noise_sigma=0.5, obstacles=(WALL,))
             rng = random.Random(seed)
             out = []
-            target = Pose((0.4, 0.0, 0.0))
+            target = (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
             for _ in range(200):
                 cell.step_motion(target, speed=0.5)
                 r = cell.read_force(rng)
@@ -623,7 +645,7 @@ class TestBroadPhase:
                             lambda *args: calls.append(args) or _segment_hit(*args))
         cell = make_cell(obstacles=(Obstacle((-1.0, 0.5, -1.0), (1.0, 0.6, 1.0)),))
         for _ in range(100):
-            assert cell.step_motion(Pose((0.3, 0.0, 0.0)), speed=0.25)[0] is False
+            assert cell.step_motion((0.3, 0.0, 0.0, 0.0, 0.0, 0.0), speed=0.25)[0] is False
         assert cell.tcp_pose().position[0] == pytest.approx(0.2) and calls == []
 
 
