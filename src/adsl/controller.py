@@ -71,7 +71,7 @@ from .model import (
 )
 from .printer import format_instruction, format_query
 from .reverse import ResumePolicy, RunAborted
-from .trace import _MOTION_SAMPLE, EventKind, ExecutionTrace, TraceEvent
+from .trace import EventKind, ExecutionTrace, TraceEvent
 from .workcell import (
     BitOutOfRange,
     Pose,
@@ -328,10 +328,10 @@ class ExecutionContext:
         """Step the joints until they equal `goal`, six floats; `_check_move`'s
         rejects and a blocking solid raise RunAborted."""
         workcell = self.workcell
-        record = self.options.record_motion_samples
         state = workcell.state
         step_motion = workcell.step_motion
-        emit = self.emit
+        sample = self.trace.move_sample if self.options.record_motion_samples else None
+        stack, level, bits = self.stack, self.active_speed, state.io_bits  # fixed while moving
         _check_move(state.joints, goal, speed)
         cycles = self.cycles
         try:
@@ -340,11 +340,9 @@ class ExecutionContext:
                     raise _cycle_cap_exceeded()
                 cycles += 1
                 pre_j = state.joints
-                pre_b = state.io_bits
                 contact, advanced = step_motion(goal, speed)
-                if record:
-                    data = {"advanced": advanced, "contact": contact}
-                    emit(_MOTION_SAMPLE, data, pre_j, pre_b)
+                if sample is not None:
+                    sample(state.clock, stack, level, pre_j, state.joints, bits, advanced, contact)
                 if contact and advanced <= 1e-15:
                     raise RunAborted(
                         f"collision during move: blocked at {state.joints[:3]}"
@@ -604,7 +602,7 @@ class Controller:
                 )
 
             # Each attempt evaluates its own sensor stream.
-            workcell.state.force_history.clear()
+            workcell.clear_force_filter()
 
             covered = 0.0
             guard_stopped = False
@@ -669,7 +667,7 @@ class Controller:
         """
         ctx = self.ctx
         workcell = ctx.workcell
-        record = ctx.options.record_motion_samples
+        sample = ctx.trace.attempt_sample if ctx.options.record_motion_samples else None
         distance = spec.distance
         goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
                 start[2] + direction[2] * distance) + start[3:]
@@ -679,7 +677,7 @@ class Controller:
         step_motion = workcell.step_motion
         read_force = workcell.read_force
         rng = ctx.rng
-        emit = ctx.emit
+        stack, level, bits = ctx.stack, ctx.active_speed, state.io_bits  # fixed while moving
         stop_if = spec.stop_if
         until = distance - 1e-12
         cycles = ctx.cycles
@@ -689,19 +687,12 @@ class Controller:
                     raise _cycle_cap_exceeded()
                 cycles += 1
                 pre_j = state.joints
-                pre_b = state.io_bits
                 contact, advanced = step_motion(goal, speed)
                 covered += advanced
                 raw, filtered = read_force(rng)
-                if record:
-                    data = {
-                        "advanced": advanced,
-                        "covered": covered,
-                        "contact": contact,
-                        "raw": raw,
-                        "filtered": filtered,
-                    }
-                    emit(_MOTION_SAMPLE, data, pre_j, pre_b)
+                if sample is not None:
+                    sample(state.clock, stack, level, pre_j, state.joints, bits,
+                           advanced, covered, contact, raw, filtered)
                 if stop_if is not None and evaluate_query(stop_if, covered, filtered):
                     return covered, True
                 if advanced <= 1e-15:

@@ -14,16 +14,22 @@ Every string, sequence names in `stack` included, is written as `json.dumps`
 writes it (`_quote`, ASCII escapes). `data` keys must be `str`; any other
 key, like any unserializable value, raises `TypeError`.
 
+Events enter a trace by `append`, as `TraceEvent`s, except the controller's
+motion samples, most lines of a run that moves: each cycle's fields enter by
+`move_sample` or `attempt_sample`, one method per data shape. A kept trace
+builds the same event from them and a `NULL_SINK` trace only counts. A
+streamed trace writes the line straight from the fields through the shape's
+line template, newline included, when the clock and reals are exact floats,
+`contact` an exact bool and the trace already keeps the texts (below) of its
+stack, speed and bits; otherwise it builds the event and writes it as
+`append` does (`serialize_event`, the generic path).
+
 Each line is one `%` format over field texts. A trace keeps the texts last
 built from its events' stack, speed, bits and joints objects (immutable
 snapshots that consecutive events mostly share), reused only for those very
 objects, and per `data` key tuple the sorted, quoted keys and each key's last
-exact-float text, reused for an equal nonzero float. A `MOTION_SAMPLE` whose
-`data` keys are `MOVE_SAMPLE_KEYS` or `ATTEMPT_SAMPLE_KEYS` in that order,
-whose clock and reals are exact floats and whose `contact` is an exact bool
-is one `%` over its shape's line template; any other event takes the generic
-path, and the bytes never depend on which path ran. The reference formatter
-in tests/test_trace.py defines the bytes.
+exact-float text, reused for an equal nonzero float. The bytes never depend
+on which path ran: the reference formatter in tests/test_trace.py defines them.
 """
 
 from __future__ import annotations
@@ -126,13 +132,14 @@ _LINE = '{"i":%s,"kind":"%s","clock":%.17g%s%s,"post_joints":%s%s%s}'
 _LINE_NUM = _LINE.replace("%.17g", "%s")  # for a clock that is not exactly a float
 
 #: The `data` keys, in insertion order, of the controller's motion samples:
-MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a pose move's cycle
-ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # a guarded move's
+MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a pose move's cycle (`move_sample`)
+ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # `attempt_sample`
 _MOTION_SAMPLE = EventKind.MOTION_SAMPLE  # looked up once: off the class it costs ~0.1 us
 _BOOL = ("false", "true")
+#: A sample's line templates, newline included; the data keys sorted, as every line writes them.
 _SAMPLE = _LINE.replace('"%s"', f'"{_MOTION_SAMPLE.value}"').replace("%s}", '{%s,"contact":%s')
-_MOVE_LINE = _SAMPLE + "}}"  # the data keys sorted, as every line writes them
-_ATTEMPT_LINE = _SAMPLE + ',"covered":%.17g,"filtered":%.17g,"raw":%.17g}}'
+_MOVE_LINE = _SAMPLE + "}}\n"
+_ATTEMPT_LINE = _SAMPLE + ',"covered":%.17g,"filtered":%.17g,"raw":%.17g}}\n'
 
 
 class _Memo:
@@ -142,7 +149,7 @@ class _Memo:
     def __init__(self):
         self.stack = self.speed = self.joints = self.pre_bits = self.post_bits = _NEVER
         self.orders: dict[tuple, list] = {}
-        self.advanced = ['"advanced":', "advanced", None, ""]  # an `orders` slot, for templates
+        self.advanced = ['"advanced":', "advanced", None, ""]  # an `orders` slot, for samples
 
 
 def serialize_event(ev: TraceEvent, memo=None) -> str:
@@ -163,20 +170,6 @@ def serialize_event(ev: TraceEvent, memo=None) -> str:
         memo.bits_text = f',"pre_bits":{_bits(pre_bits)},"post_bits":{_bits(post_bits)},"data":'
     values = ev.data
     keys = tuple(values)
-    if ev.kind is _MOTION_SAMPLE and type(ev.clock) is float:
-        if keys == MOVE_SAMPLE_KEYS:
-            advanced, contact = values["advanced"], values["contact"]
-            if type(advanced) is float and type(contact) is bool:
-                return _MOVE_LINE % (ev.index, ev.clock, memo.head, pre, post, memo.bits_text,
-                                     _float_text(memo.advanced, advanced), _BOOL[contact])
-        elif keys == ATTEMPT_SAMPLE_KEYS:
-            advanced, covered, contact = values["advanced"], values["covered"], values["contact"]
-            raw, filtered = values["raw"], values["filtered"]
-            if (type(advanced) is float and type(covered) is float and type(contact) is bool
-                    and type(raw) is float and type(filtered) is float):
-                return _ATTEMPT_LINE % (ev.index, ev.clock, memo.head, pre, post, memo.bits_text,
-                                        _float_text(memo.advanced, advanced), _BOOL[contact],
-                                        covered, filtered, raw)
     order = memo.orders.get(keys)
     if order is None:
         order = memo.orders[keys] = [[_quote(k) + ":", k, None, ""] for k in sorted(keys)]
@@ -217,6 +210,55 @@ class ExecutionTrace:
                 self.sink.write(serialize_event(event, self._memo) + "\n")
         else:
             self.events.append(event)
+
+    def move_sample(self, clock, stack, speed, pre_joints, joints, bits, advanced, contact):
+        """Record a pose move's cycle: a `MOTION_SAMPLE` from `pre_joints` to
+        `joints` whose data holds `MOVE_SAMPLE_KEYS`; the bits do not change."""
+        if (self.sink is not None and type(clock) is float and type(advanced) is float
+                and type(contact) is bool):
+            if self._write_sample(_MOVE_LINE, clock, stack, speed, pre_joints, joints, bits,
+                                  advanced, contact, ()):
+                return
+        self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
+                               joints, bits, bits, {"advanced": advanced, "contact": contact}))
+
+    def attempt_sample(self, clock, stack, speed, pre_joints, joints, bits,
+                       advanced, covered, contact, raw, filtered):
+        """Record a guarded move's cycle: as `move_sample`, with the data
+        keys `ATTEMPT_SAMPLE_KEYS`."""
+        if (self.sink is not None and type(clock) is float and type(advanced) is float
+                and type(covered) is float and type(contact) is bool
+                and type(raw) is float and type(filtered) is float):
+            if self._write_sample(_ATTEMPT_LINE, clock, stack, speed, pre_joints, joints, bits,
+                                  advanced, contact, (covered, filtered, raw)):
+                return
+        self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
+                               joints, bits, bits, {"advanced": advanced, "covered": covered,
+                                                    "contact": contact, "raw": raw,
+                                                    "filtered": filtered}))
+
+    def _write_sample(self, line, clock, stack, speed, pre_joints, joints, bits,
+                      advanced, contact, rest) -> bool:
+        """Count a sample whose clock and reals are exact floats and whose
+        `contact` is an exact bool, and stream it through its `line` template
+        (`rest`: the template's last floats). Returns False, having done
+        nothing, when the memo's texts are not of its stack, speed and bits:
+        the generic path builds those (a move's first sample, at most)."""
+        if self.sink is NULL_SINK:
+            self.count += 1
+            return True
+        memo = self._memo
+        if (stack is not memo.stack or speed is not memo.speed
+                or bits is not memo.pre_bits or bits is not memo.post_bits):
+            return False
+        index = self.count
+        self.count = index + 1
+        pre = memo.joints_text if pre_joints is memo.joints else _joints(pre_joints)
+        post = pre if joints is pre_joints else _joints(joints)
+        memo.joints, memo.joints_text = joints, post
+        self.sink.write(line % (index, clock, memo.head, pre, post, memo.bits_text,
+                                _float_text(memo.advanced, advanced), _BOOL[contact], *rest))
+        return True
 
     def __len__(self) -> int:
         return self.count

@@ -4,7 +4,10 @@ Stands in for real hardware: a point TCP moving through a scene of
 axis-aligned boxes, each optionally pierced by a rectangular through-hole.
 Touching a solid region halts motion at the surface and makes the force
 sensor report a fixed contact force; readings pass through a running-average
-filter over the last `filter_window` samples. Everything is seeded and
+filter over the last `filter_window` samples. The filter's mean adds its
+readings left to right from 0.0 (`_sum`): while the window fills, one running
+sum does exactly that, so a reading costs O(1); once it is full, a reading
+sums the whole window, O(filter_window). Everything is seeded and
 single-threaded, so identical call sequences produce bit-identical states.
 
 A `WorkcellConfig` checks its invariants when it is built, and each
@@ -331,14 +334,18 @@ class SensorReading(tuple):
 class WorkcellState:
     """Mutable snapshot of the simulated cell; single writer at a time."""
 
-    __slots__ = ("joints", "io_bits", "clock", "force_history", "in_contact")
+    __slots__ = ("joints", "io_bits", "clock", "force_history", "force_sum", "in_contact")
 
     def __init__(self, joints, bit_count: int, filter_window: int):
         self.joints: tuple[float, ...] = tuple(joints)
         #: Immutable; a write replaces it, so a snapshot is a reference.
         self.io_bits: tuple[bool, ...] = (False,) * bit_count
         self.clock: float = 0.0
+        #: The force filter's: its last `filter_window` readings and, until
+        #: they fill the window, their sum (None once they do). Only the
+        #: `Workcell`'s filter methods (`read_force`, `clear_force_filter`) write them.
         self.force_history: deque[float] = deque(maxlen=filter_window)
+        self.force_sum: Optional[float] = 0.0
         self.in_contact: bool = False
 
     def bits(self) -> tuple[bool, ...]:
@@ -442,13 +449,26 @@ class Workcell:
         raw += rng.gauss(0.0, self.config.noise_sigma)
         history = state.force_history
         history.append(raw)
-        return SensorReading((raw, _sum(history) / len(history)))
+        total = state.force_sum
+        if total is None:  # a full window: the oldest reading just left it
+            return SensorReading((raw, _sum(history) / len(history)))
+        total += raw
+        n = len(history)
+        state.force_sum = None if n == history.maxlen else total
+        return SensorReading((raw, total / n))
 
     def filtered_force(self) -> float:
+        """The mean of the filter's readings, 0.0 when it has none."""
         history = self.state.force_history
         if not history:
             return 0.0
-        return _sum(history) / len(history)
+        total = self.state.force_sum
+        return (_sum(history) if total is None else total) / len(history)
+
+    def clear_force_filter(self) -> None:
+        """Drop the filter's readings: the next reading starts a new mean."""
+        self.state.force_history.clear()
+        self.state.force_sum = 0.0
 
     # -- I/O -----------------------------------------------------------------
 

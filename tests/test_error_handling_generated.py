@@ -4,11 +4,12 @@ Each seed gives a program with one to three declared errors (random
 `respond_after` and `return_to`, a recovery sequence half the time), actions
 that signal them on chosen runs (60% of them undoable by a no-op reverse
 callback), io, wait and move leaves, `seq` calls two deep and `@barrier`s,
-run under a random `ResumePolicy` and `return_to_sequence` mode with motion
-samples off. Whatever a program does, only `RunAborted` may end the run or
-its reversal, the same seed gives the same trace bytes, and a completed run
-leaves no error waiting and no frame open. At every event, the context has
-one frame per entry of its stack, and the event records that very stack.
+run under a random `ResumePolicy` and `return_to_sequence` mode, with motion
+samples on for a quarter of them. Whatever a program does, only `RunAborted`
+may end the run or its reversal, the same seed gives the same trace bytes, and
+a completed run leaves no error waiting and no frame open. At every event,
+motion samples included, the context has one frame per entry of its stack,
+and the event records that very stack.
 After the run and after the reversal, the trace alone rebuilds the undo log.
 """
 
@@ -74,7 +75,7 @@ def generated_case(seed):
     options = ControllerOptions(
         return_to_sequence=rng.choice(["resume", "restart"]),
         resume_policy=ResumePolicy(rng.choice(list(PolicyMode)), rng.randint(1, 3)),
-        record_motion_samples=False,
+        record_motion_samples=rng.random() < 0.25,
     )
     return "\n".join(lines), actions, options
 
@@ -125,7 +126,7 @@ def run_case(seed):
     controller = Controller(build(text), quiet_config(), seed=seed, options=options,
                             registry=registry)
     ctx = controller.ctx
-    emit = ctx.emit
+    emit, move_sample = ctx.emit, ctx.trace.move_sample
 
     def checked_emit(*args, **kwargs):
         event = emit(*args, **kwargs)
@@ -133,7 +134,12 @@ def run_case(seed):
         assert event.stack is ctx.stack, seed
         return event
 
-    ctx.emit = checked_emit
+    def checked_move_sample(clock, stack, *args):  # samples do not go through `emit`
+        assert len(ctx.frames) == len(ctx.stack), seed
+        assert stack is ctx.stack, seed
+        move_sample(clock, stack, *args)
+
+    ctx.emit, ctx.trace.move_sample = checked_emit, checked_move_sample
     result = controller.run()
     waiting = (list(controller.ctx.pending), list(controller.ctx.frames))
     assert_undo_log_follows_the_trace(controller, seed)

@@ -1,5 +1,6 @@
 import importlib.resources
 import io
+import itertools
 import json
 import math
 from enum import Enum
@@ -366,17 +367,56 @@ SAMPLE_ATTACKS += [
 ]
 
 
+def as_samples(events):
+    """`events` as motion samples of the two shapes by turns, each holding
+    the event's `a` data value (0.1 where it has none) as its `advanced`."""
+    return [ev.replace(kind=EventKind.MOTION_SAMPLE,
+                       data={**(_ATTEMPT if k % 2 else _MOVE), "advanced": ev.data.get("a", 0.1)})
+            for k, ev in enumerate(events)]
+
+
+def record(trace, ev):
+    """Record `ev` as a run does: a motion sample of a shape the controller
+    writes through that shape's method, any other event through `append`."""
+    keys = tuple(ev.data)
+    if ev.kind is EventKind.MOTION_SAMPLE and ev.pre_bits == ev.post_bits:
+        fields = (ev.clock, ev.stack, ev.speed, ev.pre_joints, ev.post_joints, ev.pre_bits)
+        if keys == MOVE_SAMPLE_KEYS:
+            return trace.move_sample(*fields, *ev.data.values())
+        if keys == ATTEMPT_SAMPLE_KEYS:
+            return trace.attempt_sample(*fields, *ev.data.values())
+    trace.append(ev)
+
+
+def assert_recorded_alike(events):
+    """Record `events`, renumbered 0, 1, 2, ..., on a streamed trace, a kept
+    one and a `NULL_SINK` one: the streamed text is the kept trace's and the
+    reference's, and the three count alike."""
+    events = [ev.replace(index=k) for k, ev in enumerate(events)]
+    sink = io.StringIO()
+    traces = (ExecutionTrace(sink), ExecutionTrace(), ExecutionTrace(NULL_SINK))
+    for ev in events:
+        for trace in traces:
+            record(trace, ev)
+    lines = [reference_serialize_event(ev) for ev in events]
+    assert sink.getvalue() == traces[1].serialize() == "".join(line + "\n" for line in lines)
+    assert [len(trace) for trace in traces] == [len(events)] * 3
+    assert [serialize_event(ev) for ev in events] == lines
+
+
+@pytest.mark.parametrize("events", [SAMPLE_ATTACKS, *map(as_samples, CACHE_ATTACKS)])
+def test_attacks_recorded_by_the_sample_methods_match_reference(events):
+    # Ints, bools, float subclasses, -0.0 and nan in a real's place, a clock
+    # that is not a float, and joints off the six-float template: each takes
+    # the generic path, interleaved with template lines, in the same bytes.
+    assert_recorded_alike(events)
+
+
 @example(events=SAMPLE_ATTACKS)
 @settings(max_examples=100, deadline=None)
 @given(events=mixed_traces())
 def test_motion_samples_match_reference_on_either_path(events):
-    sink = io.StringIO()
-    trace = ExecutionTrace(sink)
-    for event in events:
-        trace.append(event)
-    lines = [reference_serialize_event(ev) for ev in events]
-    assert sink.getvalue() == "".join(line + "\n" for line in lines)
-    assert [serialize_event(ev) for ev in events] == lines
+    assert_recorded_alike(events)
 
 
 @pytest.mark.parametrize("data", [
@@ -400,34 +440,36 @@ def test_data_values_that_are_not_json_raise_type_error(data):
         serialize_event(event)
 
 
-@pytest.mark.parametrize("program, config", [
-    ("peg_in_hole.adsl", "aligned.json"),
-    ("peg_in_hole.adsl", "blocked.json"),
-    ("reverse_demo.adsl", "free_space.json"),
-    ("barrier_demo.adsl", "free_space.json"),
-    ("stats_insert.adsl", "stats.json"),
-])
-def test_sink_bytes_equal_serialize_for_shipped_examples(program, config):
+SHIPPED_PROGRAMS = ("peg_in_hole.adsl", "reverse_demo.adsl", "barrier_demo.adsl",
+                    "stats_insert.adsl")
+SHIPPED_CONFIGS = ("aligned.json", "blocked.json", "free_space.json", "stats.json")
+
+
+@pytest.mark.parametrize("program, config", itertools.product(SHIPPED_PROGRAMS, SHIPPED_CONFIGS))
+def test_sink_bytes_equal_serialize_for_shipped_examples(program, config, tmp_path):
     # A streamed trace keeps no events, so a second, sink-less run of the
-    # same seed provides them: the sink's bytes must equal its serialization.
+    # same seed provides them: the file's bytes must equal its serialization.
     examples = importlib.resources.files("adsl") / "examples"
-    sink = io.StringIO()
-    controllers = [
-        Controller(
+    path = tmp_path / "trace.ndjson"
+
+    def run(trace_sink):
+        controller = Controller(
             build((examples / program).read_text(encoding="utf-8")),
             load_workcell_config(str(examples / config)),
-            seed=0,
+            seed=3,
             trace_sink=trace_sink,
         )
-        for trace_sink in (sink, None)
-    ]
-    for controller in controllers:
         controller.run()
         reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
-    streamed, kept = (controller.trace for controller in controllers)
+        return controller.trace
+
+    with open(path, "w", encoding="utf-8") as sink:
+        streamed = run(sink)
+    kept = run(None)
+    text = path.read_text(encoding="utf-8")
     assert len(streamed) == len(kept.events) > 0
-    assert sink.getvalue() == kept.serialize()
-    assert sink.getvalue() == "".join(reference_serialize_event(ev) + "\n" for ev in kept.events)
+    assert text == kept.serialize()
+    assert text == "".join(reference_serialize_event(ev) + "\n" for ev in kept.events)
 
 
 def test_an_event_holds_exactly_the_fields_it_serializes():
@@ -488,8 +530,9 @@ def test_motion_samples_of_golden_and_shipped_runs_take_the_template():
         )
         controller.run()
         controllers.append(controller)
-    # Each sample has a shape the serializer writes from a template, with the
-    # types it needs, so a renamed key fails here and not only by slowing runs.
+    # Each sample has the shape and the types that a streamed trace writes
+    # through the shape's template, so a retyped field fails here and not
+    # only by slowing runs.
     shapes = {
         MOVE_SAMPLE_KEYS: (float, bool),
         ATTEMPT_SAMPLE_KEYS: (float, float, bool, float, float),

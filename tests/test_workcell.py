@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from adsl import controller as controller_module, workcell as workcell_module
-from adsl.controller import Controller
+from adsl.controller import Controller, ControllerOptions
 from adsl.model import Direction, Frame, SpeedLevel
 from adsl.parser import parse_program
 from adsl.workcell import (
@@ -168,6 +168,17 @@ def _signed_outside(point, obs, tol=1e-9):
     return False
 
 
+class _Noise:
+    """An rng whose Gaussian noise is `values` in turn: a free-space cell
+    without noise of its own reads exactly them."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def gauss(self, mu, sigma):
+        return next(self._values)
+
+
 class TestForceSensing:
     def test_zero_noise_free_space(self):
         cell = make_cell()
@@ -199,12 +210,47 @@ class TestForceSensing:
             assert reading.filtered == sum(raws[-5:]) / len(raws[-5:])
 
     def test_filter_adds_left_to_right_on_every_python(self):
-        # From Python 3.12 `sum` compensates: it gives 1e16 + 2 for this history,
-        # so its mean would differ in the last bit and so would every trace.
+        # From Python 3.12 `sum` compensates: it gives 1e16 + 2 for 0, 1e16, 1, 1,
+        # so its mean would differ in the last bit and so would every trace. The
+        # running sum while the window fills, and the window's sum once it is
+        # full (the fifth reading drops the 0.0), both add left to right.
         cell = make_cell(filter_window=4)
-        cell.state.force_history.extend([1e16, 1.0, 1.0])
-        assert cell.read_force(random.Random(0)).filtered == 2.5e15
+        rng = _Noise([0.0, 1e16, 1.0, 1.0, 1.0])
+        filtered = [cell.read_force(rng).filtered for _ in range(5)]
+        assert filtered == [0.0, 5e15, 1e16 / 3, 2.5e15, 2.5e15]
         assert cell.filtered_force() == 2.5e15
+        cell.clear_force_filter()
+        assert cell.filtered_force() == 0.0
+        assert cell.read_force(_Noise([1.0])).filtered == 1.0
+
+    def test_a_long_guarded_move_sums_the_filling_window_once(self, monkeypatch):
+        # While the window fills, a reading must not sum the whole window: at
+        # a window of 10**6 that makes this 20,000-cycle move add 2 * 10**8
+        # values. Counted, not timed: the count fails within a few hundred
+        # cycles where the work grows, and does not flake on a busy machine.
+        cycles = 20_000
+        summed = [0]
+        real_sum = workcell_module._sum
+
+        def counting_sum(values):
+            summed[0] += len(values)
+            assert summed[0] <= cycles, "the filter summed more values than it read"
+            return real_sum(values)
+
+        monkeypatch.setattr(workcell_module, "_sum", counting_sum)
+        distance = cycles * 0.01 * 0.008  # at very_slow, one 8e-5 m step a cycle
+        program = parse_program(
+            f'advanced_move "probe" {{ specification {{ distance {distance} direction x frame base;'
+            " speed very_slow; } evaluation { distance_covered(more_than, 1.5); }"
+            " on_fail { return_to_initial_position; } }\n"
+            'sequence "s" { adv_move "probe"; }\nentry "s";\n'
+        )
+        controller = Controller(program, WorkcellConfig(noise_sigma=0.0, filter_window=10 ** 6),
+                                options=ControllerOptions(record_motion_samples=False))
+        result = controller.run()
+        assert result.completed and result.stats.errors == 0
+        assert controller.ctx.cycles >= cycles
+        assert summed[0] <= controller.ctx.cycles
 
     def test_reading_is_a_read_only_raw_filtered_tuple(self):
         reading = make_cell(noise_sigma=0.5).read_force(random.Random(0))
