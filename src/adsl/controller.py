@@ -753,7 +753,7 @@ def _cycle_cap_exceeded() -> RunAborted:
 def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed: float) -> None:
     """Check a move once, before its first cycle, from the joints `start` to
     `goal`, six floats each: every coordinate of `goal - start` must be finite
-    and `speed` a positive finite int or float. Anything else raises
+    and `speed` a positive finite int or float, not a bool. Anything else raises
     RunAborted, as stepping it would write NaN joints."""
     px, py, pz, pa, pb, pc = start
     tx, ty, tz, ta, tb, tc = goal
@@ -761,20 +761,21 @@ def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed: float)
     if not (
         isfinite(tx - px) and isfinite(ty - py) and isfinite(tz - pz)
         and isfinite(ta - pa) and isfinite(tb - pb) and isfinite(tc - pc)
-        and isinstance(speed, (int, float)) and 0.0 < speed < math.inf
+        and isinstance(speed, (int, float)) and type(speed) is not bool
+        and 0.0 < speed < math.inf
     ):
         raise RunAborted(f"move out of range: from {start} to {goal} at speed {speed}")
 
 
 def _coordinates(values, count: int, what: str) -> tuple[float, ...]:
     """`count` ints or floats as a tuple of floats: where a callback's move
-    values enter. Anything else raises RunAborted."""
+    values enter. Anything else, a bool too, raises RunAborted."""
     try:
         values = tuple(values)
         if len(values) == count:
             if {float}.issuperset(map(type, values)):
                 return values  # the common case, and the cheap one
-            if all([isinstance(v, (int, float)) for v in values]):
+            if all([isinstance(v, (int, float)) and type(v) is not bool for v in values]):
                 return tuple(map(float, values))
     except (TypeError, OverflowError):  # not iterable, or an int beyond float range
         pass

@@ -14,22 +14,17 @@ Every string, sequence names in `stack` included, is written as `json.dumps`
 writes it (`_quote`, ASCII escapes). `data` keys must be `str`; any other
 key, like any unserializable value, raises `TypeError`.
 
-Events enter a trace by `append`, as `TraceEvent`s, except the controller's
-motion samples, most lines of a run that moves: each cycle's fields enter by
-`move_sample` or `attempt_sample`, one method per data shape. A kept trace
-builds the same event from them and a `NULL_SINK` trace only counts. A
-streamed trace writes the line straight from the fields through the shape's
-line template, newline included, when the clock and reals are exact floats,
-`contact` an exact bool and the trace already keeps the texts (below) of its
-stack, speed and bits; otherwise it builds the event and writes it as
-`append` does (`serialize_event`, the generic path).
-
-Each line is one `%` format over field texts. A trace keeps the texts last
-built from its events' stack, speed, bits and joints objects (immutable
-snapshots that consecutive events mostly share), reused only for those very
-objects, and per `data` key tuple the sorted, quoted keys and each key's last
-exact-float text, reused for an equal nonzero float. The bytes never depend
-on which path ran: the reference formatter in tests/test_trace.py defines them.
+Events enter a trace by `append`, as `TraceEvent`s, and a streamed trace
+writes each with `serialize_event`, the generic path, which formats every
+field anew, as the reference formatter in tests/test_trace.py does. The
+controller's motion samples, most lines of a run that moves, enter by
+`move_sample` or `attempt_sample`, one method per data shape, as fields. A
+kept trace builds the same event from them and a `NULL_SINK` trace only
+counts. A streamed trace writes the line through the shape's template,
+newline included, reusing the texts of the fields the samples share: the
+trace's only memo. A sample leaves its template only when a field has
+another type (a clock or real that is not an exact float, a `contact` that
+is not an exact bool); the bytes never depend on which path ran.
 """
 
 from __future__ import annotations
@@ -120,16 +115,18 @@ def _joints(joints) -> str:
     return "[" + ",".join([_num(j) for j in joints]) + "]"
 
 
-def _float_text(slot: list, v: float) -> str:
-    if v != slot[2] or not v:  # 0.0 == -0.0 but they print apart; nan equals nothing
-        slot[2:] = v, slot[0] + "%.17g" % v
-    return slot[3]
+def _head(stack, speed) -> str:
+    frames = ",".join([f"[{_quote(s)},{i}]" for s, i in stack])
+    return f',"stack":[{frames}],"speed":"{speed._value_}","pre_joints":'
+
+
+def _bits_pair(pre_bits, post_bits) -> str:
+    return f',"pre_bits":{_bits(pre_bits)},"post_bits":{_bits(post_bits)},"data":'
 
 
 _NEVER = object()
 _SIX_JOINTS = "[" + ",".join(["%.17g"] * JOINT_COUNT) + "]"  # a run's joints: six floats
-_LINE = '{"i":%s,"kind":"%s","clock":%.17g%s%s,"post_joints":%s%s%s}'
-_LINE_NUM = _LINE.replace("%.17g", "%s")  # for a clock that is not exactly a float
+_LINE = '{"i":%s,"kind":"%s","clock":%s%s%s,"post_joints":%s%s%s}'
 
 #: The `data` keys, in insertion order, of the controller's motion samples:
 MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a pose move's cycle (`move_sample`)
@@ -137,47 +134,17 @@ ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # `
 _MOTION_SAMPLE = EventKind.MOTION_SAMPLE  # looked up once: off the class it costs ~0.1 us
 _BOOL = ("false", "true")
 #: A sample's line templates, newline included; the data keys sorted, as every line writes them.
-_SAMPLE = _LINE.replace('"%s"', f'"{_MOTION_SAMPLE.value}"').replace("%s}", '{%s,"contact":%s')
+_SAMPLE = (_LINE.replace('"%s","clock":%s', f'"{_MOTION_SAMPLE.value}","clock":%.17g')
+           .replace("%s}", '{"advanced":%s,"contact":%s'))
 _MOVE_LINE = _SAMPLE + "}}\n"
 _ATTEMPT_LINE = _SAMPLE + ',"covered":%.17g,"filtered":%.17g,"raw":%.17g}}\n'
 
 
-class _Memo:
-    """A trace's texts, each kept with the objects it was last built from;
-    `orders` maps a data key tuple to [quoted key, key, last float, "key":text]s."""
-
-    def __init__(self):
-        self.stack = self.speed = self.joints = self.pre_bits = self.post_bits = _NEVER
-        self.orders: dict[tuple, list] = {}
-        self.advanced = ['"advanced":', "advanced", None, ""]  # an `orders` slot, for samples
-
-
-def serialize_event(ev: TraceEvent, memo=None) -> str:
-    """One NDJSON line, without its newline; `memo` is a `_Memo` kept per trace."""
-    memo = _Memo() if memo is None else memo
-    stack, speed = ev.stack, ev.speed
-    if stack is not memo.stack or speed is not memo.speed:
-        memo.stack, memo.speed = stack, speed
-        frames = ",".join([f"[{_quote(s)},{i}]" for s, i in stack])
-        memo.head = f',"stack":[{frames}],"speed":"{speed.value}","pre_joints":'
-    pre_joints, post_joints = ev.pre_joints, ev.post_joints
-    pre = memo.joints_text if pre_joints is memo.joints else _joints(pre_joints)
-    post = pre if post_joints is pre_joints else _joints(post_joints)
-    memo.joints, memo.joints_text = post_joints, post
-    pre_bits, post_bits = ev.pre_bits, ev.post_bits
-    if pre_bits is not memo.pre_bits or post_bits is not memo.post_bits:
-        memo.pre_bits, memo.post_bits = pre_bits, post_bits
-        memo.bits_text = f',"pre_bits":{_bits(pre_bits)},"post_bits":{_bits(post_bits)},"data":'
-    values = ev.data
-    keys = tuple(values)
-    order = memo.orders.get(keys)
-    if order is None:
-        order = memo.orders[keys] = [[_quote(k) + ":", k, None, ""] for k in sorted(keys)]
-    data = "{" + ",".join([
-        _float_text(slot, v) if type(v) is float else slot[0] + _json_value(v)
-        for slot in order for v in (values[slot[1]],)]) + "}"
-    line, clock = (_LINE, ev.clock) if type(ev.clock) is float else (_LINE_NUM, _num(ev.clock))
-    return line % (ev.index, ev.kind._value_, clock, memo.head, pre, post, memo.bits_text, data)
+def serialize_event(ev: TraceEvent) -> str:
+    """One NDJSON line, without its newline, every field formatted anew."""
+    return _LINE % (ev.index, ev.kind._value_, _num(ev.clock), _head(ev.stack, ev.speed),
+                    _joints(ev.pre_joints), _joints(ev.post_joints),
+                    _bits_pair(ev.pre_bits, ev.post_bits), _json_dict(ev.data))
 
 
 class _NullSink:
@@ -201,13 +168,14 @@ class ExecutionTrace:
         self.events: list[TraceEvent] | None = [] if sink is None else None
         self.sink = sink
         self.count = 0
-        self._memo = _Memo()
+        # The streamed sample writer's memo: what each of its texts was built from.
+        self._stack = self._speed = self._bits = self._joints = self._advanced = _NEVER
 
     def append(self, event: TraceEvent) -> None:
         self.count += 1
         if self.events is None:
             if self.sink is not NULL_SINK:
-                self.sink.write(serialize_event(event, self._memo) + "\n")
+                self.sink.write(serialize_event(event) + "\n")
         else:
             self.events.append(event)
 
@@ -216,11 +184,11 @@ class ExecutionTrace:
         `joints` whose data holds `MOVE_SAMPLE_KEYS`; the bits do not change."""
         if (self.sink is not None and type(clock) is float and type(advanced) is float
                 and type(contact) is bool):
-            if self._write_sample(_MOVE_LINE, clock, stack, speed, pre_joints, joints, bits,
-                                  advanced, contact, ()):
-                return
-        self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
-                               joints, bits, bits, {"advanced": advanced, "contact": contact}))
+            self._write_sample(_MOVE_LINE, clock, stack, speed, pre_joints, joints, bits,
+                               advanced, contact, ())
+        else:
+            self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
+                                   joints, bits, bits, {"advanced": advanced, "contact": contact}))
 
     def attempt_sample(self, clock, stack, speed, pre_joints, joints, bits,
                        advanced, covered, contact, raw, filtered):
@@ -229,36 +197,36 @@ class ExecutionTrace:
         if (self.sink is not None and type(clock) is float and type(advanced) is float
                 and type(covered) is float and type(contact) is bool
                 and type(raw) is float and type(filtered) is float):
-            if self._write_sample(_ATTEMPT_LINE, clock, stack, speed, pre_joints, joints, bits,
-                                  advanced, contact, (covered, filtered, raw)):
-                return
-        self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
-                               joints, bits, bits, {"advanced": advanced, "covered": covered,
-                                                    "contact": contact, "raw": raw,
-                                                    "filtered": filtered}))
+            self._write_sample(_ATTEMPT_LINE, clock, stack, speed, pre_joints, joints, bits,
+                               advanced, contact, (covered, filtered, raw))
+        else:
+            self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
+                                   joints, bits, bits, {"advanced": advanced, "covered": covered,
+                                                        "contact": contact, "raw": raw,
+                                                        "filtered": filtered}))
 
     def _write_sample(self, line, clock, stack, speed, pre_joints, joints, bits,
-                      advanced, contact, rest) -> bool:
+                      advanced, contact, rest) -> None:
         """Count a sample whose clock and reals are exact floats and whose
         `contact` is an exact bool, and stream it through its `line` template
-        (`rest`: the template's last floats). Returns False, having done
-        nothing, when the memo's texts are not of its stack, speed and bits:
-        the generic path builds those (a move's first sample, at most)."""
-        if self.sink is NULL_SINK:
-            self.count += 1
-            return True
-        memo = self._memo
-        if (stack is not memo.stack or speed is not memo.speed
-                or bits is not memo.pre_bits or bits is not memo.post_bits):
-            return False
+        (`rest`: the template's last floats). A text is rebuilt unless it was
+        built from these very stack, speed, bits or joints objects, or, for
+        `advanced`, from an equal nonzero float."""
         index = self.count
         self.count = index + 1
-        pre = memo.joints_text if pre_joints is memo.joints else _joints(pre_joints)
+        if self.sink is NULL_SINK:
+            return
+        if stack is not self._stack or speed is not self._speed:
+            self._stack, self._speed, self._head_text = stack, speed, _head(stack, speed)
+        if bits is not self._bits:
+            self._bits, self._bits_text = bits, _bits_pair(bits, bits)
+        pre = self._joints_text if pre_joints is self._joints else _joints(pre_joints)
         post = pre if joints is pre_joints else _joints(joints)
-        memo.joints, memo.joints_text = joints, post
-        self.sink.write(line % (index, clock, memo.head, pre, post, memo.bits_text,
-                                _float_text(memo.advanced, advanced), _BOOL[contact], *rest))
-        return True
+        self._joints, self._joints_text = joints, post
+        if advanced != self._advanced or not advanced:  # 0.0 == -0.0 print apart; nan != nan
+            self._advanced, self._advanced_text = advanced, "%.17g" % advanced
+        self.sink.write(line % (index, clock, self._head_text, pre, post, self._bits_text,
+                                self._advanced_text, _BOOL[contact], *rest))
 
     def __len__(self) -> int:
         return self.count
@@ -267,5 +235,4 @@ class ExecutionTrace:
         """The NDJSON text; a streamed trace's is in its sink, so this raises."""
         if self.events is None:
             raise ValueError("the trace was streamed to its sink and kept no events")
-        memo = _Memo()
-        return "".join([serialize_event(ev, memo) + "\n" for ev in self.events])
+        return "".join([serialize_event(ev) + "\n" for ev in self.events])

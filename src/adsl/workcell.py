@@ -29,8 +29,8 @@ order, by at most speed*dt, less when an obstacle surface comes first
 (tested exactly only for obstacles whose widened box meets the step's). The
 orientation interpolates by the same fraction, or snaps to the target on
 arrival or for a pure rotation; on arrival the target becomes the joints,
-and the clock advances by dt. A force reading (`read_force`) is a
-`SensorReading`, the tuple `(raw, filtered)`.
+and the clock advances by dt. A force reading (`read_force`) is the tuple
+`(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import json
 import math
 from collections import deque
 from enum import Enum
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -322,15 +321,6 @@ def _sum(values) -> float:
     return total
 
 
-class SensorReading(tuple):
-    """`(raw, filtered)`: one sample and the filter's mean. A tuple, not a
-    `Value`: one is read every guarded cycle, and a tuple costs one C call."""
-
-    __slots__ = ()
-    raw = property(itemgetter(0))
-    filtered = property(itemgetter(1))
-
-
 class WorkcellState:
     """Mutable snapshot of the simulated cell; single writer at a time."""
 
@@ -442,8 +432,9 @@ class Workcell:
 
     # -- sensing ----------------------------------------------------------
 
-    def read_force(self, rng) -> SensorReading:
-        """Sample the force sensor and push the raw value through the filter."""
+    def read_force(self, rng) -> tuple[float, float]:
+        """Sample the force sensor and push the raw value through the filter:
+        `(raw, filtered)`, the sample and the filter's mean."""
         state = self.state
         raw = self.config.contact_force if state.in_contact else 0.0
         raw += rng.gauss(0.0, self.config.noise_sigma)
@@ -451,11 +442,11 @@ class Workcell:
         history.append(raw)
         total = state.force_sum
         if total is None:  # a full window: the oldest reading just left it
-            return SensorReading((raw, _sum(history) / len(history)))
+            return raw, _sum(history) / len(history)
         total += raw
         n = len(history)
         state.force_sum = None if n == history.maxlen else total
-        return SensorReading((raw, total / n))
+        return raw, total / n
 
     def filtered_force(self) -> float:
         """The mean of the filter's readings, 0.0 when it has none."""

@@ -202,13 +202,13 @@ def test_criterion_6_filter_correctness():
             raws = []
             for _ in range(rng.randint(1, 12)):
                 cell.state.in_contact = rng.random() < 0.4
-                reading = cell.read_force(rng)
-                raws.append(reading.raw)
+                raw, filtered = cell.read_force(rng)
+                raws.append(raw)
                 expected = sum(raws[-window:]) / len(raws[-window:])
                 if sigma == 0.0:
-                    assert reading.filtered == expected
+                    assert filtered == expected
                 else:
-                    assert abs(reading.filtered - expected) <= 1e-12
+                    assert abs(filtered - expected) <= 1e-12
 
 
 def test_criterion_7_forward_reverse_identity():

@@ -967,7 +967,8 @@ class TestMoveRange:
         lambda ctx: ctx.move_joints_to([math.inf] * 6),
         lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), math.nan),
         lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), "fast"),
-    ], ids=["infinite_joints", "nan_speed", "str_speed"])
+        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), True),
+    ], ids=["infinite_joints", "nan_speed", "str_speed", "bool_speed"])
     def test_callback_move_aborts(self, monkeypatch, move):
         monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 50)
         registry = default_registry()
@@ -995,8 +996,10 @@ class TestMoveRange:
          "move target position must be 3 ints or floats, got (0.1, '0.2', 0.1)"),
         (lambda ctx: ctx.move_to_pose((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), 0.1),
          "move target is not a Pose: (0.1, 0.0, 0.1, 0.0, 0.0, 0.0)"),
+        (lambda ctx: ctx.move_joints_to((True, 0.0, 0.1, 0, 0, 0)),
+         "move joints must be 6 ints or floats, got (True, 0.0, 0.1, 0, 0, 0)"),
     ], ids=["short_position", "str_joints", "three_joints", "seven_joints", "str_coordinate",
-            "not_a_pose"])
+            "not_a_pose", "bool_joints"])
     def test_callback_malformed_target_aborts(self, move, reason):
         registry = default_registry()
         registry.register("bad", lambda ctx, items: move(ctx))

@@ -446,9 +446,11 @@ SHIPPED_CONFIGS = ("aligned.json", "blocked.json", "free_space.json", "stats.jso
 
 
 @pytest.mark.parametrize("program, config", itertools.product(SHIPPED_PROGRAMS, SHIPPED_CONFIGS))
-def test_sink_bytes_equal_serialize_for_shipped_examples(program, config, tmp_path):
+def test_sink_bytes_equal_serialize_for_shipped_examples(program, config, tmp_path, monkeypatch):
     # A streamed trace keeps no events, so a second, sink-less run of the
     # same seed provides them: the file's bytes must equal its serialization.
+    # The streamed run writes every motion sample through its template: the
+    # generic path writes each other line and no sample.
     examples = importlib.resources.files("adsl") / "examples"
     path = tmp_path / "trace.ndjson"
 
@@ -463,11 +465,17 @@ def test_sink_bytes_equal_serialize_for_shipped_examples(program, config, tmp_pa
         reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
         return controller.trace
 
+    generic = []
+    monkeypatch.setattr(trace_module, "serialize_event",
+                        lambda ev: generic.append(ev) or serialize_event(ev))
     with open(path, "w", encoding="utf-8") as sink:
         streamed = run(sink)
+    monkeypatch.undo()
     kept = run(None)
     text = path.read_text(encoding="utf-8")
     assert len(streamed) == len(kept.events) > 0
+    assert [ev.kind for ev in generic] == [
+        ev.kind for ev in kept.events if ev.kind is not EventKind.MOTION_SAMPLE]
     assert text == kept.serialize()
     assert text == "".join(reference_serialize_event(ev) + "\n" for ev in kept.events)
 

@@ -18,7 +18,6 @@ from adsl.workcell import (
     HoleAxis,
     Obstacle,
     Pose,
-    SensorReading,
     Workcell,
     WorkcellConfig,
     WorkcellConfigError,
@@ -184,9 +183,9 @@ class TestForceSensing:
         cell = make_cell()
         rng = random.Random(0)
         for _ in range(5):
-            reading = cell.read_force(rng)
-        assert reading.raw == 0.0
-        assert reading.filtered == 0.0
+            raw, filtered = cell.read_force(rng)
+        assert raw == 0.0
+        assert filtered == 0.0
 
     def test_running_average_mixes_contact(self):
         cell = make_cell(contact_force=50.0)
@@ -195,9 +194,9 @@ class TestForceSensing:
             cell.read_force(rng)
         cell.state.in_contact = True
         for _ in range(3):
-            reading = cell.read_force(rng)
+            _, filtered = cell.read_force(rng)
         # History ring is [0, 0, 50, 50, 50].
-        assert reading.filtered == pytest.approx(30.0)
+        assert filtered == pytest.approx(30.0)
 
     def test_filter_window_exact_mean(self):
         cell = make_cell(filter_window=5)
@@ -205,9 +204,9 @@ class TestForceSensing:
         raws = []
         for k in range(1, 40):
             cell.state.in_contact = rng.random() < 0.3
-            reading = cell.read_force(rng)
-            raws.append(reading.raw)
-            assert reading.filtered == sum(raws[-5:]) / len(raws[-5:])
+            raw, filtered = cell.read_force(rng)
+            raws.append(raw)
+            assert filtered == sum(raws[-5:]) / len(raws[-5:])
 
     def test_filter_adds_left_to_right_on_every_python(self):
         # From Python 3.12 `sum` compensates: it gives 1e16 + 2 for 0, 1e16, 1, 1,
@@ -216,12 +215,12 @@ class TestForceSensing:
         # full (the fifth reading drops the 0.0), both add left to right.
         cell = make_cell(filter_window=4)
         rng = _Noise([0.0, 1e16, 1.0, 1.0, 1.0])
-        filtered = [cell.read_force(rng).filtered for _ in range(5)]
+        filtered = [cell.read_force(rng)[1] for _ in range(5)]
         assert filtered == [0.0, 5e15, 1e16 / 3, 2.5e15, 2.5e15]
         assert cell.filtered_force() == 2.5e15
         cell.clear_force_filter()
         assert cell.filtered_force() == 0.0
-        assert cell.read_force(_Noise([1.0])).filtered == 1.0
+        assert cell.read_force(_Noise([1.0]))[1] == 1.0
 
     def test_a_long_guarded_move_sums_the_filling_window_once(self, monkeypatch):
         # While the window fills, a reading must not sum the whole window: at
@@ -255,20 +254,14 @@ class TestForceSensing:
     def test_reading_is_a_read_only_raw_filtered_tuple(self):
         reading = make_cell(noise_sigma=0.5).read_force(random.Random(0))
         raw, filtered = reading
-        assert type(reading) is SensorReading and (reading.raw, reading.filtered) == (raw, filtered)
-        for name in ("raw", "filtered"):
-            with pytest.raises(AttributeError):
-                setattr(reading, name, 1.0)
-            with pytest.raises(AttributeError):
-                delattr(reading, name)
-        with pytest.raises(AttributeError):
-            reading.extra = 1  # slotted: no ad-hoc attributes
-        same = SensorReading((raw, filtered))
-        assert same == reading and hash(same) == hash(reading)
+        assert type(reading) is tuple and reading == (raw, filtered)
+        assert type(raw) is float and type(filtered) is float
+        with pytest.raises(TypeError):
+            reading[0] = 1.0
+        assert hash((raw, filtered)) == hash(reading)
         for clone in (copy.copy(reading), copy.deepcopy(reading),
                       pickle.loads(pickle.dumps(reading))):
-            assert type(clone) is SensorReading and clone == reading
-            assert (clone.raw, clone.filtered) == (raw, filtered)
+            assert type(clone) is tuple and clone == reading
 
     def test_largest_bit_count_and_window_build_a_cell(self):
         config = WorkcellConfig(bit_count=workcell_module.MAX_BIT_COUNT,
@@ -281,7 +274,7 @@ class TestForceSensing:
         # Sample mean of 1000 free-space raws stays within 3 sigma/sqrt(n).
         cell = make_cell(noise_sigma=0.5)
         rng = random.Random(1234)
-        raws = [cell.read_force(rng).raw for _ in range(1000)]
+        raws = [cell.read_force(rng)[0] for _ in range(1000)]
         assert abs(sum(raws) / len(raws)) < 3 * 0.5 / math.sqrt(1000)
 
     def test_determinism_bit_identical(self):
@@ -292,8 +285,8 @@ class TestForceSensing:
             target = (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
             for _ in range(200):
                 cell.step_motion(target, speed=0.5)
-                r = cell.read_force(rng)
-                out.append((cell.state.joints, r.raw, r.filtered, cell.state.clock))
+                raw, filtered = cell.read_force(rng)
+                out.append((cell.state.joints, raw, filtered, cell.state.clock))
             return out
 
         assert trajectory(42) == trajectory(42)
