@@ -128,7 +128,7 @@ def cmd_reverse(args) -> int:
         return code
     controller = _controller(args, program, config, NULL_SINK)
     initial_joints = controller.ctx.workcell.state.joints
-    initial_bits = controller.ctx.workcell.state.bits()
+    initial_bits = controller.ctx.workcell.state.io_bits
     result = controller.run()
 
     try:
@@ -143,7 +143,7 @@ def cmd_reverse(args) -> int:
     joints_ok = all(
         abs(a - b) <= 1e-9 for a, b in zip(state.joints, initial_joints)
     )
-    bits_ok = state.bits() == initial_bits
+    bits_ok = state.io_bits == initial_bits
 
     print(f"seed: {args.seed}")
     print(f"forward result: {'completed' if result.completed else 'aborted'}")

@@ -250,7 +250,7 @@ class ExecutionContext:
     def push(self, seq: str) -> None:
         """Open a frame at the top of `seq`, entered in the current state."""
         state = self.workcell.state
-        self.frames.append(CallFrame(state.joints, state.bits()))
+        self.frames.append(CallFrame(state.joints, state.io_bits))
         self.stack += ((seq, 0),)
 
     def truncate(self, depth: int) -> None:
@@ -275,7 +275,7 @@ class ExecutionContext:
                 break
         del self.frames[keep:]
         state = self.workcell.state
-        self.frames += [CallFrame(state.joints, state.bits()) for _ in stack[keep:]]
+        self.frames += [CallFrame(state.joints, state.io_bits) for _ in stack[keep:]]
         self.stack = stack
 
     # -- snapshots ----------------------------------------------------------
@@ -301,7 +301,10 @@ class ExecutionContext:
     # -- state-change helpers -------------------------------------------------
 
     def advance_clock(self, seconds: float) -> None:
-        self.workcell.state.clock += seconds
+        state = self.workcell.state
+        if not math.isfinite(state.clock + seconds):  # JSON has no text for inf
+            raise RunAborted(f"clock out of range: {state.clock} + {seconds}")
+        state.clock += seconds
 
     def speed_value(self) -> float:
         return self.workcell.config.speed_map[self.active_speed]
@@ -367,7 +370,7 @@ class ExecutionContext:
                 pending = True
             elif isinstance(prim, SelectBit):
                 if pending is not None:
-                    pre_b = workcell.state.bits()
+                    pre_b = workcell.state.io_bits
                     workcell.set_io(prim.index, pending)
                     self.emit(
                         EventKind.IO_WRITE,

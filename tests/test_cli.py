@@ -377,7 +377,7 @@ class TestRun:
         ('{"dt": 5e-324}', "dt is too small: very_slow speed * dt is 0.0"),
         ('{"bit_count": 100000000000}', "bit_count must be at most 1024"),
         ('{"filter_window": 1000000000000000000000000000000}',
-         "filter_window must be at most 2147483647"),
+         "filter_window must be at most 1024"),
     ])
     def test_mistyped_workcell_config(self, capsys, tmp_path, command, config, message):
         cfg = tmp_path / "typed.json"

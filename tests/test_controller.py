@@ -1025,3 +1025,30 @@ class TestMoveRange:
             assert {type(j) for j in controller.ctx.workcell.state.joints} == {float}
             traces.append(controller.trace.serialize())
         assert traces[0] == traces[1]
+
+
+class TestClockRange:
+    """A wait or sleep that would make the clock infinite aborts, forward or
+    reversed, and every trace line still parses."""
+
+    BIG = "1" + "0" * 308 + ".0"  # 1e308: valid, but two of them overflow
+
+    @pytest.mark.parametrize("text", [
+        f'sequence "s" {{ wait {BIG}; wait {BIG}; }}',
+        f'io_operation "nap" {{ sleep {BIG}; sleep {BIG}; }}\nsequence "s" {{ io "nap"; }}',
+    ], ids=["wait", "sleep"])
+    def test_forward_overflow_aborts(self, text):
+        controller = Controller(build(text), quiet_config(), seed=0)
+        result = controller.run()
+        assert not result.completed
+        assert result.reason == "clock out of range: 1e+308 + 1e+308"
+        assert controller.ctx.workcell.state.clock == 1e308
+        for line in controller.trace.serialize().splitlines():
+            json.loads(line)
+
+    def test_reversed_overflow_aborts(self):
+        controller = Controller(build(f'sequence "s" {{ wait {self.BIG}; }}'),
+                                quiet_config(), seed=0)
+        assert controller.run().completed
+        with pytest.raises(RunAborted, match=r"^clock out of range: 1e\+308 \+ 1e\+308$"):
+            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
