@@ -6,7 +6,10 @@ instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors. The workcell's six joints are
 the TCP pose, so every move steps them until they equal its goal: one tuple
-of six floats, checked once (`_check_move`) before the first cycle.
+of six floats, checked once (`_check_move`) before the first cycle. Each step
+is a control cycle, `Workcell.step_motion` in a cell with obstacles and the
+same arithmetic on local variables in a free one; `MAX_CONTROL_CYCLES` caps
+the cycles of one context.
 
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
@@ -81,7 +84,7 @@ from .workcell import (
 )
 
 MAX_CALL_DEPTH = 32  # open sequence calls, recovery sequences included
-MAX_CONTROL_CYCLES = 600_000  # `step_motion` calls in one context, reversal included
+MAX_CONTROL_CYCLES = 600_000  # control cycles in one context, reversal included
 MAX_RESUME_RETRIES = 5  # resolutions of one error at one site before an abort
 
 
@@ -329,28 +332,66 @@ class ExecutionContext:
 
     def _move(self, goal: tuple[float, ...], speed: float) -> None:
         """Step the joints until they equal `goal`, six floats; `_check_move`'s
-        rejects and a blocking solid raise RunAborted."""
+        rejects and a blocking solid raise RunAborted. Each cycle is a
+        `Workcell.step_motion` call in a cell with obstacles. In a free cell
+        it runs here, on local variables, doing the floating-point operations
+        `step_motion` does without an obstacle, in its order: `step_motion` is
+        the reference, and both write the same joints, clock and samples."""
         workcell = self.workcell
         state = workcell.state
-        step_motion = workcell.step_motion
         sample = self.trace.move_sample if self.options.record_motion_samples else None
         stack, level, bits = self.stack, self.active_speed, state.io_bits  # fixed while moving
         _check_move(state.joints, goal, speed)
         cycles = self.cycles
         try:
-            while state.joints != goal:
+            if workcell.config.obstacles:
+                step_motion = workcell.step_motion
+                while state.joints != goal:
+                    if cycles >= MAX_CONTROL_CYCLES:
+                        raise _cycle_cap_exceeded()
+                    cycles += 1
+                    pre_j = state.joints
+                    contact, advanced = step_motion(goal, speed)
+                    if sample is not None:
+                        sample(state.clock, stack, level, pre_j, state.joints, bits, advanced,
+                               contact)
+                    if contact and advanced <= 1e-15:
+                        raise RunAborted(
+                            f"collision during move: blocked at {state.joints[:3]}"
+                            f" moving to {goal[:3]}"
+                        )
+                return
+            dt = workcell.config.dt
+            step = speed * dt
+            tx, ty, tz, o1x, o1y, o1z = goal
+            joints, clock = state.joints, state.clock
+            while joints != goal:  # compared by value: a stepped tuple can equal `goal`
                 if cycles >= MAX_CONTROL_CYCLES:
                     raise _cycle_cap_exceeded()
                 cycles += 1
-                pre_j = state.joints
-                contact, advanced = step_motion(goal, speed)
+                pre_j = joints
+                px, py, pz, o0x, o0y, o0z = joints
+                dx, dy, dz = tx - px, ty - py, tz - pz
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if dist <= 1e-15:
+                    advanced = 0.0
+                    joints = goal
+                else:
+                    advanced = step
+                    if dist < advanced:
+                        advanced = dist
+                    if advanced >= dist - 1e-15:
+                        joints = goal
+                    else:
+                        # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
+                        frac = advanced / dist
+                        joints = (px + dx / dist * advanced, py + dy / dist * advanced,
+                                  pz + dz / dist * advanced, o0x + (o1x - o0x) * frac,
+                                  o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac)
+                clock += dt
+                state.joints, state.clock = joints, clock
                 if sample is not None:
-                    sample(state.clock, stack, level, pre_j, state.joints, bits, advanced, contact)
-                if contact and advanced <= 1e-15:
-                    raise RunAborted(
-                        f"collision during move: blocked at {state.joints[:3]}"
-                        f" moving to {goal[:3]}"
-                    )
+                    sample(clock, stack, level, pre_j, joints, bits, advanced, False)
         finally:
             self.cycles = cycles
 

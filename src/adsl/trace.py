@@ -186,9 +186,14 @@ class ExecutionTrace:
                 and type(contact) is bool):
             self._write_sample(_MOVE_LINE, clock, stack, speed, pre_joints, joints, bits,
                                advanced, contact, ())
-        else:
-            self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
-                                   joints, bits, bits, {"advanced": advanced, "contact": contact}))
+            return
+        event = TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints, joints,
+                           bits, bits, {"advanced": advanced, "contact": contact})
+        if self.events is None:  # streamed, with a field the template does not take
+            self.append(event)
+        else:  # kept: what `append` does, without the call
+            self.events.append(event)
+            self.count += 1
 
     def attempt_sample(self, clock, stack, speed, pre_joints, joints, bits,
                        advanced, covered, contact, raw, filtered):
@@ -199,11 +204,15 @@ class ExecutionTrace:
                 and type(raw) is float and type(filtered) is float):
             self._write_sample(_ATTEMPT_LINE, clock, stack, speed, pre_joints, joints, bits,
                                advanced, contact, (covered, filtered, raw))
+            return
+        event = TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints, joints,
+                           bits, bits, {"advanced": advanced, "covered": covered,
+                                        "contact": contact, "raw": raw, "filtered": filtered})
+        if self.events is None:
+            self.append(event)
         else:
-            self.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints,
-                                   joints, bits, bits, {"advanced": advanced, "covered": covered,
-                                                        "contact": contact, "raw": raw,
-                                                        "filtered": filtered}))
+            self.events.append(event)
+            self.count += 1
 
     def _write_sample(self, line, clock, stack, speed, pre_joints, joints, bits,
                       advanced, contact, rest) -> None:

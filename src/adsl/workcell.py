@@ -28,8 +28,9 @@ order, by at most speed*dt, less when an obstacle surface comes first
 (tested exactly only for obstacles whose widened box meets the step's). The
 orientation interpolates by the same fraction, or snaps to the target on
 arrival or for a pure rotation; on arrival the target becomes the joints,
-and the clock advances by dt. A force reading (`read_force`) is the tuple
-`(raw, filtered)`.
+and the clock advances by dt. In a cell without obstacles a pose move runs
+this arithmetic in `ExecutionContext._move` instead, with `step_motion` as
+its reference. A force reading (`read_force`) is the tuple `(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -144,6 +145,17 @@ DEFAULT_SPEED = SpeedLevel.NORMAL
 MAX_RNG_SEED = 0xFFFFFFFFFFFFFFFF  # a seed fits in 64 unsigned bits
 MAX_BIT_COUNT = 1024  # each event snapshots the bits, so they stay few
 MAX_FILTER_WINDOW = 1024  # each reading sums its window, so the window stays short
+#: A control cycle adds dt to the clock: MAX_CONTROL_CYCLES (600,000) cycles
+#: of 1 s make 6e5 s, and 1 s added to any finite clock leaves it finite.
+MAX_DT = 1.0  # s
+#: A reading is the contact force plus random.gauss noise, which lies within
+#: 8.6 sigmas of 0: at most 1e6 + 8.6e6 N in size, so the MAX_FILTER_WINDOW
+#: (1,024) readings a filtered value sums add up to under 1e10 N.
+MAX_CONTACT_FORCE = 1e6  # N
+MAX_NOISE_SIGMA = 1e6  # N
+#: A cycle moves at most MAX_SPEED x MAX_DT, 1 km, so the distance a guarded
+#: move sums over MAX_CONTROL_CYCLES cycles stays under 6e8 m.
+MAX_SPEED = 1e3  # m/s, every speed_map value
 
 
 class WorkcellConfig(Value):
@@ -177,14 +189,20 @@ class WorkcellConfig(Value):
             raise WorkcellConfigError(f"bit_count must be at most {MAX_BIT_COUNT}")
         if not (math.isfinite(self.contact_force) and self.contact_force > 0):
             raise WorkcellConfigError("contact_force must be positive")
+        if self.contact_force > MAX_CONTACT_FORCE:
+            raise WorkcellConfigError(f"contact_force must be at most {MAX_CONTACT_FORCE}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise WorkcellConfigError("noise_sigma must be non-negative")
+        if self.noise_sigma > MAX_NOISE_SIGMA:
+            raise WorkcellConfigError(f"noise_sigma must be at most {MAX_NOISE_SIGMA}")
         if self.filter_window < 1:
             raise WorkcellConfigError("filter_window must be positive")
         if self.filter_window > MAX_FILTER_WINDOW:
             raise WorkcellConfigError(f"filter_window must be at most {MAX_FILTER_WINDOW}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise WorkcellConfigError("dt must be positive")
+        if self.dt > MAX_DT:
+            raise WorkcellConfigError(f"dt must be at most {MAX_DT}")
         if not (math.isfinite(self.perturbation_radius) and self.perturbation_radius >= 0):
             raise WorkcellConfigError("perturbation_radius must be non-negative")
         if not 0 <= self.rng_seed <= MAX_RNG_SEED:
@@ -195,6 +213,8 @@ class WorkcellConfig(Value):
         values = [self.speed_map[s] for s in SpeedLevel]  # declared fastest first
         if any(not (math.isfinite(v) and v > 0) for v in values):
             raise WorkcellConfigError("speed values must be positive")
+        if max(values) > MAX_SPEED:
+            raise WorkcellConfigError(f"speed values must be at most {MAX_SPEED}")
         if any(slower >= faster for slower, faster in zip(values[1:], values)):
             raise WorkcellConfigError(
                 "speed_map must strictly decrease from very_fast to very_slow"

@@ -1,9 +1,34 @@
 """Shared test utilities: program builders and trace measurements."""
 
+import importlib.util
+import os
+
 from adsl.model import validate_program
 from adsl.parser import parse_program
 from adsl.trace import EventKind
-from adsl.workcell import workcell_config_from_dict
+from adsl.workcell import Obstacle, workcell_config_from_dict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: A 1 m box at (1e4, 1e4, 1e4), out of every test move's reach. A cell with
+#: an obstacle steps every cycle through `Workcell.step_motion`, so adding
+#: this one sends a free cell's moves there without changing any result.
+FAR_OBSTACLE = Obstacle((1e4, 1e4, 1e4), (1e4 + 1.0, 1e4 + 1.0, 1e4 + 1.0))
+
+
+def with_far_obstacle(config):
+    """`config` with `FAR_OBSTACLE` added to its obstacles."""
+    return config.replace(obstacles=config.obstacles + (FAR_OBSTACLE,))
+
+
+def bench_generator():
+    """`bench/generate.py`, which builds the benchmark's generated programs."""
+    spec = importlib.util.spec_from_file_location(
+        "generate", os.path.join(ROOT, "bench", "generate.py")
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
 
 
 def build(text):

@@ -378,6 +378,8 @@ class TestRun:
         ('{"bit_count": 100000000000}', "bit_count must be at most 1024"),
         ('{"filter_window": 1000000000000000000000000000000}',
          "filter_window must be at most 1024"),
+        ('{"dt": 1e308}', "dt must be at most 1.0"),
+        ('{"noise_sigma": 1e308}', "noise_sigma must be at most 1000000.0"),
     ])
     def test_mistyped_workcell_config(self, capsys, tmp_path, command, config, message):
         cfg = tmp_path / "typed.json"

@@ -37,7 +37,9 @@ from adsl.trace import EventKind
 from adsl.workcell import Obstacle, Pose, Workcell, WorkcellConfig
 
 
-from _helpers import build, max_overshoot_past_first_contact, of_kind, quiet_config
+from _helpers import (
+    build, max_overshoot_past_first_contact, of_kind, quiet_config, with_far_obstacle,
+)
 
 
 GRIPPER_OPS = """
@@ -931,7 +933,9 @@ class TestNoValuesPerCycle:
     """A control cycle builds no value object: a guarded move and its return
     build as many whatever their length. Counted, not timed."""
 
-    def test_value_count_does_not_grow_with_cycles(self, monkeypatch):
+    def value_and_cycle_counts(self, monkeypatch, config):
+        """(values built, control cycles, `step_motion` calls) of a guarded
+        move and its return, for a short and a long move on `config`."""
         built = []
         for cls in set(_value_classes(Value)):
             init = cls.__dict__["__init__"]  # every value class has its own
@@ -949,12 +953,29 @@ class TestNoValuesPerCycle:
         counts = []
         for distance in (0.04, 0.4):  # down and back: ~100 and ~1,000 cycles
             controller = Controller(build(GUARDED_ONLY.replace("1.0", str(distance))),
-                                    quiet_config(), seed=0, options=options)
+                                    config, seed=0, options=options)
             del built[:], steps[:]
             assert controller.run().completed
-            assert len(steps) == controller.ctx.cycles
-            counts.append((len(built), len(steps)))
-        (short_values, short_cycles), (long_values, long_cycles) = counts
+            counts.append((len(built), controller.ctx.cycles, len(steps)))
+        return counts
+
+    def test_value_count_does_not_grow_with_cycles(self, monkeypatch):
+        """With an obstacle out of reach, so that every cycle, the return
+        move's too, is a `step_motion` call."""
+        counts = self.value_and_cycle_counts(monkeypatch, with_far_obstacle(quiet_config()))
+        for _, cycles, steps in counts:
+            assert steps == cycles
+        (short_values, _, short_cycles), (long_values, _, long_cycles) = counts
+        assert short_cycles >= 100 and long_cycles >= 9 * short_cycles
+        assert short_values == long_values
+
+    def test_value_count_does_not_grow_with_cycles_in_a_free_cell(self, monkeypatch):
+        """A free cell's return move steps without `step_motion`: only the
+        guarded move's cycles call it."""
+        counts = self.value_and_cycle_counts(monkeypatch, quiet_config())
+        for _, cycles, steps in counts:
+            assert 0 < steps < cycles
+        (short_values, short_cycles, _), (long_values, long_cycles, _) = counts
         assert short_cycles >= 100 and long_cycles >= 9 * short_cycles
         assert short_values == long_values
 

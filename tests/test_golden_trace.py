@@ -11,7 +11,9 @@ zeros in orientations, rotation-only moves, a last step that lands exactly
 on the target, contact at distance 0 and a blocked unguarded move. Every
 shipped example on every shipped config, and generated programs that touch
 a wall and retry, are pinned by digest as well: run forward and then fully
-reversed.
+reversed. In a free cell, whose pose moves step without
+`Workcell.step_motion`, runs must write the bytes of the same cell plus an
+obstacle out of reach, whose every cycle is a `step_motion` call.
 """
 
 import hashlib
@@ -27,7 +29,9 @@ from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
 from adsl.trace import EventKind
 from adsl.workcell import Workcell, load_workcell_config
 
-from _helpers import build, of_kind, quiet_config
+from _helpers import (
+    bench_generator, build, of_kind, quiet_config, random_reversible_program, with_far_obstacle,
+)
 
 
 GOLDEN_PROGRAM = """
@@ -214,9 +218,12 @@ MOTION_CASES = {
 }
 
 
-def motion_run(name):
+def motion_run(name, far_obstacle=False):
     text, overrides, _, _ = MOTION_CASES[name]
-    controller = Controller(build(text), quiet_config(**overrides), seed=0)
+    config = quiet_config(**overrides)
+    if far_obstacle:
+        config = with_far_obstacle(config)
+    controller = Controller(build(text), config, seed=0)
     result = controller.run()
     if result.completed:
         reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
@@ -235,6 +242,9 @@ def test_motion_golden_trace_digest(name):
 
 @pytest.mark.parametrize("name", list(MOTION_CASES))
 def test_one_step_motion_call_per_motion_sample(name, monkeypatch):
+    """In a cell with obstacles, here `FAR_OBSTACLE` at least, each cycle is
+    one `step_motion` call. A free cell's pose moves step without it, and the
+    twin tests below check that both write the same bytes."""
     original = Workcell.step_motion
     calls = []
 
@@ -243,9 +253,61 @@ def test_one_step_motion_call_per_motion_sample(name, monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Workcell, "step_motion", counting)
-    controller, _ = motion_run(name)
+    controller, _ = motion_run(name, far_obstacle=True)
     samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
     assert samples and len(calls) == len(samples)
+
+
+# ---------------------------------------------------------------------------
+# Motion in a free cell: pose moves step on local variables, without
+# `Workcell.step_motion`. The same cell plus `FAR_OBSTACLE` steps every cycle
+# through it, so the two must write the same bytes, forward and reversed.
+
+FREE_MOTION_CASES = [name for name, case in MOTION_CASES.items() if "obstacles" not in case[1]]
+
+
+def far_obstacle_twin_samples(program, config, seed):
+    """Run `program` on the free cell `config` and on its far-obstacle twin,
+    each then fully reversed, samples on; check that both traces are the same
+    bytes, and return how many motion samples each holds."""
+    assert not config.obstacles
+    texts = []
+    for cell in (config, with_far_obstacle(config)):
+        controller = Controller(program, cell, seed=seed)
+        assert controller.run().completed
+        reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+        texts.append(controller.trace.serialize())
+    assert texts[0] == texts[1]
+    return len(of_kind(controller.trace, EventKind.MOTION_SAMPLE))
+
+
+@pytest.mark.parametrize("name", FREE_MOTION_CASES)
+def test_free_motion_case_writes_its_far_obstacle_twins_bytes(name):
+    text, overrides, _, _ = MOTION_CASES[name]
+    assert far_obstacle_twin_samples(build(text), quiet_config(**overrides), 0)
+
+
+@pytest.mark.parametrize("program", ["reverse_demo.adsl", "barrier_demo.adsl"])
+def test_free_space_demo_writes_its_far_obstacle_twins_bytes(program):
+    assert far_obstacle_twin_samples(
+        parse_program((EXAMPLES / program).read_text(encoding="utf-8")),
+        load_workcell_config(EXAMPLES / "free_space.json"), 0)
+
+
+def test_generated_reversible_programs_write_their_far_obstacle_twins_bytes():
+    """The generated programs criterion 7 and the benchmark's reverse_roundtrip run."""
+    rng = random.Random(2718)
+    free_space = load_workcell_config(EXAMPLES / "free_space.json")
+    generate = bench_generator()
+    samples = []
+    for _ in range(10):
+        text, _ = random_reversible_program(rng)
+        samples.append(far_obstacle_twin_samples(build(text), quiet_config(),
+                                                 rng.randrange(1 << 31)))
+        text, _, _ = generate.reversible_program(rng, 40)
+        samples.append(far_obstacle_twin_samples(build(text), free_space,
+                                                 rng.randrange(1 << 31)))
+    assert sum(map(bool, samples)) >= 15
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import collections
 import gc
 import importlib.resources
-import importlib.util
-import os
 import random
 import string
 import sys
@@ -53,8 +51,9 @@ from adsl.model import (
 from adsl.parser import ParseError, parse_program, tokenize
 from adsl.printer import format_number, pretty_print
 
+from _helpers import bench_generator
+
 EXAMPLES = importlib.resources.files("adsl") / "examples"
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestParseBasics:
@@ -489,7 +488,7 @@ class TestLexerOracle:
         assert_lexes_like_reference((EXAMPLES / name).read_text(encoding="utf-8"))
 
     def test_matches_reference_on_generated_corpus_program(self):
-        text, _ = _bench_generator().corpus_program(random.Random(7), 300)
+        text, _ = bench_generator().corpus_program(random.Random(7), 300)
         assert_lexes_like_reference(text)
 
 
@@ -528,7 +527,7 @@ class TestLexerOracleLongInputs:
         assert where == SourceLocation(2, 3, 9)
 
     def test_matches_reference_on_the_largest_benchmark_program(self):
-        text, _ = _bench_generator().corpus_program(random.Random(7), 2000)
+        text, _ = bench_generator().corpus_program(random.Random(7), 2000)
         assert_lexes_like_reference(text)
 
 
@@ -563,7 +562,7 @@ MAX_BYTES_PER_TOKEN = 70
 
 
 def test_tokens_are_columns_without_an_object_per_token():
-    text, _ = _bench_generator().corpus_program(random.Random(7), 1000)
+    text, _ = bench_generator().corpus_program(random.Random(7), 1000)
     gc.collect()
     tracemalloc.start()
     try:
@@ -573,16 +572,6 @@ def test_tokens_are_columns_without_an_object_per_token():
         tracemalloc.stop()
     assert len(tokens) > 20_000
     assert size / len(tokens) < MAX_BYTES_PER_TOKEN
-
-
-def _bench_generator():
-    """`bench/generate.py`, which builds the benchmark's program corpus."""
-    spec = importlib.util.spec_from_file_location(
-        "generate", os.path.join(ROOT, "bench", "generate.py")
-    )
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +616,7 @@ def _check_built_types(value, hint, counts) -> None:
 )
 def test_parser_builds_tuples_and_exact_floats(source):
     if isinstance(source, int):  # a seed of the benchmark's generated corpus
-        text, _ = _bench_generator().corpus_program(random.Random(source), 300)
+        text, _ = bench_generator().corpus_program(random.Random(source), 300)
     else:
         text = (EXAMPLES / source).read_text(encoding="utf-8")
     counts = collections.Counter()

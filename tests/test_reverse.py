@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import random
 
@@ -33,9 +32,9 @@ from adsl.trace import EventKind
 from adsl.workcell import load_workcell_config
 
 
-from _helpers import build, of_kind, quiet_config, random_reversible_program
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from _helpers import (
+    ROOT, bench_generator, build, of_kind, quiet_config, random_reversible_program,
+)
 
 
 class TestClassify:
@@ -502,17 +501,8 @@ def test_barrier_on_seq_call_shadows_children():
     assert stopped.data["text"] == '@barrier seq "inner";'
 
 
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "generate", os.path.join(ROOT, "bench", "generate.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_partial_then_full_reversal_undoes_what_one_full_reversal_does():
-    generate = _generator()
+    generate = bench_generator()
     config = load_workcell_config(os.path.join(ROOT, "src", "adsl", "examples", "free_space.json"))
     rng = random.Random(11)
     for _ in range(20):

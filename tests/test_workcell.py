@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import importlib.resources
+import json
 import math
 import pickle
 import random
@@ -12,7 +13,13 @@ from adsl import controller as controller_module, workcell as workcell_module
 from adsl.controller import Controller, ControllerOptions
 from adsl.model import Direction, Frame, SpeedLevel
 from adsl.parser import parse_program
+from adsl.reverse import RunAborted, reverse_execute
 from adsl.workcell import (
+    MAX_CONTACT_FORCE,
+    MAX_DT,
+    MAX_FILTER_WINDOW,
+    MAX_NOISE_SIGMA,
+    MAX_SPEED,
     BitOutOfRange,
     Hole,
     HoleAxis,
@@ -445,6 +452,12 @@ class TestConfigLoading:
         ({"filter_window": 2 ** 31}, "filter_window must be at most 1024"),
         ({"filter_window": 10 ** 30}, "filter_window must be at most 1024"),
         ({"perturbation_radius": -0.1}, "perturbation_radius must be non-negative"),
+        ({"dt": 1e308}, "dt must be at most 1.0"),
+        ({"dt": 1.0000000000000002}, "dt must be at most 1.0"),
+        ({"noise_sigma": 1e308}, "noise_sigma must be at most 1000000.0"),
+        ({"contact_force": 1e308}, "contact_force must be at most 1000000.0"),
+        ({"speed_map": {"very_fast": 1e308, "fast": 0.25, "normal": 0.1, "slow": 0.05,
+                        "very_slow": 0.01}}, "speed values must be at most 1000.0"),
         ({"rng_seed": 2 ** 64}, "rng_seed must fit in 64 unsigned bits"),
         ({"speed_map": {"very_fast": 2.0, "fast": 1.0}},
          "speed_map missing levels: ['normal', 'slow', 'very_slow']"),
@@ -495,6 +508,33 @@ class TestConfigLoading:
     def test_config_checks_itself_when_built(self):
         with pytest.raises(WorkcellConfigError, match="dt must be positive"):
             WorkcellConfig(dt=0.0)
+
+    @pytest.mark.parametrize("field, bound", [
+        ("dt", MAX_DT), ("noise_sigma", MAX_NOISE_SIGMA), ("contact_force", MAX_CONTACT_FORCE),
+    ])
+    def test_upper_bound_holds_when_constructed_directly(self, field, bound):
+        assert getattr(WorkcellConfig(**{field: bound}), field) == bound
+        with pytest.raises(WorkcellConfigError) as info:
+            WorkcellConfig(**{field: math.nextafter(bound, math.inf)})
+        assert str(info.value) == f"{field} must be at most {bound}"
+
+    def test_speed_bound_holds_when_constructed_directly(self):
+        speeds = dict(zip(SpeedLevel, (MAX_SPEED, 0.25, 0.1, 0.05, 0.01)))
+        WorkcellConfig(speed_map=speeds)
+        speeds[SpeedLevel.VERY_FAST] = math.nextafter(MAX_SPEED, math.inf)
+        with pytest.raises(WorkcellConfigError) as info:
+            WorkcellConfig(speed_map=speeds)
+        assert str(info.value) == f"speed values must be at most {MAX_SPEED}"
+
+    def test_filter_stays_finite_at_the_bounds(self):
+        cell = Workcell(WorkcellConfig(contact_force=MAX_CONTACT_FORCE,
+                                       noise_sigma=MAX_NOISE_SIGMA,
+                                       filter_window=MAX_FILTER_WINDOW))
+        cell.state.in_contact = True
+        rng = random.Random(0)
+        for _ in range(MAX_FILTER_WINDOW + 10):
+            raw, filtered = cell.read_force(rng)
+            assert abs(raw) < 1e7 and abs(filtered) < 1e7
 
     @pytest.mark.parametrize("dt", [5e-324, 1e-322])
     def test_dt_that_cannot_move_the_tool_is_rejected(self, dt):
@@ -756,3 +796,39 @@ def test_the_stats_wall_is_tested_only_near_it(monkeypatch):
     for origin, length in calls:
         gap = max(max(lo - o, o - hi) for o, lo, hi in zip(origin, wall.box_min, wall.box_max))
         assert gap <= length + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Config bounds: a cell at its bounds writes only numbers JSON can read
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number in a trace line: {name}")
+
+
+@pytest.mark.parametrize("name", ["aligned.json", "blocked.json", "free_space.json", "stats.json"])
+def test_cells_at_the_bounds_write_only_finite_numbers(name):
+    """Every shipped program, run and then fully reversed, on a shipped cell
+    whose `dt`, `noise_sigma`, `contact_force` and speeds are each at their
+    bound or as shipped: every trace line parses under strict JSON."""
+    raw = json.loads((EXAMPLES / name).read_text(encoding="utf-8"))
+    programs = [parse_program(p.read_text(encoding="utf-8"))
+                for p in sorted(EXAMPLES.iterdir(), key=lambda p: p.name)
+                if p.name.endswith(".adsl")]
+    rng = random.Random(name)
+    bounds = {"dt": MAX_DT, "noise_sigma": MAX_NOISE_SIGMA, "contact_force": MAX_CONTACT_FORCE,
+              "speed_map": {level.value: MAX_SPEED * share
+                            for level, share in zip(SpeedLevel, (1.0, 0.5, 0.2, 0.1, 0.02))}}
+    for _ in range(4):
+        cell = dict(raw, **{k: v for k, v in bounds.items() if rng.random() < 0.5})
+        config = workcell_config_from_dict(cell)
+        for program in programs:
+            controller = Controller(program, config, seed=rng.randrange(1000))
+            if controller.run().completed:
+                try:
+                    reverse_execute(controller.trace, None, controller.ctx,
+                                    registry=controller.registry)
+                except RunAborted:
+                    pass
+            for line in controller.trace.serialize().splitlines():
+                json.loads(line, parse_constant=_reject_constant)
