@@ -6,10 +6,11 @@ instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors. The workcell's six joints are
 the TCP pose, so every move steps them until they equal its goal: one tuple
-of six floats, checked once (`_check_move`) before the first cycle. Each step
-is a control cycle, `Workcell.step_motion` in a cell with obstacles and the
-same arithmetic on local variables in a free one; `MAX_CONTROL_CYCLES` caps
-the cycles of one context.
+of six floats, checked once (`_check_move`, which also makes the move's speed
+a float) before the first cycle. Each step is a control cycle,
+`Workcell.step_motion` in a cell with obstacles and the same arithmetic on
+local variables in a free one; `MAX_CONTROL_CYCLES` caps the cycles of one
+context.
 
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from typing import Callable, Optional
 
 from . import reverse as reverse_engine
@@ -341,7 +343,7 @@ class ExecutionContext:
         state = workcell.state
         sample = self.trace.move_sample if self.options.record_motion_samples else None
         stack, level, bits = self.stack, self.active_speed, state.io_bits  # fixed while moving
-        _check_move(state.joints, goal, speed)
+        speed = _check_move(state.joints, goal, speed)
         cycles = self.cycles
         try:
             if workcell.config.obstacles:
@@ -715,7 +717,7 @@ class Controller:
         distance = spec.distance
         goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
                 start[2] + direction[2] * distance) + start[3:]
-        _check_move(start, goal, speed)
+        speed = _check_move(start, goal, speed)
         covered = 0.0
         state = workcell.state
         step_motion = workcell.step_motion
@@ -794,11 +796,12 @@ def _cycle_cap_exceeded() -> RunAborted:
     return RunAborted(f"control cycles exceed MAX_CONTROL_CYCLES ({MAX_CONTROL_CYCLES})")
 
 
-def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed: float) -> None:
+def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed) -> float:
     """Check a move once, before its first cycle, from the joints `start` to
     `goal`, six floats each: every coordinate of `goal - start` must be finite
     and `speed` a positive finite int or float, not a bool. Anything else raises
-    RunAborted, as stepping it would write NaN joints."""
+    RunAborted, as stepping it would write NaN joints. Returns the speed the
+    move steps with, as a float: where a move's speed becomes one."""
     px, py, pz, pa, pb, pc = start
     tx, ty, tz, ta, tb, tc = goal
     isfinite = math.isfinite
@@ -806,9 +809,10 @@ def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed: float)
         isfinite(tx - px) and isfinite(ty - py) and isfinite(tz - pz)
         and isfinite(ta - pa) and isfinite(tb - pb) and isfinite(tc - pc)
         and isinstance(speed, (int, float)) and type(speed) is not bool
-        and 0.0 < speed < math.inf
+        and 0.0 < speed <= sys.float_info.max  # an int beyond it has no float
     ):
         raise RunAborted(f"move out of range: from {start} to {goal} at speed {speed}")
+    return float(speed)
 
 
 def _coordinates(values, count: int, what: str) -> tuple[float, ...]:

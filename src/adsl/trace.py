@@ -18,13 +18,15 @@ Events enter a trace by `append`, as `TraceEvent`s, and a streamed trace
 writes each with `serialize_event`, the generic path, which formats every
 field anew, as the reference formatter in tests/test_trace.py does. The
 controller's motion samples, most lines of a run that moves, enter by
-`move_sample` or `attempt_sample`, one method per data shape, as fields. A
-kept trace builds the same event from them and a `NULL_SINK` trace only
-counts. A streamed trace writes the line through the shape's template,
-newline included, reusing the texts of the fields the samples share: the
-trace's only memo. A sample leaves its template only when a field has
-another type (a clock or real that is not an exact float, a `contact` that
-is not an exact bool); the bytes never depend on which path ran.
+`move_sample` or `attempt_sample`, one method per data shape, as fields of
+fixed types: the clock and every real an exact float, `contact` an exact
+bool, and each joints tuple six floats. The controller makes them so where
+a run's values enter (the home joints, a move's speed and goal), so the
+methods test no type. A kept trace builds the same event from them and a
+`NULL_SINK` trace only counts. A streamed trace writes the line through the
+shape's template, newline included, reusing the texts of the fields the
+samples share: the trace's only memo. A field of another type would be
+written wrongly there; an event that holds one enters by `append`.
 """
 
 from __future__ import annotations
@@ -181,45 +183,37 @@ class ExecutionTrace:
 
     def move_sample(self, clock, stack, speed, pre_joints, joints, bits, advanced, contact):
         """Record a pose move's cycle: a `MOTION_SAMPLE` from `pre_joints` to
-        `joints` whose data holds `MOVE_SAMPLE_KEYS`; the bits do not change."""
-        if (self.sink is not None and type(clock) is float and type(advanced) is float
-                and type(contact) is bool):
+        `joints` whose data holds `MOVE_SAMPLE_KEYS`; the bits do not change.
+        The clock and `advanced` are floats, `contact` a bool and the joints
+        six floats each, as the controller's move loops hand them."""
+        if self.sink is not None:
             self._write_sample(_MOVE_LINE, clock, stack, speed, pre_joints, joints, bits,
                                advanced, contact, ())
-            return
-        event = TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints, joints,
-                           bits, bits, {"advanced": advanced, "contact": contact})
-        if self.events is None:  # streamed, with a field the template does not take
-            self.append(event)
         else:  # kept: what `append` does, without the call
-            self.events.append(event)
+            self.events.append(TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed,
+                                          pre_joints, joints, bits, bits,
+                                          {"advanced": advanced, "contact": contact}))
             self.count += 1
 
     def attempt_sample(self, clock, stack, speed, pre_joints, joints, bits,
                        advanced, covered, contact, raw, filtered):
         """Record a guarded move's cycle: as `move_sample`, with the data
-        keys `ATTEMPT_SAMPLE_KEYS`."""
-        if (self.sink is not None and type(clock) is float and type(advanced) is float
-                and type(covered) is float and type(contact) is bool
-                and type(raw) is float and type(filtered) is float):
+        keys `ATTEMPT_SAMPLE_KEYS`, the reals among them floats."""
+        if self.sink is not None:
             self._write_sample(_ATTEMPT_LINE, clock, stack, speed, pre_joints, joints, bits,
                                advanced, contact, (covered, filtered, raw))
-            return
-        event = TraceEvent(self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints, joints,
-                           bits, bits, {"advanced": advanced, "covered": covered,
-                                        "contact": contact, "raw": raw, "filtered": filtered})
-        if self.events is None:
-            self.append(event)
         else:
-            self.events.append(event)
+            self.events.append(TraceEvent(
+                self.count, _MOTION_SAMPLE, clock, stack, speed, pre_joints, joints, bits, bits,
+                {"advanced": advanced, "covered": covered, "contact": contact, "raw": raw,
+                 "filtered": filtered}))
             self.count += 1
 
     def _write_sample(self, line, clock, stack, speed, pre_joints, joints, bits,
                       advanced, contact, rest) -> None:
-        """Count a sample whose clock and reals are exact floats and whose
-        `contact` is an exact bool, and stream it through its `line` template
-        (`rest`: the template's last floats). A text is rebuilt unless it was
-        built from these very stack, speed, bits or joints objects, or, for
+        """Count a sample and stream it through its `line` template (`rest`:
+        the template's last floats). A text is rebuilt unless it was built
+        from these very stack, speed, bits or joints objects, or, for
         `advanced`, from an equal nonzero float."""
         index = self.count
         self.count = index + 1
@@ -229,8 +223,8 @@ class ExecutionTrace:
             self._stack, self._speed, self._head_text = stack, speed, _head(stack, speed)
         if bits is not self._bits:
             self._bits, self._bits_text = bits, _bits_pair(bits, bits)
-        pre = self._joints_text if pre_joints is self._joints else _joints(pre_joints)
-        post = pre if joints is pre_joints else _joints(joints)
+        pre = self._joints_text if pre_joints is self._joints else _SIX_JOINTS % pre_joints
+        post = pre if joints is pre_joints else _SIX_JOINTS % joints
         self._joints, self._joints_text = joints, post
         if advanced != self._advanced or not advanced:  # 0.0 == -0.0 print apart; nan != nan
             self._advanced, self._advanced_text = advanced, "%.17g" % advanced

@@ -13,14 +13,16 @@ A `WorkcellConfig` checks its invariants when it is built, and each
 `Obstacle` its geometry, so no invalid config exists; `speed_map` is
 read-only, so none becomes invalid. `workcell_config_from_dict` is where JSON
 values are type-checked and made floats and tuples; direct constructors take
-them as given.
+them as given (a bool is still no number), and a run's state
+(`WorkcellState`) makes the home joints floats.
 
 The cell's `JOINT_COUNT` (six) joints are the TCP pose: the position
 (x, y, z) in metres, then the ZYX Euler orientation (roll, pitch, yaw) in
 radians, so motion in joint space and in Cartesian space is the same motion.
 The workcell keeps no other pose; `tcp_pose` reads a `Pose` off the joints.
-A `Pose` is built only at the edges: by `tcp_pose`, for a config's
-`tool_transform`, and by an action callback for `ExecutionContext.move_to_pose`.
+A `Pose` is built only at the callback edge: by `tcp_pose`, and by an action
+callback for `ExecutionContext.move_to_pose`. The tool is its orientation on
+the flange (`tool_orientation`), which the `toolmount` frame undoes.
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the current
 joints straight toward the target, a tuple of six floats in the joints'
@@ -67,9 +69,6 @@ class Pose(Value):
     def __init__(self, position, orientation=(0.0, 0.0, 0.0)):
         _set(self, "position", position)
         _set(self, "orientation", orientation)
-
-
-IDENTITY_POSE = Pose((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def rotation_matrix(orientation) -> tuple[tuple[float, float, float], ...]:
@@ -171,18 +170,20 @@ class WorkcellConfig(Value):
     speed_map: Mapping[SpeedLevel, float] = DEFAULT_SPEED_MAP
     perturbation_radius: float = 0.01
     rng_seed: int = 0
-    tool_transform: Pose = IDENTITY_POSE
+    #: The tool's (roll, pitch, yaw) on the flange: what the `toolmount` frame undoes.
+    tool_orientation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         """Check every invariant once, here: an invalid config is never built."""
         _set(self, "speed_map", MappingProxyType(dict(self.speed_map)))
-        if len(self.home_joints) != JOINT_COUNT:
-            raise WorkcellConfigError(f"home_joints must hold {JOINT_COUNT} values")
-        if not all(map(math.isfinite, self.home_joints)):
-            raise WorkcellConfigError("home_joints must be finite")
-        tool = self.tool_transform
-        if not all(map(math.isfinite, tool.position + tool.orientation)):
-            raise WorkcellConfigError("tool_transform must be finite")
+        for what, values, count in (("home_joints", self.home_joints, JOINT_COUNT),
+                                    ("tool_orientation", self.tool_orientation, 3)):
+            if len(values) != count:
+                raise WorkcellConfigError(f"{what} must hold {count} values")
+            if bool in map(type, values):
+                raise WorkcellConfigError(f"{what} entry must be a number")
+            if not all(map(math.isfinite, values)):
+                raise WorkcellConfigError(f"{what} must be finite")
         if self.bit_count < 1:
             raise WorkcellConfigError("bit_count must be positive")
         if self.bit_count > MAX_BIT_COUNT:
@@ -240,18 +241,6 @@ def _floats(values, length: int, what: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{what} entry") for v in values)
 
 
-def _pose_from_dict(raw) -> Pose:
-    if not isinstance(raw, dict):
-        raise WorkcellConfigError("pose must be an object with position/orientation")
-    unknown = set(raw) - {"position", "orientation"}
-    if unknown:
-        raise WorkcellConfigError(f"unknown pose keys: {sorted(unknown)}")
-    return Pose(
-        _floats(raw.get("position", [0.0, 0.0, 0.0]), 3, "pose position"),
-        _floats(raw.get("orientation", [0.0, 0.0, 0.0]), 3, "pose orientation"),
-    )
-
-
 def _obstacle_from_dict(raw) -> Obstacle:
     if not isinstance(raw, dict):
         raise WorkcellConfigError("obstacle must be an object")
@@ -296,6 +285,8 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
             kwargs[key] = _number(raw[key], key)
     if "home_joints" in raw:
         kwargs["home_joints"] = _floats(raw["home_joints"], JOINT_COUNT, "home_joints")
+    if "tool_orientation" in raw:
+        kwargs["tool_orientation"] = _floats(raw["tool_orientation"], 3, "tool_orientation")
     if "obstacles" in raw:
         if not isinstance(raw["obstacles"], list):
             raise WorkcellConfigError("obstacles must be a list")
@@ -311,8 +302,6 @@ def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
                 raise WorkcellConfigError(f"unknown speed level: {key!r}") from None
             sm[level] = _number(value, f"speed_map {key}")
         kwargs["speed_map"] = sm
-    if "tool_transform" in raw:
-        kwargs["tool_transform"] = _pose_from_dict(raw["tool_transform"])
     return WorkcellConfig(**kwargs)
 
 
@@ -346,7 +335,7 @@ class WorkcellState:
     __slots__ = ("joints", "io_bits", "clock", "force_history", "in_contact")
 
     def __init__(self, joints, bit_count: int, filter_window: int):
-        self.joints: tuple[float, ...] = tuple(joints)
+        self.joints: tuple[float, ...] = tuple(map(float, joints))  # where home joints enter
         #: Immutable; a write replaces it, so a snapshot is a reference.
         self.io_bits: tuple[bool, ...] = (False,) * bit_count
         self.clock: float = 0.0
@@ -487,7 +476,7 @@ class Workcell:
         else:
             rows = rotation_matrix(self.state.joints[3:])
             if frame is Frame.TOOLMOUNT:
-                tool = rotation_matrix(self.config.tool_transform.orientation)
+                tool = rotation_matrix(self.config.tool_orientation)
                 # Flange orientation: the TCP rotation composed with the
                 # inverse (i.e. transpose) of the tool rotation.
                 rows = tuple(

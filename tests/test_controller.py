@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import weakref
@@ -17,6 +18,7 @@ from adsl.controller import (
     evaluate_query,
 )
 from adsl.model import (
+    JOINT_COUNT,
     AdvMoveSpec,
     Comparison,
     Direction,
@@ -28,12 +30,13 @@ from adsl.model import (
     MoveJoint,
     Program,
     Sequence,
+    SpeedLevel,
     Value,
 )
 from adsl.parser import parse_program
 from adsl.printer import format_query
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
-from adsl.trace import EventKind
+from adsl.trace import ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, EventKind
 from adsl.workcell import Obstacle, Pose, Workcell, WorkcellConfig
 
 
@@ -989,7 +992,8 @@ class TestMoveRange:
         lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), math.nan),
         lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), "fast"),
         lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), True),
-    ], ids=["infinite_joints", "nan_speed", "str_speed", "bool_speed"])
+        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), 10 ** 400),
+    ], ids=["infinite_joints", "nan_speed", "str_speed", "bool_speed", "int_speed_beyond_float"])
     def test_callback_move_aborts(self, monkeypatch, move):
         monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 50)
         registry = default_registry()
@@ -1046,6 +1050,66 @@ class TestMoveRange:
             assert {type(j) for j in controller.ctx.workcell.state.joints} == {float}
             traces.append(controller.trace.serialize())
         assert traces[0] == traces[1]
+
+
+class TestSampleTypes:
+    """The move loops hand `move_sample`/`attempt_sample` exact types, which
+    their streamed template writes without a type test: a float clock and
+    reals, a bool `contact`, six floats per joints. Ints enter by every door
+    a directly built config and a callback leave open."""
+
+    PROGRAM = """
+        joint_configuration far = { 10, 0, 0, 0, 0, 0 };
+        advanced_move "probe" {
+          specification { distance 7 direction up frame base; stop_if forces_exceed(5); }
+          evaluation { distance_covered(more_than, 1); }
+          on_success { return_to_initial_position; }
+          on_fail { return_to_initial_position; }
+        }
+        sequence "s" { move to far; adv_move "probe"; call "pose" (); }
+        entry "s";
+    """
+    #: Above the guarded move, out of the pose moves' way.
+    ROOF = Obstacle((5.0, -1.0, 3.0), (15.0, 1.0, 4.0))
+
+    @pytest.mark.parametrize("obstacles", [(), (ROOF,)], ids=["free", "roof"])
+    def test_move_loops_hand_the_trace_exact_types(self, obstacles):
+        config = WorkcellConfig(
+            home_joints=(0, 0, 0, 0, 0, 0), dt=1, noise_sigma=0, contact_force=50,
+            speed_map=dict(zip(SpeedLevel, (5, 4, 3, 2, 1))), obstacles=obstacles,
+        )
+        registry = default_registry()
+        registry.register("pose", lambda ctx, items: ctx.move_to_pose(
+            Pose((0, 0, 0), (0, 0, 1)), 1))
+        samples = []
+
+        def checked(method, keys):
+            contact_at = keys.index("contact")
+
+            def sample(clock, stack, speed, pre_joints, joints, bits, *data):
+                reals = (clock,) + data[:contact_at] + data[contact_at + 1:]
+                samples.append((keys, data[contact_at], reals, pre_joints + joints))
+                method(clock, stack, speed, pre_joints, joints, bits, *data)
+            return sample
+
+        sink = io.StringIO()
+        traces = []
+        for trace_sink in (sink, None):
+            controller = Controller(build(self.PROGRAM), config, seed=0, trace_sink=trace_sink,
+                                    registry=registry)
+            trace = controller.trace
+            trace.move_sample = checked(trace.move_sample, MOVE_SAMPLE_KEYS)
+            trace.attempt_sample = checked(trace.attempt_sample, ATTEMPT_SAMPLE_KEYS)
+            assert controller.run().completed
+            traces.append(trace)
+        assert {keys for keys, *_ in samples} == {MOVE_SAMPLE_KEYS, ATTEMPT_SAMPLE_KEYS}
+        assert any(contact for _, contact, *_ in samples) == bool(obstacles)
+        for _, contact, reals, joints in samples:
+            assert type(contact) is bool
+            assert {type(x) for x in reals} == {float}
+            assert len(joints) == 2 * JOINT_COUNT and {type(j) for j in joints} == {float}
+        assert sink.getvalue() == traces[1].serialize()
+        assert len(traces[0]) == len(traces[1].events)
 
 
 class TestClockRange:

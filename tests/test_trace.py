@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adsl.controller import Controller
-from adsl.model import SpeedLevel
+from adsl.model import JOINT_COUNT, SpeedLevel
 from adsl.printer import format_instruction
 from adsl import trace as trace_module
 from adsl.reverse import PolicyMode, reverse_execute
@@ -252,9 +252,9 @@ def event_sequences(draw):
 
 def _trail(datas=None, joints=None):
     """Events alike but for their `data` or post_joints (each pre_joints is
-    the previous post_joints, as in a recorded run)."""
+    the previous post_joints, as in a recorded run); six floats by default."""
     datas = datas or [{}] * len(joints)
-    joints = joints or [(0.5, -1.0)] * len(datas)
+    joints = joints or [(0.5, -1.0, 0.0, -0.0, 0.25, 1e17)] * len(datas)
     events = []
     for index, (data, post) in enumerate(zip(datas, joints)):
         pre = events[-1].post_joints if events else post
@@ -264,10 +264,14 @@ def _trail(datas=None, joints=None):
 
 
 #: Data values that change type or sign under a kept key order; same-length
-#: joints that mix in ints, bools, -0.0 and a float subclass; and six joints,
-#: a run's, that leave the six-float template by one value's type or by
-#: their length.
+#: joints that mix in ints, bools, -0.0 and a float subclass; six joints, a
+#: run's, that leave the six-float template by one value's type or by their
+#: length; and six floats that differ only in a zero's sign, repeated as the
+#: same tuple or as an equal one, once from pre_joints equal to the previous
+#: post_joints but not that tuple.
 SIX = (0.1, -0.0, math.nan, math.inf, 5e-324, 1e17)
+SIX_ZERO = SIX[:1] + (0.0,) + SIX[2:]
+_SIXES = _trail(joints=[SIX, SIX, SIX_ZERO, tuple(list(SIX_ZERO)), SIX, SIX_ZERO, SIX])
 CACHE_ATTACKS = (
     _trail(datas=[{"a": v, "b": 0.5} for v in (
         0.0, -0.0, 0.0, 0.1, _Real(0.1), 0.1, 1.0, 1, True, 1.0,
@@ -276,6 +280,7 @@ CACHE_ATTACKS = (
     _trail(joints=[(0.1, 0.0), (1, 0.0), (True, -0.0), (_Real(0.1), 0.0), (0.1, -0.0)]),
     _trail(joints=[SIX, (1,) + SIX[1:], SIX, SIX[:5] + (True,), (_Real(0.1),) + SIX[1:],
                    SIX[:5], SIX + (0.5,), SIX]),
+    _SIXES[:4] + [_SIXES[4].replace(pre_joints=SIX)] + _SIXES[5:],
 )
 
 
@@ -301,8 +306,9 @@ def test_serializer_matches_reference_on_two_interleaved_traces(first, second):
 
 
 # ---------------------------------------------------------------------------
-# Motion samples: a line template for the controller's two data shapes, and
-# the generic path for anything else; the bytes must not tell them apart.
+# Motion samples: a line template for the controller's two data shapes, whose
+# fields have fixed types, and `append` for any other event; the bytes must
+# not tell them apart.
 
 #: Exact floats, as a motion sample holds; a few often, so that one repeats.
 SAMPLE_FLOATS = st.one_of(st.sampled_from([0.1, 0.25, 0.0, -0.0, math.nan, math.inf]), st.floats())
@@ -375,11 +381,23 @@ def as_samples(events):
             for k, ev in enumerate(events)]
 
 
+def holds_sample_types(ev) -> bool:
+    """Whether `ev`'s fields have the types the sample methods take: an exact
+    float clock and reals, an exact bool `contact`, six floats per joints."""
+    reals = [v for k, v in ev.data.items() if k != "contact"]
+    joints = (ev.pre_joints, ev.post_joints)
+    return (type(ev.data.get("contact")) is bool
+            and all([len(j) == JOINT_COUNT for j in joints])
+            and all([type(x) is float for x in (ev.clock, *reals, *joints[0], *joints[1])]))
+
+
 def record(trace, ev):
     """Record `ev` as a run does: a motion sample of a shape the controller
-    writes through that shape's method, any other event through `append`."""
+    writes, holding the types it writes, through that shape's method; any
+    other event through `append`."""
     keys = tuple(ev.data)
-    if ev.kind is EventKind.MOTION_SAMPLE and ev.pre_bits == ev.post_bits:
+    if (ev.kind is EventKind.MOTION_SAMPLE and ev.pre_bits == ev.post_bits
+            and holds_sample_types(ev)):
         fields = (ev.clock, ev.stack, ev.speed, ev.pre_joints, ev.post_joints, ev.pre_bits)
         if keys == MOVE_SAMPLE_KEYS:
             return trace.move_sample(*fields, *ev.data.values())
@@ -406,9 +424,10 @@ def assert_recorded_alike(events):
 
 @pytest.mark.parametrize("events", [SAMPLE_ATTACKS, *map(as_samples, CACHE_ATTACKS)])
 def test_attacks_recorded_by_the_sample_methods_match_reference(events):
-    # Ints, bools, float subclasses, -0.0 and nan in a real's place, a clock
-    # that is not a float, and joints off the six-float template: each takes
-    # the generic path, interleaved with template lines, in the same bytes.
+    # -0.0 and nan in a real's place go through the template. Ints, bools
+    # and float subclasses there, a clock that is not a float, and joints
+    # that are not six floats go through `append`, interleaved with template
+    # lines, in the same bytes.
     assert_recorded_alike(events)
 
 

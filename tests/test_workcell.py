@@ -346,11 +346,10 @@ class TestDirectionVector:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_toolmount_compensates_tool_rotation(self):
-        tool = Pose((0, 0, 0), (0.0, 0.0, math.pi / 2))
         cell = Workcell(
             WorkcellConfig(
                 home_joints=(0, 0, 0, 0.0, 0.0, math.pi / 2),
-                tool_transform=tool,
+                tool_orientation=(0.0, 0.0, math.pi / 2),
                 noise_sigma=0.0,
             )
         )
@@ -438,8 +437,9 @@ class TestConfigLoading:
         ({"obstacles": [{"box": BOX, "hole": {"axis": "x", "center": [0.5],
                                                "half_extents": [0.1, 0.1]}}]},
          "hole center must be a list of 2 numbers"),
-        ({"tool_transform": {"position": [1, 2]}}, "pose position must be a list of 3 numbers"),
-        ({"tool_transform": {"orientation": [0, math.inf, 0]}}, "tool_transform must be finite"),
+        ({"tool_orientation": [1, 2]}, "tool_orientation must be a list of 3 numbers"),
+        ({"tool_orientation": [0, math.inf, 0]}, "tool_orientation must be finite"),
+        ({"tool_orientation": [0, True, 0]}, "tool_orientation entry must be a number"),
         ({"obstacles": [{"box": BOX, "hole": {"axis": "z", "center": [math.nan, 0.5],
                                                "half_extents": [0.1, 0.1]}}]},
          "hole must lie within the obstacle face"),
@@ -462,8 +462,9 @@ class TestConfigLoading:
         ({"speed_map": {"very_fast": 2.0, "fast": 1.0}},
          "speed_map missing levels: ['normal', 'slow', 'very_slow']"),
         ({"speed_map": {"warp": 1.0}}, "unknown speed level: 'warp'"),
-        ({"tool_transform": 5}, "pose must be an object with position/orientation"),
-        ({"tool_transform": {"scale": 1}}, "unknown pose keys: ['scale']"),
+        ({"tool_orientation": {"yaw": 1}}, "tool_orientation must be a list of 3 numbers"),
+        ({"tool_transform": {"orientation": [0, 0, 0]}},
+         "unknown workcell config keys: ['tool_transform']"),
         ({"obstacles": [5]}, "obstacle must be an object"),
         ({"obstacles": [{"box": BOX, "colour": "red"}]}, "unknown obstacle keys: ['colour']"),
         ({"obstacles": [{"box": {"min": [0, 0, 0]}}]},
@@ -480,9 +481,25 @@ class TestConfigLoading:
             workcell_config_from_dict(raw)
         assert str(info.value) == message
 
-    def test_non_finite_home_joints_rejected_when_constructed_directly(self):
-        with pytest.raises(WorkcellConfigError, match="home_joints must be finite"):
-            make_cell(home_joints=(math.nan, 0.0, 0.1, 0.0, 0.0, 0.0))
+    @pytest.mark.parametrize("home_joints, message", [
+        ((math.nan, 0.0, 0.1, 0.0, 0.0, 0.0), "home_joints must be finite"),
+        ((True, 0, 0, 0, 0, 0), "home_joints entry must be a number"),
+    ], ids=["nan", "bool"])
+    def test_non_finite_home_joints_rejected_when_constructed_directly(self, home_joints,
+                                                                       message):
+        # The messages a JSON config gets: a bool is no number there either.
+        with pytest.raises(WorkcellConfigError, match=f"^{message}$"):
+            make_cell(home_joints=home_joints)
+
+    @pytest.mark.parametrize("tool_orientation, message", [
+        ((0.0, math.inf, 0.0), "tool_orientation must be finite"),
+        ((0, 0, False), "tool_orientation entry must be a number"),
+        ((0.0, 0.0), "tool_orientation must hold 3 values"),
+    ], ids=["inf", "bool", "two_angles"])
+    def test_tool_orientation_checked_when_constructed_directly(self, tool_orientation,
+                                                                message):
+        with pytest.raises(WorkcellConfigError, match=f"^{message}$"):
+            make_cell(tool_orientation=tool_orientation)
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_home_joints_count_checked_when_constructed_directly(self, count):
