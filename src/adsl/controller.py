@@ -7,10 +7,9 @@ executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors. The workcell's six joints are
 the TCP pose, so every move steps them until they equal its goal: one tuple
 of six floats, checked once (`_check_move`, which also makes the move's speed
-a float) before the first cycle. Each step is a control cycle,
-`Workcell.step_motion` in a cell with obstacles and the same arithmetic on
-local variables in a free one; `MAX_CONTROL_CYCLES` caps the cycles of one
-context.
+a float) before the first cycle. Each step is a control cycle, which the move
+loops, guarded attempts' too, run on local variables as their reference
+`Workcell.step_motion` runs it; `MAX_CONTROL_CYCLES` caps a context's cycles.
 
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
@@ -334,39 +333,22 @@ class ExecutionContext:
 
     def _move(self, goal: tuple[float, ...], speed: float) -> None:
         """Step the joints until they equal `goal`, six floats; `_check_move`'s
-        rejects and a blocking solid raise RunAborted. Each cycle is a
-        `Workcell.step_motion` call in a cell with obstacles. In a free cell
-        it runs here, on local variables, doing the floating-point operations
-        `step_motion` does without an obstacle, in its order: `step_motion` is
-        the reference, and both write the same joints, clock and samples."""
+        rejects and a blocking solid raise RunAborted. Each cycle runs, on local
+        variables and in its order, the arithmetic of one `Workcell.step_motion`
+        call, the reference: both leave the same joints, clock, contact and
+        samples. In a free cell no cycle tests an obstacle or writes `contact`."""
         workcell = self.workcell
         state = workcell.state
         sample = self.trace.move_sample if self.options.record_motion_samples else None
         stack, level, bits = self.stack, self.active_speed, state.io_bits  # fixed while moving
         speed = _check_move(state.joints, goal, speed)
         cycles = self.cycles
+        dt = workcell.config.dt
+        step = speed * dt  # the product `step_motion` forms each cycle
+        first_hit = workcell._first_hit if workcell.config.obstacles else None
+        tx, ty, tz, o1x, o1y, o1z = goal
+        joints, clock, contact = state.joints, state.clock, state.in_contact
         try:
-            if workcell.config.obstacles:
-                step_motion = workcell.step_motion
-                while state.joints != goal:
-                    if cycles >= MAX_CONTROL_CYCLES:
-                        raise _cycle_cap_exceeded()
-                    cycles += 1
-                    pre_j = state.joints
-                    contact, advanced = step_motion(goal, speed)
-                    if sample is not None:
-                        sample(state.clock, stack, level, pre_j, state.joints, bits, advanced,
-                               contact)
-                    if contact and advanced <= 1e-15:
-                        raise RunAborted(
-                            f"collision during move: blocked at {state.joints[:3]}"
-                            f" moving to {goal[:3]}"
-                        )
-                return
-            dt = workcell.config.dt
-            step = speed * dt
-            tx, ty, tz, o1x, o1y, o1z = goal
-            joints, clock = state.joints, state.clock
             while joints != goal:  # compared by value: a stepped tuple can equal `goal`
                 if cycles >= MAX_CONTROL_CYCLES:
                     raise _cycle_cap_exceeded()
@@ -376,13 +358,15 @@ class ExecutionContext:
                 dx, dy, dz = tx - px, ty - py, tz - pz
                 dist = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if dist <= 1e-15:
-                    advanced = 0.0
-                    joints = goal
+                    advanced, joints, contact = 0.0, goal, False
                 else:
-                    advanced = step
-                    if dist < advanced:
-                        advanced = dist
-                    if advanced >= dist - 1e-15:
+                    advanced = dist if dist < step else step
+                    if first_hit is not None:
+                        hit = first_hit((px, py, pz), (dx / dist, dy / dist, dz / dist), advanced)
+                        contact = hit is not None
+                        if contact:  # halts at the surface, never snapping to `goal`
+                            advanced = hit if hit > 0.0 else 0.0
+                    if advanced >= dist - 1e-15 and not contact:
                         joints = goal
                     else:
                         # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.
@@ -391,11 +375,15 @@ class ExecutionContext:
                                   pz + dz / dist * advanced, o0x + (o1x - o0x) * frac,
                                   o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac)
                 clock += dt
-                state.joints, state.clock = joints, clock
                 if sample is not None:
-                    sample(clock, stack, level, pre_j, joints, bits, advanced, False)
-        finally:
+                    sample(clock, stack, level, pre_j, joints, bits, advanced, contact)
+                if contact and advanced <= 1e-15:
+                    raise RunAborted(
+                        f"collision during move: blocked at {joints[:3]} moving to {goal[:3]}"
+                    )
+        finally:  # the state the last cycle left
             self.cycles = cycles
+            state.joints, state.clock, state.in_contact = joints, clock, contact
 
     def apply_primitives(self, primitives) -> None:
         """Run an I/O primitive list.
@@ -709,7 +697,9 @@ class Controller:
 
         Returns (covered meters, whether the guard stopped it). Motion also
         ends when the full distance is covered or when a solid blocks any
-        further advance without the guard tripping.
+        further advance without the guard tripping. Each cycle steps as
+        `ExecutionContext._move` does, on local variables, then writes the
+        contact that `read_force` reads and reads the force.
         """
         ctx = self.ctx
         workcell = ctx.workcell
@@ -720,24 +710,48 @@ class Controller:
         speed = _check_move(start, goal, speed)
         covered = 0.0
         state = workcell.state
-        step_motion = workcell.step_motion
         read_force = workcell.read_force
         rng = ctx.rng
         stack, level, bits = ctx.stack, ctx.active_speed, state.io_bits  # fixed while moving
         stop_if = spec.stop_if
         until = distance - 1e-12
         cycles = ctx.cycles
+        dt = workcell.config.dt
+        step = speed * dt
+        first_hit = workcell._first_hit if workcell.config.obstacles else None
+        tx, ty, tz, o1x, o1y, o1z = goal
+        joints, clock, contact = state.joints, state.clock, state.in_contact
         try:
             while covered < until:
                 if cycles >= MAX_CONTROL_CYCLES:
                     raise _cycle_cap_exceeded()
                 cycles += 1
-                pre_j = state.joints
-                contact, advanced = step_motion(goal, speed)
+                pre_j = joints
+                px, py, pz, o0x, o0y, o0z = joints
+                dx, dy, dz = tx - px, ty - py, tz - pz
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if dist <= 1e-15:
+                    advanced, joints, contact = 0.0, goal, False
+                else:
+                    advanced = dist if dist < step else step
+                    if first_hit is not None:
+                        hit = first_hit((px, py, pz), (dx / dist, dy / dist, dz / dist), advanced)
+                        contact = hit is not None
+                        if contact:
+                            advanced = hit if hit > 0.0 else 0.0
+                    if advanced >= dist - 1e-15 and not contact:
+                        joints = goal
+                    else:
+                        frac = advanced / dist
+                        joints = (px + dx / dist * advanced, py + dy / dist * advanced,
+                                  pz + dz / dist * advanced, o0x + (o1x - o0x) * frac,
+                                  o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac)
+                clock += dt
+                state.in_contact = contact  # what `read_force` reads
                 covered += advanced
                 raw, filtered = read_force(rng)
                 if sample is not None:
-                    sample(state.clock, stack, level, pre_j, state.joints, bits,
+                    sample(clock, stack, level, pre_j, joints, bits,
                            advanced, covered, contact, raw, filtered)
                 if stop_if is not None and evaluate_query(stop_if, covered, filtered):
                     return covered, True
@@ -747,6 +761,7 @@ class Controller:
                     break
         finally:
             ctx.cycles = cycles
+            state.joints, state.clock = joints, clock
         return covered, False
 
     # -- error signaling and resolution -----------------------------------

@@ -30,9 +30,10 @@ order, by at most speed*dt, less when an obstacle surface comes first
 (tested exactly only for obstacles whose widened box meets the step's). The
 orientation interpolates by the same fraction, or snaps to the target on
 arrival or for a pure rotation; on arrival the target becomes the joints,
-and the clock advances by dt. In a cell without obstacles a pose move runs
-this arithmetic in `ExecutionContext._move` instead, with `step_motion` as
-its reference. A force reading (`read_force`) is the tuple `(raw, filtered)`.
+and the clock advances by dt. No run calls `step_motion`: the controller's
+move loops run its arithmetic on local variables, and it is the one-cycle
+reference they are tested against. A force reading (`read_force`) is the
+tuple `(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ class WorkcellConfig(Value):
     rng_seed: int = 0
     #: The tool's (roll, pitch, yaw) on the flange: what the `toolmount` frame undoes.
     tool_orientation: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    __hash__ = None  # a mapping (`speed_map`) has no hash, so neither has a config
 
     def __post_init__(self):
         """Check every invariant once, here: an invalid config is never built."""

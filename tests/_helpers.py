@@ -3,22 +3,141 @@
 import importlib.util
 import os
 
+import pytest
+
+from adsl import controller as controller_module
+from adsl.controller import (
+    Controller, ExecutionContext, RunAborted, _check_move, _cycle_cap_exceeded, evaluate_query,
+)
 from adsl.model import validate_program
 from adsl.parser import parse_program
+from adsl.reverse import reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import Obstacle, workcell_config_from_dict
+from adsl.workcell import Obstacle, Workcell, workcell_config_from_dict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: A 1 m box at (1e4, 1e4, 1e4), out of every test move's reach. A cell with
-#: an obstacle steps every cycle through `Workcell.step_motion`, so adding
-#: this one sends a free cell's moves there without changing any result.
+#: an obstacle tests each cycle's step against it, so adding this one sends a
+#: free cell's moves through the obstacle path without changing any result.
 FAR_OBSTACLE = Obstacle((1e4, 1e4, 1e4), (1e4 + 1.0, 1e4 + 1.0, 1e4 + 1.0))
 
 
 def with_far_obstacle(config):
     """`config` with `FAR_OBSTACLE` added to its obstacles."""
     return config.replace(obstacles=config.obstacles + (FAR_OBSTACLE,))
+
+
+# ---------------------------------------------------------------------------
+# The step_motion twin: the move loops with every cycle one
+# `Workcell.step_motion` call, the reference. The shipped loops step on local
+# variables and must write what these write.
+
+
+def step_motion_move(self, goal, speed):
+    """`ExecutionContext._move`, one `Workcell.step_motion` call a cycle."""
+    state = self.workcell.state
+    sample = self.trace.move_sample if self.options.record_motion_samples else None
+    stack, level, bits = self.stack, self.active_speed, state.io_bits
+    speed = _check_move(state.joints, goal, speed)
+    cycles = self.cycles
+    try:
+        while state.joints != goal:
+            if cycles >= controller_module.MAX_CONTROL_CYCLES:
+                raise _cycle_cap_exceeded()
+            cycles += 1
+            pre_j = state.joints
+            contact, advanced = self.workcell.step_motion(goal, speed)
+            if sample is not None:
+                sample(state.clock, stack, level, pre_j, state.joints, bits, advanced, contact)
+            if contact and advanced <= 1e-15:
+                raise RunAborted(
+                    f"collision during move: blocked at {state.joints[:3]}"
+                    f" moving to {goal[:3]}"
+                )
+    finally:
+        self.cycles = cycles
+
+
+def step_motion_attempt_motion(self, spec, start, direction, speed):
+    """`Controller._attempt_motion`, one `Workcell.step_motion` call a cycle."""
+    ctx = self.ctx
+    workcell = ctx.workcell
+    sample = ctx.trace.attempt_sample if ctx.options.record_motion_samples else None
+    distance = spec.distance
+    goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
+            start[2] + direction[2] * distance) + start[3:]
+    speed = _check_move(start, goal, speed)
+    covered = 0.0
+    state = workcell.state
+    stack, level, bits = ctx.stack, ctx.active_speed, state.io_bits
+    cycles = ctx.cycles
+    try:
+        while covered < distance - 1e-12:
+            if cycles >= controller_module.MAX_CONTROL_CYCLES:
+                raise _cycle_cap_exceeded()
+            cycles += 1
+            pre_j = state.joints
+            contact, advanced = workcell.step_motion(goal, speed)
+            covered += advanced
+            raw, filtered = workcell.read_force(ctx.rng)
+            if sample is not None:
+                sample(state.clock, stack, level, pre_j, state.joints, bits,
+                       advanced, covered, contact, raw, filtered)
+            if spec.stop_if is not None and evaluate_query(spec.stop_if, covered, filtered):
+                return covered, True
+            if advanced <= 1e-15:
+                break
+    finally:
+        ctx.cycles = cycles
+    return covered, False
+
+
+def run_forward_and_reversed(program, config, seed):
+    """(controller, abort reasons) of a run, samples on, and, when it
+    completes, of its full reversal, which may itself abort (moving back into
+    a wall, say)."""
+    controller = Controller(program, config, seed=seed)
+    result = controller.run()
+    reasons = [result.reason]
+    if result.completed:
+        try:
+            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
+        except RunAborted as exc:
+            reasons.append(str(exc))
+    return controller, reasons
+
+
+def step_motion_twin(program, config, seed):
+    """Run `program` on `config` forward and then fully reversed, with the
+    shipped move loops and with the step_motion twin. Check that the shipped
+    loops call `Workcell.step_motion` never and the twin once a cycle, and
+    that both write the same bytes and abort reasons and leave the same
+    state. Returns the shipped loops' (trace text, abort reasons)."""
+    original = Workcell.step_motion
+    calls = []
+
+    def counting(self, target, speed):
+        calls.append(1)
+        return original(self, target, speed)
+
+    def outcome():
+        controller, reasons = run_forward_and_reversed(program, config, seed)
+        state = controller.ctx.workcell.state
+        return (controller.trace.serialize(), reasons, controller.ctx.cycles,
+                (state.joints, state.clock, state.in_contact, state.io_bits))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Workcell, "step_motion", counting)
+        shipped = outcome()
+        assert calls == []
+        patch.setattr(ExecutionContext, "_move", step_motion_move)
+        patch.setattr(Controller, "_attempt_motion", step_motion_attempt_motion)
+        twin = outcome()
+    assert len(calls) == twin[2]
+    assert shipped[1] == twin[1]
+    assert shipped == twin
+    return shipped[:2]
 
 
 def bench_generator():

@@ -937,8 +937,8 @@ class TestNoValuesPerCycle:
     build as many whatever their length. Counted, not timed."""
 
     def value_and_cycle_counts(self, monkeypatch, config):
-        """(values built, control cycles, `step_motion` calls) of a guarded
-        move and its return, for a short and a long move on `config`."""
+        """(values built, control cycles) of a guarded move and its return,
+        for a short and a long move on `config`; no cycle calls `step_motion`."""
         built = []
         for cls in set(_value_classes(Value)):
             init = cls.__dict__["__init__"]  # every value class has its own
@@ -949,36 +949,29 @@ class TestNoValuesPerCycle:
 
             monkeypatch.setattr(cls, "__init__", counting)
         steps = []
-        step_motion = Workcell.step_motion
-        monkeypatch.setattr(Workcell, "step_motion",
-                            lambda *args: steps.append(1) or step_motion(*args))
+        monkeypatch.setattr(Workcell, "step_motion", lambda *args: steps.append(args))
         options = ControllerOptions(record_motion_samples=False)
         counts = []
         for distance in (0.04, 0.4):  # down and back: ~100 and ~1,000 cycles
             controller = Controller(build(GUARDED_ONLY.replace("1.0", str(distance))),
                                     config, seed=0, options=options)
-            del built[:], steps[:]
+            del built[:]
             assert controller.run().completed
-            counts.append((len(built), controller.ctx.cycles, len(steps)))
+            counts.append((len(built), controller.ctx.cycles))
+        assert steps == []
         return counts
 
     def test_value_count_does_not_grow_with_cycles(self, monkeypatch):
         """With an obstacle out of reach, so that every cycle, the return
-        move's too, is a `step_motion` call."""
+        move's too, tests its step against it."""
         counts = self.value_and_cycle_counts(monkeypatch, with_far_obstacle(quiet_config()))
-        for _, cycles, steps in counts:
-            assert steps == cycles
-        (short_values, _, short_cycles), (long_values, _, long_cycles) = counts
+        (short_values, short_cycles), (long_values, long_cycles) = counts
         assert short_cycles >= 100 and long_cycles >= 9 * short_cycles
         assert short_values == long_values
 
     def test_value_count_does_not_grow_with_cycles_in_a_free_cell(self, monkeypatch):
-        """A free cell's return move steps without `step_motion`: only the
-        guarded move's cycles call it."""
         counts = self.value_and_cycle_counts(monkeypatch, quiet_config())
-        for _, cycles, steps in counts:
-            assert 0 < steps < cycles
-        (short_values, short_cycles, _), (long_values, long_cycles, _) = counts
+        (short_values, short_cycles), (long_values, long_cycles) = counts
         assert short_cycles >= 100 and long_cycles >= 9 * short_cycles
         assert short_values == long_values
 

@@ -11,26 +11,30 @@ zeros in orientations, rotation-only moves, a last step that lands exactly
 on the target, contact at distance 0 and a blocked unguarded move. Every
 shipped example on every shipped config, and generated programs that touch
 a wall and retry, are pinned by digest as well: run forward and then fully
-reversed. In a free cell, whose pose moves step without
-`Workcell.step_motion`, runs must write the bytes of the same cell plus an
-obstacle out of reach, whose every cycle is a `step_motion` call.
+reversed. No run calls `Workcell.step_motion`: the move loops step on local
+variables, and must write the bytes that the step_motion twin (`_helpers`),
+one `step_motion` call a cycle, writes. A free cell, which tests no step
+against an obstacle, must write the bytes of the same cell plus an obstacle
+out of reach.
 """
 
 import hashlib
 import importlib.resources
+import json
 import random
 
 import pytest
 
 from adsl.cli import EXIT_ABORTED, main
-from adsl.controller import Controller, ControllerOptions, RunAborted, default_registry
+from adsl.controller import Controller, ControllerOptions, default_registry
 from adsl.parser import parse_program
 from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
 from adsl.trace import EventKind
 from adsl.workcell import Workcell, load_workcell_config
 
 from _helpers import (
-    bench_generator, build, of_kind, quiet_config, random_reversible_program, with_far_obstacle,
+    bench_generator, build, of_kind, quiet_config, random_reversible_program,
+    run_forward_and_reversed, step_motion_twin, with_far_obstacle,
 )
 
 
@@ -241,27 +245,33 @@ def test_motion_golden_trace_digest(name):
 
 
 @pytest.mark.parametrize("name", list(MOTION_CASES))
-def test_one_step_motion_call_per_motion_sample(name, monkeypatch):
-    """In a cell with obstacles, here `FAR_OBSTACLE` at least, each cycle is
-    one `step_motion` call. A free cell's pose moves step without it, and the
-    twin tests below check that both write the same bytes."""
-    original = Workcell.step_motion
+def test_one_motion_sample_per_cycle_without_step_motion(name, monkeypatch):
+    """Each control cycle writes one motion sample, and no run calls
+    `Workcell.step_motion`, with an obstacle (here `FAR_OBSTACLE`) or without."""
     calls = []
+    monkeypatch.setattr(Workcell, "step_motion", lambda *args: calls.append(args))
+    for far_obstacle in (False, True):
+        controller, _ = motion_run(name, far_obstacle=far_obstacle)
+        samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
+        assert samples and len(samples) == controller.ctx.cycles
+    assert calls == []
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Workcell, "step_motion", counting)
-    controller, _ = motion_run(name, far_obstacle=True)
-    samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
-    assert samples and len(calls) == len(samples)
+@pytest.mark.parametrize("far_obstacle", [False, True], ids=["own_cell", "far_obstacle"])
+@pytest.mark.parametrize("name", list(MOTION_CASES))
+def test_motion_case_writes_its_step_motion_twins_bytes(name, far_obstacle):
+    text, overrides, completes, _ = MOTION_CASES[name]
+    config = quiet_config(**overrides)
+    if far_obstacle:
+        config = with_far_obstacle(config)
+    _, reasons = step_motion_twin(build(text), config, 0)
+    assert (reasons[0] is None) is completes
 
 
 # ---------------------------------------------------------------------------
-# Motion in a free cell: pose moves step on local variables, without
-# `Workcell.step_motion`. The same cell plus `FAR_OBSTACLE` steps every cycle
-# through it, so the two must write the same bytes, forward and reversed.
+# Motion in a free cell: pose moves test no step against an obstacle. The
+# same cell plus `FAR_OBSTACLE` tests every step against it, so the two must
+# write the same bytes, forward and reversed.
 
 FREE_MOTION_CASES = [name for name, case in MOTION_CASES.items() if "obstacles" not in case[1]]
 
@@ -313,21 +323,9 @@ def test_generated_reversible_programs_write_their_far_obstacle_twins_bytes():
 # ---------------------------------------------------------------------------
 # Motion: the shipped examples, and generated programs in front of a wall
 
-def run_and_reverse(program, config, seed):
-    """The trace of a run and, when it completes, its full reversal, which
-    may itself abort (moving back into the wall, say)."""
-    controller = Controller(program, config, seed=seed)
-    if controller.run().completed:
-        try:
-            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
-        except RunAborted:
-            pass
-    return controller.trace
-
-
 EXAMPLES = importlib.resources.files("adsl") / "examples"
 
-#: (program, config) -> sha256 of `run_and_reverse` at seed 3, for every
+#: (program, config) -> sha256 of `run_forward_and_reversed` at seed 3, for every
 #: shipped example on every shipped config.
 SHIPPED_DIGESTS = {
     ("barrier_demo.adsl", "aligned.json"):
@@ -374,8 +372,8 @@ def test_every_shipped_pair_has_a_digest():
 @pytest.mark.parametrize("program,config", list(SHIPPED_DIGESTS),
                          ids=[f"{p}-{c}" for p, c in SHIPPED_DIGESTS])
 def test_shipped_example_golden_trace_digest(program, config):
-    trace = run_and_reverse(parse_program((EXAMPLES / program).read_text(encoding="utf-8")),
-                            load_workcell_config(EXAMPLES / config), 3)
+    parsed = parse_program((EXAMPLES / program).read_text(encoding="utf-8"))
+    trace = run_forward_and_reversed(parsed, load_workcell_config(EXAMPLES / config), 3)[0].trace
     digest = hashlib.sha256(trace.serialize().encode("utf-8")).hexdigest()
     assert digest == SHIPPED_DIGESTS[program, config]
 
@@ -422,10 +420,90 @@ def test_generated_wall_programs_golden_trace_digest():
         rng = random.Random(seed)
         program = generated_program(rng)
         config = quiet_config(obstacles=[HOLED_WALL], noise_sigma=rng.choice([0.0, 0.5]))
-        trace = run_and_reverse(program, config, seed)
+        trace = run_forward_and_reversed(program, config, seed)[0].trace
         digest.update(trace.serialize().encode("utf-8"))
         contacts += any(e.data["contact"] for e in of_kind(trace, EventKind.MOTION_SAMPLE))
         retries += any(e.data["attempt"] > 1 for e in of_kind(trace, EventKind.ATTEMPT_BEGIN))
     # The cases reach what they are for: contact with the wall, and retries.
     assert contacts >= 10 and retries >= 10, (contacts, retries)
     assert digest.hexdigest() == "c4e73c5f598eb97ea84bd355aa151d8c9e09a7bba0abe681d919b431a2c7d1d3"
+
+
+# ---------------------------------------------------------------------------
+# Motion against the step_motion twin: the shipped examples at two seeds, and
+# generated walls that the moves reach
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("program,config", list(SHIPPED_DIGESTS),
+                         ids=[f"{p}-{c}" for p, c in SHIPPED_DIGESTS])
+def test_shipped_example_writes_its_step_motion_twins_bytes(program, config, seed):
+    step_motion_twin(parse_program((EXAMPLES / program).read_text(encoding="utf-8")),
+                     load_workcell_config(EXAMPLES / config), seed)
+
+
+# Goals a rounding error inside `WALL`: the last step of a guarded reach and
+# of a move stops at the surface in contact, short of the goal; the move's
+# next step snaps to its goal out of contact. The guarded push then touches at
+# distance 0, and a rotation in place follows it; the reversal's move back
+# out of the wall is blocked.
+FACE_GOAL = """
+joint_configuration near = { 0.04, -0.02, 0.09, 0.0, 0.0, 0.0 };
+joint_configuration face = { 0.05000000000000001, 0.013, 0.1037, 0.0, 0.1, 0.3 };
+joint_configuration turned = { 0.05000000000000001, 0.013, 0.1037, 0.2, 0.1, 0.3 };
+advanced_move "reach" {
+  specification { distance 0.01000000000000001 direction forward frame base; }
+  evaluation { distance_covered(more_than, 0.005); }
+  on_success { return_to_initial_position; }
+  on_fail { return_to_initial_position; }
+}
+advanced_move "push" {
+  specification { distance 0.01 direction forward frame base; stop_if forces_exceed(10); }
+  evaluation { forces_exceed(10); }
+  on_fail { return_to_initial_position; }
+}
+sequence "main" { move to near; adv_move "reach"; move to face; adv_move "push"; move to turned; }
+entry "main";
+"""
+
+
+def test_goals_inside_a_wall_write_their_step_motion_twins_bytes():
+    text, reasons = step_motion_twin(build(FACE_GOAL), quiet_config(obstacles=[WALL]), 0)
+    contacts = {}  # forward instruction index -> its samples' contact flags
+    for line in text.splitlines():
+        event = json.loads(line)
+        if event["kind"] == "motion_sample" and event["stack"]:
+            contacts.setdefault(event["stack"][0][1], []).append(event["data"]["contact"])
+    assert True in contacts[1] and contacts[2][-3:] == [False, True, False]
+    assert contacts[3][0] is True and contacts[4] == [False]
+    assert reasons[0] is None and reasons[1].startswith("collision during move: blocked")
+
+
+def generated_walls(rng):
+    """One to three walls across `generated_program`'s guarded moves, at
+    random depths, most pierced along x near the moves' line."""
+    walls = []
+    for x0 in sorted(rng.uniform(0.13, 0.3) for _ in range(rng.randint(1, 3))):
+        wall = {"box": {"min": [x0, -0.5, -0.5], "max": [x0 + rng.uniform(0.001, 0.05), 0.5, 0.5]}}
+        if rng.random() < 0.8:
+            wall["hole"] = {"axis": "x",
+                            "center": [rng.uniform(-0.01, 0.01), rng.uniform(0.09, 0.11)],
+                            "half_extents": [rng.uniform(0.005, 0.025), rng.uniform(0.005, 0.025)]}
+        walls.append(wall)
+    return walls
+
+
+def test_generated_walls_write_their_step_motion_twins_bytes():
+    """The moves touch the walls, pass through their holes and are blocked."""
+    contacts = throughs = blocked = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        program = generated_program(rng)
+        walls = generated_walls(rng)
+        config = quiet_config(obstacles=walls, noise_sigma=rng.choice([0.0, 0.5]))
+        text, reasons = step_motion_twin(program, config, seed)
+        samples = [json.loads(line) for line in text.splitlines() if '"motion_sample"' in line]
+        contacts += any(s["data"]["contact"] for s in samples)
+        beyond = min(wall["box"]["max"][0] for wall in walls)  # reached through a hole
+        throughs += any(s["post_joints"][0] > beyond for s in samples)
+        blocked += any(r is not None and r.startswith("collision during move") for r in reasons)
+    assert contacts >= 12 and throughs >= 4 and blocked >= 3, (contacts, throughs, blocked)

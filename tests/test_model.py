@@ -366,6 +366,12 @@ class TestValueClasses:
             assert make() == make() and hash(make()) == hash(make())
         assert len({SetLow(), SetLow(), SetHigh()}) == 2
 
+    def test_workcell_config_is_unhashable_by_name(self):
+        """A config's `speed_map` is a mapping, so the config has no hash."""
+        for config in (WorkcellConfig(), WorkcellConfig(home_joints=[0.0] * 6)):
+            with pytest.raises(TypeError, match="unhashable type: 'WorkcellConfig'"):
+                hash(config)
+
     def test_fields_cannot_be_assigned_or_deleted(self):
         for value, name in (
             (SetLow(), "x"),
