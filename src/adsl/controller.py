@@ -336,7 +336,8 @@ class ExecutionContext:
         rejects and a blocking solid raise RunAborted. Each cycle runs, on local
         variables and in its order, the arithmetic of one `Workcell.step_motion`
         call, the reference: both leave the same joints, clock, contact and
-        samples. In a free cell no cycle tests an obstacle or writes `contact`."""
+        samples. In a free cell no cycle tests an obstacle or writes `contact`.
+        Only a cycle at distance 0 snaps untested, so a goal in a solid blocks."""
         workcell = self.workcell
         state = workcell.state
         sample = self.trace.move_sample if self.options.record_motion_samples else None
@@ -357,7 +358,7 @@ class ExecutionContext:
                 px, py, pz, o0x, o0y, o0z = joints
                 dx, dy, dz = tx - px, ty - py, tz - pz
                 dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if dist <= 1e-15:
+                if dist == 0.0:
                     advanced, joints, contact = 0.0, goal, False
                 else:
                     advanced = dist if dist < step else step
@@ -390,7 +391,7 @@ class ExecutionContext:
 
         A level primitive opens a pending write, the next select commits it
         to that bit, and sleeps advance the clock. A select with no pending
-        write commits nothing.
+        write commits nothing; one of a bit outside the cell raises RunAborted.
         """
         workcell = self.workcell
         pending: Optional[bool] = None
@@ -402,7 +403,10 @@ class ExecutionContext:
             elif isinstance(prim, SelectBit):
                 if pending is not None:
                     pre_b = workcell.state.io_bits
-                    workcell.set_io(prim.index, pending)
+                    try:
+                        workcell.set_io(prim.index, pending)
+                    except BitOutOfRange as exc:
+                        raise RunAborted(f"io bit out of range: {exc}") from exc
                     self.emit(
                         EventKind.IO_WRITE,
                         data={"bit": prim.index, "level": pending},
@@ -498,8 +502,6 @@ class Controller:
             completed, reason = True, None
         except RunAborted as exc:
             completed, reason = False, str(exc)
-        except BitOutOfRange as exc:
-            completed, reason = False, f"io bit out of range: {exc}"
         finally:
             ctx.running = False
         stats = RunStats(
@@ -730,7 +732,7 @@ class Controller:
                 px, py, pz, o0x, o0y, o0z = joints
                 dx, dy, dz = tx - px, ty - py, tz - pz
                 dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if dist <= 1e-15:
+                if dist == 0.0:
                     advanced, joints, contact = 0.0, goal, False
                 else:
                     advanced = dist if dist < step else step

@@ -28,12 +28,12 @@ One control cycle (`Workcell.step_motion`) moves the TCP from the current
 joints straight toward the target, a tuple of six floats in the joints'
 order, by at most speed*dt, less when an obstacle surface comes first
 (tested exactly only for obstacles whose widened box meets the step's). The
-orientation interpolates by the same fraction, or snaps to the target on
-arrival or for a pure rotation; on arrival the target becomes the joints,
-and the clock advances by dt. No run calls `step_motion`: the controller's
-move loops run its arithmetic on local variables, and it is the one-cycle
-reference they are tested against. A force reading (`read_force`) is the
-tuple `(raw, filtered)`.
+orientation interpolates by the same fraction. Only at distance 0 does a
+cycle snap to the target untested, so a target inside a solid, however
+shallow, is blocked at its surface. The clock advances by dt. No run calls
+`step_motion`: the controller's move loops run its arithmetic on local
+variables, and it is the one-cycle reference they are tested against. A
+force reading (`read_force`) is the tuple `(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -369,8 +369,8 @@ class Workcell:
 
         Moves the TCP along the straight position segment by at most
         speed * config.dt, halting at the first solid surface on the way. The
-        orientation interpolates in lockstep with position progress and
-        snaps for pure rotations. Returns (contact, meters advanced).
+        orientation interpolates in lockstep; only at distance 0 (a pure
+        rotation) does it snap untested. Returns (contact, meters advanced).
         """
         state = self.state
         dt = self.config.dt
@@ -379,7 +379,7 @@ class Workcell:
         dx, dy, dz = tx - px, ty - py, tz - pz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         contact = False
-        if dist <= 1e-15:
+        if dist == 0.0:
             advanced = 0.0
         else:
             advanced = speed * dt
@@ -391,7 +391,7 @@ class Workcell:
                 if hit is not None:
                     advanced = hit if hit > 0.0 else 0.0
                     contact = True
-        if dist <= 1e-15 or not contact and advanced >= dist - 1e-15:
+        if dist == 0.0 or not contact and advanced >= dist - 1e-15:
             joints = target
         else:
             # Kept as written even when o0 == o1: -0.0 + 0.0 is 0.0.

@@ -232,7 +232,7 @@ def test_criterion_7_forward_reverse_identity():
             assert plan.stop_reason is StopReason.TRACE_START
             state = controller.ctx.workcell.state
             assert state.bits() == bits0
-            assert all(abs(a - b) <= 1e-9 for a, b in zip(state.joints, joints0))
+            assert state.joints == joints0
 
             # Same program with a barrier at a random instruction: reversal
             # stops exactly there.

@@ -192,7 +192,7 @@ class TestRun:
         if command == "run":
             assert summary_dict(out)["reason"] == "io bit out of range: bit 8 outside 0..7"
         else:  # undoing the aborted `io "bad"` writes bit 8 again
-            assert out == "" and err == "error: reversal failed: bit 8 outside 0..7\n"
+            assert out == "" and err == "error: reversal failed: io bit out of range: bit 8 outside 0..7\n"
 
     @pytest.mark.parametrize("flags, code, expected", [
         ((), EXIT_OK, {"result": "completed", "errors": "1"}),

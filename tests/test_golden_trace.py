@@ -11,16 +11,18 @@ zeros in orientations, rotation-only moves, a last step that lands exactly
 on the target, contact at distance 0 and a blocked unguarded move. Every
 shipped example on every shipped config, and generated programs that touch
 a wall and retry, are pinned by digest as well: run forward and then fully
-reversed. No run calls `Workcell.step_motion`: the move loops step on local
-variables, and must write the bytes that the step_motion twin (`_helpers`),
-one `step_motion` call a cycle, writes. A free cell, which tests no step
-against an obstacle, must write the bytes of the same cell plus an obstacle
-out of reach.
+reversed. Goals on a wall's face are reached; goals inside it, by 1e-17 m or
+a few ulps, are blocked at the face. No run calls `Workcell.step_motion`:
+the move loops step on local variables, and must write the bytes that the
+step_motion twin (`_helpers`), one `step_motion` call a cycle, writes. A
+free cell, which tests no step against an obstacle, must write the bytes of
+the same cell plus an obstacle out of reach.
 """
 
 import hashlib
 import importlib.resources
 import json
+import math
 import random
 
 import pytest
@@ -34,7 +36,7 @@ from adsl.workcell import Workcell, load_workcell_config
 
 from _helpers import (
     bench_generator, build, of_kind, quiet_config, random_reversible_program,
-    run_forward_and_reversed, step_motion_twin, with_far_obstacle,
+    run_forward_and_reversed, step_motion_attempt_motion, step_motion_twin, with_far_obstacle,
 )
 
 
@@ -441,41 +443,176 @@ def test_shipped_example_writes_its_step_motion_twins_bytes(program, config, see
                      load_workcell_config(EXAMPLES / config), seed)
 
 
-# Goals a rounding error inside `WALL`: the last step of a guarded reach and
-# of a move stops at the surface in contact, short of the goal; the move's
-# next step snaps to its goal out of contact. The guarded push then touches at
-# distance 0, and a rotation in place follows it; the reversal's move back
-# out of the wall is blocked.
-FACE_GOAL = """
-joint_configuration near = { 0.04, -0.02, 0.09, 0.0, 0.0, 0.0 };
-joint_configuration face = { 0.05000000000000001, 0.013, 0.1037, 0.0, 0.1, 0.3 };
-joint_configuration turned = { 0.05000000000000001, 0.013, 0.1037, 0.2, 0.1, 0.3 };
-advanced_move "reach" {
-  specification { distance 0.01000000000000001 direction forward frame base; }
-  evaluation { distance_covered(more_than, 0.005); }
-  on_success { return_to_initial_position; }
-  on_fail { return_to_initial_position; }
-}
-advanced_move "push" {
-  specification { distance 0.01 direction forward frame base; stop_if forces_exceed(10); }
-  evaluation { forces_exceed(10); }
-  on_fail { return_to_initial_position; }
-}
-sequence "main" { move to near; adv_move "reach"; move to face; adv_move "push"; move to turned; }
+def strictly_inside(point, wall):
+    """Whether `point` lies strictly inside the box of `wall` (a config dict)."""
+    return all(lo < p < hi for p, lo, hi in zip(point, wall["box"]["min"], wall["box"]["max"]))
+
+
+def face_program(x, distance):
+    """A guarded reach and a move toward goals at `x`, on or inside `WALL`'s
+    face at x = 0.05, then a guarded push and a rotation in place there."""
+    return f"""
+joint_configuration near = {{ 0.04, -0.02, 0.09, 0.0, 0.0, 0.0 }};
+joint_configuration face = {{ {x}, 0.013, 0.1037, 0.0, 0.1, 0.3 }};
+joint_configuration turned = {{ {x}, 0.013, 0.1037, 0.2, 0.1, 0.3 }};
+advanced_move "reach" {{
+  specification {{ distance {distance} direction forward frame base; }}
+  evaluation {{ distance_covered(more_than, 0.005); }}
+  on_success {{ return_to_initial_position; }}
+  on_fail {{ return_to_initial_position; }}
+}}
+advanced_move "push" {{
+  specification {{ distance 0.01 direction forward frame base; stop_if forces_exceed(10); }}
+  evaluation {{ forces_exceed(10); }}
+  on_fail {{ return_to_initial_position; }}
+}}
+sequence "main" {{ move to near; adv_move "reach"; move to face; adv_move "push"; move to turned; }}
 entry "main";
 """
 
 
-def test_goals_inside_a_wall_write_their_step_motion_twins_bytes():
-    text, reasons = step_motion_twin(build(FACE_GOAL), quiet_config(obstacles=[WALL]), 0)
-    contacts = {}  # forward instruction index -> its samples' contact flags
+#: Goals a rounding error (1e-17 m) inside `WALL`: the reach's last step stops
+#: at the surface in contact, short of its goal. So does the move's, and its
+#: next step, still 1e-17 m from its goal, tests the wall, is blocked at
+#: distance 0 and aborts the run.
+FACE_GOAL = face_program("0.05000000000000001", "0.01000000000000001")
+#: The same goals on the surface: the reach and the move arrive there out of
+#: contact, the push touches at distance 0, a rotation in place follows, and
+#: the full reversal completes.
+SURFACE_GOAL = face_program("0.05", "0.01")
+
+
+def samples_by_instruction(text):
+    """The motion samples of a trace's text by forward instruction index."""
+    samples = {}
     for line in text.splitlines():
         event = json.loads(line)
         if event["kind"] == "motion_sample" and event["stack"]:
-            contacts.setdefault(event["stack"][0][1], []).append(event["data"]["contact"])
-    assert True in contacts[1] and contacts[2][-3:] == [False, True, False]
-    assert contacts[3][0] is True and contacts[4] == [False]
-    assert reasons[0] is None and reasons[1].startswith("collision during move: blocked")
+            samples.setdefault(event["stack"][0][1], []).append(event)
+    return samples
+
+
+def test_goals_inside_a_wall_write_their_step_motion_twins_bytes():
+    text, reasons = step_motion_twin(build(FACE_GOAL), quiet_config(obstacles=[WALL]), 0)
+    samples = samples_by_instruction(text)
+    reach = [s for s in samples[1] if "covered" in s["data"]]
+    assert reach[-1]["data"]["contact"] and reach[-1]["post_joints"][0] == 0.05
+    assert [s["data"]["contact"] for s in samples[2][-3:]] == [False, True, True]
+    assert samples[2][-1]["data"]["advanced"] == 0 and samples[2][-1]["post_joints"][0] == 0.05
+    assert 3 not in samples
+    assert reasons == [
+        "collision during move: blocked at (0.05, 0.012999999999999977, 0.10369999999999999)"
+        " moving to (0.05000000000000001, 0.013, 0.1037)"
+    ]
+    assert not any(strictly_inside(s["post_joints"][:3], WALL)
+                   for run in samples.values() for s in run)
+
+
+def test_goals_inside_a_wall_test_the_wall_on_every_cycle(monkeypatch):
+    """No cycle reaches its goal without the obstacle test: every cycle of
+    `FACE_GOAL` moves the TCP and calls `_first_hit` once."""
+    original = Workcell._first_hit
+    calls = []
+
+    def counting(self, origin, unit_dir, length):
+        calls.append(origin)
+        return original(self, origin, unit_dir, length)
+
+    monkeypatch.setattr(Workcell, "_first_hit", counting)
+    controller = Controller(build(FACE_GOAL), quiet_config(obstacles=[WALL]), seed=0)
+    assert not controller.run().completed
+    assert len(calls) == controller.ctx.cycles
+
+
+def test_goals_on_a_wall_write_their_step_motion_twins_bytes():
+    text, reasons = step_motion_twin(build(SURFACE_GOAL), quiet_config(obstacles=[WALL]), 0)
+    samples = samples_by_instruction(text)
+    contacts = {index: [s["data"]["contact"] for s in run] for index, run in samples.items()}
+    assert True not in contacts[1] and True not in contacts[2]
+    assert samples[2][-1]["post_joints"][0] == 0.05
+    assert contacts[3][0] is True and samples[3][0]["data"]["advanced"] == 0
+    assert contacts[4] == [False] and samples[4][0]["post_joints"][:3] == [0.05, 0.013, 0.1037]
+    assert reasons == [None]
+    assert not any(strictly_inside(s["post_joints"][:3], WALL)
+                   for run in samples.values() for s in run)
+
+
+@pytest.mark.parametrize("walls", [[WALL], []], ids=["wall", "free"])
+def test_attempt_cycle_a_rounding_error_from_its_goal_tests_the_wall(walls):
+    """An attempt's cycle that starts on `WALL`'s face, 1e-17 m short of a
+    goal inside the wall, is blocked there; in free space it steps onto the
+    goal and counts that step as covered. The twin writes the same."""
+    program = build(FACE_GOAL)
+    spec = program.adv_moves["reach"]
+    start = (0.04, 0.013, 0.1037, 0.0, 0.0, 0.0)
+    outcomes = []
+    for attempt in (Controller._attempt_motion, step_motion_attempt_motion):
+        controller = Controller(program, quiet_config(obstacles=walls), seed=0)
+        state = controller.ctx.workcell.state
+        state.joints = (0.05,) + start[1:]
+        covered, stopped = attempt(controller, spec, start, (1.0, 0.0, 0.0), 0.1)
+        outcomes.append((covered, stopped, state.joints, state.in_contact,
+                         controller.trace.serialize()))
+    assert outcomes[0] == outcomes[1]
+    covered, stopped, joints, contact, _ = outcomes[0]
+    goal_x = start[0] + spec.distance
+    assert goal_x > 0.05 and not stopped
+    if walls:
+        assert (covered, joints[0], contact) == (0.0, 0.05, True)
+    else:
+        assert (covered, joints[0], contact) == (goal_x - 0.05, goal_x, False)
+
+
+def ulps_inside_wall_program(rng):
+    """(program, config, wall, face, goal) for a turn in place, then a
+    guarded reach and a move along a face's normal to one goal 1 to 16 ulps
+    inside a generated wall's front or back face, from 2 to 40 mm outside."""
+    x0 = rng.uniform(0.1, 0.3)
+    wall = {"box": {"min": [x0, -0.5, -0.5], "max": [x0 + rng.uniform(0.001, 0.05), 0.5, 0.5]}}
+    front = rng.random() < 0.5
+    face = wall["box"]["min" if front else "max"][0]
+    x = face
+    for _ in range(rng.randint(1, 16)):
+        x = math.nextafter(x, math.inf if front else -math.inf)
+    gap = rng.uniform(0.002, 0.04)
+    home = [face - gap if front else face + gap, rng.uniform(-0.1, 0.1), rng.uniform(0.0, 0.2)]
+    turn = [round(rng.uniform(-0.2, 0.2), 4) for _ in range(3)]
+    goal = [x] + home[1:]
+    stop = "stop_if forces_exceed(10); " if rng.random() < 0.5 else ""
+    text = f"""
+joint_configuration start = {{ {", ".join(map(repr, home + turn))} }};
+joint_configuration goal = {{ {", ".join(map(repr, goal + turn))} }};
+advanced_move "reach" {{
+  specification {{ distance {abs(x - home[0])!r} direction {"forward" if front else "backwards"}
+    frame base; {stop}speed {rng.choice(["fast", "normal", "slow"])}; }}
+  evaluation {{ distance_covered(more_than, 0.001); }}
+  on_success {{ return_to_initial_position; }}
+  on_fail {{ return_to_initial_position; }}
+}}
+sequence "main" {{ move to start; adv_move "reach"; move to goal; }}
+entry "main";
+"""
+    config = quiet_config(obstacles=[wall], home_joints=home + [0.0, 0.0, 0.0])
+    return build(text), config, wall, face, goal
+
+
+def test_goals_ulps_inside_a_generated_wall_stop_at_its_face():
+    """A guarded reach and a move whose goals lie 1 to 16 ulps inside a
+    wall's face end on the face, and the move is then blocked there."""
+    for seed in range(40):
+        program, config, wall, face, goal = ulps_inside_wall_program(random.Random(seed))
+        start = config.home_joints[0]
+        sign = 1.0 if goal[0] > start else -1.0
+        reach_goal = start + sign * abs(goal[0] - start)  # as `_attempt_motion` forms it
+        assert strictly_inside(goal, wall) and strictly_inside([reach_goal] + goal[1:], wall)
+        text, reasons = step_motion_twin(program, config, seed)
+        samples = samples_by_instruction(text)
+        reach = [s for s in samples[1] if "covered" in s["data"]]
+        for last in (reach[-1], samples[2][-1]):  # the reach's, then the move's
+            assert last["data"]["contact"] and last["post_joints"][0] == face, seed
+        assert reasons[0].startswith("collision during move: blocked at"), seed
+        assert not any(strictly_inside(s["post_joints"][:3], wall)
+                       for run in samples.values() for s in run), seed
 
 
 def generated_walls(rng):

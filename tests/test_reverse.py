@@ -23,6 +23,7 @@ from adsl.reverse import (
     PolicyMode,
     ResumePolicy,
     ReversibilityClass,
+    RunAborted,
     StopReason,
     classify,
     invert_primitives,
@@ -133,7 +134,7 @@ class TestReverseExecute:
         state = controller.ctx.workcell.state
         assert plan.stop_reason is StopReason.TRACE_START
         assert state.bits() == bits0
-        assert all(abs(x - y) <= 1e-9 for x, y in zip(state.joints, joints0))
+        assert state.joints == joints0
 
     def test_depth_one_undoes_only_last_instruction(self):
         controller, plan, _, _ = run_and_reverse(REVERSIBLE_DEMO, depth=1)
@@ -176,6 +177,18 @@ class TestReverseExecute:
         # The declared counterpart ran instead of the syntactic inversion.
         assert controller.ctx.workcell.state.io_bits[5] is False
         assert controller.ctx.workcell.state.io_bits[6] is True
+
+    def test_reverse_with_payload_writing_a_bit_outside_the_cell_raises_run_aborted(self):
+        text = (
+            'io_operation "mark" { set_high; bit 5; }\n'
+            'io_operation "bad" { set_high; bit 9; }\n'
+            'sequence "s" { @reverse_with(io "bad") io "mark"; }\n'
+            'entry "s";'
+        )
+        controller = Controller(build(text), quiet_config(), seed=0)
+        assert controller.run().completed
+        with pytest.raises(RunAborted, match=r"^io bit out of range: bit 9 outside 0\.\.7$"):
+            reverse_execute(controller.trace, None, controller.ctx, registry=controller.registry)
 
     def test_seq_call_children_reversed_individually(self):
         text = (
@@ -440,9 +453,7 @@ class TestForwardReverseIdentity:
             assert plan.stop_reason is StopReason.TRACE_START
             state = controller.ctx.workcell.state
             assert state.bits() == bits0, text
-            assert all(
-                abs(a - b) <= 1e-9 for a, b in zip(state.joints, joints0)
-            ), text
+            assert state.joints == joints0, text
 
     def test_random_barrier_position(self):
         rng = random.Random(77)
@@ -483,7 +494,7 @@ def test_full_depth_reverse_of_aligned_corpus(corpus_program, aligned_config):
     assert plan.stop_reason is StopReason.TRACE_START
     state = controller.ctx.workcell.state
     assert state.bits() == bits0
-    assert all(abs(a - b) <= 1e-9 for a, b in zip(state.joints, home))
+    assert state.joints == home
 
 
 def test_barrier_on_seq_call_shadows_children():
@@ -523,7 +534,7 @@ def test_partial_then_full_reversal_undoes_what_one_full_reversal_does():
                 undone += [s.index for s in plan.steps]
             assert plan.stop_reason is StopReason.TRACE_START
             assert controller.ctx.undo_log == []
-            assert all(abs(a - b) <= 1e-9 for a, b in zip(state.joints, joints))
+            assert state.joints == joints
             assert state.bits() == bits
             runs.append(undone)
         assert len(runs[0]) == leaves
