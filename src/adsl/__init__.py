@@ -28,7 +28,6 @@ from .reverse import (
     reverse_execute,
 )
 from .workcell import (
-    Pose,
     Workcell,
     WorkcellConfig,
     load_workcell_config,
@@ -42,7 +41,6 @@ __all__ = [
     "InvalidProgramError",
     "ParseError",
     "PolicyMode",
-    "Pose",
     "Program",
     "ResumePolicy",
     "ReversibilityClass",

@@ -10,6 +10,8 @@ of six floats, checked once (`_check_move`, which also makes the move's speed
 a float) before the first cycle. Each step is a control cycle, which the move
 loops, guarded attempts' too, run on local variables as their reference
 `Workcell.step_motion` runs it; `MAX_CONTROL_CYCLES` caps a context's cycles.
+An action callback moves the same way, by `ctx.move_joints_to(joints, speed)`.
+A `Controller` runs once: a second `run()` raises RuntimeError.
 
 Error handling follows the declaration of the signaled error. The
 `respond_after` field gates when handling starts (immediately, after the
@@ -20,10 +22,11 @@ recovery sequence are delegated to the reverse-execution engine, which
 undoes recorded instructions from the context's undo log, which holds no
 plain `seq` call (only its children), and resumes. An error signaled while
 another is being resolved aborts the run, as do an unguarded move into a
-solid, a move with a malformed or non-finite target or speed and a `call` of an
-unregistered action: each abort is a `RunAborted`, re-exported from
-`reverse`. `ctx.stack`, a tuple of `(sequence, index)` pairs, is the one
-record of where the run is; `ctx.frames` has a frame per entry, holding its
+solid, a move with a malformed or non-finite target or speed, an I/O write to
+a bit outside the cell and a `call` of an unregistered action: each abort is a
+`RunAborted`, re-exported from `reverse`. `ctx.stack`, a tuple of
+`(sequence, index)` pairs, is the one record of where the run is;
+`ctx.frames` has a frame per entry, holding its
 entry state and the `respond_after current_sequence` errors waiting on it.
 Resuming moves the existing frames, so open calls keep their entry state and
 waiting errors; a frame the resume drops takes its waiting errors with it,
@@ -77,8 +80,6 @@ from .printer import format_instruction, format_query
 from .reverse import ResumePolicy, RunAborted
 from .trace import EventKind, ExecutionTrace, TraceEvent
 from .workcell import (
-    BitOutOfRange,
-    Pose,
     Workcell,
     WorkcellConfig,
     DEFAULT_SPEED,
@@ -318,18 +319,12 @@ class ExecutionContext:
             self.emit(EventKind.SETTING_CHANGE, data={"speed": level.value, "why": why})
             self.active_speed = level
 
-    def move_to_pose(self, target: Pose, speed: float) -> None:
-        """Drive the TCP to `target` at `speed` m/s. Where an action callback's
-        `Pose` enters: its 3 + 3 ints or floats become the move's goal, six
-        floats; anything else raises RunAborted, as `_move` does."""
-        if not isinstance(target, Pose):
-            raise RunAborted(f"move target is not a Pose: {target!r}")
-        self._move(_coordinates(target.position, 3, "target position")
-                   + _coordinates(target.orientation, 3, "target orientation"), speed)
-
-    def move_joints_to(self, joints) -> None:
-        """Drive the joints to `joints`, six ints or floats, at the active speed."""
-        self._move(_coordinates(joints, JOINT_COUNT, "joints"), self.speed_value())
+    def move_joints_to(self, joints, speed=None) -> None:
+        """Drive the joints to `joints`, six ints or floats, at `speed` m/s, or
+        at the active speed when it is None. The one move of an action
+        callback, and where its values enter: anything else raises RunAborted,
+        as `_move` does."""
+        self._move(_coordinates(joints), self.speed_value() if speed is None else speed)
 
     def _move(self, goal: tuple[float, ...], speed: float) -> None:
         """Step the joints until they equal `goal`, six floats; `_check_move`'s
@@ -393,7 +388,7 @@ class ExecutionContext:
         to that bit, and sleeps advance the clock. A select with no pending
         write commits nothing; one of a bit outside the cell raises RunAborted.
         """
-        workcell = self.workcell
+        state = self.workcell.state
         pending: Optional[bool] = None
         for prim in primitives:
             if isinstance(prim, SetLow):
@@ -402,14 +397,14 @@ class ExecutionContext:
                 pending = True
             elif isinstance(prim, SelectBit):
                 if pending is not None:
-                    pre_b = workcell.state.io_bits
-                    try:
-                        workcell.set_io(prim.index, pending)
-                    except BitOutOfRange as exc:
-                        raise RunAborted(f"io bit out of range: {exc}") from exc
+                    bit, pre_b = prim.index, state.io_bits
+                    if not 0 <= bit < len(pre_b):  # one bit per configured `bit_count`
+                        raise RunAborted(
+                            f"io bit out of range: bit {bit} outside 0..{len(pre_b) - 1}")
+                    state.io_bits = pre_b[:bit] + (pending,) + pre_b[bit + 1:]
                     self.emit(
                         EventKind.IO_WRITE,
-                        data={"bit": prim.index, "level": pending},
+                        data={"bit": bit, "level": pending},
                         pre_bits=pre_b,
                     )
                     pending = None
@@ -490,10 +485,16 @@ class Controller:
         self._failure_counts: dict[tuple, int] = {}
         self.stats_instructions = 0
         self.stats_recoveries = 0
+        self._ran = False
 
     # -- public API ---------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run the program from its entry sequence. A controller runs once: a
+        second call raises RuntimeError and leaves the trace and state as is."""
+        if self._ran:
+            raise RuntimeError("a Controller runs once; build a new one to run again")
+        self._ran = True
         ctx = self.ctx
         ctx.push(ctx.program.entry)
         ctx.running = True
@@ -832,19 +833,19 @@ def _check_move(start: tuple[float, ...], goal: tuple[float, ...], speed) -> flo
     return float(speed)
 
 
-def _coordinates(values, count: int, what: str) -> tuple[float, ...]:
-    """`count` ints or floats as a tuple of floats: where a callback's move
-    values enter. Anything else, a bool too, raises RunAborted."""
+def _coordinates(values) -> tuple[float, ...]:
+    """`JOINT_COUNT` ints or floats as a tuple of floats: where a callback's
+    move values enter. Anything else, a bool too, raises RunAborted."""
     try:
         values = tuple(values)
-        if len(values) == count:
+        if len(values) == JOINT_COUNT:
             if {float}.issuperset(map(type, values)):
                 return values  # the common case, and the cheap one
             if all([isinstance(v, (int, float)) and type(v) is not bool for v in values]):
                 return tuple(map(float, values))
     except (TypeError, OverflowError):  # not iterable, or an int beyond float range
         pass
-    raise RunAborted(f"move {what} must be {count} ints or floats, got {values!r}")
+    raise RunAborted(f"move joints must be {JOINT_COUNT} ints or floats, got {values!r}")
 
 
 def _drop_children(undo_log: list[TraceEvent], call_site: tuple) -> None:

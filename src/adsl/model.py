@@ -22,9 +22,9 @@ _set = object.__setattr__
 
 class Value:
     """Base of the value classes. A subclass's fields are its annotations, in
-    order; a class attribute of the same name is a default. Unless it writes
-    its own, a subclass gets an `__init__` of its fields, compiled once when
-    the class is made, that ends by calling `__post_init__` if there is one.
+    order; a class attribute of the same name is a default. A subclass gets
+    an `__init__` of its fields, compiled once when the class is made, that
+    ends by calling `__post_init__` if there is one.
     Eq, hash and repr are by class and fields, less those the class keyword
     `hidden` names. Instances are frozen unless the class says `frozen=False`;
     `replace(**changes)` rebuilds through `__init__`, so checks run again."""
@@ -34,16 +34,15 @@ class Value:
     def __init_subclass__(cls, frozen=True, hidden=()):
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._compared = tuple(f for f in fields if f not in hidden)
-        if "__init__" not in cls.__dict__:
-            slots = cls.__dict__.get("__slots__", ())
-            defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__ and f not in slots}
-            params = "".join([f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in fields])
-            body = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in fields]
-            if hasattr(cls, "__post_init__"):
-                body.append("self.__post_init__()")
-            namespace = {"_d": defaults, "_set": _set}
-            exec(f"def __init__(self{params}):\n " + "\n ".join(body or ["pass"]), namespace)
-            cls.__init__ = namespace["__init__"]
+        slots = cls.__dict__.get("__slots__", ())
+        defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__ and f not in slots}
+        params = "".join([f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in fields])
+        body = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_d": defaults, "_set": _set}
+        exec(f"def __init__(self{params}):\n " + "\n ".join(body or ["pass"]), namespace)
+        cls.__init__ = namespace["__init__"]
         if not frozen:
             cls.__setattr__, cls.__delattr__, cls.__hash__ = _set, object.__delattr__, None
 

@@ -130,9 +130,6 @@ _NEVER = object()
 _SIX_JOINTS = "[" + ",".join(["%.17g"] * JOINT_COUNT) + "]"  # a run's joints: six floats
 _LINE = '{"i":%s,"kind":"%s","clock":%s%s%s,"post_joints":%s%s%s}'
 
-#: The `data` keys, in insertion order, of the controller's motion samples:
-MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a pose move's cycle (`move_sample`)
-ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # `attempt_sample`
 _MOTION_SAMPLE = EventKind.MOTION_SAMPLE  # looked up once: off the class it costs ~0.1 us
 _BOOL = ("false", "true")
 #: A sample's line templates, newline included; the data keys sorted, as every line writes them.
@@ -182,8 +179,8 @@ class ExecutionTrace:
             self.events.append(event)
 
     def move_sample(self, clock, stack, speed, pre_joints, joints, bits, advanced, contact):
-        """Record a pose move's cycle: a `MOTION_SAMPLE` from `pre_joints` to
-        `joints` whose data holds `MOVE_SAMPLE_KEYS`; the bits do not change.
+        """Record a move's cycle: a `MOTION_SAMPLE` from `pre_joints` to
+        `joints` whose data holds `advanced` and `contact`; the bits do not change.
         The clock and `advanced` are floats, `contact` a bool and the joints
         six floats each, as the controller's move loops hand them."""
         if self.sink is not None:
@@ -197,8 +194,9 @@ class ExecutionTrace:
 
     def attempt_sample(self, clock, stack, speed, pre_joints, joints, bits,
                        advanced, covered, contact, raw, filtered):
-        """Record a guarded move's cycle: as `move_sample`, with the data
-        keys `ATTEMPT_SAMPLE_KEYS`, the reals among them floats."""
+        """Record a guarded move's cycle: as `move_sample`, with the data keys
+        `advanced`, `covered`, `contact`, `raw` and `filtered`, the reals among
+        them floats."""
         if self.sink is not None:
             self._write_sample(_ATTEMPT_LINE, clock, stack, speed, pre_joints, joints, bits,
                                advanced, contact, (covered, filtered, raw))

@@ -19,10 +19,11 @@ them as given (a bool is still no number), and a run's state
 The cell's `JOINT_COUNT` (six) joints are the TCP pose: the position
 (x, y, z) in metres, then the ZYX Euler orientation (roll, pitch, yaw) in
 radians, so motion in joint space and in Cartesian space is the same motion.
-The workcell keeps no other pose; `tcp_pose` reads a `Pose` off the joints.
-A `Pose` is built only at the callback edge: by `tcp_pose`, and by an action
-callback for `ExecutionContext.move_to_pose`. The tool is its orientation on
-the flange (`tool_orientation`), which the `toolmount` frame undoes.
+The workcell keeps no other form of the pose: the position is
+`state.joints[:3]` and the orientation `state.joints[3:]`. The tool is its
+orientation on the flange (`tool_orientation`), which the `toolmount` frame
+undoes. The I/O bits are `state.io_bits`, a tuple that the controller's
+I/O writes replace.
 
 One control cycle (`Workcell.step_motion`) moves the TCP from the current
 joints straight toward the target, a tuple of six floats in the joints'
@@ -52,24 +53,8 @@ class WorkcellConfigError(ValueError):
     """A workcell description violates its schema or invariants."""
 
 
-class BitOutOfRange(IndexError):
-    """An I/O write addressed a bit at or beyond the configured bit count."""
-
-
 # ---------------------------------------------------------------------------
 # Geometry
-
-
-class Pose(Value):
-    """Position in meters plus ZYX Euler orientation in radians."""
-
-    __slots__ = ("position", "orientation")
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float]
-
-    def __init__(self, position, orientation=(0.0, 0.0, 0.0)):
-        _set(self, "position", position)
-        _set(self, "orientation", orientation)
 
 
 def rotation_matrix(orientation) -> tuple[tuple[float, float, float], ...]:
@@ -355,13 +340,6 @@ class Workcell:
         self.config = config
         self.state = WorkcellState(config.home_joints, config.bit_count, config.filter_window)
 
-    # -- poses ----------------------------------------------------------------
-
-    def tcp_pose(self) -> Pose:
-        """The current joints as a pose: (x, y, z), then (roll, pitch, yaw)."""
-        joints = self.state.joints
-        return Pose(joints[:3], joints[3:])
-
     # -- motion -----------------------------------------------------------
 
     def step_motion(self, target: tuple[float, ...], speed: float):
@@ -458,16 +436,6 @@ class Workcell:
     def clear_force_filter(self) -> None:
         """Drop the filter's readings: the next reading starts a new mean."""
         self.state.force_history.clear()
-
-    # -- I/O -----------------------------------------------------------------
-
-    def set_io(self, bit: int, level: bool) -> None:
-        if bit < 0 or bit >= self.config.bit_count:
-            raise BitOutOfRange(
-                f"bit {bit} outside 0..{self.config.bit_count - 1}"
-            )
-        bits = self.state.io_bits
-        self.state.io_bits = bits[:bit] + (bool(level),) + bits[bit + 1:]
 
     # -- frames ----------------------------------------------------------
 

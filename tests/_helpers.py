@@ -17,6 +17,10 @@ from adsl.workcell import Obstacle, Workcell, workcell_config_from_dict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: The `data` keys, in insertion order, of the controller's motion samples:
+MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a move's cycle (`move_sample`)
+ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # `attempt_sample`
+
 #: A 1 m box at (1e4, 1e4, 1e4), out of every test move's reach. A cell with
 #: an obstacle tests each cycle's step against it, so adding this one sends a
 #: free cell's moves through the obstacle path without changing any result.

@@ -30,18 +30,21 @@ from adsl.model import (
     MoveJoint,
     Program,
     Sequence,
+    SelectBit,
+    SetHigh,
     SpeedLevel,
     Value,
 )
 from adsl.parser import parse_program
 from adsl.printer import format_query
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
-from adsl.trace import ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, EventKind
-from adsl.workcell import Obstacle, Pose, Workcell, WorkcellConfig
+from adsl.trace import EventKind
+from adsl.workcell import Obstacle, Workcell, WorkcellConfig
 
 
 from _helpers import (
-    build, max_overshoot_past_first_contact, of_kind, quiet_config, with_far_obstacle,
+    ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, build, max_overshoot_past_first_contact, of_kind,
+    quiet_config, with_far_obstacle,
 )
 
 
@@ -93,6 +96,25 @@ class TestBasicInstructions:
         # Two sleeps of 0.5 s each.
         assert result.stats.simulated_time == pytest.approx(1.0)
         assert controller.ctx.workcell.state.io_bits[0] is False
+
+    def test_io_write_sets_one_bit_and_repeats_idempotently(self):
+        program = build('io_operation "on" { set_high; bit 0; set_high; bit 0; }\n'
+                        'sequence "s" { io "on"; }')
+        controller = Controller(program, quiet_config(), seed=0)
+        assert controller.run().completed
+        first, second = of_kind(controller.trace, EventKind.IO_WRITE)
+        assert first.post_bits == (True,) + (False,) * 7
+        assert second.pre_bits == second.post_bits == first.post_bits
+        assert controller.ctx.workcell.state.io_bits == first.post_bits
+
+    @pytest.mark.parametrize("bit", [8, -1])
+    def test_io_write_outside_the_cell_aborts_and_writes_nothing(self, bit):
+        controller = Controller(build('sequence "s" { wait 0.1; }'), quiet_config(), seed=0)
+        ctx = controller.ctx
+        with pytest.raises(RunAborted, match=rf"^io bit out of range: bit {bit} outside 0\.\.7$"):
+            ctx.apply_primitives((SetHigh(), SelectBit(bit)))
+        assert ctx.workcell.state.io_bits == (False,) * 8
+        assert len(controller.trace) == 0
 
     def test_wait_advances_clock_only(self):
         program = build('sequence "s" { wait 1.0; }')
@@ -220,6 +242,43 @@ entry "main";
 WALL_AT_15CM = {
     "box": {"min": [0.15, -0.5, -0.4], "max": [0.25, 0.5, 0.6]},
 }
+
+
+class TestRunOnce:
+    """A controller runs once: a second `run()` raises RuntimeError and leaves
+    the trace and the state as the first run left them."""
+
+    PROGRAM = ('sequence "main" { seq "sub"; wait 1.0; }\n'
+               'sequence "sub" { call "boom" (); wait 0.5; }\nentry "main";')
+
+    @pytest.mark.parametrize("aborts", [True, False], ids=["after_an_abort", "after_completion"])
+    def test_a_second_run_raises_and_changes_nothing(self, aborts):
+        calls = []
+
+        def boom(ctx, items):
+            calls.append(items)
+            if aborts and len(calls) == 1:
+                raise RunAborted("boom")
+
+        registry = default_registry()
+        registry.register("boom", boom)
+        controller = Controller(build(self.PROGRAM), quiet_config(), seed=0, registry=registry)
+        ctx = controller.ctx
+        state = ctx.workcell.state
+
+        def snapshot():
+            return (controller.trace.serialize(), ctx.stack, len(ctx.frames), ctx.cycles,
+                    controller.stats_instructions, state.joints, state.io_bits, state.clock)
+
+        result = controller.run()
+        assert result.completed is not aborts
+        # An aborted run leaves its frames open, where a second run would resume.
+        assert ctx.stack == ((("main", 0), ("sub", 0)) if aborts else ())
+        before = snapshot()
+        with pytest.raises(RuntimeError, match="^a Controller runs once"):
+            controller.run()
+        assert snapshot() == before
+        assert len(calls) == 1
 
 
 class TestAdvancedMove:
@@ -982,10 +1041,10 @@ class TestMoveRange:
 
     @pytest.mark.parametrize("move", [
         lambda ctx: ctx.move_joints_to([math.inf] * 6),
-        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), math.nan),
-        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), "fast"),
-        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), True),
-        lambda ctx: ctx.move_to_pose(Pose((0.1, 0.0, 0.1)), 10 ** 400),
+        lambda ctx: ctx.move_joints_to((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), math.nan),
+        lambda ctx: ctx.move_joints_to((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), "fast"),
+        lambda ctx: ctx.move_joints_to((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), True),
+        lambda ctx: ctx.move_joints_to((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), 10 ** 400),
     ], ids=["infinite_joints", "nan_speed", "str_speed", "bool_speed", "int_speed_beyond_float"])
     def test_callback_move_aborts(self, monkeypatch, move):
         monkeypatch.setattr(controller_module, "MAX_CONTROL_CYCLES", 50)
@@ -1002,22 +1061,24 @@ class TestMoveRange:
             json.loads(line)
 
     @pytest.mark.parametrize("move, reason", [
-        (lambda ctx: ctx.move_to_pose(Pose((0.1, 0.2), (0.0, 0.0, 0.0)), 0.1),
-         "move target position must be 3 ints or floats, got (0.1, 0.2)"),
+        (lambda ctx: ctx.move_joints_to((0.1, 0.2) + (0.0, 0.0, 0.0), 0.1),
+         "move joints must be 6 ints or floats, got (0.1, 0.2, 0.0, 0.0, 0.0)"),
         (lambda ctx: ctx.move_joints_to(["a"] * 6),
          "move joints must be 6 ints or floats, got ('a', 'a', 'a', 'a', 'a', 'a')"),
         (lambda ctx: ctx.move_joints_to((0.1, 0.2, 0.3)),
          "move joints must be 6 ints or floats, got (0.1, 0.2, 0.3)"),
         (lambda ctx: ctx.move_joints_to((0.1, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0)),
          "move joints must be 6 ints or floats, got (0.1, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0)"),
-        (lambda ctx: ctx.move_to_pose(Pose((0.1, "0.2", 0.1)), 0.1),
-         "move target position must be 3 ints or floats, got (0.1, '0.2', 0.1)"),
-        (lambda ctx: ctx.move_to_pose((0.1, 0.0, 0.1, 0.0, 0.0, 0.0), 0.1),
-         "move target is not a Pose: (0.1, 0.0, 0.1, 0.0, 0.0, 0.0)"),
+        (lambda ctx: ctx.move_joints_to((0.1, "0.2", 0.1, 0.0, 0.0, 0.0), 0.1),
+         "move joints must be 6 ints or floats, got (0.1, '0.2', 0.1, 0.0, 0.0, 0.0)"),
+        (lambda ctx: ctx.move_joints_to(((0.1, 0.0, 0.1), (0.0, 0.0, 0.0)), 0.1),
+         "move joints must be 6 ints or floats, got ((0.1, 0.0, 0.1), (0.0, 0.0, 0.0))"),
+        (lambda ctx: ctx.move_joints_to(0.1, 0.1),
+         "move joints must be 6 ints or floats, got 0.1"),
         (lambda ctx: ctx.move_joints_to((True, 0.0, 0.1, 0, 0, 0)),
          "move joints must be 6 ints or floats, got (True, 0.0, 0.1, 0, 0, 0)"),
     ], ids=["short_position", "str_joints", "three_joints", "seven_joints", "str_coordinate",
-            "not_a_pose", "bool_joints"])
+            "position_orientation_pair", "not_iterable", "bool_joints"])
     def test_callback_malformed_target_aborts(self, move, reason):
         registry = default_registry()
         registry.register("bad", lambda ctx, items: move(ctx))
@@ -1033,8 +1094,7 @@ class TestMoveRange:
         traces = []
         for coords in [(0, 0, 1, 0, 0, 0), (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)]:
             registry = default_registry()
-            registry.register("up", lambda ctx, items: ctx.move_to_pose(
-                Pose(coords[:3], coords[3:]), 0.5))
+            registry.register("up", lambda ctx, items: ctx.move_joints_to(coords, 0.5))
             controller = Controller(
                 build('sequence "s" { call "up" (); }'), quiet_config(), seed=0, registry=registry
             )
@@ -1072,8 +1132,7 @@ class TestSampleTypes:
             speed_map=dict(zip(SpeedLevel, (5, 4, 3, 2, 1))), obstacles=obstacles,
         )
         registry = default_registry()
-        registry.register("pose", lambda ctx, items: ctx.move_to_pose(
-            Pose((0, 0, 0), (0, 0, 1)), 1))
+        registry.register("pose", lambda ctx, items: ctx.move_joints_to((0, 0, 0, 0, 0, 1), 1))
         samples = []
 
         def checked(method, keys):

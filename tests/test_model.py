@@ -39,7 +39,7 @@ from adsl.model import (
 )
 from adsl.parser import parse_program
 from adsl.trace import EventKind, TraceEvent
-from adsl.workcell import Pose, WorkcellConfig, WorkcellConfigError, load_workcell_config
+from adsl.workcell import WorkcellConfig, WorkcellConfigError, load_workcell_config
 
 from _helpers import call_chain
 
@@ -359,7 +359,6 @@ class TestValueClasses:
     def test_equal_values_hash_equal(self):
         for make in (
             lambda: ErrorSpec("e", "rescue"),
-            lambda: Pose((1.0, 2.0, 3.0)),
             lambda: SourceLocation(3, 4, 5),
             lambda: ReverseWith(Wait(0.1)),
         ):
@@ -376,7 +375,6 @@ class TestValueClasses:
         for value, name in (
             (SetLow(), "x"),
             (Wait(0.5), "seconds"),
-            (Pose((0.0, 0.0, 0.0)), "position"),
             (SourceLocation(1, 1, 0), "line"),
             (WorkcellConfig(), "dt"),
         ):
@@ -404,9 +402,6 @@ class TestValueClasses:
             "ErrorSpec(name='e', recovery_sequence=None, "
             "respond_after=<RespondAfter.CURRENT_ACTION: 'current_action'>, "
             "return_to=<ReturnTo.SEQUENCE: 'sequence'>)"
-        )
-        assert repr(Pose((1.0, 2.0, 3.0))) == (
-            "Pose(position=(1.0, 2.0, 3.0), orientation=(0.0, 0.0, 0.0))"
         )
         assert repr(Program()) == (
             "Program(items={}, io_ops={}, joint_confs={}, sequences={}, errors={}, "
@@ -459,9 +454,8 @@ class TestValueClasses:
         assert moved == Wait(0.25) and moved.location is loc
 
     def test_copy_and_pickle_rebuild_equal_values(self, corpus_program):
-        pose = Pose((1.0, 2.0, 3.0), (0.0, 0.5, 0.0))
         loc = SourceLocation(2, 3, 4)
-        for value in (corpus_program, pose, loc, SetLow(),
+        for value in (corpus_program, loc, SetLow(),
                       MoveJoint(("p",), location=loc)):
             for clone in (copy.copy(value), copy.deepcopy(value),
                           pickle.loads(pickle.dumps(value))):

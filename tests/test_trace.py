@@ -13,13 +13,10 @@ from adsl.model import JOINT_COUNT, SpeedLevel
 from adsl.printer import format_instruction
 from adsl import trace as trace_module
 from adsl.reverse import PolicyMode, reverse_execute
-from adsl.trace import (
-    ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, NULL_SINK, EventKind, ExecutionTrace, TraceEvent,
-    serialize_event,
-)
+from adsl.trace import NULL_SINK, EventKind, ExecutionTrace, TraceEvent, serialize_event
 from adsl.workcell import load_workcell_config
 
-from _helpers import build, of_kind, quiet_config
+from _helpers import ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, build, of_kind, quiet_config
 from test_golden_trace import MOTION_CASES, golden_run, motion_run
 
 

@@ -20,11 +20,9 @@ from adsl.workcell import (
     MAX_FILTER_WINDOW,
     MAX_NOISE_SIGMA,
     MAX_SPEED,
-    BitOutOfRange,
     Hole,
     HoleAxis,
     Obstacle,
-    Pose,
     Workcell,
     WorkcellConfig,
     WorkcellConfigError,
@@ -47,12 +45,6 @@ WALL_WITH_HOLE = Obstacle(
     (0.25, 0.5, 0.5),
     Hole(HoleAxis.X, (0.0, 0.0), (0.02, 0.02)),
 )
-
-
-class TestKinematics:
-    def test_joints_are_the_tcp_pose(self):
-        cell = make_cell(home_joints=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
-        assert cell.tcp_pose() == Pose((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
 
 
 class TestStepMotion:
@@ -78,7 +70,7 @@ class TestStepMotion:
                 break
         assert contact
         assert total == pytest.approx(0.15, abs=1e-9)
-        assert cell.tcp_pose().position[0] <= 0.15 + 1e-9
+        assert cell.state.joints[0] <= 0.15 + 1e-9
 
     def test_hole_lets_the_ray_through(self):
         # Ray along +x through the aperture center: hand-computed membership
@@ -92,7 +84,7 @@ class TestStepMotion:
             total += advanced
             if total >= 0.40 - 1e-12:
                 break
-        assert cell.tcp_pose().position[0] == pytest.approx(0.40)
+        assert cell.state.joints[0] == pytest.approx(0.40)
 
     def test_offset_ray_hits_wall_next_to_hole(self):
         cell = make_cell(home_joints=(0.0, 0.05, 0.0, 0.0, 0.0, 0.0),
@@ -119,7 +111,7 @@ class TestStepMotion:
             if contact and advanced <= 1e-15:
                 break
         assert contact
-        pos = cell.tcp_pose().position
+        pos = cell.state.joints[:3]
         assert pos[0] == pytest.approx(0.20, abs=1e-9)
         assert pos[1] == pytest.approx(0.02, abs=1e-9)
         # It stops inside the hole prism (y and z within the hole's
@@ -135,7 +127,7 @@ class TestStepMotion:
                       rng.uniform(-0.3, 0.3), 0.0, 0.0, 0.0)
             for _ in range(40):
                 cell.step_motion(target, speed=0.5)
-                assert _signed_outside(cell.tcp_pose().position, WALL_WITH_HOLE)
+                assert _signed_outside(cell.state.joints[:3], WALL_WITH_HOLE)
 
     def test_clock_monotone(self):
         cell = make_cell(obstacles=(WALL,))
@@ -151,7 +143,7 @@ class TestStepMotion:
         target = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
         contact, advanced = cell.step_motion(target, speed=0.1)
         assert advanced == 0.0
-        assert cell.tcp_pose().orientation == (0.0, 0.0, 1.0)
+        assert cell.state.joints[3:] == (0.0, 0.0, 1.0)
         assert cell.state.joints is target  # on arrival the target is the joints
 
 
@@ -300,24 +292,6 @@ class TestForceSensing:
 
         assert trajectory(42) == trajectory(42)
         assert trajectory(42) != trajectory(43)
-
-
-class TestIo:
-    def test_set_and_idempotence(self):
-        cell = make_cell()
-        cell.set_io(0, True)
-        first = cell.state.bits()
-        cell.set_io(0, True)
-        assert cell.state.bits() == first
-        assert cell.state.io_bits[0] is True
-        assert all(not b for b in cell.state.io_bits[1:])
-
-    def test_bit_out_of_range(self):
-        cell = make_cell(bit_count=8)
-        with pytest.raises(BitOutOfRange):
-            cell.set_io(8, True)
-        with pytest.raises(BitOutOfRange):
-            cell.set_io(-1, False)
 
 
 class TestDirectionVector:
@@ -744,7 +718,7 @@ class TestBroadPhase:
         cell = make_cell(obstacles=(Obstacle((-1.0, 0.5, -1.0), (1.0, 0.6, 1.0)),))
         for _ in range(100):
             assert cell.step_motion((0.3, 0.0, 0.0, 0.0, 0.0, 0.0), speed=0.25)[0] is False
-        assert cell.tcp_pose().position[0] == pytest.approx(0.2) and calls == []
+        assert cell.state.joints[0] == pytest.approx(0.2) and calls == []
 
 
 # ---------------------------------------------------------------------------
