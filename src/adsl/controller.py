@@ -5,11 +5,12 @@ raises `InvalidProgramError`) and interprets it: it runs the entry sequence
 instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors. The workcell's six joints are
-the TCP pose, so every move steps them until they equal its goal: one tuple
-of six floats, checked once (`_check_move`, which also makes the move's speed
-a float) before the first cycle. Each step is a control cycle, which the move
-loops, guarded attempts' too, run on local variables as their reference
-`Workcell.step_motion` runs it; `MAX_CONTROL_CYCLES` caps a context's cycles.
+the TCP pose, so every move steps them toward its goal: one tuple of six
+floats, checked once (`_check_move`, which also makes the move's speed a
+float) before the first cycle. Each step is a control cycle, which one loop,
+`ExecutionContext._move`, runs for moves and guarded attempts alike, on
+local variables as its reference `Workcell.step_motion` runs it;
+`MAX_CONTROL_CYCLES` caps a context's cycles.
 An action callback moves the same way, by `ctx.move_joints_to(joints, speed)`.
 A `Controller` runs once: a second `run()` raises RuntimeError.
 
@@ -326,18 +327,36 @@ class ExecutionContext:
         as `_move` does."""
         self._move(_coordinates(joints), self.speed_value() if speed is None else speed)
 
-    def _move(self, goal: tuple[float, ...], speed: float) -> None:
-        """Step the joints until they equal `goal`, six floats; `_check_move`'s
-        rejects and a blocking solid raise RunAborted. Each cycle runs, on local
-        variables and in its order, the arithmetic of one `Workcell.step_motion`
-        call, the reference: both leave the same joints, clock, contact and
-        samples. In a free cell no cycle tests an obstacle or writes `contact`.
-        Only a cycle at distance 0 snaps untested, so a goal in a solid blocks."""
+    def _move(self, goal: tuple[float, ...], speed: float, guard=None) -> tuple[float, bool]:
+        """Step the joints toward `goal`, six floats: the one loop that steps a
+        control cycle, for a move and for a guarded attempt. `_check_move`'s
+        rejects raise RunAborted. Each cycle runs, on local variables and in
+        its order, the arithmetic of one `Workcell.step_motion` call, the
+        reference: both leave the same joints, clock, contact and samples. In a
+        free cell no cycle tests an obstacle or writes `contact`. Only a cycle
+        at distance 0 snaps untested, so a goal in a solid blocks.
+
+        Without a guard the move ends when the joints equal `goal`, and a
+        blocking solid raises RunAborted. With `guard`, `(stop_if, distance)`,
+        it is a guarded attempt: each cycle writes the contact that
+        `read_force` reads, reads the force and adds its advance to `covered`,
+        and it ends when `stop_if` holds, when `covered` reaches `distance`, or
+        on a cycle that advances nothing (blocked, or at the goal with
+        `covered` a rounding error short). Returns `(covered, guard_stopped)`,
+        `(0.0, False)` for a move."""
         workcell = self.workcell
         state = workcell.state
-        sample = self.trace.move_sample if self.options.record_motion_samples else None
+        guarded = guard is not None
+        sample = None
+        if self.options.record_motion_samples:
+            sample = self.trace.attempt_sample if guarded else self.trace.move_sample
         stack, level, bits = self.stack, self.active_speed, state.io_bits  # fixed while moving
         speed = _check_move(state.joints, goal, speed)
+        covered, guard_stopped = 0.0, False
+        if guarded:
+            stop_if, distance = guard
+            until = distance - 1e-12
+            read_force, rng = workcell.read_force, self.rng
         cycles = self.cycles
         dt = workcell.config.dt
         step = speed * dt  # the product `step_motion` forms each cycle
@@ -345,7 +364,8 @@ class ExecutionContext:
         tx, ty, tz, o1x, o1y, o1z = goal
         joints, clock, contact = state.joints, state.clock, state.in_contact
         try:
-            while joints != goal:  # compared by value: a stepped tuple can equal `goal`
+            # `joints` is compared by value: a stepped tuple can equal `goal`.
+            while (covered < until) if guarded else (joints != goal):
                 if cycles >= MAX_CONTROL_CYCLES:
                     raise _cycle_cap_exceeded()
                 cycles += 1
@@ -371,15 +391,29 @@ class ExecutionContext:
                                   pz + dz / dist * advanced, o0x + (o1x - o0x) * frac,
                                   o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac)
                 clock += dt
-                if sample is not None:
-                    sample(clock, stack, level, pre_j, joints, bits, advanced, contact)
-                if contact and advanced <= 1e-15:
-                    raise RunAborted(
-                        f"collision during move: blocked at {joints[:3]} moving to {goal[:3]}"
-                    )
+                if guarded:
+                    state.in_contact = contact  # what `read_force` reads
+                    covered += advanced
+                    raw, filtered = read_force(rng)
+                    if sample is not None:
+                        sample(clock, stack, level, pre_j, joints, bits,
+                               advanced, covered, contact, raw, filtered)
+                    if stop_if is not None and evaluate_query(stop_if, covered, filtered):
+                        guard_stopped = True
+                        break
+                    if advanced <= 1e-15:
+                        break
+                else:
+                    if sample is not None:
+                        sample(clock, stack, level, pre_j, joints, bits, advanced, contact)
+                    if contact and advanced <= 1e-15:
+                        raise RunAborted(
+                            f"collision during move: blocked at {joints[:3]} moving to {goal[:3]}"
+                        )
         finally:  # the state the last cycle left
             self.cycles = cycles
             state.joints, state.clock, state.in_contact = joints, clock, contact
+        return covered, guard_stopped
 
     def apply_primitives(self, primitives) -> None:
         """Run an I/O primitive list.
@@ -604,8 +638,9 @@ class Controller:
     def _execute_adv_move(self, spec: AdvMoveSpec) -> bool:
         """Run a guarded move to its final outcome; True on success.
 
-        Each attempt moves along the configured direction, sampling the
-        force filter every control cycle and stopping early on the guard.
+        Each attempt is a guarded `ExecutionContext._move` along the
+        configured direction, sampling the force filter every control cycle
+        and stopping early on the guard.
         Success is the conjunction of all evaluation queries. Failure runs
         the on_fail behaviors in order; a repeat behavior with budget left
         perturbs the start position and begins a new attempt, skipping the
@@ -644,7 +679,10 @@ class Controller:
             covered = 0.0
             guard_stopped = False
             if condition_ok:
-                covered, guard_stopped = self._attempt_motion(spec, start, direction, speed)
+                distance = spec.distance
+                goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
+                        start[2] + direction[2] * distance) + start[3:]
+                covered, guard_stopped = ctx._move(goal, speed, (spec.stop_if, distance))
                 filtered = workcell.filtered_force()
                 failed = tuple(
                     format_query(q)
@@ -694,78 +732,6 @@ class Controller:
             if restart:
                 continue
             return success
-
-    def _attempt_motion(self, spec, start, direction, speed):
-        """Move up to spec.distance along `direction` from the joints `start`.
-
-        Returns (covered meters, whether the guard stopped it). Motion also
-        ends when the full distance is covered or when a solid blocks any
-        further advance without the guard tripping. Each cycle steps as
-        `ExecutionContext._move` does, on local variables, then writes the
-        contact that `read_force` reads and reads the force.
-        """
-        ctx = self.ctx
-        workcell = ctx.workcell
-        sample = ctx.trace.attempt_sample if ctx.options.record_motion_samples else None
-        distance = spec.distance
-        goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
-                start[2] + direction[2] * distance) + start[3:]
-        speed = _check_move(start, goal, speed)
-        covered = 0.0
-        state = workcell.state
-        read_force = workcell.read_force
-        rng = ctx.rng
-        stack, level, bits = ctx.stack, ctx.active_speed, state.io_bits  # fixed while moving
-        stop_if = spec.stop_if
-        until = distance - 1e-12
-        cycles = ctx.cycles
-        dt = workcell.config.dt
-        step = speed * dt
-        first_hit = workcell._first_hit if workcell.config.obstacles else None
-        tx, ty, tz, o1x, o1y, o1z = goal
-        joints, clock, contact = state.joints, state.clock, state.in_contact
-        try:
-            while covered < until:
-                if cycles >= MAX_CONTROL_CYCLES:
-                    raise _cycle_cap_exceeded()
-                cycles += 1
-                pre_j = joints
-                px, py, pz, o0x, o0y, o0z = joints
-                dx, dy, dz = tx - px, ty - py, tz - pz
-                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if dist == 0.0:
-                    advanced, joints, contact = 0.0, goal, False
-                else:
-                    advanced = dist if dist < step else step
-                    if first_hit is not None:
-                        hit = first_hit((px, py, pz), (dx / dist, dy / dist, dz / dist), advanced)
-                        contact = hit is not None
-                        if contact:
-                            advanced = hit if hit > 0.0 else 0.0
-                    if advanced >= dist - 1e-15 and not contact:
-                        joints = goal
-                    else:
-                        frac = advanced / dist
-                        joints = (px + dx / dist * advanced, py + dy / dist * advanced,
-                                  pz + dz / dist * advanced, o0x + (o1x - o0x) * frac,
-                                  o0y + (o1y - o0y) * frac, o0z + (o1z - o0z) * frac)
-                clock += dt
-                state.in_contact = contact  # what `read_force` reads
-                covered += advanced
-                raw, filtered = read_force(rng)
-                if sample is not None:
-                    sample(clock, stack, level, pre_j, joints, bits,
-                           advanced, covered, contact, raw, filtered)
-                if stop_if is not None and evaluate_query(stop_if, covered, filtered):
-                    return covered, True
-                if advanced <= 1e-15:
-                    # Blocked by a solid, or already at the target with the
-                    # covered sum a rounding error short of the full distance.
-                    break
-        finally:
-            ctx.cycles = cycles
-            state.joints, state.clock = joints, clock
-        return covered, False
 
     # -- error signaling and resolution -----------------------------------
 

@@ -182,7 +182,7 @@ class ExecutionTrace:
         """Record a move's cycle: a `MOTION_SAMPLE` from `pre_joints` to
         `joints` whose data holds `advanced` and `contact`; the bits do not change.
         The clock and `advanced` are floats, `contact` a bool and the joints
-        six floats each, as the controller's move loops hand them."""
+        six floats each, as the controller's move loop hands them."""
         if self.sink is not None:
             self._write_sample(_MOVE_LINE, clock, stack, speed, pre_joints, joints, bits,
                                advanced, contact, ())

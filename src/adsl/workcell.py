@@ -28,13 +28,16 @@ I/O writes replace.
 One control cycle (`Workcell.step_motion`) moves the TCP from the current
 joints straight toward the target, a tuple of six floats in the joints'
 order, by at most speed*dt, less when an obstacle surface comes first
-(tested exactly only for obstacles whose widened box meets the step's). The
-orientation interpolates by the same fraction. Only at distance 0 does a
-cycle snap to the target untested, so a target inside a solid, however
-shallow, is blocked at its surface. The clock advances by dt. No run calls
-`step_motion`: the controller's move loops run its arithmetic on local
-variables, and it is the one-cycle reference they are tested against. A
-force reading (`read_force`) is the tuple `(raw, filtered)`.
+(tested exactly only for obstacles whose widened box meets the step's). A
+point is in a hole's aperture when `c - h <= p <= c + h` on both of its
+cross axes (`Obstacle.aperture`), the floats at which the channel's walls
+stop a move. The orientation interpolates by the same fraction. Only at
+distance 0 does a cycle snap to the target untested, so a target inside a
+solid, however shallow, is blocked at its surface. The clock advances by
+dt. No run calls `step_motion`: the controller's one move loop,
+`ExecutionContext._move`, runs its arithmetic on local variables for moves
+and guarded attempts alike, and is tested against it, the one-cycle
+reference. A force reading (`read_force`) is the tuple `(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -92,8 +95,11 @@ class Hole(Value):
 
 class Obstacle(Value):
     """Axis-aligned box, solid except for an optional rectangular through-hole.
-    It checks its geometry when it is built, and keeps `bounds` (not a field):
-    the box's minima then maxima, each moved `_MARGIN` outward."""
+    It checks its geometry when it is built, and keeps two values that are not
+    fields: `bounds`, the box's minima then maxima, each moved `_MARGIN`
+    outward, and `aperture`, `(axis, c - h, c + h)` for each cross-section
+    axis of the hole (empty without one): the one extent of the hole, which
+    `_segment_hit` both tests points against and stops moves at."""
 
     box_min: tuple[float, float, float]
     box_max: tuple[float, float, float]
@@ -105,14 +111,17 @@ class Obstacle(Value):
                 raise WorkcellConfigError("obstacle box min must be strictly below max")
         _set(self, "bounds", tuple([b - _MARGIN for b in self.box_min]
                                    + [b + _MARGIN for b in self.box_max]))
-        if self.hole is None:
-            return
-        u, v = _CROSS_AXES[self.hole.axis]
-        for axis, c, h in zip((u, v), self.hole.center, self.hole.half_extents):
-            if not (math.isfinite(h) and h > 0):
-                raise WorkcellConfigError("hole half-extents must be positive")
-            if not (self.box_min[axis] <= c - h and c + h <= self.box_max[axis]):
-                raise WorkcellConfigError("hole must lie within the obstacle face")
+        aperture = ()
+        if self.hole is not None:
+            for axis, c, h in zip(_CROSS_AXES[self.hole.axis], self.hole.center,
+                                  self.hole.half_extents):
+                if not (math.isfinite(h) and h > 0):
+                    raise WorkcellConfigError("hole half-extents must be positive")
+                lo, hi = c - h, c + h
+                if not (self.box_min[axis] <= lo and hi <= self.box_max[axis]):
+                    raise WorkcellConfigError("hole must lie within the obstacle face")
+                aperture += ((axis, lo, hi),)
+        _set(self, "aperture", aperture)
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +516,28 @@ def _segment_hit(origin, unit_dir, length, obs: Obstacle):
     if exit_ <= enter:
         return None
 
-    if obs.hole is None:
+    if not obs.aperture:
         return enter
 
-    u, v = _CROSS_AXES[obs.hole.axis]
-    cu, cv = obs.hole.center
-    hu, hv = obs.hole.half_extents
-
+    # The aperture and the channel walls are the same floats, so a move that
+    # stops on a wall stands in the aperture, and the next one starts there.
+    (u, ulo, uhi), (v, vlo, vhi) = obs.aperture
     pu = origin[u] + unit_dir[u] * enter
     pv = origin[v] + unit_dir[v] * enter
-    if abs(pu - cu) > hu or abs(pv - cv) > hv:
+    if not (ulo <= pu <= uhi and vlo <= pv <= vhi):
         return enter
 
     # Entered through the aperture; find where the ray leaves the hole
     # cross-section. Still inside the box at that point means hitting the
     # channel's side wall.
     g1 = math.inf
-    for axis, c, h in ((u, cu, hu), (v, cv, hv)):
+    for axis, lo, hi in obs.aperture:
         o = origin[axis]
         d = unit_dir[axis]
         if abs(d) < 1e-15:
             continue
-        ta = (c - h - o) / d
-        tb = (c + h - o) / d
+        ta = (lo - o) / d
+        tb = (hi - o) / d
         if ta > tb:
             ta, tb = tb, ta
         if tb < g1:

@@ -33,68 +33,53 @@ def with_far_obstacle(config):
 
 
 # ---------------------------------------------------------------------------
-# The step_motion twin: the move loops with every cycle one
-# `Workcell.step_motion` call, the reference. The shipped loops step on local
-# variables and must write what these write.
+# The step_motion twin: the move loop with every cycle one
+# `Workcell.step_motion` call, the reference. The shipped loop steps on local
+# variables and must write what this writes.
 
 
-def step_motion_move(self, goal, speed):
+def step_motion_move(self, goal, speed, guard=None):
     """`ExecutionContext._move`, one `Workcell.step_motion` call a cycle."""
-    state = self.workcell.state
-    sample = self.trace.move_sample if self.options.record_motion_samples else None
+    workcell = self.workcell
+    state = workcell.state
+    guarded = guard is not None
+    sample = None
+    if self.options.record_motion_samples:
+        sample = self.trace.attempt_sample if guarded else self.trace.move_sample
     stack, level, bits = self.stack, self.active_speed, state.io_bits
     speed = _check_move(state.joints, goal, speed)
+    stop_if, distance = guard if guarded else (None, 0.0)
+    covered, guard_stopped = 0.0, False
     cycles = self.cycles
     try:
-        while state.joints != goal:
-            if cycles >= controller_module.MAX_CONTROL_CYCLES:
-                raise _cycle_cap_exceeded()
-            cycles += 1
-            pre_j = state.joints
-            contact, advanced = self.workcell.step_motion(goal, speed)
-            if sample is not None:
-                sample(state.clock, stack, level, pre_j, state.joints, bits, advanced, contact)
-            if contact and advanced <= 1e-15:
-                raise RunAborted(
-                    f"collision during move: blocked at {state.joints[:3]}"
-                    f" moving to {goal[:3]}"
-                )
-    finally:
-        self.cycles = cycles
-
-
-def step_motion_attempt_motion(self, spec, start, direction, speed):
-    """`Controller._attempt_motion`, one `Workcell.step_motion` call a cycle."""
-    ctx = self.ctx
-    workcell = ctx.workcell
-    sample = ctx.trace.attempt_sample if ctx.options.record_motion_samples else None
-    distance = spec.distance
-    goal = (start[0] + direction[0] * distance, start[1] + direction[1] * distance,
-            start[2] + direction[2] * distance) + start[3:]
-    speed = _check_move(start, goal, speed)
-    covered = 0.0
-    state = workcell.state
-    stack, level, bits = ctx.stack, ctx.active_speed, state.io_bits
-    cycles = ctx.cycles
-    try:
-        while covered < distance - 1e-12:
+        while (covered < distance - 1e-12) if guarded else (state.joints != goal):
             if cycles >= controller_module.MAX_CONTROL_CYCLES:
                 raise _cycle_cap_exceeded()
             cycles += 1
             pre_j = state.joints
             contact, advanced = workcell.step_motion(goal, speed)
-            covered += advanced
-            raw, filtered = workcell.read_force(ctx.rng)
-            if sample is not None:
-                sample(state.clock, stack, level, pre_j, state.joints, bits,
-                       advanced, covered, contact, raw, filtered)
-            if spec.stop_if is not None and evaluate_query(spec.stop_if, covered, filtered):
-                return covered, True
-            if advanced <= 1e-15:
-                break
+            if guarded:
+                covered += advanced
+                raw, filtered = workcell.read_force(self.rng)
+                if sample is not None:
+                    sample(state.clock, stack, level, pre_j, state.joints, bits,
+                           advanced, covered, contact, raw, filtered)
+                if stop_if is not None and evaluate_query(stop_if, covered, filtered):
+                    guard_stopped = True
+                    break
+                if advanced <= 1e-15:
+                    break
+            else:
+                if sample is not None:
+                    sample(state.clock, stack, level, pre_j, state.joints, bits, advanced, contact)
+                if contact and advanced <= 1e-15:
+                    raise RunAborted(
+                        f"collision during move: blocked at {state.joints[:3]}"
+                        f" moving to {goal[:3]}"
+                    )
     finally:
-        ctx.cycles = cycles
-    return covered, False
+        self.cycles = cycles
+    return covered, guard_stopped
 
 
 def run_forward_and_reversed(program, config, seed):
@@ -114,10 +99,10 @@ def run_forward_and_reversed(program, config, seed):
 
 def step_motion_twin(program, config, seed):
     """Run `program` on `config` forward and then fully reversed, with the
-    shipped move loops and with the step_motion twin. Check that the shipped
-    loops call `Workcell.step_motion` never and the twin once a cycle, and
+    shipped move loop and with the step_motion twin. Check that the shipped
+    loop calls `Workcell.step_motion` never and the twin once a cycle, and
     that both write the same bytes and abort reasons and leave the same
-    state. Returns the shipped loops' (trace text, abort reasons)."""
+    state. Returns the shipped loop's (trace text, abort reasons)."""
     original = Workcell.step_motion
     calls = []
 
@@ -136,7 +121,6 @@ def step_motion_twin(program, config, seed):
         shipped = outcome()
         assert calls == []
         patch.setattr(ExecutionContext, "_move", step_motion_move)
-        patch.setattr(Controller, "_attempt_motion", step_motion_attempt_motion)
         twin = outcome()
     assert len(calls) == twin[2]
     assert shipped[1] == twin[1]

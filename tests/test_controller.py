@@ -1106,7 +1106,7 @@ class TestMoveRange:
 
 
 class TestSampleTypes:
-    """The move loops hand `move_sample`/`attempt_sample` exact types, which
+    """The move loop hands `move_sample`/`attempt_sample` exact types, which
     their streamed template writes without a type test: a float clock and
     reals, a bool `contact`, six floats per joints. Ints enter by every door
     a directly built config and a callback leave open."""

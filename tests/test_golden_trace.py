@@ -12,9 +12,10 @@ on the target, contact at distance 0 and a blocked unguarded move. Every
 shipped example on every shipped config, and generated programs that touch
 a wall and retry, are pinned by digest as well: run forward and then fully
 reversed. Goals on a wall's face are reached; goals inside it, by 1e-17 m or
-a few ulps, are blocked at the face. No run calls `Workcell.step_motion`:
-the move loops step on local variables, and must write the bytes that the
-step_motion twin (`_helpers`), one `step_motion` call a cycle, writes. A
+a few ulps, are blocked at the face, and a move off a hole channel's wall
+leaves it. No run calls `Workcell.step_motion`: the one move loop steps on
+local variables, and must write the bytes that the step_motion twin
+(`_helpers`), one `step_motion` call a cycle, writes. A
 free cell, which tests no step against an obstacle, must write the bytes of
 the same cell plus an obstacle out of reach.
 """
@@ -28,15 +29,15 @@ import random
 import pytest
 
 from adsl.cli import EXIT_ABORTED, main
-from adsl.controller import Controller, ControllerOptions, default_registry
+from adsl.controller import Controller, ControllerOptions, ExecutionContext, default_registry
 from adsl.parser import parse_program
 from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import Workcell, load_workcell_config
+from adsl.workcell import Workcell, _segment_hit, load_workcell_config
 
 from _helpers import (
     bench_generator, build, of_kind, quiet_config, random_reversible_program,
-    run_forward_and_reversed, step_motion_attempt_motion, step_motion_twin, with_far_obstacle,
+    run_forward_and_reversed, step_motion_move, step_motion_twin, with_far_obstacle,
 )
 
 
@@ -428,7 +429,10 @@ def test_generated_wall_programs_golden_trace_digest():
         retries += any(e.data["attempt"] > 1 for e in of_kind(trace, EventKind.ATTEMPT_BEGIN))
     # The cases reach what they are for: contact with the wall, and retries.
     assert contacts >= 10 and retries >= 10, (contacts, retries)
-    assert digest.hexdigest() == "c4e73c5f598eb97ea84bd355aa151d8c9e09a7bba0abe681d919b431a2c7d1d3"
+    # Recorded when a point on a channel wall (z = c +- h) became a point of
+    # the aperture: seeds 12 and 26, whose moves off or along such a wall were
+    # blocked.
+    assert digest.hexdigest() == "6e1a1ccae403d80326bff664f2fd6ca4877a3e9209abc359ebc8e48957fb7824"
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +549,13 @@ def test_attempt_cycle_a_rounding_error_from_its_goal_tests_the_wall(walls):
     program = build(FACE_GOAL)
     spec = program.adv_moves["reach"]
     start = (0.04, 0.013, 0.1037, 0.0, 0.0, 0.0)
+    goal = (start[0] + spec.distance,) + start[1:]  # as `_execute_adv_move` forms it
     outcomes = []
-    for attempt in (Controller._attempt_motion, step_motion_attempt_motion):
+    for move in (ExecutionContext._move, step_motion_move):
         controller = Controller(program, quiet_config(obstacles=walls), seed=0)
         state = controller.ctx.workcell.state
         state.joints = (0.05,) + start[1:]
-        covered, stopped = attempt(controller, spec, start, (1.0, 0.0, 0.0), 0.1)
+        covered, stopped = move(controller.ctx, goal, 0.1, (spec.stop_if, spec.distance))
         outcomes.append((covered, stopped, state.joints, state.in_contact,
                          controller.trace.serialize()))
     assert outcomes[0] == outcomes[1]
@@ -603,7 +608,7 @@ def test_goals_ulps_inside_a_generated_wall_stop_at_its_face():
         program, config, wall, face, goal = ulps_inside_wall_program(random.Random(seed))
         start = config.home_joints[0]
         sign = 1.0 if goal[0] > start else -1.0
-        reach_goal = start + sign * abs(goal[0] - start)  # as `_attempt_motion` forms it
+        reach_goal = start + sign * abs(goal[0] - start)  # as `_execute_adv_move` forms it
         assert strictly_inside(goal, wall) and strictly_inside([reach_goal] + goal[1:], wall)
         text, reasons = step_motion_twin(program, config, seed)
         samples = samples_by_instruction(text)
@@ -644,3 +649,53 @@ def test_generated_walls_write_their_step_motion_twins_bytes():
         throughs += any(s["post_joints"][0] > beyond for s in samples)
         blocked += any(r is not None and r.startswith("collision during move") for r in reasons)
     assert contacts >= 12 and throughs >= 4 and blocked >= 3, (contacts, throughs, blocked)
+
+
+def generated_wall_run(seed):
+    """(walls, controller, abort reasons) of `generated_program` before the
+    `generated_walls` of `seed`, run forward and then fully reversed."""
+    rng = random.Random(seed)
+    program = generated_program(rng)
+    walls = generated_walls(rng)
+    config = quiet_config(obstacles=walls, noise_sigma=rng.choice([0.0, 0.5]))
+    return (walls,) + run_forward_and_reversed(program, config, seed)
+
+
+def in_solid(point, obstacle):
+    """Whether `point` lies strictly inside `obstacle`'s solid, by
+    `_segment_hit`'s own rule: strictly inside the box, a step along the
+    holes' axis x from it enters the solid at once."""
+    return (all(lo < p < hi for p, lo, hi in zip(point, obstacle.box_min, obstacle.box_max))
+            and _segment_hit(point, (1.0, 0.0, 0.0), 1e-3, obstacle) == 0.0)
+
+
+def test_generated_walls_hold_no_motion_sample_inside_a_solid():
+    for seed in range(300):
+        _, controller, _ = generated_wall_run(seed)
+        obstacles = controller.ctx.workcell.config.obstacles
+        for event in of_kind(controller.trace, EventKind.MOTION_SAMPLE):
+            assert not any(in_solid(event.post_joints[:3], o) for o in obstacles), (seed, event)
+
+
+def test_a_move_off_a_hole_channels_wall_leaves_it():
+    """`generated_walls` seed 112: guarded move m1 stops in contact on the top
+    wall of the first wall's hole channel, z = c + h, and m0, reaching along
+    the same line, is blocked there. Its return to the initial position heads
+    down into the channel and moves; it was blocked at distance 0 while the
+    aperture test, `abs(z - c) > h`, put the stop 3.5e-18 m outside the hole.
+    The run aborts later, on the retry's move up into the wall."""
+    walls, controller, reasons = generated_wall_run(112)
+    hole = walls[0]["hole"]
+    top = hole["center"][1] + hole["half_extents"][1]
+    events = controller.trace.events
+    blocked = next(i for i, e in enumerate(events)
+                   if e.kind is EventKind.ATTEMPT_END and e.data["move"] == "m0")
+    stop = events[blocked].post_joints
+    assert stop[2] == top and events[blocked].data["covered"] == 0
+    back = events[blocked + 1]
+    assert back.kind is EventKind.MOTION_SAMPLE and "covered" not in back.data
+    assert back.data == {"advanced": 0.002, "contact": False} and back.post_joints[2] < top
+    assert reasons == [
+        f"collision during move: blocked at {stop[:3]} moving to"
+        " (0.20859946072844024, 0.002584996311580736, 0.12173801323411163)"
+    ]

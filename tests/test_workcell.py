@@ -119,6 +119,19 @@ class TestStepMotion:
         hole = WALL_WITH_HOLE.hole
         assert all(abs(p - c) <= h for p, c, h in zip(pos[1:], hole.center, hole.half_extents))
 
+    def test_a_step_off_a_channel_wall_leaves_it(self):
+        """A point on a channel wall, at z = c + h as the obstacle rounds it,
+        is in the aperture: a step from it down into the channel is free, and
+        one up into the wall is blocked at once. With these c and h (those of
+        `generated_walls` seed 112), `abs(z - c) > h` holds there."""
+        c, h = 0.09284172483170414, 0.023836262240942426
+        wall = Obstacle((0.2, -0.5, -0.5), (0.23, 0.5, 0.5), Hole(HoleAxis.X, (0.0, c), (0.02, h)))
+        top = c + h
+        assert abs(top - c) > h and wall.aperture[1] == (2, c - h, top)
+        origin = (0.21, 0.0, top)
+        assert _segment_hit(origin, (0.0, 0.0, -1.0), 0.002, wall) is None
+        assert _segment_hit(origin, (0.0, 0.0, 1.0), 0.002, wall) == 0.0
+
     def test_non_penetration_invariant(self):
         rng = random.Random(99)
         cell = make_cell(obstacles=(WALL_WITH_HOLE,))
@@ -705,11 +718,14 @@ class TestBroadPhase:
         assert cell._first_hit(origin, unit_dir, length) == \
             reference_first_hit(cell, origin, unit_dir, length)
 
-    def test_bounds_widen_the_box_and_stay_out_of_the_fields(self):
+    def test_bounds_and_aperture_stay_out_of_the_fields(self):
         assert WALL_WITH_HOLE.bounds == (0.15 - 1e-9, -0.5 - 1e-9, -0.5 - 1e-9,
                                          0.25 + 1e-9, 0.5 + 1e-9, 0.5 + 1e-9)
-        assert "bounds" not in repr(WALL_WITH_HOLE)
+        assert WALL_WITH_HOLE.aperture == ((1, -0.02, 0.02), (2, -0.02, 0.02))
+        assert WALL.aperture == ()
+        assert "bounds" not in repr(WALL_WITH_HOLE) and "aperture" not in repr(WALL_WITH_HOLE)
         assert WALL_WITH_HOLE.replace().bounds == WALL_WITH_HOLE.bounds
+        assert WALL_WITH_HOLE.replace().aperture == WALL_WITH_HOLE.aperture
 
     def test_a_wall_far_to_the_side_is_never_tested(self, monkeypatch):
         calls = []
