@@ -132,9 +132,7 @@ def cmd_reverse(args) -> int:
     result = controller.run()
 
     try:
-        plan = reverse_execute(
-            controller.trace, args.depth, controller.ctx, registry=controller.registry
-        )
+        plan = reverse_execute(controller.trace, args.depth, controller.ctx)
     except RunAborted as exc:
         print(f"error: reversal failed: {exc}", file=sys.stderr)
         return EXIT_ABORTED

@@ -84,6 +84,7 @@ from .workcell import (
     Workcell,
     WorkcellConfig,
     DEFAULT_SPEED,
+    MAX_RNG_SEED,
 )
 
 MAX_CALL_DEPTH = 32  # open sequence calls, recovery sequences included
@@ -119,6 +120,11 @@ class ControllerOptions(Value):
         if self.return_to_sequence not in ("resume", "restart"):
             raise ValueError("return_to_sequence must be 'resume' or 'restart', got "
                              f"{self.return_to_sequence!r}")
+        if not isinstance(self.resume_policy, ResumePolicy):
+            raise TypeError(f"resume_policy must be a ResumePolicy, got {self.resume_policy!r}")
+        if not isinstance(self.record_motion_samples, bool):
+            raise TypeError("record_motion_samples must be a bool, got "
+                            f"{self.record_motion_samples!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +512,11 @@ class Controller:
         options: Optional[ControllerOptions] = None,
         registry: Optional[ActionRegistry] = None,
     ):
+        if seed is not None:
+            if type(seed) is not int:
+                raise TypeError(f"seed must be None or an int, got {seed!r}")
+            if not 0 <= seed <= MAX_RNG_SEED:
+                raise ValueError(f"seed must be in 0..{MAX_RNG_SEED}, got {seed}")
         diagnostics = validate_program(program)
         if diagnostics:
             raise InvalidProgramError(diagnostics)

@@ -14,6 +14,7 @@ instead of raising.
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from typing import Optional, Union
 
@@ -344,6 +345,9 @@ class Program(Value):
 #: The cell's joints, which are the TCP pose: (x, y, z, roll, pitch, yaw).
 JOINT_COUNT = 6
 
+#: A bare name (a joint configuration's, a keyframe's): the lexer's identifier.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 #: Instruction forms allowed as a reverse_with payload. Structured forms
 #: (sequence calls, guarded moves) have no single-step undo meaning.
 _PRIMITIVE_INSTRUCTIONS = (Io, Wait, MoveJoint, Call)
@@ -354,19 +358,34 @@ def validate_program(program: Program) -> list[Diagnostic]:
 
     An empty list means the program is executable: all referenced names
     resolve to declarations of the right kind, the sequence-call graph is
-    acyclic, numeric fields are in range, and the entry point exists.
-    Duplicate declaration names cannot occur here; the parser rejects them
-    before a Program is built.
+    acyclic, numeric fields are in range, the entry point exists, and
+    `pretty_print` writes text that parses back to the program. Duplicate
+    declaration names cannot occur here; the parser rejects them before a
+    Program is built.
     """
     diags: list[Diagnostic] = []
 
     def err(message, name=None, location=None):
         diags.append(Diagnostic(message, name, location))
 
+    # Every name must print as text that parses back to it: a string holds
+    # no newline, a bare name is an identifier, a table key is its name.
+    for table in (program.items, program.io_ops, program.joint_confs,
+                  program.sequences, program.errors, program.adv_moves):
+        for key, decl in table.items():
+            if key != decl.name:
+                err(f"declaration name {decl.name!r} differs from its table key", key,
+                    decl.location)
+            elif table is program.joint_confs:
+                _check_ident(decl.name, decl.location, err)
+            elif "\n" in decl.name:
+                err("name holds a newline", decl.name, decl.location)
+
     for item in program.items.values():
         if not item.keyframes:
             err("item has no keyframes", item.name, item.location)
         for kf in item.keyframes:
+            _check_ident(kf.name, item.location, err)
             if not kf.coordinates:
                 err("keyframe has no coordinates", f"{item.name}.{kf.name}", item.location)
             for coord in kf.coordinates:
@@ -407,6 +426,11 @@ def validate_program(program: Program) -> list[Diagnostic]:
         err("unresolved entry sequence", program.entry)
 
     return diags
+
+
+def _check_ident(name: str, loc, err) -> None:
+    if _IDENT.fullmatch(name) is None:
+        err("name is not an identifier", name, loc)
 
 
 def _check_io_operation(op: IOOperation, err) -> None:
@@ -451,6 +475,8 @@ def _check_instruction(program, owner, instr, err) -> None:
     elif isinstance(instr, Call):
         # Action names bind to the runtime action registry, not to program
         # declarations; only the item arguments are resolvable here.
+        if "\n" in instr.action:
+            err("name holds a newline", instr.action, loc)
         for item in instr.items:
             if item not in program.items:
                 err("unresolved item", item, loc)
@@ -525,7 +551,7 @@ def _check_error_spec(program: Program, espec: ErrorSpec, err) -> None:
     if espec.recovery_sequence not in program.sequences:
         err("unresolved recovery sequence", espec.recovery_sequence, espec.location)
         return
-    for move_name in _reachable_adv_moves(program, espec.recovery_sequence):
+    for move_name in sorted(_reachable_adv_moves(program, espec.recovery_sequence)):
         spec = program.adv_moves.get(move_name)
         if spec is None:
             continue

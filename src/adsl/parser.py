@@ -19,11 +19,12 @@ A token's value (an unescaped string, an int or float) and its
 where some text matches no token does a walk over the parts, in text order,
 name the error (or take a long integer `int` converts as a NUMBER).
 
-Each word choice of the grammar is one table (`_DECLARATIONS`, `_PRIMITIVES`,
-`_ERROR_FIELDS`, ...): its keys are the words accepted and, quoted and in
-order, the words a failure lists. Declarations and error fields fill `Program`
-and `ErrorSpec` by field name. The instruction words alone stay a branch
-chain, on the hot path, whose failure names no word.
+Each word choice of the grammar is one table (`_DECLARATIONS`, `_INSTRUCTIONS`,
+`_PRIMITIVES`, `_ERROR_FIELDS`, ...): its keys are the words accepted and,
+quoted and in order, the words a failure lists; only a failed instruction
+names no word. Declarations and error fields fill `Program` and `ErrorSpec`
+by field name. The word-to-class tables are the only place a construct's word
+is spelled: `printer` inverts them to write each class's word back.
 
 Parsing is a pure function of the input text: it either returns a complete
 `Program` or raises `ParseError` at the first failure point.
@@ -77,6 +78,7 @@ from .model import (
     SpeedLevel,
     ThrowError,
     Wait,
+    _IDENT,
 )
 
 
@@ -116,7 +118,7 @@ _SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 _TOKEN_RE = re.compile(
     rf"""
     (?: ( [;,{{}}()=@]
-        | [A-Za-z_][A-Za-z0-9_]*
+        | {_IDENT.pattern}
         | [+-]?[0-9]+\.[0-9]+ | [+-]?[0-9]{{1,{_SAFE_DIGITS}}}(?![0-9])
         | {_STRING_PREFIX}"
         | \Z )
@@ -237,7 +239,8 @@ def _lex_error(text: str, start: int, end: int, line_starts) -> ParseError:
 # ---------------------------------------------------------------------------
 # Parser
 
-_INSTRUCTION_WORDS = ("move", "io", "wait", "call", "adv_move", "seq")
+_INSTRUCTIONS = {"move": MoveJoint, "io": Io, "wait": Wait, "call": Call,
+                 "adv_move": AdvMoveRef, "seq": SeqCall}
 
 _DIRECTIONS = {d.value: d for d in Direction}
 _FRAMES = {f.value: f for f in Frame}
@@ -459,23 +462,20 @@ class _Parser:
         return ReverseWith(inner)
 
     def instruction_core(self, annotation) -> Instruction:
-        word = self.texts[self.pos]
-        if word not in _INSTRUCTION_WORDS:
-            self.fail("instruction")
         loc = self.location()
-        self.pos += 1
-        if word == "move":
+        cls = self.keyword_from(_INSTRUCTIONS, "instruction")
+        if cls is MoveJoint:
             self.expect_word("to")
             waypoints = [self.ident("joint configuration name")]
             while self.kinds[self.pos] == "COMMA":
                 self.pos += 1
                 waypoints.append(self.ident("joint configuration name"))
             return MoveJoint(tuple(waypoints), annotation, location=loc)
-        if word == "io":
+        if cls is Io:
             return Io(self.string("io operation name"), annotation, location=loc)
-        if word == "wait":
+        if cls is Wait:
             return Wait(self.number("wait duration"), annotation, location=loc)
-        if word == "call":
+        if cls is Call:
             action = self.string("action name")
             self.expect("LPAREN", "'('")
             items = []
@@ -483,7 +483,7 @@ class _Parser:
                 items.append(self.string("item name"))
             self.expect("RPAREN", "')'")
             return Call(action, tuple(items), annotation, location=loc)
-        if word == "adv_move":
+        if cls is AdvMoveRef:
             return AdvMoveRef(self.string("advanced move name"), annotation, location=loc)
         return SeqCall(self.string("sequence name"), annotation, location=loc)
 

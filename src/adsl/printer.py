@@ -3,41 +3,36 @@
 Output is byte-stable: declarations are grouped by kind, sorted by name,
 indented with two spaces, and numbers are printed in positional decimal with
 exact float round-trip. Fields equal to their defaults are omitted.
+
+Every word the parser picks from a table is taken from that table: each
+instruction, primitive, annotation, query and behavior class is written as
+its word in the parser's tables, and an error declaration writes the fields
+its table names. Only the words no table chooses among are spelled here.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+
 from .model import (
-    AdvMoveRef,
     AdvMoveSpec,
-    Barrier,
     Call,
     ErrorSpec,
-    ForcesExceed,
     Instruction,
-    Io,
     IOOperation,
     Item,
     JointConfiguration,
     MoveJoint,
-    NonReversible,
     Program,
     Query,
-    RepeatWithPerturbation,
-    RespondAfter,
-    ReturnTo,
-    ReturnToInitialPosition,
     ReverseWith,
-    SelectBit,
-    SeqCall,
     Sequence,
-    SetHigh,
-    SetLow,
-    SkipOnReverse,
-    Sleep,
-    ThrowError,
-    Wait,
 )
+from .parser import _ANNOTATIONS, _BEHAVIORS, _ERROR_FIELDS, _INSTRUCTIONS, _PRIMITIVES, _QUERIES
+
+#: Each construct class's word: the parser's word tables, inverted.
+_WORDS = {cls: word for table in (_INSTRUCTIONS, _PRIMITIVES, _ANNOTATIONS, _QUERIES, _BEHAVIORS)
+          for word, cls in table.items()}
 
 
 def format_number(value) -> str:
@@ -60,62 +55,52 @@ def _string(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _behavior(b) -> str:
-    if isinstance(b, ReturnToInitialPosition):
-        return "return_to_initial_position;"
-    if isinstance(b, RepeatWithPerturbation):
-        return f"repeat_with_perturbation({b.max_retries});"
-    assert isinstance(b, ThrowError)
-    return f"throw_error({_string(b.error)});"
+def _text(value) -> str:
+    """A field's value as program text: a string quoted, a keyword its word,
+    a number exact."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, Enum):
+        return value.value
+    return format_number(value)
+
+
+def _applied(value) -> str:
+    """A query or behavior as `word(field, ...)`; one without fields is its word."""
+    word = _WORDS[type(value)]
+    if not value._fields:
+        return word
+    return f"{word}({', '.join([_text(getattr(value, f)) for f in value._fields])})"
 
 
 def _primitive(p) -> str:
-    if isinstance(p, SetLow):
-        return "set_low;"
-    if isinstance(p, SetHigh):
-        return "set_high;"
-    if isinstance(p, SelectBit):
-        return f"bit {p.index};"
-    assert isinstance(p, Sleep)
-    return f"sleep {format_number(p.seconds)};"
+    return " ".join([_WORDS[type(p)], *[_text(getattr(p, f)) for f in p._fields]]) + ";"
 
 
 def _instruction_core(instr: Instruction) -> str:
+    word = _WORDS[type(instr)]
     if isinstance(instr, MoveJoint):
-        return "move to " + ", ".join(instr.waypoints)
-    if isinstance(instr, Io):
-        return f"io {_string(instr.op)}"
-    if isinstance(instr, Wait):
-        return f"wait {format_number(instr.seconds)}"
+        return f"{word} to " + ", ".join(instr.waypoints)
     if isinstance(instr, Call):
         args = " ".join(_string(i) for i in instr.items)
-        return f"call {_string(instr.action)}({args})"
-    if isinstance(instr, AdvMoveRef):
-        return f"adv_move {_string(instr.name)}"
-    assert isinstance(instr, SeqCall)
-    return f"seq {_string(instr.name)}"
+        return f"{word} {_string(instr.action)}({args})"
+    return f"{word} {_text(getattr(instr, instr._fields[0]))}"  # Io, Wait, AdvMoveRef, SeqCall
 
 
 def format_instruction(instr: Instruction) -> str:
     """One-line rendering of an instruction, annotation included."""
+    text = _instruction_core(instr) + ";"
     ann = instr.annotation
-    prefix = ""
-    if isinstance(ann, NonReversible):
-        prefix = "@nonreversible "
-    elif isinstance(ann, SkipOnReverse):
-        prefix = "@skip_on_reverse "
-    elif isinstance(ann, Barrier):
-        prefix = "@barrier "
-    elif isinstance(ann, ReverseWith):
-        prefix = f"@reverse_with({_instruction_core(ann.instruction)}) "
-    return prefix + _instruction_core(instr) + ";"
+    if ann is None:
+        return text
+    if isinstance(ann, ReverseWith):
+        return f"@{_WORDS[ReverseWith]}({_instruction_core(ann.instruction)}) {text}"
+    return f"@{_WORDS[type(ann)]} {text}"
 
 
 def format_query(q: Query) -> str:
     """Rendering of a query as program text, which the parser reads back."""
-    if isinstance(q, ForcesExceed):
-        return f"forces_exceed({format_number(q.threshold)})"
-    return f"distance_covered({q.cmp.value}, {format_number(q.value)})"
+    return _applied(q)
 
 
 def _item(item: Item, out: list[str]) -> None:
@@ -144,12 +129,10 @@ def _joint_conf(conf: JointConfiguration, out: list[str]) -> None:
 
 def _error(spec: ErrorSpec, out: list[str]) -> None:
     out.append(f"error {_string(spec.name)} {{")
-    if spec.recovery_sequence is not None:
-        out.append(f"  recovery_sequence {_string(spec.recovery_sequence)};")
-    if spec.respond_after is not RespondAfter.CURRENT_ACTION:
-        out.append(f"  respond_after {spec.respond_after.value};")
-    if spec.return_to is not ReturnTo.SEQUENCE:
-        out.append(f"  return_to {spec.return_to.value};")
+    for field in _ERROR_FIELDS:  # a field word is its `ErrorSpec` field; defaults are left out
+        value = getattr(spec, field)
+        if value != getattr(ErrorSpec, field):
+            out.append(f"  {field} {_text(value)};")
     out.append("}")
 
 
@@ -174,11 +157,11 @@ def _adv_move(spec: AdvMoveSpec, out: list[str]) -> None:
     if spec.on_success:
         out.append("  on_success {")
         for b in spec.on_success:
-            out.append(f"    {_behavior(b)}")
+            out.append(f"    {_applied(b)};")
         out.append("  }")
     out.append("  on_fail {")
     for b in spec.on_fail:
-        out.append(f"    {_behavior(b)}")
+        out.append(f"    {_applied(b)};")
     out.append("  }")
     out.append("}")
 
@@ -198,8 +181,9 @@ _SECTIONS = (("items", _item), ("io_ops", _io_op), ("joint_confs", _joint_conf),
 def pretty_print(program: Program) -> str:
     """Render a program as canonical DSL text.
 
-    Parsing the output yields a structurally identical program; two
-    structurally equal programs always print to the same bytes.
+    Parsing the output of a program `validate_program` accepts yields a
+    structurally identical program; two structurally equal programs always
+    print to the same bytes.
     """
     out: list[str] = []
     for field, write in _SECTIONS:

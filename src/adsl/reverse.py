@@ -185,6 +185,7 @@ def reverse_execute(
     """Undo up to `depth` recorded instructions, newest first.
 
     `trace` is the run's trace, `ctx.trace`, which records the reversal too.
+    `registry` defaults to the run's, `ctx.registry`.
     `depth=None` reverses as far as the undo log allows. The walk halts early
     at a barrier annotation, a never-reversible entry, or an empty undo log,
     and the stop reason is recorded in the plan and in the closing trace
@@ -193,6 +194,8 @@ def reverse_execute(
     log when the call completes.
     """
     limit = math.inf if depth is None else depth
+    if registry is None:
+        registry = ctx.registry
     log = ctx.undo_log
     cursor = len(trace) - 1
     data = {"depth": "full" if depth is None else depth}
@@ -284,7 +287,6 @@ def recover_by_reversal(name: str, ctx) -> Optional[tuple]:
         ctx.trace,
         policy.depth_for(occurrence),
         ctx,
-        registry=ctx.registry,
         info={"error": name, "occurrence": occurrence, "policy": policy.mode.value},
     )
     if plan.stop_reason in (StopReason.BARRIER, StopReason.NEVER_REVERSIBLE_HIT):

@@ -98,6 +98,33 @@ class TestValidate:
         assert "'a' non-finite joint value" in out
         assert err == ""
 
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # A recovery sequence reaching six moves that each throw its error:
+        # one diagnostic a move, in a fixed order rather than set order.
+        moves = "".join(
+            f'advanced_move "m{i}" {{ specification {{ distance 0.1 direction forward frame tcp; }}'
+            ' evaluation { forces_exceed(1); } on_fail { throw_error("stuck"); } }\n'
+            for i in range(6)
+        )
+        calls = " ".join(f'adv_move "m{i}";' for i in range(6))
+        prog = tmp_path / "rethrow.adsl"
+        prog.write_text(
+            moves + f'sequence "rec" {{ {calls} }}\n'
+            'error "stuck" { recovery_sequence "rec"; }\n'
+            f'sequence "main" {{ {calls} }}\nentry "main";\n'
+        )
+        outputs = set()
+        for hash_seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(adsl.__file__)))
+            done = subprocess.run([sys.executable, "-m", "adsl", "validate", str(prog)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_INVALID
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
+        out = outputs.pop()
+        assert [line.split("'")[3] for line in out.splitlines()] == [f"m{i}" for i in range(6)]
+
 
 class TestRun:
     def test_aligned_completes_clean(self, capsys, corpus_path):

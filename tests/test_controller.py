@@ -39,7 +39,7 @@ from adsl.parser import parse_program
 from adsl.printer import format_query
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import Obstacle, Workcell, WorkcellConfig
+from adsl.workcell import MAX_RNG_SEED, Obstacle, Workcell, WorkcellConfig
 
 
 from _helpers import (
@@ -804,6 +804,27 @@ class TestErrorHandling:
             with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
                 setattr(options, field, value)
         assert options == ControllerOptions()
+
+    @pytest.mark.parametrize("field, value", [
+        ("resume_policy", "linear"),
+        ("resume_policy", PolicyMode.LINEAR),
+        ("record_motion_samples", "no"),
+        ("record_motion_samples", 0),
+    ])
+    def test_options_of_the_wrong_type_are_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be a"):
+            ControllerOptions(**{field: value})
+
+    @pytest.mark.parametrize("seed, error", [
+        (-5, ValueError), (MAX_RNG_SEED + 1, ValueError),
+        (True, TypeError), (5.0, TypeError), ("5", TypeError),
+    ])
+    def test_seed_must_be_an_int_in_the_config_range(self, seed, error):
+        program = build('sequence "main" { wait 0.01; }')
+        with pytest.raises(error, match="^seed must be"):
+            Controller(program, quiet_config(), seed=seed)
+        for accepted in (None, 0, MAX_RNG_SEED):
+            assert Controller(program, quiet_config(), seed=accepted).run().completed
 
     def test_reversal_guard_aborts_an_error_recurring_against_boundaries(self):
         # Every odd run fails, and each reversal stops at the failing call: it

@@ -11,6 +11,7 @@ from adsl.model import (
     AdvMoveRef,
     AdvMoveSpec,
     Barrier,
+    Call,
     Comparison,
     Diagnostic,
     Direction,
@@ -20,7 +21,9 @@ from adsl.model import (
     Frame,
     Io,
     IOOperation,
+    Item,
     JointConfiguration,
+    Keyframe,
     MoveJoint,
     Program,
     RepeatWithPerturbation,
@@ -100,6 +103,31 @@ class TestValidation:
             sequences={"a": Sequence("a", (SeqCall("a"),))}, entry="a"
         )
         assert any("recursive" in d.message for d in validate_program(program))
+
+    # Each program below validated clean, yet printed to text that does not
+    # parse back to it.
+    def test_a_string_name_holding_a_newline(self):
+        program = simple_program(sequences={
+            "main": Sequence("main", (SeqCall("a\nb"), Call("log\nit"))),
+            "a\nb": Sequence("a\nb", (MoveJoint(("home",)),)),
+        })
+        assert [(d.message, d.name) for d in validate_program(program)] == [
+            ("name holds a newline", "a\nb"), ("name holds a newline", "log\nit"),
+        ]
+
+    def test_a_bare_name_that_is_not_an_identifier(self):
+        item = Item("peg", (Keyframe("k 1", ((0.0, 0.0, 0.0),)),))
+        program = simple_program(joint_confs={"a b": conf("a b")}, items={"peg": item},
+                                 sequences={"main": Sequence("main", (MoveJoint(("a b",)),))})
+        assert [(d.message, d.name) for d in validate_program(program)] == [
+            ("name is not an identifier", "a b"), ("name is not an identifier", "k 1"),
+        ]
+
+    def test_a_table_key_that_is_not_its_declarations_name(self):
+        program = Program(sequences={"a": Sequence("b", (Wait(1.0),))}, entry="a")
+        assert [(d.message, d.name) for d in validate_program(program)] == [
+            ("declaration name 'b' differs from its table key", "a"),
+        ]
 
     def test_multi_cycle_diagnostics_and_order(self):
         diags = validate_program(parse_program(MULTI_CYCLE))

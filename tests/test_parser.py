@@ -1,7 +1,9 @@
 import collections
 import gc
 import importlib.resources
+import os
 import random
+import re
 import string
 import sys
 import tracemalloc
@@ -48,10 +50,11 @@ from adsl.model import (
     Wait,
     validate_program,
 )
+from adsl import parser
 from adsl.parser import ParseError, parse_program, tokenize
 from adsl.printer import format_number, pretty_print
 
-from _helpers import bench_generator
+from _helpers import ROOT, bench_generator
 
 EXAMPLES = importlib.resources.files("adsl") / "examples"
 
@@ -853,3 +856,22 @@ def test_minimal_program_prints_with_defaults_omitted():
     text = pretty_print(program)
     assert text == 'error "e" {\n}\n'
     assert parse_program(text) == program
+
+
+def test_grammar_and_parser_spell_the_same_words():
+    """Each word the parser picks from a table or an enum is a quoted terminal
+    of docs/grammar.ebnf, and each quoted word of its syntax is one of those
+    or a word the parser matches literally (`expect_word`, `accept`)."""
+    with open(os.path.join(ROOT, "docs", "grammar.ebnf"), encoding="utf-8") as f:
+        grammar = f.read()
+    syntax = grammar[:grammar.index("(* ---- lexical elements")]
+    terminals = set(re.findall(r'"([A-Za-z_]+)"', syntax))
+    tables = (parser._DECLARATIONS, parser._INSTRUCTIONS, parser._PRIMITIVES,
+              parser._ANNOTATIONS, parser._QUERIES, parser._BEHAVIORS, parser._ERROR_FIELDS)
+    enums = (Direction, Frame, SpeedLevel, RespondAfter, ReturnTo, Comparison)
+    words = {w for table in tables for w in table} | {m.value for e in enums for m in e}
+    with open(parser.__file__, encoding="utf-8") as f:
+        literals = set(re.findall(r'\b(?:expect_word|accept)\("([a-z_]+)"\)', f.read()))
+    assert literals, "no literal word found in parser.py"
+    assert words - terminals == set()
+    assert terminals - words - literals == set()

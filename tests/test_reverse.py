@@ -129,6 +129,15 @@ class TestReverseExecute:
         assert state.bits() == bits0
         assert state.joints == joints0
 
+    def test_an_omitted_registry_is_the_runs(self):
+        # The default registry's "noop" has a reverse callback.
+        program = build('sequence "s" { call "noop"(); wait 0.1; }')
+        controller = Controller(program, quiet_config(), seed=0)
+        assert controller.run().completed
+        plan = reverse_execute(controller.trace, None, controller.ctx)
+        assert plan.stop_reason is StopReason.TRACE_START
+        assert len(plan.steps) == 2
+
     def test_full_depth_restores_initial_state(self):
         controller, plan, joints0, bits0 = run_and_reverse(REVERSIBLE_DEMO)
         state = controller.ctx.workcell.state
