@@ -9,7 +9,8 @@ the TCP pose, so every move steps them toward its goal: one tuple of six
 floats, checked once (`_check_move`, which also makes the move's speed a
 float) before the first cycle. Each step is a control cycle, which one loop,
 `ExecutionContext._move`, runs for moves and guarded attempts alike, on
-local variables as its reference `Workcell.step_motion` runs it;
+local variables as its reference `Workcell.step_motion` runs it, testing
+obstacles only within a step of their hull (`_padded_hull`);
 `MAX_CONTROL_CYCLES` caps a context's cycles.
 An action callback moves the same way, by `ctx.move_joints_to(joints, speed)`.
 A `Controller` runs once: a second `run()` raises RuntimeError.
@@ -85,6 +86,7 @@ from .workcell import (
     WorkcellConfig,
     DEFAULT_SPEED,
     MAX_RNG_SEED,
+    _padded_hull,
 )
 
 MAX_CALL_DEPTH = 32  # open sequence calls, recovery sequences included
@@ -339,8 +341,10 @@ class ExecutionContext:
         rejects raise RunAborted. Each cycle runs, on local variables and in
         its order, the arithmetic of one `Workcell.step_motion` call, the
         reference: both leave the same joints, clock, contact and samples. In a
-        free cell no cycle tests an obstacle or writes `contact`. Only a cycle
-        at distance 0 snaps untested, so a goal in a solid blocks.
+        free cell no cycle tests an obstacle or writes `contact`; in a cell
+        with obstacles a cycle that starts outside `_padded_hull` has no
+        contact untested, as `_first_hit` would find none. Only a cycle at
+        distance 0 snaps untested, so a goal in a solid blocks.
 
         Without a guard the move ends when the joints equal `goal`, and a
         blocking solid raises RunAborted. With `guard`, `(stop_if, distance)`,
@@ -367,6 +371,8 @@ class ExecutionContext:
         dt = workcell.config.dt
         step = speed * dt  # the product `step_motion` forms each cycle
         first_hit = workcell._first_hit if workcell.config.obstacles else None
+        if first_hit is not None:
+            x0, y0, z0, x1, y1, z1 = _padded_hull(workcell.config.hull, step)
         tx, ty, tz, o1x, o1y, o1z = goal
         joints, clock, contact = state.joints, state.clock, state.in_contact
         try:
@@ -384,7 +390,10 @@ class ExecutionContext:
                 else:
                     advanced = dist if dist < step else step
                     if first_hit is not None:
-                        hit = first_hit((px, py, pz), (dx / dist, dy / dist, dz / dist), advanced)
+                        hit = None  # as `first_hit` finds from outside the padded hull
+                        if x0 <= px <= x1 and y0 <= py <= y1 and z0 <= pz <= z1:
+                            hit = first_hit((px, py, pz), (dx / dist, dy / dist, dz / dist),
+                                            advanced)
                         contact = hit is not None
                         if contact:  # halts at the surface, never snapping to `goal`
                             advanced = hit if hit > 0.0 else 0.0

@@ -13,8 +13,8 @@ instead of raising.
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from enum import Enum
 from typing import Optional, Union
 
@@ -389,7 +389,7 @@ def validate_program(program: Program) -> list[Diagnostic]:
             if not kf.coordinates:
                 err("keyframe has no coordinates", f"{item.name}.{kf.name}", item.location)
             for coord in kf.coordinates:
-                if not all(math.isfinite(c) for c in coord):
+                if not all(map(_finite, coord)):
                     err("non-finite keyframe coordinate", f"{item.name}.{kf.name}", item.location)
 
     for op in program.io_ops.values():
@@ -403,7 +403,7 @@ def validate_program(program: Program) -> list[Diagnostic]:
                 conf.name,
                 conf.location,
             )
-        if not all(math.isfinite(j) for j in conf.joints):
+        if not all(map(_finite, conf.joints)):
             err("non-finite joint value", conf.name, conf.location)
 
     for seq in program.sequences.values():
@@ -426,6 +426,15 @@ def validate_program(program: Program) -> list[Diagnostic]:
         err("unresolved entry sequence", program.entry)
 
     return diags
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value) -> bool:
+    """Whether a real field holds an int or float, not a bool, that is finite
+    as a float: false, never raising, for a string or an int past float range."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 def _check_ident(name: str, loc, err) -> None:
@@ -452,7 +461,7 @@ def _check_io_operation(op: IOOperation, err) -> None:
             if prim.index < 0:
                 err("negative bit index", op.name, op.location)
         elif isinstance(prim, Sleep):
-            if not (math.isfinite(prim.seconds) and prim.seconds > 0):
+            if not (_finite(prim.seconds) and prim.seconds > 0):
                 err("sleep duration must be a positive finite number", op.name, op.location)
     if pending_level and selects_since_level != 1:
         err("level primitive not followed by exactly one select", op.name, op.location)
@@ -470,7 +479,7 @@ def _check_instruction(program, owner, instr, err) -> None:
         if instr.op not in program.io_ops:
             err("unresolved io operation", instr.op, loc)
     elif isinstance(instr, Wait):
-        if not (math.isfinite(instr.seconds) and instr.seconds > 0):
+        if not (_finite(instr.seconds) and instr.seconds > 0):
             err("wait duration must be a positive finite number", owner, loc)
     elif isinstance(instr, Call):
         # Action names bind to the runtime action registry, not to program
@@ -488,9 +497,11 @@ def _check_instruction(program, owner, instr, err) -> None:
             err("unresolved sequence call", instr.name, loc)
 
     ann = instr.annotation
-    if isinstance(ann, ReverseWith):
+    if ann is not None and not isinstance(ann, Annotation.__args__):  # a Union checks slowly
+        err("annotation is not an annotation class", owner, loc)
+    elif isinstance(ann, ReverseWith):
         payload = ann.instruction
-        if payload.annotation is not None:
+        if getattr(payload, "annotation", None) is not None:
             err("reverse_with payload must not carry an annotation", owner, loc)
         if not isinstance(payload, _PRIMITIVE_INSTRUCTIONS):
             err("reverse_with payload must be an io, wait, move, or call", owner, loc)
@@ -570,16 +581,16 @@ def _check_error_spec(program: Program, espec: ErrorSpec, err) -> None:
 
 def _check_query(query: Query, owner, loc, err) -> None:
     if isinstance(query, ForcesExceed):
-        if not (math.isfinite(query.threshold) and query.threshold > 0):
+        if not (_finite(query.threshold) and query.threshold > 0):
             err("force threshold must be a positive finite number", owner, loc)
     elif isinstance(query, DistanceCovered):
-        if not (math.isfinite(query.value) and query.value >= 0):
+        if not (_finite(query.value) and query.value >= 0):
             err("distance value must be a non-negative finite number", owner, loc)
 
 
 def _check_adv_move(program: Program, spec: AdvMoveSpec, err) -> None:
     loc = spec.location
-    if not (math.isfinite(spec.distance) and spec.distance >= 0):
+    if not (_finite(spec.distance) and spec.distance >= 0):
         err("move distance must be a non-negative finite number", spec.name, loc)
     if spec.condition is not None:
         _check_query(spec.condition, spec.name, loc, err)

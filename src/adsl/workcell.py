@@ -36,8 +36,9 @@ distance 0 does a cycle snap to the target untested, so a target inside a
 solid, however shallow, is blocked at its surface. The clock advances by
 dt. No run calls `step_motion`: the controller's one move loop,
 `ExecutionContext._move`, runs its arithmetic on local variables for moves
-and guarded attempts alike, and is tested against it, the one-cycle
-reference. A force reading (`read_force`) is the tuple `(raw, filtered)`.
+and guarded attempts alike, is tested against it, the one-cycle reference,
+and tests obstacles only on cycles that start in `_padded_hull`. A force
+reading (`read_force`) is the tuple `(raw, filtered)`.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ class WorkcellConfig(Value):
     __hash__ = None  # a mapping (`speed_map`) has no hash, so neither has a config
 
     def __post_init__(self):
-        """Check every invariant once, here: an invalid config is never built."""
+        """Check every invariant once, here: an invalid config is never built.
+        Keeps `hull` (not a field): the box spanning its obstacles' `bounds`, or None."""
         _set(self, "speed_map", MappingProxyType(dict(self.speed_map)))
         for what, values, count in (("home_joints", self.home_joints, JOINT_COUNT),
                                     ("tool_orientation", self.tool_orientation, 3)):
@@ -218,6 +220,9 @@ class WorkcellConfig(Value):
             )
         if values[-1] * self.dt == 0.0:  # the tool could never move at very_slow
             raise WorkcellConfigError("dt is too small: very_slow speed * dt is 0.0")
+        sides = tuple(zip(*[o.bounds for o in self.obstacles]))  # each bound's values
+        _set(self, "hull", tuple(map(min, sides[:3])) + tuple(map(max, sides[3:]))
+             if sides else None)
 
 
 def _number(value, what: str) -> float:
@@ -482,6 +487,20 @@ _DIRECTION_AXES = {
     Direction.Z: (2, 1.0),
     Direction.DOWN: (2, -1.0),
 }
+
+
+def _padded_hull(hull, step):
+    """`WorkcellConfig.hull` widened by `step` and a pad: a step of at most
+    `step` from outside meets no obstacle, so `_first_hit` returns None. With
+    u = 2**-53 and M the hull's largest magnitude, the pad 4 ulp(M) > 4uM pays
+    the widening's rounding: such a start lies D > step*(1 + 2**-40)*(1 - u)**3
+    + pad/2 outside every box on one axis, where `_segment_hit`'s direction d
+    points away or is under 1e-15 (None) or enters at fl(fl(D)/d) > step, as
+    |d| <= 1 + 5u if |(dx, dy, dz)| >= 2**-500, and else the advance is under
+    2**-499, |d| < 1.5 and pad/2 > 2**-82 (`bounds`' 1 nm makes M > 5e-10)."""
+    x0, y0, z0, x1, y1, z1 = hull  # so M is max(x1, -x0, ...): x0 <= x1 on each axis
+    w = step * (1.0 + 2.0 ** -40) + 4.0 * math.ulp(max(x1, y1, z1, -x0, -y0, -z0))
+    return x0 - w, y0 - w, z0 - w, x1 + w, y1 + w, z1 + w
 
 
 def _segment_hit(origin, unit_dir, length, obs: Obstacle):

@@ -21,15 +21,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MOVE_SAMPLE_KEYS = ("advanced", "contact")  # a move's cycle (`move_sample`)
 ATTEMPT_SAMPLE_KEYS = ("advanced", "covered", "contact", "raw", "filtered")  # `attempt_sample`
 
-#: A 1 m box at (1e4, 1e4, 1e4), out of every test move's reach. A cell with
-#: an obstacle tests each cycle's step against it, so adding this one sends a
-#: free cell's moves through the obstacle path without changing any result.
-FAR_OBSTACLE = Obstacle((1e4, 1e4, 1e4), (1e4 + 1.0, 1e4 + 1.0, 1e4 + 1.0))
+#: Two 1 m boxes at opposite corners, 1e4 m out, beyond every test move's
+#: reach. A cycle tests its step against the obstacles when it starts inside
+#: their hull, widened by a step, and this hull holds every test move, so
+#: adding them sends a free cell's moves through the obstacle path without
+#: changing any result.
+FAR_OBSTACLES = (Obstacle((1e4, 1e4, 1e4), (1e4 + 1.0, 1e4 + 1.0, 1e4 + 1.0)),
+                 Obstacle((-1e4 - 1.0, -1e4 - 1.0, -1e4 - 1.0), (-1e4, -1e4, -1e4)))
 
 
 def with_far_obstacle(config):
-    """`config` with `FAR_OBSTACLE` added to its obstacles."""
-    return config.replace(obstacles=config.obstacles + (FAR_OBSTACLE,))
+    """`config` with `FAR_OBSTACLES` added to its obstacles."""
+    return config.replace(obstacles=config.obstacles + FAR_OBSTACLES)
 
 
 # ---------------------------------------------------------------------------

@@ -1042,8 +1042,8 @@ class TestNoValuesPerCycle:
         return counts
 
     def test_value_count_does_not_grow_with_cycles(self, monkeypatch):
-        """With an obstacle out of reach, so that every cycle, the return
-        move's too, tests its step against it."""
+        """With obstacles out of reach whose hull holds every move, so that
+        every cycle, the return move's too, tests its step against them."""
         counts = self.value_and_cycle_counts(monkeypatch, with_far_obstacle(quiet_config()))
         (short_values, short_cycles), (long_values, long_cycles) = counts
         assert short_cycles >= 100 and long_cycles >= 9 * short_cycles

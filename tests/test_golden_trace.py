@@ -31,9 +31,12 @@ import pytest
 from adsl.cli import EXIT_ABORTED, main
 from adsl.controller import Controller, ControllerOptions, ExecutionContext, default_registry
 from adsl.parser import parse_program
-from adsl.reverse import PolicyMode, ResumePolicy, StopReason, reverse_execute
-from adsl.trace import EventKind
-from adsl.workcell import Workcell, _segment_hit, load_workcell_config
+from adsl.reverse import PolicyMode, ResumePolicy, RunAborted, StopReason, reverse_execute
+from adsl.trace import EventKind, ExecutionTrace
+from adsl.workcell import (
+    MAX_DT, MAX_SPEED, Hole, HoleAxis, Obstacle, Workcell, WorkcellConfig, _padded_hull,
+    _segment_hit, load_workcell_config,
+)
 
 from _helpers import (
     bench_generator, build, of_kind, quiet_config, random_reversible_program,
@@ -250,13 +253,20 @@ def test_motion_golden_trace_digest(name):
 @pytest.mark.parametrize("name", list(MOTION_CASES))
 def test_one_motion_sample_per_cycle_without_step_motion(name, monkeypatch):
     """Each control cycle writes one motion sample, and no run calls
-    `Workcell.step_motion`, with an obstacle (here `FAR_OBSTACLE`) or without."""
-    calls = []
+    `Workcell.step_motion`, with obstacles (here `FAR_OBSTACLES`) or without.
+    Every cycle short of its goal in the far obstacles' cell calls `_first_hit`."""
+    calls, tests = [], []
+    original = Workcell._first_hit
     monkeypatch.setattr(Workcell, "step_motion", lambda *args: calls.append(args))
+    monkeypatch.setattr(Workcell, "_first_hit",
+                        lambda *args: tests.append(args) or original(*args))
     for far_obstacle in (False, True):
+        del tests[:]
         controller, _ = motion_run(name, far_obstacle=far_obstacle)
         samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
         assert samples and len(samples) == controller.ctx.cycles
+    # A cycle short of its goal moves or stops in contact; only one at it does neither.
+    assert len(tests) == sum(s.data["advanced"] > 0 or s.data["contact"] for s in samples)
     assert calls == []
 
 
@@ -273,8 +283,8 @@ def test_motion_case_writes_its_step_motion_twins_bytes(name, far_obstacle):
 
 # ---------------------------------------------------------------------------
 # Motion in a free cell: pose moves test no step against an obstacle. The
-# same cell plus `FAR_OBSTACLE` tests every step against it, so the two must
-# write the same bytes, forward and reversed.
+# same cell plus `FAR_OBSTACLES` tests every step against them, so the two
+# must write the same bytes, forward and reversed.
 
 FREE_MOTION_CASES = [name for name, case in MOTION_CASES.items() if "obstacles" not in case[1]]
 
@@ -512,9 +522,12 @@ def test_goals_inside_a_wall_write_their_step_motion_twins_bytes():
                    for run in samples.values() for s in run)
 
 
-def test_goals_inside_a_wall_test_the_wall_on_every_cycle(monkeypatch):
-    """No cycle reaches its goal without the obstacle test: every cycle of
-    `FACE_GOAL` moves the TCP and calls `_first_hit` once."""
+def test_goals_inside_a_wall_test_the_wall_on_every_cycle_in_its_reach(monkeypatch):
+    """No cycle near the wall reaches its goal without the obstacle test:
+    `_first_hit` is called on exactly the cycles of `FACE_GOAL` that start
+    inside the wall's hull widened by the cycle's step and pad, which hold
+    every cycle starting within one step of the box, the blocking one among
+    them, and the run aborts there."""
     original = Workcell._first_hit
     calls = []
 
@@ -523,9 +536,26 @@ def test_goals_inside_a_wall_test_the_wall_on_every_cycle(monkeypatch):
         return original(self, origin, unit_dir, length)
 
     monkeypatch.setattr(Workcell, "_first_hit", counting)
-    controller = Controller(build(FACE_GOAL), quiet_config(obstacles=[WALL]), seed=0)
-    assert not controller.run().completed
-    assert len(calls) == controller.ctx.cycles
+    config = quiet_config(obstacles=[WALL])
+    controller = Controller(build(FACE_GOAL), config, seed=0)
+    result = controller.run()
+    assert result.reason.startswith("collision during move: blocked at")
+    samples = of_kind(controller.trace, EventKind.MOTION_SAMPLE)
+    assert len(samples) == controller.ctx.cycles
+    inside, near = [], []
+    for sample in samples:
+        start, step = sample.pre_joints[:3], config.speed_map[sample.speed] * config.dt
+        x0, y0, z0, x1, y1, z1 = _padded_hull(config.hull, step)
+        if x0 <= start[0] <= x1 and y0 <= start[1] <= y1 and z0 <= start[2] <= z1:
+            inside.append(start)
+        if all(lo - step <= p <= hi + step
+               for p, lo, hi in zip(start, WALL["box"]["min"], WALL["box"]["max"])):
+            near.append(start)
+    assert calls == inside and set(near) <= set(inside)
+    assert 5 <= len(near) and len(inside) < len(samples) // 2
+    blocked = samples[-1]
+    assert blocked.data == {"advanced": 0.0, "contact": True}
+    assert blocked.pre_joints[:3] == calls[-1]
 
 
 def test_goals_on_a_wall_write_their_step_motion_twins_bytes():
@@ -675,6 +705,133 @@ def test_generated_walls_hold_no_motion_sample_inside_a_solid():
         obstacles = controller.ctx.workcell.config.obstacles
         for event in of_kind(controller.trace, EventKind.MOTION_SAMPLE):
             assert not any(in_solid(event.post_joints[:3], o) for o in obstacles), (seed, event)
+
+
+def hull_case(rng):
+    """A cell of one to five boxes, some pierced, at a random scale around a
+    random point within 1e6 m of the origin (1e15 m in one cell of five, where
+    rounding leaves `bounds` no margin), and the moves to drive in it:
+    `(goal, speed, guarded)` moves, at a step of up to MAX_SPEED x MAX_DT,
+    and `("place", joints)` jumps. Among them are moves parallel to a face at
+    exactly one step's distance and moves heading into a face from a few
+    steps out, give or take a few ulps."""
+    reach = 1e6 if rng.random() < 0.8 else 1e15  # where rounding eats `bounds`' 1 nm
+    scale = max(10.0 ** rng.uniform(-3.0, 3.0), 1e4 * math.ulp(reach))
+    center = [rng.uniform(-reach, reach) for _ in range(3)]
+    obstacles = []
+    for _ in range(rng.randint(1, 5)):
+        lo = [c + rng.uniform(-4.0, 4.0) * scale for c in center]
+        hi = [v + rng.uniform(0.1, 3.0) * scale for v in lo]
+        hole = None
+        if rng.random() < 0.4:
+            axis = rng.choice(list(HoleAxis))
+            cross = [a for a in range(3) if a != "xyz".index(axis.value)]
+            widths = [hi[a] - lo[a] for a in cross]
+            hole = Hole(axis,
+                        tuple(lo[a] + w * rng.uniform(0.35, 0.65) for a, w in zip(cross, widths)),
+                        tuple(w * rng.uniform(0.05, 0.3) for w in widths))
+        obstacles.append(Obstacle(tuple(lo), tuple(hi), hole))
+    step = min(scale * 10.0 ** rng.uniform(-2.0, 0.5), MAX_SPEED * MAX_DT)
+    dt = rng.uniform(max(step / MAX_SPEED, 1e-3), MAX_DT)
+    speed = step / dt
+    step = speed * dt  # as `_move` forms it
+
+    def pose(position):
+        return tuple(position) + tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
+
+    moves = []
+    for _ in range(rng.randint(3, 6)):
+        box = rng.choice(obstacles)
+        axis = rng.randrange(3)
+        out = rng.choice((-1.0, 1.0))
+        face = box.box_max[axis] if out > 0 else box.box_min[axis]
+        start = [rng.uniform(lo, hi) for lo, hi in zip(box.box_min, box.box_max)]
+        goal = list(start)
+        kind = rng.random()
+        if kind < 0.35:  # along the face, one step out
+            start[axis] = goal[axis] = face + out * step
+            along = rng.choice([a for a in range(3) if a != axis])
+            goal[along] += rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 6.0) * step
+        elif kind < 0.7:  # into the face from a few steps out
+            ulps = rng.randint(-4, 4) * math.ulp(face)
+            start[axis] = face + out * (rng.randint(1, 4) * step + ulps)
+            goal[axis] = face - out * rng.uniform(0.1, 2.0) * step
+        else:  # anywhere among the boxes
+            goal = [c + rng.uniform(-6.0, 6.0) * scale for c in center]
+        if kind < 0.7:
+            moves.append(("place", pose(start)))
+        moves.append((pose(goal), speed, rng.random() < 0.3))
+    config = WorkcellConfig(home_joints=pose(center), obstacles=tuple(obstacles), dt=dt,
+                            noise_sigma=rng.choice([0.0, 0.5]))
+    return config, moves
+
+
+def drive_hull_case(move, config, moves, log):
+    """Drive `moves` through `move` (`ExecutionContext._move` or the twin's)
+    on a fresh context, appending each move's goal and speed to `log`.
+    Returns the trace text, the abort reasons and the final state."""
+    controller = Controller(build('sequence "main" { wait 1.0; }\nentry "main";\n'), config)
+    ctx, state = controller.ctx, controller.ctx.workcell.state
+    reasons = []
+    for entry in moves:
+        if entry[0] == "place":
+            state.joints = entry[1]
+            continue
+        goal, speed, guarded = entry
+        log.append(("move", goal, speed))
+        try:
+            move(ctx, goal, speed, (None, math.dist(state.joints[:3], goal[:3])) if guarded else None)
+        except RunAborted as exc:
+            reasons.append(str(exc))
+    return ctx.trace.serialize(), reasons, ctx.cycles, (state.joints, state.clock, state.in_contact)
+
+
+def test_a_cycle_outside_the_padded_hull_would_hit_nothing():
+    """Over generated cells, a cycle of `_move` that makes no `_first_hit`
+    call gets None from it, and `_move` writes its step_motion twin's bytes."""
+    skipped = near = tested = 0
+    original = Workcell._first_hit
+    log = []  # a move's ("move", goal, speed), then per cycle ("hit",) if tested, ("cycle", start)
+
+    def logged(sample):
+        def wrapper(self, clock, stack, speed, pre_joints, *rest):
+            log.append(("cycle", pre_joints))
+            return sample(self, clock, stack, speed, pre_joints, *rest)
+        return wrapper
+
+    for seed in range(150):
+        config, moves = hull_case(random.Random(seed))
+        log.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Workcell, "_first_hit",
+                          lambda *args: log.append(("hit",)) or original(*args))
+            patch.setattr(ExecutionTrace, "move_sample", logged(ExecutionTrace.move_sample))
+            patch.setattr(ExecutionTrace, "attempt_sample", logged(ExecutionTrace.attempt_sample))
+            shipped = drive_hull_case(ExecutionContext._move, config, moves, log)
+        assert shipped == drive_hull_case(step_motion_move, config, moves, []), seed
+        cell = Workcell(config)
+        hit = False
+        for entry in log:
+            if entry[0] == "move":
+                (tx, ty, tz), step = entry[1][:3], entry[2] * config.dt
+            elif entry[0] == "hit":
+                hit = True
+            elif hit:
+                hit, tested = False, tested + 1
+            else:
+                px, py, pz = entry[1][:3]
+                dx, dy, dz = tx - px, ty - py, tz - pz
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if dist == 0.0:
+                    continue
+                advanced = dist if dist < step else step
+                assert original(cell, (px, py, pz), (dx / dist, dy / dist, dz / dist),
+                                advanced) is None, (seed, entry)
+                skipped += 1
+                near += any(all(lo - 2 * step <= p <= hi + 2 * step
+                                for p, lo, hi in zip((px, py, pz), o.box_min, o.box_max))
+                            for o in config.obstacles)
+    assert skipped >= 5000 and near >= 150 and tested >= 4000, (skipped, near, tested)
 
 
 def test_a_move_off_a_hole_channels_wall_leaves_it():

@@ -129,6 +129,43 @@ class TestValidation:
             ("declaration name 'b' differs from its table key", "a"),
         ]
 
+    def test_an_annotation_that_is_not_an_annotation_class(self):
+        """`pretty_print` has no word for it: it raised `KeyError`."""
+        program = simple_program(sequences={
+            "main": Sequence("main", (Wait(1.0, annotation="barrier"),
+                                      MoveJoint(("home",), annotation=Barrier)))})
+        assert [(d.message, d.name) for d in validate_program(program)] == [
+            ("annotation is not an annotation class", "main"),
+        ] * 2
+
+    @pytest.mark.parametrize("value", ["1.0", "1", 10 ** 400, True, None],
+                             ids=["str", "int_str", "int_past_float", "bool", "none"])
+    def test_a_real_that_is_not_a_finite_number(self, value):
+        """Each is reported where it stands; a string made `validate_program`
+        raise `TypeError`, and the int `pretty_print` raise `OverflowError`."""
+        adv = AdvMoveSpec("m", distance=value, direction=Direction.FORWARD, frame=Frame.TCP,
+                          condition=ForcesExceed(value), stop_if=DistanceCovered(
+                              Comparison.MORE_THAN, value),
+                          eval_queries=(DistanceCovered(Comparison.MORE_THAN, 0.05),),
+                          on_fail=(ReturnToInitialPosition(),))
+        program = simple_program(
+            items={"peg": Item("peg", (Keyframe("k", ((0.0, value, 0.0),)),))},
+            io_ops={"o": IOOperation("o", (Sleep(value),))},
+            joint_confs={"home": conf("home", value)},
+            adv_moves={"m": adv},
+            sequences={"main": Sequence("main", (Wait(value), Io("o"), AdvMoveRef("m"),
+                                                 MoveJoint(("home",))))},
+        )
+        assert [d.message for d in validate_program(program)] == [
+            "non-finite keyframe coordinate",
+            "sleep duration must be a positive finite number",
+            "non-finite joint value",
+            "wait duration must be a positive finite number",
+            "move distance must be a non-negative finite number",
+            "force threshold must be a positive finite number",
+            "distance value must be a non-negative finite number",
+        ]
+
     def test_multi_cycle_diagnostics_and_order(self):
         diags = validate_program(parse_program(MULTI_CYCLE))
         assert [(d.message, d.name, d.location.line, d.location.column) for d in diags] == [

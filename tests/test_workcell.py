@@ -727,6 +727,15 @@ class TestBroadPhase:
         assert WALL_WITH_HOLE.replace().bounds == WALL_WITH_HOLE.bounds
         assert WALL_WITH_HOLE.replace().aperture == WALL_WITH_HOLE.aperture
 
+    def test_the_hull_spans_the_bounds_and_stays_out_of_the_fields(self):
+        side = Obstacle((-1.0, 0.5, -2.0), (1.0, 0.6, 0.25))
+        config = WorkcellConfig(obstacles=(WALL, side))
+        assert config.hull == (-1.0 - 1e-9, -0.5 - 1e-9, -2.0 - 1e-9,
+                               1.0 + 1e-9, 0.6 + 1e-9, 0.5 + 1e-9)
+        assert config.replace(obstacles=(WALL,)).hull == WALL.bounds
+        assert WorkcellConfig().hull is None and "hull" not in repr(config)
+        assert config == config.replace() and "hull" not in WorkcellConfig._fields
+
     def test_a_wall_far_to_the_side_is_never_tested(self, monkeypatch):
         calls = []
         monkeypatch.setattr(workcell_module, "_segment_hit",
