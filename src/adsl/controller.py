@@ -1,7 +1,8 @@
 """Program execution against a workcell.
 
 The controller validates the program on construction (an invalid program
-raises `InvalidProgramError`) and interprets it: it runs the entry sequence
+raises `InvalidProgramError`; a clean result is kept on the program, so its
+runs check it once) and interprets it: it runs the entry sequence
 instruction by instruction, drives motion through the workcell simulation,
 executes guarded moves with their stop conditions, evaluation queries and
 failure behaviors, and manages signaled errors. The workcell's six joints are
@@ -38,9 +39,12 @@ constants. `ControllerOptions` is frozen and checks itself when it is built;
 reversal occurrence counts its `ResumePolicy` is applied to belong to the
 run.
 
-Every state change is recorded in an `ExecutionTrace`, failed guarded-move
-queries as the program text `printer.format_query` writes; runs with the
-same program, workcell config, and seed produce byte-identical traces.
+Every state change is recorded in an `ExecutionTrace`, instructions as the
+program text `printer.format_instruction` writes and failed guarded-move
+queries as the text `printer.format_query` writes. Each instruction and
+query is written once and its text kept on it (`_text`), as no field of a
+validated program can change. Runs with the same program, workcell config,
+and seed produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -599,16 +603,15 @@ class Controller:
                     if annotated:
                         # Annotated: undone (or not) as a whole; plain: through its children.
                         _drop_children(ctx.undo_log, ctx.stack)
-                    text = format_instruction(call_instr)
-                    self._end_instruction({"text": text}, frame.entry_joints, frame.entry_bits,
-                                          logged=annotated)
+                    self._end_instruction({"text": _text(call_instr, format_instruction)},
+                                          frame.entry_joints, frame.entry_bits, logged=annotated)
                     ctx.advance()
                 continue
             instr = sequence.instructions[index]
             if isinstance(instr, SeqCall):
                 if len(frames) >= MAX_CALL_DEPTH:
                     raise RunAborted(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
-                ctx.emit(EventKind.INSTR_BEGIN, data={"text": format_instruction(instr)})
+                ctx.emit(EventKind.INSTR_BEGIN, data={"text": _text(instr, format_instruction)})
                 ctx.push(instr.name)
                 continue
             try:
@@ -625,7 +628,7 @@ class Controller:
         state = ctx.workcell.state
         pre_j = state.joints
         pre_b = state.io_bits
-        text = format_instruction(instr)
+        text = _text(instr, format_instruction)
         ctx.emit(EventKind.INSTR_BEGIN, data={"text": text})
         success = None
         finished = False
@@ -704,13 +707,10 @@ class Controller:
                         start[2] + direction[2] * distance) + start[3:]
                 covered, guard_stopped = ctx._move(goal, speed, (spec.stop_if, distance))
                 filtered = workcell.filtered_force()
-                failed = tuple(
-                    format_query(q)
-                    for q in spec.eval_queries
-                    if not evaluate_query(q, covered, filtered)
-                )
+                failed = [_text(q, format_query) for q in spec.eval_queries
+                          if not evaluate_query(q, covered, filtered)]
             else:
-                failed = ("condition",)
+                failed = ["condition"]
 
             success = not failed
             ctx.emit(
@@ -721,7 +721,7 @@ class Controller:
                     "covered": covered,
                     "guard_stopped": guard_stopped,
                     "outcome": "success" if success else "fail",
-                    "failed": list(failed),
+                    "failed": failed,
                 },
             )
             if ctx.cycles == start_cycles:  # an attempt counts as one cycle at least
@@ -794,6 +794,18 @@ class Controller:
 
 # ---------------------------------------------------------------------------
 # Helpers
+
+
+def _text(node, write) -> str:
+    """`write(node)`, for an instruction or query of a validated program,
+    written once: the text is kept in the node's instance dict, as
+    `functools.cached_property` keeps a value. No field of such a node can
+    change, and a copy or pickle rebuilds it through `__init__`, without it."""
+    try:
+        return node.__dict__["_text"]
+    except KeyError:
+        text = node.__dict__["_text"] = write(node)
+        return text
 
 
 def _cycle_cap_exceeded() -> RunAborted:

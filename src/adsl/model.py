@@ -3,12 +3,15 @@
 A program is a bundle of named declarations: items with keyframes, I/O
 operations, joint configurations, error handlers, guarded moves, and
 instruction sequences. All types here are immutable `Value`s: their fields
-are their annotations, and they compare by class and field values.
-Constructors take their values as given: sequence fields are tuples and
-reals are floats, which `parse_program`, where program text enters, builds
-and direct callers pass. Construction never fails on semantic grounds;
-`validate_program` reports every structural problem as diagnostic data
-instead of raising.
+are their annotations, and they compare by class and field values. A
+`Program`'s six declaration tables are read-only mappings over its own
+copies. Constructors take their values as given: sequence fields are tuples
+and reals are floats, which `parse_program`, where program text enters,
+builds and direct callers pass. Construction never fails on semantic
+grounds; `validate_program` reports every structural problem as diagnostic
+data instead of raising, a sequence field that is not a tuple among them, so
+a program that validates clean cannot change. Its clean result is kept on
+the program, which is then checked once however many runs it makes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from enum import Enum
+from types import MappingProxyType
 from typing import Optional, Union
 
 _set = object.__setattr__
@@ -70,7 +74,14 @@ class Value:
         return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
     def __reduce__(self):  # copy and pickle rebuild through `__init__` too
-        return type(self), tuple([getattr(self, f) for f in self._fields])
+        return type(self), tuple([_plain(getattr(self, f)) for f in self._fields])
+
+
+def _plain(value):
+    """A field's value as `__init__` takes it: a read-only mapping as a plain
+    dict (a `MappingProxyType` neither copies nor pickles), which the class's
+    `__post_init__` wraps again; any other value as it is."""
+    return dict(value) if type(value) is MappingProxyType else value
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +334,10 @@ class AdvMoveSpec(Value, hidden=("location",)):
 
 
 class Program(Value):
-    """Each declaration table left out (or None) is a new empty dict."""
+    """Each declaration table is read-only: a `MappingProxyType` over the
+    program's own copy of the mapping given, a new empty dict when it is left
+    out (or None), so changing that mapping afterwards changes no program.
+    A program prints its tables as dicts."""
 
     items: dict[str, Item] = None
     io_ops: dict[str, IOOperation] = None
@@ -334,9 +348,12 @@ class Program(Value):
     entry: Optional[str] = None
 
     def __post_init__(self):
-        for table in self._fields:
-            if table != "entry" and getattr(self, table) is None:
-                _set(self, table, {})
+        for table in self._fields[:-1]:  # all but `entry`
+            _set(self, table, MappingProxyType(dict(getattr(self, table) or ())))
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={_plain(getattr(self, f))!r}" for f in self._fields])
+        return f"Program({shown})"
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +371,8 @@ _PRIMITIVE_INSTRUCTIONS = (Io, Wait, MoveJoint, Call)
 
 
 def validate_program(program: Program) -> list[Diagnostic]:
-    """Check every structural invariant and return the diagnostics found.
+    """Check every structural invariant and return the diagnostics found, in
+    a new list on each call.
 
     An empty list means the program is executable: all referenced names
     resolve to declarations of the right kind, the sequence-call graph is
@@ -362,7 +380,22 @@ def validate_program(program: Program) -> list[Diagnostic]:
     `pretty_print` writes text that parses back to the program. Duplicate
     declaration names cannot occur here; the parser rejects them before a
     Program is built.
+
+    A clean program cannot change: its tables are read-only, and a sequence
+    field that is not a tuple is a diagnostic. So a clean result is kept on
+    the program, in its instance dict as `functools.cached_property` keeps a
+    value, and later calls return it unchecked. A program with findings is
+    checked on every call, as a list it holds may still change.
     """
+    if "_valid" in program.__dict__:
+        return []
+    diags = _diagnostics(program)
+    if not diags:
+        _set(program, "_valid", True)
+    return diags
+
+
+def _diagnostics(program: Program) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def err(message, name=None, location=None):
@@ -382,20 +415,30 @@ def validate_program(program: Program) -> list[Diagnostic]:
                 err("name holds a newline", decl.name, decl.location)
 
     for item in program.items.values():
+        if not isinstance(item.keyframes, tuple):
+            err(_NOT_TUPLE % "keyframes", item.name, item.location)
         if not item.keyframes:
             err("item has no keyframes", item.name, item.location)
         for kf in item.keyframes:
             _check_ident(kf.name, item.location, err)
+            if not isinstance(kf.coordinates, tuple):
+                err(_NOT_TUPLE % "coordinates", f"{item.name}.{kf.name}", item.location)
             if not kf.coordinates:
                 err("keyframe has no coordinates", f"{item.name}.{kf.name}", item.location)
             for coord in kf.coordinates:
-                if not all(map(_finite, coord)):
+                if not isinstance(coord, tuple):
+                    err(_NOT_TUPLE % "coordinate", f"{item.name}.{kf.name}", item.location)
+                if not _all_finite(coord):
                     err("non-finite keyframe coordinate", f"{item.name}.{kf.name}", item.location)
 
     for op in program.io_ops.values():
+        if not isinstance(op.primitives, tuple):
+            err(_NOT_TUPLE % "primitives", op.name, op.location)
         _check_io_operation(op, err)
 
     for conf in program.joint_confs.values():
+        if not isinstance(conf.joints, tuple):
+            err(_NOT_TUPLE % "joints", conf.name, conf.location)
         if len(conf.joints) != JOINT_COUNT:
             err(
                 f"joint configuration must have exactly {JOINT_COUNT} values,"
@@ -403,10 +446,12 @@ def validate_program(program: Program) -> list[Diagnostic]:
                 conf.name,
                 conf.location,
             )
-        if not all(map(_finite, conf.joints)):
+        if not _all_finite(conf.joints):
             err("non-finite joint value", conf.name, conf.location)
 
     for seq in program.sequences.values():
+        if not isinstance(seq.instructions, tuple):
+            err(_NOT_TUPLE % "instructions", seq.name, seq.location)
         if not seq.instructions:
             err("sequence has no instructions", seq.name, seq.location)
         for instr in seq.instructions:
@@ -430,11 +475,22 @@ def validate_program(program: Program) -> list[Diagnostic]:
 
 _FLOAT_MAX = sys.float_info.max
 
+#: The finding for a sequence field that is not a tuple, and so could change.
+_NOT_TUPLE = "%s is not a tuple"
+
 
 def _finite(value) -> bool:
     """Whether a real field holds an int or float, not a bool, that is finite
     as a float: false, never raising, for a string or an int past float range."""
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _all_finite(values) -> bool:
+    """Whether every value is `_finite`. Floats whose sum is finite are all
+    finite (an inf or nan makes the sum one), so that common case is decided
+    without a Python call per value."""
+    return ({float}.issuperset(map(type, values)) and -_FLOAT_MAX <= sum(values) <= _FLOAT_MAX
+            or all(map(_finite, values)))
 
 
 def _check_ident(name: str, loc, err) -> None:
@@ -470,6 +526,8 @@ def _check_io_operation(op: IOOperation, err) -> None:
 def _check_instruction(program, owner, instr, err) -> None:
     loc = instr.location
     if isinstance(instr, MoveJoint):
+        if not isinstance(instr.waypoints, tuple):
+            err(_NOT_TUPLE % "waypoints", owner, loc)
         if not instr.waypoints:
             err("move has no waypoints", owner, loc)
         for wp in instr.waypoints:
@@ -486,6 +544,8 @@ def _check_instruction(program, owner, instr, err) -> None:
         # declarations; only the item arguments are resolvable here.
         if "\n" in instr.action:
             err("name holds a newline", instr.action, loc)
+        if not isinstance(instr.items, tuple):
+            err(_NOT_TUPLE % "items", owner, loc)
         for item in instr.items:
             if item not in program.items:
                 err("unresolved item", item, loc)
@@ -596,6 +656,12 @@ def _check_adv_move(program: Program, spec: AdvMoveSpec, err) -> None:
         _check_query(spec.condition, spec.name, loc, err)
     if spec.stop_if is not None:
         _check_query(spec.stop_if, spec.name, loc, err)
+    if not isinstance(spec.eval_queries, tuple):
+        err(_NOT_TUPLE % "eval_queries", spec.name, loc)
+    if not isinstance(spec.on_fail, tuple):
+        err(_NOT_TUPLE % "on_fail", spec.name, loc)
+    if not isinstance(spec.on_success, tuple):
+        err(_NOT_TUPLE % "on_success", spec.name, loc)
     if not spec.eval_queries:
         err("advanced move needs at least one evaluation query", spec.name, loc)
     for q in spec.eval_queries:

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import importlib.resources
 import io
 import json
 import math
@@ -8,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adsl import controller as controller_module
+from adsl import cli, controller as controller_module, model as model_module
 from adsl.controller import (
     Controller,
     ControllerOptions,
@@ -34,12 +36,15 @@ from adsl.model import (
     SetHigh,
     SpeedLevel,
     Value,
+    validate_program,
 )
 from adsl.parser import parse_program
 from adsl.printer import format_query
 from adsl.reverse import PolicyMode, ResumePolicy, reverse_execute
 from adsl.trace import EventKind
-from adsl.workcell import MAX_RNG_SEED, Obstacle, Workcell, WorkcellConfig
+from adsl.workcell import (
+    MAX_RNG_SEED, Obstacle, Workcell, WorkcellConfig, load_workcell_config,
+)
 
 
 from _helpers import (
@@ -47,6 +52,8 @@ from _helpers import (
     quiet_config, with_far_obstacle,
 )
 
+
+EXAMPLES = importlib.resources.files("adsl") / "examples"
 
 GRIPPER_OPS = """
 io_operation "gripper_open" { set_low; bit 0; sleep 0.5; }
@@ -279,6 +286,72 @@ class TestRunOnce:
             controller.run()
         assert snapshot() == before
         assert len(calls) == 1
+
+
+class TestOneProgramManyRuns:
+    """A program is checked once, and each of its instructions and failed
+    queries written once, however many runs it makes; the runs write the
+    bytes that runs of fresh parses write."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Counts the validation passes, through one of their checks."""
+        calls = []
+        check = model_module._check_sequence_cycles
+        monkeypatch.setattr(model_module, "_check_sequence_cycles",
+                            lambda *args: calls.append(1) or check(*args))
+        return calls
+
+    def test_a_program_is_validated_once_for_all_its_runs(self, checks):
+        program = parse_program(EXAMPLES.joinpath("stats_insert.adsl").read_text("utf-8"))
+        config = load_workcell_config(str(EXAMPLES / "stats.json"))
+        assert validate_program(program) == [] and checks == [1]
+        for seed in range(4):
+            assert Controller(program, config, seed=seed).run().completed
+        assert validate_program(program) == validate_program(program) == []
+        assert validate_program(program) is not validate_program(program)
+        assert checks == [1]
+        # `adsl run` validates its program and then builds a Controller of it.
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", str(EXAMPLES / "stats_insert.adsl"),
+                             "--workcell", str(EXAMPLES / "stats.json")])
+        assert code == 0 and checks == [1, 1]
+
+    def test_an_invalid_program_raises_on_every_construction(self, checks):
+        program = _program('sequence "s" { seq "missing"; }')
+        for runs in range(1, 4):
+            with pytest.raises(InvalidProgramError, match="unresolved sequence call"):
+                Controller(program, quiet_config(), seed=0)
+            assert len(checks) == runs
+
+    def test_each_instruction_and_query_is_written_once(self, monkeypatch, blocked_config):
+        written = []
+        for name in ("format_instruction", "format_query"):
+            write = getattr(controller_module, name)
+            monkeypatch.setattr(controller_module, name,
+                                lambda node, write=write: written.append(node) or write(node))
+        program = parse_program(EXAMPLES.joinpath("peg_in_hole.adsl").read_text("utf-8"))
+        Controller(program, blocked_config, seed=0).run()
+        first = len(written)
+        assert len({id(node) for node in written}) == first
+        assert any(isinstance(node, DistanceCovered) for node in written)  # a failed query
+        Controller(program, blocked_config, seed=1).run()
+        assert len(written) == first
+
+    @pytest.mark.parametrize("name", ["peg_in_hole.adsl", "reverse_demo.adsl",
+                                      "barrier_demo.adsl", "stats_insert.adsl"])
+    def test_runs_of_one_program_write_the_bytes_of_fresh_parses(self, name, blocked_config):
+        text = EXAMPLES.joinpath(name).read_text("utf-8")
+        program = parse_program(text)
+
+        def trace_text(program):
+            controller = Controller(program, blocked_config, seed=3)
+            controller.run()
+            return controller.trace.serialize()
+
+        fresh = trace_text(parse_program(text))
+        assert fresh == trace_text(parse_program(text))
+        assert trace_text(program) == fresh and trace_text(program) == fresh
 
 
 class TestAdvancedMove:

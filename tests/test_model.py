@@ -2,7 +2,9 @@ import copy
 import gc
 import hashlib
 import importlib.resources
+import math
 import pickle
+import sys
 
 import pytest
 
@@ -36,6 +38,7 @@ from adsl.model import (
     SetLow,
     Sleep,
     SourceLocation,
+    SpeedLevel,
     ThrowError,
     Wait,
     validate_program,
@@ -55,6 +58,22 @@ sequence "c" { seq "a"; seq "e"; seq "nowhere"; }
 sequence "d" { seq "e"; wait 1; }
 sequence "e" { seq "d"; seq "c"; seq "e"; }
 entry "d";
+"""
+
+
+#: A clean program with a declaration of each kind that holds a sequence field.
+EVERY_SEQUENCE_FIELD = """
+item "peg" { keyframe grasp { (0.0, 0.0, 0.1); } }
+io_operation "open" { set_low; bit 0; }
+joint_configuration home = { 0.1, 0.0, 0.0, 0.0, 0.0, 0.0 };
+error "e" { }
+advanced_move "m" {
+  specification { distance 0.01 direction forward frame tcp; }
+  evaluation { forces_exceed(5); }
+  on_success { return_to_initial_position; }
+  on_fail { throw_error("e"); }
+}
+sequence "main" { move to home; call "noop"("peg"); io "open"; adv_move "m"; }
 """
 
 
@@ -138,8 +157,10 @@ class TestValidation:
             ("annotation is not an annotation class", "main"),
         ] * 2
 
-    @pytest.mark.parametrize("value", ["1.0", "1", 10 ** 400, True, None],
-                             ids=["str", "int_str", "int_past_float", "bool", "none"])
+    @pytest.mark.parametrize("value", ["1.0", "1", 10 ** 400, True, None, math.inf, -math.inf,
+                                       math.nan],
+                             ids=["str", "int_str", "int_past_float", "bool", "none", "inf",
+                                  "minus_inf", "nan"])
     def test_a_real_that_is_not_a_finite_number(self, value):
         """Each is reported where it stands; a string made `validate_program`
         raise `TypeError`, and the int `pretty_print` raise `OverflowError`."""
@@ -201,6 +222,42 @@ class TestValidation:
         assert validate_program(broken) == validate_program(broken)
         assert validate_program(corpus_program) == validate_program(corpus_program)
 
+    @pytest.mark.parametrize("field, name", [
+        ("keyframes", "peg"), ("coordinates", "peg.grasp"), ("coordinate", "peg.grasp"),
+        ("primitives", "open"), ("joints", "home"), ("instructions", "main"),
+        ("waypoints", "main"), ("items", "main"), ("eval_queries", "m"), ("on_fail", "m"),
+        ("on_success", "m"),
+    ])
+    def test_a_sequence_field_that_is_not_a_tuple(self, field, name):
+        """A list could change after validation, so each is a diagnostic: a
+        program that validates clean cannot change."""
+        program = parse_program(EVERY_SEQUENCE_FIELD)
+        assert validate_program(program) == []
+        item, op = program.items["peg"], program.io_ops["open"]
+        seq, spec = program.sequences["main"], program.adv_moves["m"]
+        (kf,) = item.keyframes
+        move, call, *rest = seq.instructions
+
+        def listed(value, field):
+            return value.replace(**{field: list(getattr(value, field))})
+
+        tables = {
+            "keyframes": {"items": {"peg": listed(item, "keyframes")}},
+            "coordinates": {"items": {"peg": item.replace(
+                keyframes=(listed(kf, "coordinates"),))}},
+            "coordinate": {"items": {"peg": item.replace(
+                keyframes=(kf.replace(coordinates=([0.0, 0.0, 0.1],)),))}},
+            "primitives": {"io_ops": {"open": listed(op, "primitives")}},
+            "joints": {"joint_confs": {"home": listed(program.joint_confs["home"], "joints")}},
+            "instructions": {"sequences": {"main": listed(seq, "instructions")}},
+            "waypoints": {"sequences": {"main": seq.replace(
+                instructions=(listed(move, "waypoints"), call, *rest))}},
+            "items": {"sequences": {"main": seq.replace(
+                instructions=(move, listed(call, "items"), *rest))}},
+        }.get(field) or {"adv_moves": {"m": listed(spec, field)}}
+        assert [(d.message, d.name) for d in validate_program(program.replace(**tables))] == [
+            (f"{field} is not a tuple", name)]
+
     def test_empty_sequence(self):
         program = simple_program(sequences={"main": Sequence("main", ())})
         assert any("no instructions" in d.message for d in validate_program(program))
@@ -226,6 +283,14 @@ class TestValidation:
             }
         )
         assert any("non-finite" in d.message for d in validate_program(program))
+
+    def test_finite_reals_whose_sum_overflows_are_clean(self):
+        big = sys.float_info.max
+        program = simple_program(
+            items={"peg": Item("peg", (Keyframe("k", ((big, big, 0.0), (-big, -big, 1))),))},
+            joint_confs={"home": conf("home", big, big, big)},
+        )
+        assert validate_program(program) == []
 
     def test_wait_must_be_positive(self):
         program = simple_program(
@@ -527,6 +592,20 @@ class TestValueClasses:
                 assert type(clone) is type(value) and clone == value
         assert copy.deepcopy(MoveJoint(("p",), location=loc)).location == loc
         assert copy.copy(WorkcellConfig(dt=0.004)) == WorkcellConfig(dt=0.004)
+        # A read-only mapping field (a config's `speed_map`, a program's
+        # tables) goes over as a dict, which the rebuilt value wraps again.
+        stats = load_workcell_config(str(importlib.resources.files("adsl") / "examples"
+                                         / "stats.json"))
+        for value in (WorkcellConfig(), stats, corpus_program):
+            for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(clone) is type(value) and clone == value
+                assert repr(clone) == repr(value)
+        clone = copy.deepcopy(corpus_program)
+        assert clone.sequences is not corpus_program.sequences
+        with pytest.raises(TypeError):
+            clone.sequences["x"] = None
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(stats)).speed_map[SpeedLevel.SLOW] = 1.0
 
     def test_each_program_gets_its_own_tables(self):
         first, second = Program(), Program()
@@ -535,4 +614,24 @@ class TestValueClasses:
                    for table in ("items", "io_ops", "joint_confs", "sequences", "errors",
                                  "adv_moves"))
         items = {}
-        assert Program(items).items is items
+        assert Program(items).items == items and Program(items).items is not items
+
+    def test_program_tables_are_read_only(self):
+        """A table rejects assignment and deletion, and the mapping given is
+        copied: changing it afterwards leaves the program as it was."""
+        sequences = {"main": Sequence("main", (Wait(1.0),))}
+        program = Program(sequences=sequences, entry="main")
+        assert validate_program(program) == []
+        with pytest.raises(TypeError):
+            program.sequences["main"] = Sequence("main", (SeqCall("main"),))
+        with pytest.raises(TypeError):
+            del program.sequences["main"]
+        with pytest.raises(AttributeError):
+            program.sequences.clear()
+        sequences["main"] = Sequence("main", ())
+        sequences["other"] = Sequence("other", (Wait(2.0),))
+        assert dict(program.sequences) == {"main": Sequence("main", (Wait(1.0),))}
+        assert validate_program(program) == []
+        assert program == Program(sequences={"main": Sequence("main", (Wait(1.0),))},
+                                  entry="main")
+        assert program.replace(entry=None).sequences == program.sequences
