@@ -42,7 +42,7 @@ run.
 Every state change is recorded in an `ExecutionTrace`, instructions as the
 program text `printer.format_instruction` writes and failed guarded-move
 queries as the text `printer.format_query` writes. Each instruction and
-query is written once and its text kept on it (`_text`), as no field of a
+query is written once and its text kept on it (`_kept_text`), as no field of a
 validated program can change. Runs with the same program, workcell config,
 and seed produce byte-identical traces.
 """
@@ -603,7 +603,7 @@ class Controller:
                     if annotated:
                         # Annotated: undone (or not) as a whole; plain: through its children.
                         _drop_children(ctx.undo_log, ctx.stack)
-                    self._end_instruction({"text": _text(call_instr, format_instruction)},
+                    self._end_instruction({"text": _kept_text(call_instr, format_instruction)},
                                           frame.entry_joints, frame.entry_bits, logged=annotated)
                     ctx.advance()
                 continue
@@ -611,7 +611,8 @@ class Controller:
             if isinstance(instr, SeqCall):
                 if len(frames) >= MAX_CALL_DEPTH:
                     raise RunAborted(f"sequence call depth exceeds {MAX_CALL_DEPTH}")
-                ctx.emit(EventKind.INSTR_BEGIN, data={"text": _text(instr, format_instruction)})
+                ctx.emit(EventKind.INSTR_BEGIN,
+                         data={"text": _kept_text(instr, format_instruction)})
                 ctx.push(instr.name)
                 continue
             try:
@@ -628,7 +629,7 @@ class Controller:
         state = ctx.workcell.state
         pre_j = state.joints
         pre_b = state.io_bits
-        text = _text(instr, format_instruction)
+        text = _kept_text(instr, format_instruction)
         ctx.emit(EventKind.INSTR_BEGIN, data={"text": text})
         success = None
         finished = False
@@ -707,7 +708,7 @@ class Controller:
                         start[2] + direction[2] * distance) + start[3:]
                 covered, guard_stopped = ctx._move(goal, speed, (spec.stop_if, distance))
                 filtered = workcell.filtered_force()
-                failed = [_text(q, format_query) for q in spec.eval_queries
+                failed = [_kept_text(q, format_query) for q in spec.eval_queries
                           if not evaluate_query(q, covered, filtered)]
             else:
                 failed = ["condition"]
@@ -796,15 +797,15 @@ class Controller:
 # Helpers
 
 
-def _text(node, write) -> str:
+def _kept_text(node, write) -> str:
     """`write(node)`, for an instruction or query of a validated program,
     written once: the text is kept in the node's instance dict, as
     `functools.cached_property` keeps a value. No field of such a node can
     change, and a copy or pickle rebuilds it through `__init__`, without it."""
     try:
-        return node.__dict__["_text"]
+        return node.__dict__["_kept_text"]
     except KeyError:
-        text = node.__dict__["_text"] = write(node)
+        text = node.__dict__["_kept_text"] = write(node)
         return text
 
 

@@ -9,12 +9,13 @@ window left to right from 0.0 (`_sum`), so a reading costs O(filter_window),
 at most `MAX_FILTER_WINDOW` (1,024) additions. Everything is seeded and
 single-threaded, so identical call sequences produce bit-identical states.
 
-A `WorkcellConfig` checks its invariants when it is built, and each
-`Obstacle` its geometry, so no invalid config exists; `speed_map` is
-read-only, so none becomes invalid. `workcell_config_from_dict` is where JSON
-values are type-checked and made floats and tuples; direct constructors take
-them as given (a bool is still no number), and a run's state
-(`WorkcellState`) makes the home joints floats.
+A `WorkcellConfig` checks its invariants when it is built, the type of each
+scalar and real included, and each `Obstacle` its geometry, so no invalid
+config exists; no field can change (its tuples must be tuples and `speed_map`
+is read-only, as in every frozen `Value`), so none becomes invalid.
+`workcell_config_from_dict` is where JSON values are made floats and tuples;
+direct constructors take them as given (an int is a number, a bool is not),
+and a run's state (`WorkcellState`) makes the home joints floats.
 
 The cell's `JOINT_COUNT` (six) joints are the TCP pose: the position
 (x, y, z) in metres, then the ZYX Euler orientation (roll, pitch, yaw) in
@@ -47,7 +48,6 @@ import json
 import math
 from collections import deque
 from enum import Enum
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .model import JOINT_COUNT, Direction, Frame, SpeedLevel, Value, _set
@@ -162,23 +162,27 @@ class WorkcellConfig(Value):
     noise_sigma: float = 0.5
     filter_window: int = 5
     dt: float = 0.008
-    #: Read-only: stored as a `MappingProxyType` over the config's own copy.
+    #: Read-only, as a mapping field of a `Value` is.
     speed_map: Mapping[SpeedLevel, float] = DEFAULT_SPEED_MAP
     perturbation_radius: float = 0.01
     rng_seed: int = 0
     #: The tool's (roll, pitch, yaw) on the flange: what the `toolmount` frame undoes.
     tool_orientation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    __hash__ = None  # a mapping (`speed_map`) has no hash, so neither has a config
 
     def __post_init__(self):
         """Check every invariant once, here: an invalid config is never built.
         Keeps `hull` (not a field): the box spanning its obstacles' `bounds`, or None."""
-        _set(self, "speed_map", MappingProxyType(dict(self.speed_map)))
+        for name in ("bit_count", "filter_window", "rng_seed"):
+            if type(getattr(self, name)) is not int:
+                raise WorkcellConfigError(f"{name} must be an integer")
+        for name in ("contact_force", "noise_sigma", "dt", "perturbation_radius"):
+            if type(getattr(self, name)) not in (int, float):
+                raise WorkcellConfigError(f"{name} must be a number")
         for what, values, count in (("home_joints", self.home_joints, JOINT_COUNT),
                                     ("tool_orientation", self.tool_orientation, 3)):
             if len(values) != count:
                 raise WorkcellConfigError(f"{what} must hold {count} values")
-            if bool in map(type, values):
+            if not {int, float}.issuperset(map(type, values)):
                 raise WorkcellConfigError(f"{what} entry must be a number")
             if not all(map(math.isfinite, values)):
                 raise WorkcellConfigError(f"{what} must be finite")
@@ -210,6 +214,9 @@ class WorkcellConfig(Value):
         if missing:
             raise WorkcellConfigError(f"speed_map missing levels: {missing}")
         values = [self.speed_map[s] for s in SpeedLevel]  # declared fastest first
+        for level, value in zip(SpeedLevel, values):
+            if type(value) not in (int, float):
+                raise WorkcellConfigError(f"speed_map {level.value} must be a number")
         if any(not (math.isfinite(v) and v > 0) for v in values):
             raise WorkcellConfigError("speed values must be positive")
         if max(values) > MAX_SPEED:
@@ -220,6 +227,8 @@ class WorkcellConfig(Value):
             )
         if values[-1] * self.dt == 0.0:  # the tool could never move at very_slow
             raise WorkcellConfigError("dt is too small: very_slow speed * dt is 0.0")
+        if not all([isinstance(o, Obstacle) for o in self.obstacles]):
+            raise WorkcellConfigError("obstacles must hold Obstacles")
         sides = tuple(zip(*[o.bounds for o in self.obstacles]))  # each bound's values
         _set(self, "hull", tuple(map(min, sides[:3])) + tuple(map(max, sides[3:]))
              if sides else None)
@@ -269,18 +278,14 @@ def _obstacle_from_dict(raw) -> Obstacle:
 
 def workcell_config_from_dict(raw: dict) -> WorkcellConfig:
     """Build a config from parsed JSON: the one place where config values are
-    type-checked and coerced to floats and tuples. Unknown keys are rejected."""
+    coerced to floats and tuples, each checked to be a number first; the
+    config checks the rest. Unknown keys are rejected."""
     if not isinstance(raw, dict):
         raise WorkcellConfigError("workcell config must be a JSON object")
     unknown = set(raw) - set(WorkcellConfig._fields)
     if unknown:
         raise WorkcellConfigError(f"unknown workcell config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("bit_count", "filter_window", "rng_seed"):
-        if key in raw:
-            if type(raw[key]) is not int:
-                raise WorkcellConfigError(f"{key} must be an integer")
-            kwargs[key] = raw[key]
+    kwargs = {key: raw[key] for key in ("bit_count", "filter_window", "rng_seed") if key in raw}
     for key in ("contact_force", "noise_sigma", "dt", "perturbation_radius"):
         if key in raw:
             kwargs[key] = _number(raw[key], key)

@@ -30,6 +30,13 @@ FAR_OBSTACLES = (Obstacle((1e4, 1e4, 1e4), (1e4 + 1.0, 1e4 + 1.0, 1e4 + 1.0)),
                  Obstacle((-1e4 - 1.0, -1e4 - 1.0, -1e4 - 1.0), (-1e4, -1e4, -1e4)))
 
 
+def value_classes(cls):
+    """Every subclass of `cls`, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from value_classes(sub)
+
+
 def with_far_obstacle(config):
     """`config` with `FAR_OBSTACLES` added to its obstacles."""
     return config.replace(obstacles=config.obstacles + FAR_OBSTACLES)

@@ -49,7 +49,7 @@ from adsl.workcell import (
 
 from _helpers import (
     ATTEMPT_SAMPLE_KEYS, MOVE_SAMPLE_KEYS, build, max_overshoot_past_first_contact, of_kind,
-    quiet_config, with_far_obstacle,
+    quiet_config, value_classes, with_far_obstacle,
 )
 
 
@@ -1079,12 +1079,6 @@ class TestControlCycleCap:
         assert len(of_kind(controller.trace, EventKind.MOTION_SAMPLE)) == controller.ctx.cycles == 100
 
 
-def _value_classes(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _value_classes(sub)
-
-
 class TestNoValuesPerCycle:
     """A control cycle builds no value object: a guarded move and its return
     build as many whatever their length. Counted, not timed."""
@@ -1093,7 +1087,7 @@ class TestNoValuesPerCycle:
         """(values built, control cycles) of a guarded move and its return,
         for a short and a long move on `config`; no cycle calls `step_motion`."""
         built = []
-        for cls in set(_value_classes(Value)):
+        for cls in set(value_classes(Value)):
             init = cls.__dict__["__init__"]  # every value class has its own
 
             def counting(self, *args, _init=init, **kwargs):

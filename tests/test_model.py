@@ -4,7 +4,9 @@ import hashlib
 import importlib.resources
 import math
 import pickle
+import random
 import sys
+from types import MappingProxyType
 
 import pytest
 
@@ -40,14 +42,17 @@ from adsl.model import (
     SourceLocation,
     SpeedLevel,
     ThrowError,
+    Value,
     Wait,
     validate_program,
 )
 from adsl.parser import parse_program
+from adsl.printer import pretty_print
+from adsl.reverse import ReversePlan, StopReason
 from adsl.trace import EventKind, TraceEvent
 from adsl.workcell import WorkcellConfig, WorkcellConfigError, load_workcell_config
 
-from _helpers import call_chain
+from _helpers import call_chain, value_classes
 
 
 #: Three overlapping cycles, self-calls, a repeated call and a dangling one.
@@ -90,6 +95,60 @@ def simple_program(**overrides):
     )
     fields.update(overrides)
     return Program(**fields)
+
+
+#: A clean program that uses every construct of the grammar.
+EVERY_CONSTRUCT = """
+item "peg" { keyframe grasp { (0.0, 0.0, 0.1); (0.0, 0.0, 0.2); } }
+io_operation "open" { set_low; bit 0; set_high; bit 1; sleep 0.1; }
+joint_configuration home = { 0.1, 0.0, 0.0, 0.0, 0.0, 0.0 };
+joint_configuration away = { 0.2, 0.0, 0.0, 0.0, 0.0, 0.0 };
+error "e" { recovery_sequence "rec"; respond_after immediately; return_to action; }
+advanced_move "m" {
+  condition distance_covered(less_than, 1);
+  specification {
+    distance 0.01 direction forward frame tcp; stop_if forces_exceed(3); speed slow;
+  }
+  evaluation { forces_exceed(5); distance_covered(more_than, 0.005); }
+  on_success { return_to_initial_position; }
+  on_fail { repeat_with_perturbation(2); throw_error("e"); }
+}
+sequence "rec" { @reverse_with(wait 1) wait 0.5; }
+sequence "main" {
+  move to home, away; @barrier call "noop"("peg"); @nonreversible io "open";
+  adv_move "m"; seq "rec"; @skip_on_reverse wait 1;
+}
+entry "main";
+"""
+
+
+def _parts(value, path=()):
+    """(path, part) for every field, element and table entry inside `value`,
+    at any depth; a path is the field names, tuple indices and table keys
+    that lead from `value` to the part."""
+    if isinstance(value, Value):
+        inner = [(f, getattr(value, f)) for f in value._fields]
+    elif isinstance(value, tuple):
+        inner = list(enumerate(value))
+    elif isinstance(value, MappingProxyType):
+        inner = list(value.items())
+    else:
+        return
+    for step, part in inner:
+        yield path + (step,), part
+        yield from _parts(part, path + (step,))
+
+
+def _with_value_at(value, path, new):
+    """`value` rebuilt with `new` at `path`, through each value's constructor."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    if isinstance(value, Value):
+        return value.replace(**{step: _with_value_at(getattr(value, step), rest, new)})
+    if isinstance(value, tuple):
+        return value[:step] + (_with_value_at(value[step], rest, new),) + value[step + 1:]
+    return {**value, step: _with_value_at(value[step], rest, new)}
 
 
 class TestValidation:
@@ -222,41 +281,78 @@ class TestValidation:
         assert validate_program(broken) == validate_program(broken)
         assert validate_program(corpus_program) == validate_program(corpus_program)
 
-    @pytest.mark.parametrize("field, name", [
-        ("keyframes", "peg"), ("coordinates", "peg.grasp"), ("coordinate", "peg.grasp"),
-        ("primitives", "open"), ("joints", "home"), ("instructions", "main"),
-        ("waypoints", "main"), ("items", "main"), ("eval_queries", "m"), ("on_fail", "m"),
-        ("on_success", "m"),
-    ])
-    def test_a_sequence_field_that_is_not_a_tuple(self, field, name):
-        """A list could change after validation, so each is a diagnostic: a
-        program that validates clean cannot change."""
-        program = parse_program(EVERY_SEQUENCE_FIELD)
-        assert validate_program(program) == []
-        item, op = program.items["peg"], program.io_ops["open"]
-        seq, spec = program.sequences["main"], program.adv_moves["m"]
-        (kf,) = item.keyframes
-        move, call, *rest = seq.instructions
+    @pytest.mark.parametrize("build, found", [
+        (lambda: Program(sequences={1: Sequence(1, (Wait(1.0),))}, entry=1),
+         [("name is not a string", 1), ("name is not a string", 1)]),
+        (lambda: simple_program(sequences={"main": Sequence("main", (Call(5),))}),
+         [("name is not a string", 5)]),
+        (lambda: simple_program(sequences={"main": Sequence("main", (Call("noop", ([1],)),))}),
+         [("name is not a string", [1])]),
+        (lambda: simple_program(sequences={"main": Sequence("main", (Io(["x"]),))}),
+         [("name is not a string", ["x"])]),
+        (lambda: simple_program(sequences={"main": Sequence("main", ("wait 1",))}),
+         [("instruction is not an instruction class", "main")]),
+        (lambda: simple_program(sequences={"main": 1}),
+         [("declaration is not an instance of Sequence", "main")]),
+        (lambda: simple_program(entry=["main"]), [("name is not a string", ["main"])]),
+        (lambda: simple_program(items={"peg": Item("peg", ("grasp",))}),
+         [("keyframe is not a Keyframe", "peg")]),
+        (lambda: simple_program(items={"peg": Item("peg", (Keyframe("k", ((0.0, 0.1),)),))}),
+         [("coordinate must have exactly 3 values", "peg.k")]),
+        (lambda: simple_program(io_ops={"o": IOOperation("o", (SetLow(), SelectBit(True)))}),
+         [("bit index is not an integer", "o")]),
+        (lambda: simple_program(io_ops={"o": IOOperation("o", (Wait(1.0),))}),
+         [("primitive is not a primitive class", "o")]),
+        (lambda: simple_program(sequences={"main": Sequence("main", (SeqCall(["main"]),))}),
+         [("name is not a string", ["main"])]),
+        (lambda: simple_program(errors={"e": ErrorSpec("e", recovery_sequence=["main"])}),
+         [("name is not a string", ["main"])]),
+    ], ids=["declaration_name", "call_action", "call_item", "io_operation", "instruction",
+            "table_entry", "entry", "keyframe", "coordinate", "bit_index", "primitive",
+            "sequence_call", "recovery_sequence"])
+    def test_a_field_of_the_wrong_type_is_a_diagnostic(self, build, found):
+        """A name or reference that is not a string, and a table entry or
+        instruction of another class, are reported, not raised on."""
+        assert [(d.message, d.name) for d in validate_program(build())] == found
 
-        def listed(value, field):
-            return value.replace(**{field: list(getattr(value, field))})
+    def test_an_enumeration_field_of_the_wrong_type_is_a_diagnostic(self):
+        program = parse_program(EVERY_CONSTRUCT)
+        spec, espec = program.adv_moves["m"], program.errors["e"]
+        broken = program.replace(
+            adv_moves={"m": spec.replace(direction="forward", frame=None, speed="slow",
+                                         condition=spec.condition.replace(cmp="less_than"))},
+            errors={"e": espec.replace(respond_after="immediately", return_to=1)})
+        assert [d.message for d in validate_program(broken)] == [
+            "respond_after is not a RespondAfter", "return_to is not a ReturnTo",
+            "direction is not a Direction", "frame is not a Frame", "speed is not a SpeedLevel",
+            "cmp is not a Comparison"]
 
-        tables = {
-            "keyframes": {"items": {"peg": listed(item, "keyframes")}},
-            "coordinates": {"items": {"peg": item.replace(
-                keyframes=(listed(kf, "coordinates"),))}},
-            "coordinate": {"items": {"peg": item.replace(
-                keyframes=(kf.replace(coordinates=([0.0, 0.0, 0.1],)),))}},
-            "primitives": {"io_ops": {"open": listed(op, "primitives")}},
-            "joints": {"joint_confs": {"home": listed(program.joint_confs["home"], "joints")}},
-            "instructions": {"sequences": {"main": listed(seq, "instructions")}},
-            "waypoints": {"sequences": {"main": seq.replace(
-                instructions=(listed(move, "waypoints"), call, *rest))}},
-            "items": {"sequences": {"main": seq.replace(
-                instructions=(move, listed(call, "items"), *rest))}},
-        }.get(field) or {"adv_moves": {"m": listed(spec, field)}}
-        assert [(d.message, d.name) for d in validate_program(program.replace(**tables))] == [
-            (f"{field} is not a tuple", name)]
+    def test_validation_never_raises_on_wrongly_typed_fields(self):
+        """Seeded fuzz: one or two fields anywhere in a program of every
+        construct get a value of another type. Construction may refuse the
+        value (`TypeError`); otherwise `validate_program` reports and never
+        raises, and a program it passes prints to text that parses back."""
+        junk = [None, True, 0, -1, 7, 2.5, float("nan"), "", "x", "a\nb", "main", "home",
+                "e", "m", "peg", (), ("x",), (1, 2), ((1.0, 2.0, 3.0),), [1], ["x"], {},
+                {"main": 1}, SetLow(), Wait(1.0), SeqCall("main"), object()]
+        program = parse_program(EVERY_CONSTRUCT)
+        paths = [path for path, _ in _parts(program)]
+        rng = random.Random(35)
+        refused = clean = 0
+        for _ in range(4000):
+            changed = program
+            try:
+                for _ in range(rng.randint(1, 2)):
+                    changed = _with_value_at(changed, rng.choice(paths), rng.choice(junk))
+            except TypeError:
+                refused += 1
+                continue
+            except (KeyError, IndexError, AttributeError):
+                continue  # the first change removed the second's path
+            if validate_program(changed) == []:
+                clean += 1
+                assert parse_program(pretty_print(changed)) == changed
+        assert refused > 200 and clean > 200
 
     def test_empty_sequence(self):
         program = simple_program(sequences={"main": Sequence("main", ())})
@@ -495,9 +591,75 @@ class TestValueClasses:
             assert make() == make() and hash(make()) == hash(make())
         assert len({SetLow(), SetLow(), SetHigh()}) == 2
 
+    @pytest.mark.parametrize("field, name", [
+        ("keyframes", "Item.keyframes"), ("coordinates", "Keyframe.coordinates"),
+        ("coordinate", "Keyframe.coordinates"), ("primitives", "IOOperation.primitives"),
+        ("joints", "JointConfiguration.joints"), ("instructions", "Sequence.instructions"),
+        ("waypoints", "MoveJoint.waypoints"), ("items", "Call.items"),
+        ("eval_queries", "AdvMoveSpec.eval_queries"), ("on_fail", "AdvMoveSpec.on_fail"),
+        ("on_success", "AdvMoveSpec.on_success"),
+    ])
+    def test_a_sequence_field_that_is_not_a_tuple(self, field, name):
+        """A list could change after validation, so construction refuses it,
+        naming the class and field: no program can change once built."""
+        program = parse_program(EVERY_SEQUENCE_FIELD)
+        (kf,) = program.items["peg"].keyframes
+        move, call, *_ = program.sequences["main"].instructions
+        if field == "coordinate":
+            with pytest.raises(TypeError, match=f"^{name} must hold tuples$"):
+                kf.replace(coordinates=([0.0, 0.0, 0.1],))
+            return
+        value = {"keyframes": program.items["peg"], "coordinates": kf,
+                 "primitives": program.io_ops["open"], "joints": program.joint_confs["home"],
+                 "instructions": program.sequences["main"], "waypoints": move,
+                 "items": call}.get(field, program.adv_moves["m"])
+        with pytest.raises(TypeError, match=f"^{name} must be a tuple, got list$"):
+            value.replace(**{field: list(getattr(value, field))})
+
+    def test_every_frozen_tuple_and_mapping_field_holds_still(self, aligned_config):
+        """Every frozen value class: a list given to a tuple field raises
+        `TypeError`, a mapping field is a read-only copy of the mapping given,
+        and a class with a mapping field has no hash."""
+        samples = {}
+        for root in (parse_program(EVERY_CONSTRUCT), aligned_config,
+                     ReversePlan((), StopReason.TRACE_START)):
+            for _, part in [((), root), *_parts(root)]:
+                samples.setdefault(type(part), part)
+        frozen = [cls for cls in set(value_classes(Value))
+                  if cls.__setattr__ is Value.__setattr__]
+        checked = set()
+        for cls in frozen:
+            hints = {f: cls.__annotations__[f] for f in cls._fields}
+            tuples = [f for f, hint in hints.items() if hint.startswith("tuple[")]
+            mappings = [f for f, hint in hints.items() if hint.startswith(("dict[", "Mapping["))]
+            if not tuples and not mappings:
+                continue
+            value = samples[cls]
+            checked.add(cls.__qualname__)
+            for field in tuples:
+                with pytest.raises(TypeError, match=f"^{cls.__qualname__}.{field} must be"):
+                    value.replace(**{field: list(getattr(value, field))})
+            for field in mappings:
+                given = dict(getattr(value, field))
+                built = value.replace(**{field: given})
+                given.clear()
+                given["extra"] = None
+                assert built == value and "extra" not in getattr(built, field)
+                with pytest.raises(TypeError):
+                    getattr(built, field)["extra"] = None
+                with pytest.raises(TypeError, match=f"unhashable type: '{cls.__qualname__}'"):
+                    hash(built)
+        assert checked == {"MoveJoint", "Call", "Keyframe", "Item", "IOOperation",
+                           "JointConfiguration", "Sequence", "AdvMoveSpec", "Program",
+                           "ReversePlan", "Hole", "Obstacle", "WorkcellConfig"}
+
+    def test_a_program_is_unhashable_by_name(self):
+        with pytest.raises(TypeError, match="^unhashable type: 'Program'$"):
+            hash(Program())
+
     def test_workcell_config_is_unhashable_by_name(self):
         """A config's `speed_map` is a mapping, so the config has no hash."""
-        for config in (WorkcellConfig(), WorkcellConfig(home_joints=[0.0] * 6)):
+        for config in (WorkcellConfig(), WorkcellConfig(home_joints=(0.0,) * 6)):
             with pytest.raises(TypeError, match="unhashable type: 'WorkcellConfig'"):
                 hash(config)
 

@@ -15,6 +15,7 @@ from adsl.model import Direction, Frame, SpeedLevel
 from adsl.parser import parse_program
 from adsl.reverse import RunAborted, reverse_execute
 from adsl.workcell import (
+    DEFAULT_SPEED_MAP,
     MAX_CONTACT_FORCE,
     MAX_DT,
     MAX_FILTER_WINDOW,
@@ -512,6 +513,29 @@ class TestConfigLoading:
     def test_config_checks_itself_when_built(self):
         with pytest.raises(WorkcellConfigError, match="dt must be positive"):
             WorkcellConfig(dt=0.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"bit_count": 2.5}, "bit_count must be an integer"),
+        ({"filter_window": 2.5}, "filter_window must be an integer"),
+        ({"rng_seed": 2.5}, "rng_seed must be an integer"),
+        ({"bit_count": True}, "bit_count must be an integer"),
+        ({"rng_seed": True}, "rng_seed must be an integer"),
+        ({"dt": True}, "dt must be a number"),
+        ({"contact_force": True}, "contact_force must be a number"),
+        ({"noise_sigma": "0.5"}, "noise_sigma must be a number"),
+        ({"perturbation_radius": None}, "perturbation_radius must be a number"),
+        ({"home_joints": ("0",) * 6}, "home_joints entry must be a number"),
+        ({"speed_map": {**DEFAULT_SPEED_MAP, SpeedLevel.SLOW: True}},
+         "speed_map slow must be a number"),
+        ({"obstacles": ({"box": {"min": [0, 0, 0], "max": [1, 1, 1]}},)},
+         "obstacles must hold Obstacles"),
+    ])
+    def test_mistyped_fields_rejected_when_constructed_directly(self, changes, message):
+        """The JSON loader's messages: no config of a wrong type is built, so
+        none fails later in a run."""
+        with pytest.raises(WorkcellConfigError) as info:
+            WorkcellConfig(**changes)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("field, bound", [
         ("dt", MAX_DT), ("noise_sigma", MAX_NOISE_SIGMA), ("contact_force", MAX_CONTACT_FORCE),
